@@ -6,15 +6,13 @@ on the gasket.
 """
 
 import math
-import tempfile
-from pathlib import Path
 
 from fracapprox.diagnostics import (
+    certificate_table,
     certify_decay,
     certify_doubling,
     certify_regularity,
     decay_alpha_from_regularity,
-    export_certificate_csv,
 )
 from fracapprox.ifs import bundled_system
 
@@ -34,11 +32,9 @@ print(f"  fresh-seed violations: {decay.validate(cantor, 500, seed=2)}")
 regularity = certify_regularity(cantor, trials=500, seed=1)
 print(f"regularity: {regularity.a:.4f} <= mu(B)/r^delta <= {regularity.b:.4f}")
 
-with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "decay.csv"
-    export_certificate_csv(decay, path)
-    lines = path.read_text().splitlines()
-    print(f"\nCSV export: {len(lines)} lines, trailing constants: {lines[-1]}")
+columns, rows, trailer = certificate_table(decay)
+print(f"\nCSV table: {len(columns)} columns, {len(rows)} rows, "
+      f"trailing constants: {trailer[-1]}")
 
 # on the gasket, two-sided regularity with delta > d-1 implies decay with
 # exponent delta - (d - 1)

@@ -23,7 +23,7 @@ from .geometry import (
     greedy_cover,
     hyperplane_witness,
 )
-from .ifs import IFSystem, sample_measure
+from .ifs import IFSystem, _Frontier, sample_measure
 
 __all__ = [
     "SumSpec",
@@ -32,7 +32,6 @@ __all__ = [
     "classify_sum",
     "predict_measure_zero",
     "dimension_bound",
-    "sum_term",
     "sum_term_log",
     "condensed_term_log",
     "build_dn_cover",
@@ -115,12 +114,6 @@ def sum_term_log(spec: SumSpec, r) -> np.ndarray:
     else:
         lpsi = np.log(psi(rr))
     return base + e * lpsi
-
-
-def sum_term(spec: SumSpec, r):
-    """The summand itself (may overflow to inf for divergent specs)."""
-    out = np.exp(sum_term_log(spec, np.asarray(r, dtype=float)))
-    return float(out) if np.isscalar(r) else out
 
 
 def condensed_term_log(spec: SumSpec, n) -> np.ndarray:
@@ -284,11 +277,8 @@ def build_dn_cover(sys: IFSystem, n: int) -> list:
     a 2 r_n-separated subset.  Every point of K is within r_n of a candidate
     and within 3 r_n of a selected centre.
     """
-    scale = DyadicScale(n, sys.dim)
-    r_n = scale.r_n
-    max_ratio = float(np.max(sys.ratios))
-    diam = sys.diameter
-    depth_needed = max(0, math.ceil(math.log(r_n / diam, max_ratio)))
+    r_n = DyadicScale(n, sys.dim).r_n
+    depth_needed = _net_depth(sys, n)
     if depth_needed > 64:
         feasible = _max_feasible_block(sys)
         raise ValueError(
@@ -306,61 +296,30 @@ def build_dn_cover(sys: IFSystem, n: int) -> list:
     return chosen
 
 
+def _net_depth(sys: IFSystem, n: int) -> int:
+    """Cylinder depth at which every cylinder is at most r_n across."""
+    r_n = DyadicScale(n, sys.dim).r_n
+    return max(0, math.ceil(math.log(r_n / sys.diameter, float(np.max(sys.ratios)))))
+
+
 def _max_feasible_block(sys: IFSystem) -> int:
-    max_ratio = float(np.max(sys.ratios))
     for n in range(0, 1000):
-        scale = DyadicScale(n, sys.dim)
-        depth = max(0, math.ceil(math.log(scale.r_n / sys.diameter, max_ratio)))
-        if depth > 64:
+        if _net_depth(sys, n) > 64:
             return n - 1
     return 1000
 
 
 def _cylinder_net(sys: IFSystem, resolution: float) -> np.ndarray:
     """Anchor images of all cylinders refined to diameter <= resolution."""
-    d = sys.dim
-    rho = sys.ratios
-    trs = np.array([m.translation for m in sys.maps])
-    rots = np.array([m.rotation for m in sys.maps])
-    track_rot = sys.has_rotations
-
-    trans = np.zeros((1, d))
-    scale = np.ones(1)
-    rot = np.broadcast_to(np.eye(d), (1, d, d)).copy() if track_rot else None
-    done_pts = []
-    diam = sys.diameter
-    while scale.size:
-        finished = scale * diam <= resolution
+    cyl = _Frontier(sys)
+    done = []
+    while True:
+        finished = cyl.scale * sys.diameter <= resolution
         if finished.any():
-            t_f, s_f = trans[finished], scale[finished]
-            if track_rot:
-                pts = s_f[:, None] * np.einsum("nij,j->ni", rot[finished], sys.anchor) + t_f
-            else:
-                pts = s_f[:, None] * sys.anchor + t_f
-            done_pts.append(pts)
-        live = ~finished
-        if not live.any():
-            break
-        trans, scale = trans[live], scale[live]
-        if track_rot:
-            rot = rot[live]
-            new = [
-                (
-                    trans + scale[:, None] * np.einsum("nij,j->ni", rot, trs[i]),
-                    scale * rho[i],
-                    np.einsum("nij,jk->nik", rot, rots[i]),
-                )
-                for i in range(sys.k)
-            ]
-            trans = np.concatenate([t for t, _, _ in new])
-            scale = np.concatenate([s for _, s, _ in new])
-            rot = np.concatenate([r for _, _, r in new])
-        else:
-            new_t = [trans + scale[:, None] * trs[i] for i in range(sys.k)]
-            new_s = [scale * rho[i] for i in range(sys.k)]
-            trans = np.concatenate(new_t)
-            scale = np.concatenate(new_s)
-    return np.concatenate(done_pts)
+            done.append(cyl.image(sys.anchor)[finished])
+        if finished.all():
+            return np.concatenate(done)
+        cyl.expand(~finished)
 
 
 def build_cdn_cover(
@@ -428,9 +387,6 @@ class HsTail:
     rows: tuple
     tails: tuple  # (k, tail cost) pairs, k = k_min..k_max
     c_max: tuple
-
-    def tail_costs(self) -> list:
-        return [t for _, t in self.tails]
 
 
 def hs_upper_bound(
@@ -511,10 +467,6 @@ class BoxDimensionEstimate:
     slope: float
     confidence: float  # 1.96 sigma half-width of the slope
     counts: tuple  # (grid size, occupied boxes)
-
-    @property
-    def interval(self) -> tuple:
-        return (self.slope - self.confidence, self.slope + self.confidence)
 
 
 def box_dimension(points: np.ndarray, scales) -> BoxDimensionEstimate:

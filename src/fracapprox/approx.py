@@ -129,15 +129,6 @@ class PsiFunction:
             )
         return float(out) if scalar else out
 
-    def describe(self) -> str:
-        if self.family == "power":
-            return f"power:tau={self.tau!r}"
-        if self.family == "power_log":
-            return f"powerlog:beta={self.beta!r}"
-        if self.family == "generic_power_log":
-            return f"gpl:tau={self.tau!r},beta={self.beta!r}"
-        return f"table:{self.table_r.size}rows"
-
 
 def parse_psi_spec(spec: str, d: int = 1) -> PsiFunction:
     """Parse the CLI psi string: power:tau=2.0 | powerlog:beta=3.0 |

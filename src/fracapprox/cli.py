@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 import sys as _sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -34,12 +33,13 @@ from .analysis import (
 from .approx import parse_psi_spec, smallness_onset
 from .diagnostics import (
     CertificationError,
+    _run_ordered,
+    certificate_table,
     certify_decay,
     certify_doubling,
     certify_regularity,
     decay_alpha_from_regularity,
     default_r0,
-    export_certificate_csv,
 )
 from .geometry import unit_ball_volume
 from .ifs import BUNDLED_SYSTEMS, bundled_system, load_system, sample_measure
@@ -112,17 +112,40 @@ def resolve_config(config_path: str | None, **overrides) -> ExperimentConfig:
     return cfg
 
 
+_INT_FIELDS = ("seed", "trials", "samples", "jobs")
+_REAL_FIELDS = ("tolerance", "alpha", "s")
+_STR_FIELDS = ("ifs_path", "psi_spec", "output_dir", "kind")
+_UNSET_OK = ("ifs_path", "alpha", "s")  # None means "not given"
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
 def _validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.trials < 1:
-        raise UsageFailure("config field 'trials' must be >= 1")
-    if cfg.samples < 1:
-        raise UsageFailure("config field 'samples' must be >= 1")
-    if len(cfg.blocks) != 2 or cfg.blocks[0] > cfg.blocks[1] or cfg.blocks[0] < 0:
+    for names, ok, what in ((_INT_FIELDS, _is_int, "an integer"),
+                            (_REAL_FIELDS, _is_real, "a finite number"),
+                            (_STR_FIELDS, lambda v: isinstance(v, str), "a string")):
+        for name in names:
+            v = getattr(cfg, name)
+            if not ok(v) and not (v is None and name in _UNSET_OK):
+                raise UsageFailure(f"config field {name!r} must be {what}")
+    if not (isinstance(cfg.taus, tuple) and all(_is_real(t) for t in cfg.taus)):
+        raise UsageFailure("config field 'taus' must be a list of finite numbers")
+    for name in ("trials", "samples", "jobs"):
+        if getattr(cfg, name) < 1:
+            raise UsageFailure(f"config field {name!r} must be >= 1")
+    if (not isinstance(cfg.blocks, tuple) or len(cfg.blocks) != 2
+            or not all(_is_int(b) for b in cfg.blocks)
+            or cfg.blocks[0] > cfg.blocks[1] or cfg.blocks[0] < 0):
         raise UsageFailure("config field 'blocks' must be a nonempty range [lo, hi]")
     if cfg.tolerance <= 0:
         raise UsageFailure("config field 'tolerance' must be positive")
-    if cfg.jobs < 1:
-        raise UsageFailure("config field 'jobs' must be >= 1")
 
 
 def _resolve_system(cfg: ExperimentConfig):
@@ -162,7 +185,7 @@ def _header(cfg: ExperimentConfig) -> list:
 
 
 def _write_csv(cfg: ExperimentConfig, name: str, columns: list, rows: list,
-               trailer: list | None = None) -> Path:
+               trailer: list | None = None) -> None:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / name
@@ -172,7 +195,7 @@ def _write_csv(cfg: ExperimentConfig, name: str, columns: list, rows: list,
     if trailer:
         lines.extend(trailer)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    return path
+    click.echo(f"wrote {path}")
 
 
 def _cell(v) -> str:
@@ -181,12 +204,6 @@ def _cell(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return str(v)
-
-
-def _prepend_header(path: Path, cfg: ExperimentConfig) -> None:
-    body = path.read_text(encoding="utf-8")
-    path.write_text("\n".join(_header(cfg)) + "\n" + body, encoding="utf-8",
-                    newline="\n")
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +249,9 @@ def certify(ctx, ifs_path, trials, alpha):
         rc = certify_regularity(sys_, cfg.trials, r0, cfg.seed, jobs=cfg.jobs)
     except CertificationError as e:
         raise ScientificFailure(f"certification failed: {e}")
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for cert, name in ((dc, "doubling.csv"), (cc, "decay.csv"),
                        (rc, "regularity.csv")):
-        path = out / name
-        export_certificate_csv(cert, path)
-        _prepend_header(path, cfg)
-        click.echo(f"wrote {path}")
+        _write_csv(cfg, name, *certificate_table(cert))
 
 
 @cli.command()
@@ -271,9 +283,8 @@ def decay(ctx, ifs_path, psi_spec, blocks, samples, alpha):
         f"# predicted_slope={res.predicted_slope!r}",
         f"# smallness_onset(c={c_audit!r})={onset}",
     ]
-    path = _write_csv(cfg, "decay_experiment.csv",
-                      ["n", "empirical_mass", "envelope"], list(res.rows), trailer)
-    click.echo(f"wrote {path}")
+    _write_csv(cfg, "decay_experiment.csv",
+               ["n", "empirical_mass", "envelope"], list(res.rows), trailer)
 
 
 @cli.command("lemma-audit")
@@ -294,10 +305,9 @@ def lemma_audit(ctx, ifs_path, blocks, trials):
         rows.append((rep.d, rep.n, rep.balls, rep.max_rationals,
                      rep.simplex_counterexamples))
         bad_total += rep.simplex_counterexamples
-    path = _write_csv(cfg, "lemma_audit.csv",
-                      ["d", "n", "balls", "max_rationals", "simplex_counterexamples"],
-                      rows)
-    click.echo(f"wrote {path}")
+    _write_csv(cfg, "lemma_audit.csv",
+               ["d", "n", "balls", "max_rationals", "simplex_counterexamples"],
+               rows)
     if bad_total:
         raise ScientificFailure(
             f"{bad_total} simplex counterexamples found; the volume obstruction "
@@ -331,9 +341,8 @@ def dim_report(ctx, ifs_path, taus, alpha, samples):
         else:
             keep.append(tau)
     rows = dimension_report(sys_, a, keep, seed=cfg.seed, batch=cfg.samples)
-    path = _write_csv(cfg, "dim_report.csv",
-                      ["tau", "bound", "box_estimate"], rows)
-    click.echo(f"wrote {path}")
+    _write_csv(cfg, "dim_report.csv",
+               ["tau", "bound", "box_estimate"], rows)
 
 
 @cli.command()
@@ -367,8 +376,7 @@ def sums(ctx, ifs_path, psi_spec, kind, alpha, s_param):
         f"# method={verdict.method}",
         f"# criterion={verdict.criterion}",
     ]
-    path = _write_csv(cfg, "sums.csv", ["n", "term", "partial_sum"], rows, trailer)
-    click.echo(f"wrote {path}")
+    _write_csv(cfg, "sums.csv", ["n", "term", "partial_sum"], rows, trailer)
 
 
 @cli.command("cover-cost")
@@ -393,10 +401,9 @@ def cover_cost_cmd(ctx, ifs_path, psi_spec, blocks, s_param):
     rows = [
         (n, nd, nc, tails[n]) for (n, nd, nc, _cost) in tail.rows
     ]
-    path = _write_csv(cfg, "cover_cost.csv",
-                      ["n", "n_Dn", "n_C_total", "cost_tail"], rows,
-                      [f"# s={s_val!r}"])
-    click.echo(f"wrote {path}")
+    _write_csv(cfg, "cover_cost.csv",
+               ["n", "n_Dn", "n_C_total", "cost_tail"], rows,
+               [f"# s={s_val!r}"])
 
 
 @cli.command()
@@ -410,8 +417,7 @@ def sample(ctx, ifs_path, samples):
     pts = _sharded_samples(sys_, cfg.samples, cfg.seed, cfg.jobs)
     cols = [f"x_{i}" for i in range(sys_.dim)]
     rows = [tuple(float(v) for v in p) for p in pts]
-    path = _write_csv(cfg, "samples.csv", cols, rows)
-    click.echo(f"wrote {path}")
+    _write_csv(cfg, "samples.csv", cols, rows)
 
 
 _SHARD = 10_000
@@ -425,7 +431,6 @@ def _sample_chunk(args):
 def _sharded_samples(sys_, total: int, seed: int, jobs: int) -> np.ndarray:
     """Fixed-size chunks with per-chunk derived seeds: the stream does not
     depend on the worker count."""
-    chunks = []
     idx = 0
     remaining = total
     payloads = []
@@ -434,12 +439,7 @@ def _sharded_samples(sys_, total: int, seed: int, jobs: int) -> np.ndarray:
         payloads.append((sys_, seed, idx, take))
         idx += 1
         remaining -= take
-    if jobs <= 1 or len(payloads) == 1:
-        chunks = [_sample_chunk(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_sample_chunk, payloads))
-    return np.concatenate(chunks)
+    return np.concatenate(_run_ordered(_sample_chunk, payloads, jobs))
 
 
 def _parse_blocks(text: str | None):

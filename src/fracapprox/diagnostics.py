@@ -28,7 +28,7 @@ __all__ = [
     "certify_regularity",
     "decay_alpha_from_regularity",
     "default_r0",
-    "export_certificate_csv",
+    "certificate_table",
 ]
 
 _REL_TOL = 0.02
@@ -67,7 +67,7 @@ def _trial_center_radius(sys: IFSystem, r0: float, rng) -> tuple:
 
 
 def _doubling_trial(args) -> tuple | None:
-    sys, r0, seed, idx = args
+    sys, r0, seed, idx, _ = args
     rng = _trial_rng(seed, idx)
     center, radius = _trial_center_radius(sys, r0, rng)
     m1 = measure_of_ball(sys, Ball(center, radius), _ball_tol(sys, radius))
@@ -78,7 +78,7 @@ def _doubling_trial(args) -> tuple | None:
 
 
 def _decay_trial(args) -> tuple | None:
-    sys, alpha, r0, seed, idx = args
+    sys, r0, seed, idx, alpha = args
     rng = _trial_rng(seed, idx)
     center, radius = _trial_center_radius(sys, r0, rng)
     normal = rng.normal(size=sys.dim)
@@ -107,7 +107,7 @@ def _decay_trial(args) -> tuple | None:
 
 
 def _regularity_trial(args) -> tuple | None:
-    sys, r0, seed, idx = args
+    sys, r0, seed, idx, _ = args
     rng = _trial_rng(seed, idx)
     center, radius = _trial_center_radius(sys, r0, rng)
     m = measure_of_ball(sys, Ball(center, radius), _ball_tol(sys, radius))
@@ -120,40 +120,40 @@ def _regularity_trial(args) -> tuple | None:
 _TAIL_MARGIN = 4.0
 
 
-def _tail_inflated_max(values, k: int = 10) -> float:
-    """Maximum inflated by four times the relative top-k spread.
+def _tail_factor(vals: list, k: int = 10) -> float:
+    """1 + 4 * the relative spread between vals[0] and the k-th value.
 
-    A raw sample maximum under-estimates an essential supremum, so fresh
-    trials routinely beat it; extrapolating the observed top-tail spread
-    makes the constant stable under re-sampling while collapsing to the
-    exact maximum when the top of the distribution is saturated (zero
-    spread).  The factor 4 was calibrated so that 500-trial certificates on
-    the bundled systems re-validate on fresh seeds.
+    A raw sample extreme under-estimates an essential supremum (infimum), so
+    fresh trials routinely beat it; extrapolating the observed top-tail
+    spread makes the constant stable under re-sampling while collapsing to
+    the exact extreme when the tail is saturated (zero spread).  The factor 4
+    was calibrated so that 500-trial certificates on the bundled systems
+    re-validate on fresh seeds.
     """
+    kth = vals[min(k, len(vals)) - 1]
+    spread = abs(vals[0] - kth) / kth if kth > 0 else 0.0
+    return 1.0 + _TAIL_MARGIN * spread
+
+
+def _tail_inflated_max(values) -> float:
     vals = sorted(values, reverse=True)
-    if len(vals) < 2:
-        return vals[0]
-    k = min(k, len(vals))
-    top, kth = vals[0], vals[k - 1]
-    spread = (top - kth) / kth if kth > 0 else 0.0
-    return top * (1.0 + _TAIL_MARGIN * spread)
+    return vals[0] * _tail_factor(vals)
 
 
-def _tail_deflated_min(values, k: int = 10) -> float:
+def _tail_deflated_min(values) -> float:
     vals = sorted(values)
-    if len(vals) < 2:
-        return vals[0]
-    k = min(k, len(vals))
-    bottom, kth = vals[0], vals[k - 1]
-    spread = (kth - bottom) / kth if kth > 0 else 0.0
-    return bottom / (1.0 + _TAIL_MARGIN * spread)
+    return vals[0] / _tail_factor(vals)
 
 
-def _run_trials(worker, payloads, jobs: int) -> list:
-    if jobs <= 1:
+def _run_ordered(worker, payloads: list, jobs: int) -> list:
+    """worker(p) for every payload, in order, serially or over `jobs`
+    processes; the pool's map keeps the order, so results never depend on
+    `jobs`."""
+    if jobs <= 1 or len(payloads) <= 1:
         return [worker(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, payloads, chunksize=max(1, len(payloads) // (4 * jobs))))
+        return list(pool.map(worker, payloads,
+                             chunksize=max(1, len(payloads) // (4 * jobs))))
 
 
 def _finish(results: list, trials: int) -> list:
@@ -165,6 +165,29 @@ def _finish(results: list, trials: int) -> list:
             "measure resolution too coarse at this r0"
         )
     return kept
+
+
+def _collect(worker, sys: IFSystem, trials: int, r0: float | None, seed: int,
+             jobs: int, alpha: float | None = None) -> tuple:
+    """Run `trials` seeded trials of `worker`; return the kept results and
+    the fields every certificate records (r0, trials, discarded, seed).
+
+    Shared by every certificate and re-validation.  Discarded trials (None)
+    are dropped; more than 20% of them aborts.  That rule also covers an
+    empty result: at least one trial is required, and losing all of them is
+    a 100% discard.
+    """
+    if alpha is not None and not alpha > 0:
+        raise ValueError("alpha must be positive")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if r0 is None:
+        r0 = default_r0(sys)
+    if not r0 > 0:
+        raise ValueError("r0 must be positive")
+    payloads = [(sys, r0, seed, i, alpha) for i in range(trials)]
+    kept = _finish(_run_ordered(worker, payloads, jobs), trials)
+    return kept, dict(r0=r0, trials=trials, discarded=trials - len(kept), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +208,7 @@ class DoublingCertificate:
 
     def validate(self, sys: IFSystem, trials: int, seed: int, jobs: int = 1) -> int:
         """Count fresh trials whose optimistic ratio still exceeds D."""
-        payloads = [(sys, self.r0, seed, i) for i in range(trials)]
-        kept = _finish(_run_trials(_doubling_trial, payloads, jobs), trials)
+        kept, _ = _collect(_doubling_trial, sys, trials, self.r0, seed, jobs)
         return sum(1 for _, _, opt, _ in kept if opt > self.D)
 
 
@@ -211,8 +233,7 @@ class DecayCertificate:
         return self.C * 2.0**self.alpha
 
     def validate(self, sys: IFSystem, trials: int, seed: int, jobs: int = 1) -> int:
-        payloads = [(sys, self.alpha, self.r0, seed, i) for i in range(trials)]
-        kept = _finish(_run_trials(_decay_trial, payloads, jobs), trials)
+        kept, _ = _collect(_decay_trial, sys, trials, self.r0, seed, jobs, self.alpha)
         return sum(1 for row in kept if row[3] > self.C)
 
 
@@ -230,8 +251,7 @@ class RegularityCertificate:
     seed: int
 
     def validate(self, sys: IFSystem, trials: int, seed: int, jobs: int = 1) -> int:
-        payloads = [(sys, self.r0, seed, i) for i in range(trials)]
-        kept = _finish(_run_trials(_regularity_trial, payloads, jobs), trials)
+        kept, _ = _collect(_regularity_trial, sys, trials, self.r0, seed, jobs)
         return sum(1 for _, _, lo, hi in kept if lo > self.b or hi < self.a)
 
 
@@ -245,23 +265,11 @@ def certify_doubling(
     with the evidence.  Trials whose small-ball mass cannot be bounded away
     from zero are discarded; more than 20% discards aborts certification.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if r0 is None:
-        r0 = default_r0(sys)
-    if r0 <= 0:
-        raise ValueError("r0 must be positive")
-    payloads = [(sys, r0, seed, i) for i in range(trials)]
-    kept = _finish(_run_trials(_doubling_trial, payloads, jobs), trials)
-    if not kept:
-        raise CertificationError("no usable trials")
+    kept, common = _collect(_doubling_trial, sys, trials, r0, seed, jobs)
     return DoublingCertificate(
         D=_tail_inflated_max([hi for _, _, _, hi in kept]),
-        r0=r0,
         samples=tuple(kept),
-        trials=trials,
-        discarded=trials - len(kept),
-        seed=seed,
+        **common,
     )
 
 
@@ -280,28 +288,13 @@ def certify_decay(
     log-uniform in [r/10^4, r/4].  The concentric-ball ratio of each trial is
     recorded against the corollary constant C 2^alpha.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if r0 is None:
-        r0 = default_r0(sys)
-    if r0 <= 0:
-        raise ValueError("r0 must be positive")
-    payloads = [(sys, alpha, r0, seed, i) for i in range(trials)]
-    kept = _finish(_run_trials(_decay_trial, payloads, jobs), trials)
-    if not kept:
-        raise CertificationError("no usable trials")
-    C = _tail_inflated_max([r[4] for r in kept])
+    kept, common = _collect(_decay_trial, sys, trials, r0, seed, jobs, alpha)
     cert = DecayCertificate(
         alpha=alpha,
-        C=C,
-        r0=r0,
+        C=_tail_inflated_max([r[4] for r in kept]),
         samples=tuple((r[0], r[1], r[2], r[3], r[4]) for r in kept),
         small_ball_ratios=tuple(r[5] for r in kept),
-        trials=trials,
-        discarded=trials - len(kept),
-        seed=seed,
+        **common,
     )
     bad = [x for x in cert.small_ball_ratios if x > cert.small_ball_C * (1 + 1e-12)]
     if bad:
@@ -316,25 +309,13 @@ def certify_regularity(
     sys: IFSystem, trials: int, r0: float | None = None, seed: int = 0, jobs: int = 1
 ) -> RegularityCertificate:
     """Fit the two-sided envelope of mu(B(x,r)) / r^delta on random balls."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if r0 is None:
-        r0 = default_r0(sys)
-    if r0 <= 0:
-        raise ValueError("r0 must be positive")
-    payloads = [(sys, r0, seed, i) for i in range(trials)]
-    kept = _finish(_run_trials(_regularity_trial, payloads, jobs), trials)
-    if not kept:
-        raise CertificationError("no usable trials")
+    kept, common = _collect(_regularity_trial, sys, trials, r0, seed, jobs)
     return RegularityCertificate(
         a=_tail_deflated_min([lo for _, _, lo, _ in kept]),
         b=_tail_inflated_max([hi for _, _, _, hi in kept]),
         delta=sys.delta,
-        r0=r0,
         samples=tuple(kept),
-        trials=trials,
-        discarded=trials - len(kept),
-        seed=seed,
+        **common,
     )
 
 
@@ -352,25 +333,24 @@ def decay_alpha_from_regularity(delta: float, d: int) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-def export_certificate_csv(cert, path) -> None:
-    """One row per sample (center coords, radius, epsilon or blank, ratio lo,
-    ratio hi), then the constants in a trailing comment line."""
-    first = cert.samples[0]
-    d = len(first[0])
-    header = [f"center_{i}" for i in range(d)] + [
+def certificate_table(cert) -> tuple:
+    """(columns, rows, trailer) of a certificate's CSV: one row per sample
+    (center coords, radius, epsilon or None, ratio lo, ratio hi), then the
+    constants in a trailing comment line."""
+    d = len(cert.samples[0][0])
+    columns = [f"center_{i}" for i in range(d)] + [
         "radius", "epsilon", "ratio_lo", "ratio_hi",
     ]
-    lines = [",".join(header)]
+    rows = []
     for row in cert.samples:
         if isinstance(cert, DecayCertificate):
             center, radius, eps, lo, hi = row
-            eps_s = repr(float(eps))
+            eps = float(eps)
         else:
             center, radius, lo, hi = row
-            eps_s = ""
-        cells = [repr(float(c)) for c in center]
-        cells += [repr(float(radius)), eps_s, repr(float(lo)), repr(float(hi))]
-        lines.append(",".join(cells))
+            eps = None
+        rows.append((*(float(c) for c in center), float(radius), eps,
+                     float(lo), float(hi)))
     if isinstance(cert, DoublingCertificate):
         tail = f"# D={cert.D!r} r0={cert.r0!r}"
     elif isinstance(cert, DecayCertificate):
@@ -380,6 +360,4 @@ def export_certificate_csv(cert, path) -> None:
         )
     else:
         tail = f"# a={cert.a!r} b={cert.b!r} delta={cert.delta!r} r0={cert.r0!r}"
-    lines.append(tail)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return columns, rows, [tail]

@@ -30,7 +30,6 @@ __all__ = [
     "affine_rank",
     "hyperplane_through",
     "hyperplane_witness",
-    "slab_of",
 ]
 
 _UNIT_TOL = 1e-12
@@ -227,12 +226,6 @@ class Simplex:
     def dim(self) -> int:
         return self.vertices[0].dim
 
-    def volume_times_dfact(self) -> Fraction:
-        return simplex_volume_times_dfact(self)
-
-    def is_degenerate(self) -> bool:
-        return self.volume_times_dfact() == 0
-
 
 def unit_ball_volume(d: int) -> float:
     """Lebesgue volume of the unit ball in R^d (2, pi, 4pi/3, ...)."""
@@ -278,10 +271,6 @@ class DyadicScale:
     def q_hi(self) -> int:
         """One past the largest denominator, 2^(n+1)."""
         return 2 ** (self.n + 1)
-
-    def six_dilate_volume(self) -> float:
-        """kappa * (6 r_n)^d; equals 2^(-(d+1)(n+1)) / d! exactly."""
-        return self.kappa * (6.0 * self.r_n) ** self.d
 
 
 # ---------------------------------------------------------------------------
@@ -524,19 +513,3 @@ def hyperplane_witness(points: list, container: Ball, block: DyadicScale) -> Wit
         return WitnessResult(hyperplane=hyperplane_through(distinct))
     return WitnessResult(simplex=Simplex(tuple(_independent_subset(distinct, d))))
 
-
-def slab_of(points: list, epsilon: float) -> Slab:
-    """epsilon-neighborhood of the witness hyperplane through the points.
-
-    Requires at least one point; the points must be affinely dependent on some
-    hyperplane (guaranteed when they come out of hyperplane_witness).
-    """
-    if not points:
-        raise ValueError("slab_of needs at least one point")
-    if epsilon <= 0:
-        raise ValueError("slab epsilon must be positive")
-    d = points[0].dim
-    distinct = list({p.value_key(): p for p in points}.values())
-    if len(distinct) > d and affine_rank(distinct) > d - 1:
-        raise ValueError("points are not contained in any hyperplane")
-    return Slab(hyperplane_through(distinct), epsilon)

@@ -13,6 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .geometry import Ball, Box, Slab
 __all__ = [
     "SimilarityMap",
     "IFSystem",
-    "CylinderWord",
     "ConvexPolygon",
     "MassInterval",
     "OpenSetConditionError",
@@ -151,42 +151,6 @@ def _signed_area2(v: np.ndarray) -> float:
     return float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-@dataclass(frozen=True)
-class CylinderWord:
-    """Finite composition address over the map indices 1..k."""
-
-    digits: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(int(i) for i in self.digits))
-        if any(i < 1 for i in self.digits):
-            raise ValueError("cylinder digits are 1-based map indices")
-
-    def contraction(self, sys: "IFSystem") -> float:
-        r = 1.0
-        for i in self.digits:
-            r *= sys.maps[i - 1].ratio
-        return r
-
-    def weight(self, sys: "IFSystem") -> float:
-        """Natural-measure mass of the cylinder: product of ratio^delta."""
-        return self.contraction(sys) ** sys.delta
-
-    def diameter(self, sys: "IFSystem") -> float:
-        return self.contraction(sys) * sys.diameter
-
-    def apply(self, sys: "IFSystem", x: np.ndarray) -> np.ndarray:
-        y = np.asarray(x, dtype=float)
-        for i in reversed(self.digits):
-            y = sys.maps[i - 1].apply(y)
-        return y
-
-    def enclosure(self, sys: "IFSystem") -> Ball:
-        """Ball certified to contain the cylinder set."""
-        b = sys.bounding_ball
-        return Ball(self.apply(sys, b.center), self.contraction(sys) * b.radius)
-
-
 def similarity_dimension(maps: list, ambient_dim: int | None = None) -> float:
     """Unique root of sum(ratio_i^s) = 1, by bisection on [0, d].
 
@@ -277,21 +241,37 @@ class IFSystem:
     def diameter(self) -> float:
         return 2.0 * self.bounding_ball.radius
 
-    @property
-    def ratios(self) -> np.ndarray:
-        return np.array([m.ratio for m in self.maps])
+    # The stacked map arrays are built on first use and shared, read-only, by
+    # every mass evaluation, net and sample of this system.
 
-    @property
+    @cached_property
+    def ratios(self) -> np.ndarray:
+        return _read_only(np.array([m.ratio for m in self.maps]))
+
+    @cached_property
     def weights(self) -> np.ndarray:
         """First-level cylinder masses ratio_i^delta; they sum to 1."""
-        return self.ratios**self.delta
+        return _read_only(self.ratios**self.delta)
 
-    @property
+    @cached_property
+    def translations(self) -> np.ndarray:
+        return _read_only(np.array([m.translation for m in self.maps]))
+
+    @cached_property
+    def rotations(self) -> np.ndarray:
+        return _read_only(np.array([m.rotation for m in self.maps]))
+
+    @cached_property
     def has_rotations(self) -> bool:
         return not all(m.is_identity_rotation() for m in self.maps)
 
     def moran_residual(self) -> float:
         return abs(float(np.sum(self.weights)) - 1.0)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _fixed_points_span(maps) -> bool:
@@ -468,6 +448,48 @@ class MassInterval:
                             self.converged, self.depth)
 
 
+class _Frontier:
+    """The cylinders of one subdivision, as the maps x -> scale rot x + trans.
+
+    One row per cylinder, with its natural-measure weight.  The rotation
+    stack exists only when the system rotates: composing identity matrices
+    gives the same bits but made mass evaluation on the rotation-free
+    cantor and gasket systems 1.5-2.5x slower.
+    """
+
+    def __init__(self, sys: IFSystem):
+        d = sys.dim
+        self.sys = sys
+        self.trans = np.zeros((1, d))
+        self.scale = np.ones(1)
+        self.weight = np.ones(1)
+        self.rot = (np.broadcast_to(np.eye(d), (1, d, d)).copy()
+                    if sys.has_rotations else None)
+
+    def image(self, point: np.ndarray) -> np.ndarray:
+        """Images of `point` under every cylinder map, one row each."""
+        if self.rot is None:
+            return self.scale[:, None] * point + self.trans
+        return self.scale[:, None] * np.einsum("nij,j->ni", self.rot, point) + self.trans
+
+    def expand(self, mask: np.ndarray) -> None:
+        """Replace the frontier by the children of the cylinders in `mask`,
+        grouped by the map applied last."""
+        sys = self.sys
+        trans, scale, weight = self.trans[mask], self.scale[mask], self.weight[mask]
+        if self.rot is None:
+            steps = [scale[:, None] * t for t in sys.translations]
+        else:
+            rot = self.rot[mask]
+            steps = [scale[:, None] * np.einsum("nij,j->ni", rot, t)
+                     for t in sys.translations]
+            self.rot = np.concatenate(
+                [np.einsum("nij,jk->nik", rot, r) for r in sys.rotations])
+        self.trans = np.concatenate([trans + step for step in steps])
+        self.scale = np.concatenate([scale * r for r in sys.ratios])
+        self.weight = np.concatenate([weight * w for w in sys.weights])
+
+
 def _subdivide(sys: IFSystem, classify, tol: float) -> MassInterval:
     """Shared cylinder-subdivision engine.
 
@@ -483,31 +505,17 @@ def _subdivide(sys: IFSystem, classify, tol: float) -> MassInterval:
         raise ValueError(
             "tolerance below the float certification floor 1e-9"
         )
-    d = sys.dim
     c0 = sys.bounding_ball.center
     r0 = sys.bounding_ball.radius
-    rho = sys.ratios
-    wts = sys.weights
-    trs = np.array([m.translation for m in sys.maps])
-    rots = np.array([m.rotation for m in sys.maps])
-    track_rot = sys.has_rotations
     floor = tol / 1024.0
-
-    trans = np.zeros((1, d))
-    scale = np.ones(1)
-    weight = np.ones(1)
-    rot = np.broadcast_to(np.eye(d), (1, d, d)).copy() if track_rot else None
+    cyl = _Frontier(sys)
 
     lo = 0.0
     frozen = 0.0
     depth = 0
     while True:
-        if track_rot:
-            centers = scale[:, None] * np.einsum("nij,j->ni", rot, c0) + trans
-        else:
-            centers = scale[:, None] * c0 + trans
-        radii = scale * r0
-        inside, outside = classify(centers, radii)
+        weight = cyl.weight
+        inside, outside = classify(cyl.image(c0), cyl.scale * r0)
         lo += float(weight[inside].sum())
         keep = ~inside & ~outside
         tiny = keep & (weight < floor)
@@ -528,28 +536,7 @@ def _subdivide(sys: IFSystem, classify, tol: float) -> MassInterval:
             return MassInterval(plo, phi, True, depth)
         if depth >= MAX_SUBDIVISION_DEPTH or not expandable.any():
             return MassInterval(plo, phi, False, depth)
-
-        trans_e = trans[expandable]
-        scale_e = scale[expandable]
-        weight_e = weight[expandable]
-        if track_rot:
-            rot_e = rot[expandable]
-            new_trans, new_scale, new_weight, new_rot = [], [], [], []
-            for i in range(sys.k):
-                new_trans.append(
-                    trans_e + scale_e[:, None] * np.einsum("nij,j->ni", rot_e, trs[i])
-                )
-                new_scale.append(scale_e * rho[i])
-                new_weight.append(weight_e * wts[i])
-                new_rot.append(np.einsum("nij,jk->nik", rot_e, rots[i]))
-            rot = np.concatenate(new_rot)
-        else:
-            new_trans = [trans_e + scale_e[:, None] * trs[i] for i in range(sys.k)]
-            new_scale = [scale_e * rho[i] for i in range(sys.k)]
-            new_weight = [weight_e * wts[i] for i in range(sys.k)]
-        trans = np.concatenate(new_trans)
-        scale = np.concatenate(new_scale)
-        weight = np.concatenate(new_weight)
+        cyl.expand(expandable)
         depth += 1
 
 
@@ -606,11 +593,10 @@ def sample_measure(sys: IFSystem, count: int, seed, depth: int = SAMPLE_DEPTH) -
 
 
 def _fold_digits(sys: IFSystem, digits: np.ndarray) -> np.ndarray:
-    rho = sys.ratios
-    trs = np.array([m.translation for m in sys.maps])
+    rho, trs = sys.ratios, sys.translations
     pts = np.broadcast_to(sys.anchor, (digits.shape[0], sys.dim)).copy()
     if sys.has_rotations:
-        rots = np.array([m.rotation for m in sys.maps])
+        rots = sys.rotations
         for j in range(digits.shape[1] - 1, -1, -1):
             dig = digits[:, j]
             pts = rho[dig, None] * np.einsum("nij,nj->ni", rots[dig], pts) + trs[dig]
@@ -747,17 +733,35 @@ def dump_system(sys: IFSystem, path) -> None:
 
 
 def load_system(path) -> IFSystem:
-    """Read a definition file and validate it (Moran root, OSC witness)."""
+    """Read a definition file and validate it (Moran root, OSC witness).
+
+    A malformed field raises ValueError naming it."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    d = int(payload["dimension"])
-    maps = []
-    for entry in payload["maps"]:
-        rot = np.asarray(entry["rotation"], dtype=float)
-        if rot.ndim == 1:
-            rot = rot.reshape(d, d)
-        maps.append(
-            SimilarityMap(float(entry["ratio"]), rot,
-                          np.asarray(entry["translation"], dtype=float))
-        )
-    return IFSystem.create(maps, _open_set_from_json(payload["open_set"]))
+    if not isinstance(payload, dict):
+        raise ValueError("a definition file holds a JSON object")
+    d = _parse_field("dimension", int, payload.get("dimension"))
+    entries = payload.get("maps")
+    if not isinstance(entries, list):
+        raise ValueError("field 'maps' must be a list of maps")
+    maps = [_parse_field(f"maps[{i}]", lambda e: _map_from_json(e, d), entry)
+            for i, entry in enumerate(entries)]
+    open_set = _parse_field("open_set", _open_set_from_json, payload.get("open_set"))
+    return IFSystem.create(maps, open_set)
+
+
+def _parse_field(name: str, parse, value):
+    try:
+        return parse(value)
+    except KeyError as e:
+        raise ValueError(f"field {name!r}: missing key {e}") from None
+    except (TypeError, ValueError, AttributeError) as e:
+        raise ValueError(f"field {name!r}: {e}") from None
+
+
+def _map_from_json(entry: dict, d: int) -> SimilarityMap:
+    rot = np.asarray(entry["rotation"], dtype=float)
+    if rot.ndim == 1:
+        rot = rot.reshape(d, d)
+    return SimilarityMap(float(entry["ratio"]), rot,
+                         np.asarray(entry["translation"], dtype=float))

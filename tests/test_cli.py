@@ -70,6 +70,30 @@ def test_unknown_subcommand_is_usage_error(tmp_path):
     assert run(["frobnicate"]) == 1
 
 
+_BOX = '"open_set": {"type": "box", "min": [0.0], "max": [1.0]}'
+
+
+@pytest.mark.parametrize("field, files, argv", [
+    ("alpha", {}, ["certify", "--ifs", "cantor", "--alpha", "nan"]),
+    ("tolerance", {"exp.json": '{"ifs_path": "cantor", "tolerance": NaN}'},
+     ["--config", "exp.json", "certify"]),
+    ("trials", {"exp.json": '{"ifs_path": "cantor", "trials": "5"}'},
+     ["--config", "exp.json", "certify"]),
+    ("maps", {"sys.json": '{"dimension": 1, "maps": 3, ' + _BOX + "}"},
+     ["certify", "--ifs", "sys.json"]),
+], ids=["alpha-nan", "tolerance-nan", "trials-string", "maps-number"])
+def test_bad_input_is_one_error_line_naming_the_field(tmp_path, capsys, field,
+                                                       files, argv):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    args = [tmp_path / a if a in files else a for a in argv]
+    assert run(["--out", tmp_path / "out", *args]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"'{field}'" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------

@@ -2,15 +2,16 @@ import math
 
 import pytest
 
+from fracapprox.cli import ExperimentConfig, _write_csv
 from fracapprox.diagnostics import (
     CertificationError,
     _finish,
+    certificate_table,
     certify_decay,
     certify_doubling,
     certify_regularity,
     decay_alpha_from_regularity,
     default_r0,
-    export_certificate_csv,
 )
 from fracapprox.geometry import Ball, Hyperplane, Slab
 from fracapprox.ifs import measure_of_ball, measure_of_slab_in_ball, sample_measure
@@ -108,8 +109,9 @@ def test_decay_epsilon_monotonicity(cantor):
 
 
 def test_decay_requires_positive_alpha(cantor):
-    with pytest.raises(ValueError):
-        certify_decay(cantor, 0.0, 10)
+    for alpha in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            certify_decay(cantor, alpha, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +190,17 @@ def test_default_r0(cantor):
 # ---------------------------------------------------------------------------
 
 
+def _export(cert, path):
+    """Write the certificate as the certify command does; return its lines
+    after the three provenance comments."""
+    cfg = ExperimentConfig(output_dir=str(path.parent))
+    _write_csv(cfg, path.name, *certificate_table(cert))
+    return path.read_text().strip().split("\n")[3:]
+
+
 def test_export_doubling_csv(tmp_path, cantor):
     cert = certify_doubling(cantor, 20, seed=1)
-    path = tmp_path / "doubling.csv"
-    export_certificate_csv(cert, path)
-    lines = path.read_text().strip().split("\n")
+    lines = _export(cert, tmp_path / "doubling.csv")
     assert lines[0] == "center_0,radius,epsilon,ratio_lo,ratio_hi"
     assert len(lines) == 1 + len(cert.samples) + 1
     assert lines[-1].startswith("# D=") and "r0=" in lines[-1]
@@ -203,9 +211,7 @@ def test_export_doubling_csv(tmp_path, cantor):
 
 def test_export_decay_csv_has_epsilon(tmp_path, cantor):
     cert = certify_decay(cantor, ALPHA_CANTOR, 20, seed=1)
-    path = tmp_path / "decay.csv"
-    export_certificate_csv(cert, path)
-    lines = path.read_text().strip().split("\n")
+    lines = _export(cert, tmp_path / "decay.csv")
     row = lines[1].split(",")
     assert float(row[2]) > 0.0
     assert "small_ball_C=" in lines[-1]
@@ -213,7 +219,6 @@ def test_export_decay_csv_has_epsilon(tmp_path, cantor):
 
 def test_export_regularity_csv_constants(tmp_path, cantor):
     cert = certify_regularity(cantor, 20, seed=1)
-    path = tmp_path / "reg.csv"
-    export_certificate_csv(cert, path)
-    tail = path.read_text().strip().split("\n")[-1]
+    tail = _export(cert, tmp_path / "reg.csv")[-1]
     assert tail.startswith("# a=") and "b=" in tail and "delta=" in tail
+

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fracapprox.analysis import _cylinder_net
 from fracapprox.geometry import Ball, Box, Hyperplane, Slab
 from fracapprox.ifs import (
+    BUNDLED_SYSTEMS,
     ConvexPolygon,
-    CylinderWord,
     IFSystem,
     IrreducibilityWarning,
     OpenSetConditionError,
@@ -18,6 +21,7 @@ from fracapprox.ifs import (
     measure_of_slab_in_ball,
     sample_measure,
     similarity_dimension,
+    _Frontier,
 )
 
 I1 = np.eye(1)
@@ -132,29 +136,66 @@ def test_bundled_systems_have_spanning_fixed_points(gasket, dust, koch):
 
 
 # ---------------------------------------------------------------------------
-# cylinder words
+# the cylinder frontier
 # ---------------------------------------------------------------------------
 
-
-def test_cylinder_word_weight_and_diameter(cantor):
-    w = CylinderWord((1, 2, 1))
-    assert w.contraction(cantor) == pytest.approx((1 / 3) ** 3)
-    assert w.weight(cantor) == pytest.approx((1 / 3) ** (3 * cantor.delta))
-    assert w.diameter(cantor) == pytest.approx(cantor.diameter / 27)
+SYSTEMS = {name: factory() for name, factory in BUNDLED_SYSTEMS.items()}
 
 
-def test_cylinder_enclosure_contains_cylinder_samples(gasket):
-    w = CylinderWord((2, 3))
-    enc = w.enclosure(gasket)
-    pts = sample_measure(gasket, 200, seed=5)
-    mapped = np.array([w.apply(gasket, p) for p in pts])
-    dist = np.linalg.norm(mapped - enc.center, axis=1)
-    assert np.all(dist <= enc.radius * (1 + 1e-9))
+def _compose(sys_, word, x):
+    """f_{w_1} o ... o f_{w_m} (x), applied map by map."""
+    for i in reversed(word):
+        x = sys_.maps[i].apply(x)
+    return x
 
 
-def test_cylinder_word_rejects_zero_digit():
-    with pytest.raises(ValueError):
-        CylinderWord((0, 1))
+def test_cylinder_word_weight_and_diameter(cantor, koch):
+    # children are grouped by the map applied last, so after three full
+    # expansions the cylinder f_a f_b f_c is row a + b k + c k^2; both
+    # systems contract by 1/3 per map
+    for sys_, word in ((cantor, (0, 1, 0)), (koch, (1, 2, 3))):
+        cyl = _Frontier(sys_)
+        for _ in range(3):
+            cyl.expand(np.ones(cyl.scale.size, dtype=bool))
+        assert cyl.scale.size == sys_.k**3
+        row = word[0] + word[1] * sys_.k + word[2] * sys_.k**2
+        assert cyl.scale[row] * sys_.diameter == pytest.approx(sys_.diameter / 27)
+        assert cyl.weight[row] == pytest.approx((1 / 27) ** sys_.delta, rel=1e-12)
+        x = sample_measure(sys_, 5, seed=2)
+        want = np.array([_compose(sys_, word, p) for p in x])
+        got = np.array([cyl.image(p)[row] for p in x])
+        assert np.allclose(got, want, rtol=0, atol=1e-15)
+
+
+def test_cylinder_enclosure_contains_cylinder_samples():
+    """Every cylinder's enclosure ball holds the cylinder's images of
+    measure samples, on all four bundled systems, along a frontier that
+    expands a random part of itself at each step (koch tracks rotations)."""
+    rng = np.random.default_rng(4)
+    for name, sys_ in SYSTEMS.items():
+        pts = sample_measure(sys_, 100, seed=5)
+        b = sys_.bounding_ball
+        cyl = _Frontier(sys_)
+        for _ in range(5):
+            centers, radii = cyl.image(b.center), cyl.scale * b.radius
+            for p in pts:
+                dist = np.linalg.norm(cyl.image(p) - centers, axis=1)
+                assert np.all(dist <= radii * (1 + 1e-9) + 1e-12), name
+            mask = rng.random(cyl.scale.size) < 0.6
+            mask[0] = True
+            cyl.expand(mask)
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(SYSTEMS)), shrink=st.floats(0.0, 1.8))
+def test_cylinder_net_is_an_r_net(name, shrink):
+    """Every measure sample lies within r of a point of _cylinder_net(sys, r)."""
+    sys_ = SYSTEMS[name]
+    r = sys_.diameter * 10.0**-shrink
+    net = _cylinder_net(sys_, r)
+    pts = sample_measure(sys_, 300, seed=11)
+    dist = np.linalg.norm(pts[:, None, :] - net[None, :, :], axis=2).min(axis=1)
+    assert np.all(dist <= r + 1e-9)
 
 
 # ---------------------------------------------------------------------------
