@@ -16,16 +16,14 @@ from itertools import product
 
 import numpy as np
 
-from .geometry import Ball, Box, RationalPoint
+from .geometry import Box, RationalPoint
 
 __all__ = [
     "PsiFunction",
-    "ApproxLayer",
     "parse_psi_spec",
     "lower_order",
     "enumerate_rationals",
     "is_psi_approximable",
-    "layer_membership",
     "layer_hit_mask",
     "smallness_onset",
 ]
@@ -250,80 +248,31 @@ def is_psi_approximable(x, psi: PsiFunction, q_max: int) -> tuple:
     return int(hits.sum()), witnesses
 
 
-@dataclass(frozen=True)
-class ApproxLayer:
-    """Block-n layer: union of Euclidean balls B(p/q, sqrt(d) psi(q)) over
-    all rationals with denominator in [2^n, 2^(n+1)), restricted to a window."""
-
-    n: int
-    d: int
-    region: object  # Ball or Box
-    psi: PsiFunction
-
-    def contains(self, x) -> bool:
-        member, _ = layer_membership(x, self)
-        return member
-
-
 def _offsets(m: int, d: int):
     return product(range(-m, m + 1), repeat=d)
 
 
-def layer_membership(x, layer: ApproxLayer) -> tuple:
-    """Test x against the block-n layer; returns (member, witness | None).
-
-    Per q the rounded candidate suffices while sqrt(d) psi(q) q < 1/2 (the
-    Euclidean ball then contains at most one rational with denominator q, and
-    it is the sup-norm-nearest one); beyond that the integer neighborhood of
-    the rounded candidate is enumerated.
-    """
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    d = layer.d
-    if xv.shape[0] != d:
-        raise ValueError("point dimension does not match the layer")
-    region = layer.region
-    inside = (
-        region.contains(xv)
-        if isinstance(region, (Ball, Box))
-        else False
-    )
-    if not inside:
-        raise ValueError("point lies outside the layer's region")
-    sq = math.sqrt(d)
-    for q in range(2**layer.n, 2 ** (layer.n + 1)):
-        radius = sq * layer.psi(float(q))
-        if not np.isfinite(radius):
-            p = np.rint(xv * q)
-            return True, RationalPoint(tuple(int(v) for v in p), q)
-        half = radius * q
-        p0 = np.rint(xv * q)
-        if half < 0.5:
-            cand = p0 / q - xv
-            if float(np.dot(cand, cand)) <= radius * radius:
-                return True, RationalPoint(tuple(int(v) for v in p0), q)
-            continue
-        m = math.floor(half + 0.5)
-        if (2 * m + 1) ** d > _ENUMERATION_CAP:
-            raise ValueError("layer ball too large to enumerate; shrink psi or n")
-        r2 = radius * radius
-        for off in _offsets(m, d):
-            p = p0 + np.asarray(off, dtype=float)
-            diff = p / q - xv
-            if float(np.dot(diff, diff)) <= r2:
-                return True, RationalPoint(tuple(int(v) for v in p), q)
-    return False, None
-
-
 def layer_hit_mask(points: np.ndarray, n: int, psi: PsiFunction, d: int) -> np.ndarray:
-    """Vectorized layer membership for many points at once.
+    """Which points lie in the block-n layer, for many points at once.
 
-    points has shape (N, d).  Same candidate logic as layer_membership, with
-    the rounded candidate extended to its integer neighborhood when the ball
-    radius calls for it.
+    points has shape (N, d).  A point x hits when some q in the block and
+    some p within m of the rounded numerator rint(x q) give |p/q - x|^2 <=
+    (sqrt(d) psi(q))^2, where m = 0 while the radius times q is below 1/2
+    and floor(radius q + 1/2) beyond.  Non-finite points never hit; a
+    non-finite radius anywhere in the block makes every point hit.
+
+    For d = 1 the block rationals are swept against the sorted points
+    (`_sweep_hit_mask`) whenever that enumerates no more centres than the
+    N 2^n point-q tests of the per-q loop below, which serves every other
+    case.  Both give the same mask bit for bit.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != d:
         raise ValueError(f"expected points of shape (N, {d})")
+    if d == 1:
+        swept = _sweep_hit_mask(pts[:, 0], n, psi)
+        if swept is not None:
+            return swept
     hits = np.zeros(pts.shape[0], dtype=bool)
     sq = math.sqrt(d)
     for q in range(2**n, 2 ** (n + 1)):
@@ -344,6 +293,91 @@ def layer_hit_mask(points: np.ndarray, n: int, psi: PsiFunction, d: int) -> np.n
             diff = (p0 + np.asarray(off, dtype=float)) / q - sub
             found |= np.einsum("ij,ij->i", diff, diff) <= r2
         hits[todo] = found
+    return hits
+
+
+# Largest number of block centres one sweep step searches; steps start at
+# _SWEEP_FIRST centres and double, so points that hit at small q leave early.
+_SWEEP_CHUNK = 2**14
+_SWEEP_FIRST = 2**10
+# Largest number of (point, centre) candidate pairs one sweep step decides.
+_SWEEP_PAIRS = 2**16
+# Search half-width beyond the radius: the float test accepts distances up to
+# a few ulps past the radius, and below 1e-150 the squared distance can
+# underflow to the squared radius whatever the radius is.
+_SWEEP_SLACK = 1e-9
+_SWEEP_FLOOR = 1e-150
+
+
+def _sweep_hit_mask(x: np.ndarray, n: int, psi: PsiFunction) -> np.ndarray | None:
+    """layer_hit_mask for d = 1, deciding each (point, p, q) candidate.
+
+    Walks the centres p/q of the block in ascending q, then p, over the span
+    of the finite points, and finds each centre's points by `searchsorted`
+    in the sorted points.  A candidate hits under exactly the per-q loop's two
+    tests: the float test (p/q - x)^2 <= r^2 and the numerator window
+    |p - rint(x q)| <= m.  Points that hit are dropped after each step.
+    Returns None, leaving the block to the per-q loop, when the centres
+    outnumber the loop's N 2^n point-q tests or the numerators could leave
+    the exact integer range of a float.
+    """
+    q_lo = 2**n
+    radius = np.array([psi(float(q)) for q in range(q_lo, 2 * q_lo)])  # sqrt(d) = 1
+    if not np.isfinite(radius).all():
+        return np.ones(x.shape[0], dtype=bool)
+    hits = np.zeros(x.shape[0], dtype=bool)
+    live = np.flatnonzero(np.isfinite(x))
+    if live.size == 0:
+        return hits
+    live = live[np.argsort(x[live])]
+    xs = x[live]
+    qf = np.arange(q_lo, 2 * q_lo, dtype=float)
+    reach = np.maximum(radius * (1.0 + _SWEEP_SLACK), _SWEEP_FLOOR)
+    if (max(-xs[0], xs[-1]) + reach.max() + 2.0) * qf[-1] >= 2.0**52:
+        return None
+    p_first = np.floor((xs[0] - reach) * qf) - 1.0
+    count = np.ceil((xs[-1] + reach) * qf) + 2.0 - p_first
+    if count.sum() > x.shape[0] * q_lo:
+        return None
+    p_first = p_first.astype(np.int64)
+    starts = np.concatenate(([0], np.cumsum(count.astype(np.int64))))
+    half = radius * qf
+    m = np.where(half < 0.5, 0.0, np.floor(half + 0.5))
+    r2 = radius * radius
+
+    k, size = 0, _SWEEP_FIRST
+    while k < starts[-1] and live.size:
+        ks = np.arange(k, min(k + size, starts[-1]))
+        # j: the q index of each centre in the step
+        js = np.arange(np.searchsorted(starts, k, side="right") - 1,
+                       np.searchsorted(starts, ks[-1], side="right"))
+        j = np.repeat(js, np.minimum(starts[js + 1], ks[-1] + 1) - np.maximum(starts[js], k))
+        p = (p_first[j] + (ks - starts[j])).astype(float)
+        centre = p / qf[j]
+        top = centre + reach[j]
+        lo = np.searchsorted(xs, centre - reach[j], side="left")
+        # most centres reach no point; search the upper end only for the rest
+        near = np.flatnonzero(xs[np.minimum(lo, xs.size - 1)] <= top)
+        found = np.searchsorted(xs, top[near], side="right") - lo[near]
+        pairs = np.cumsum(found)
+        take = max(1, int(np.searchsorted(pairs, _SWEEP_PAIRS, side="right")))
+        if take < near.size:  # decide the rest of the step in the next one
+            ks = ks[:near[take]]
+        k, size = ks[-1] + 1, min(2 * ks.size, _SWEEP_CHUNK)
+        if not pairs[:take].any():
+            continue
+        near, found = near[:take], found[:take]
+        c = np.repeat(near, found)  # centre and sorted-point index of each candidate
+        pos = np.arange(pairs[take - 1]) + np.repeat(lo[near] - pairs[:take] + found, found)
+        xv = xs[pos]
+        jc = j[c]
+        diff = centre[c] - xv
+        ok = (diff * diff <= r2[jc]) & (np.abs(p[c] - np.rint(xv * qf[jc])) <= m[jc])
+        if ok.any():
+            got = np.zeros(xs.shape[0], dtype=bool)
+            got[pos[ok]] = True
+            hits[live[got]] = True
+            live, xs = live[~got], xs[~got]
     return hits
 
 

@@ -140,6 +140,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     for name in ("trials", "samples", "jobs"):
         if getattr(cfg, name) < 1:
             raise UsageFailure(f"config field {name!r} must be >= 1")
+    if cfg.seed < 0:
+        raise UsageFailure("config field 'seed' must be >= 0")
     if (not isinstance(cfg.blocks, tuple) or len(cfg.blocks) != 2
             or not all(_is_int(b) for b in cfg.blocks)
             or cfg.blocks[0] > cfg.blocks[1] or cfg.blocks[0] < 0):
@@ -425,7 +427,7 @@ _SHARD = 10_000
 
 def _sample_chunk(args):
     sys_, seed, idx, count = args
-    return sample_measure(sys_, count, np.random.SeedSequence([abs(seed), idx]))
+    return sample_measure(sys_, count, np.random.SeedSequence([seed, idx]))
 
 
 def _sharded_samples(sys_, total: int, seed: int, jobs: int) -> np.ndarray:

@@ -177,14 +177,14 @@ def _collect(worker, sys: IFSystem, trials: int, r0: float | None, seed: int,
     empty result: at least one trial is required, and losing all of them is
     a 100% discard.
     """
-    if alpha is not None and not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if alpha is not None and not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if r0 is None:
         r0 = default_r0(sys)
-    if not r0 > 0:
-        raise ValueError("r0 must be positive")
+    if not 0 < r0 < math.inf:
+        raise ValueError("r0 must be positive and finite")
     payloads = [(sys, r0, seed, i, alpha) for i in range(trials)]
     kept = _finish(_run_ordered(worker, payloads, jobs), trials)
     return kept, dict(r0=r0, trials=trials, discarded=trials - len(kept), seed=seed)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from fracapprox.ifs import (
     cantor_middle_thirds,
@@ -6,6 +7,11 @@ from fracapprox.ifs import (
     koch_curve,
     sierpinski_gasket,
 )
+
+# Property tests draw the same examples on every run (no example database, no
+# random seed), and a slow machine cannot fail them on time alone.
+settings.register_profile("repeatable", derandomize=True, deadline=None)
+settings.load_profile("repeatable")
 
 
 @pytest.fixture(scope="session")

@@ -3,19 +3,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracapprox.approx import (
-    ApproxLayer,
     PsiFunction,
+    _sweep_hit_mask,
     enumerate_rationals,
     is_psi_approximable,
     layer_hit_mask,
-    layer_membership,
     lower_order,
     parse_psi_spec,
     smallness_onset,
 )
 from fracapprox.geometry import Box
+from layer_oracle import ApproxLayer, layer_membership, reference_hit_mask
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +238,101 @@ def test_layer_hit_mask_agrees_with_pointwise():
             lay = ApproxLayer(n, 2, box, psi)
             singles = np.array([layer_membership(p, lay)[0] for p in pts])
             assert np.array_equal(mask, singles)
+            assert np.array_equal(mask, reference_hit_mask(pts, n, psi, 2))
+
+
+def _table_psi(tau):
+    r = np.geomspace(1.0, 4096.0, 13)
+    return PsiFunction.from_table(list(zip(r, r**-tau)))
+
+
+_PSIS = st.one_of(
+    st.floats(0.8, 5.0).map(PsiFunction.power),
+    st.floats(0.1, 4.0).map(PsiFunction.power_log),
+    st.tuples(st.floats(1.0, 4.0), st.floats(0.0, 3.0)).map(
+        lambda a: PsiFunction.generic_power_log(*a)),
+    st.floats(1.0, 4.0).map(_table_psi),
+)
+_SPECIAL = [math.nan, math.inf, -math.inf, 0.0, 0.25, 0.75, 1 / 3, 2 / 3, 1.0]
+
+
+@st.composite
+def _layer_case(draw, n):
+    """A psi and points for block n: free floats in and around [0, 1], non-finite
+    values, exact rationals (1/4 and 3/4 lie in the Cantor set) and points
+    on or a few ulps off the radius boundary p/q +- psi(q) of the block."""
+    psi = draw(_PSIS)
+    xs = draw(st.lists(st.floats(-1.5, 2.5), max_size=30))
+    xs += draw(st.lists(st.sampled_from(_SPECIAL), max_size=6))
+    for q, p, side, ulps in draw(st.lists(st.tuples(
+            st.integers(2**n, 2 ** (n + 1) - 1), st.integers(-2, 2 ** (n + 1) + 2),
+            st.sampled_from([-1.0, 1.0]), st.integers(-2, 2)), max_size=12)):
+        x = p / q + side * psi(float(q))
+        for _ in range(abs(ulps)):
+            x = float(np.nextafter(x, math.copysign(math.inf, ulps)))
+        xs.append(x)
+    return psi, np.array(xs, dtype=float).reshape(-1, 1)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf points
+@settings(max_examples=150)
+@given(data=st.data(), n=st.integers(0, 10))
+def test_layer_hit_mask_d1_matches_reference(data, n):
+    # few points: at high n the per-q loop is cheaper and takes the block
+    psi, pts = data.draw(_layer_case(n))
+    assert np.array_equal(layer_hit_mask(pts, n, psi, 1),
+                          reference_hit_mask(pts, n, psi, 1))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf points
+@settings(max_examples=100)
+@given(data=st.data(), n=st.integers(0, 5), size=st.integers(300, 3000),
+       seed=st.integers(0, 2**32 - 1))
+def test_layer_hit_mask_d1_sweep_matches_reference(data, n, size, seed):
+    # many points at a low n: the sweep takes the block
+    psi, extra = data.draw(_layer_case(n))
+    rng = np.random.default_rng(seed)
+    pts = np.concatenate([rng.random((size, 1)), extra])
+    assert np.array_equal(layer_hit_mask(pts, n, psi, 1),
+                          reference_hit_mask(pts, n, psi, 1))
+
+
+def test_layer_hit_mask_d1_float_tie_needs_numerator_window():
+    # x is one ulp above 1/6, so 3x rounds to 0.5 and rint gives p = 0; yet
+    # in floats x is nearer to 1/3 than to 0.  With m = 0 the per-q loop
+    # tries only p = 0, so the float test alone would disagree with it here.
+    x = float(np.nextafter(1 / 6, 1))
+    psi = PsiFunction.from_table([(2.0, 0.16666666666666663), (4.0, 0.16666666666666663)])
+    assert (1 / 3 - x) ** 2 <= psi(3.0) ** 2 and psi(3.0) * 3 < 0.5
+    pts = np.full((10, 1), x)
+    assert not reference_hit_mask(pts, 1, psi, 1).any()
+    assert _sweep_hit_mask(pts[:, 0], 1, psi) is not None
+    assert not layer_hit_mask(pts, 1, psi, 1).any()
+
+
+def test_layer_hit_mask_d1_underflowing_radius():
+    # psi^2 underflows to 0, and so does the squared distance from 0 to a
+    # point near 1e-170: the float test accepts it far outside the radius
+    psi = PsiFunction.from_table([(1.0, 1e-200), (2048.0, 1e-200)])
+    pts = np.array([[1e-170], [-3e-165], [1e-140], [0.0], [0.5]] * 4)
+    ref = reference_hit_mask(pts, 3, psi, 1)
+    assert ref[:2].all() and not ref[2]
+    assert _sweep_hit_mask(pts[:, 0], 3, psi) is not None
+    assert np.array_equal(layer_hit_mask(pts, 3, psi, 1), ref)
+
+
+def test_layer_hit_mask_d1_cost_rule():
+    # the sweep runs when its centres are at most the loop's N 2^n point-q
+    # tests, and agrees with the loop either way
+    psi = PsiFunction.power(2.5)
+    rng = np.random.default_rng(4)
+    many, few = rng.random(4000), rng.random(3)
+    assert _sweep_hit_mask(many, 3, psi) is not None
+    assert _sweep_hit_mask(few, 10, psi) is None
+    for x, n in ((many, 3), (few, 10), (many, 10), (many[:0], 3)):
+        pts = x.reshape(-1, 1)
+        assert np.array_equal(layer_hit_mask(pts, n, psi, 1),
+                              reference_hit_mask(pts, n, psi, 1))
 
 
 def test_layer_fallback_enumeration_catches_offset_candidates():

@@ -81,7 +81,12 @@ _BOX = '"open_set": {"type": "box", "min": [0.0], "max": [1.0]}'
      ["--config", "exp.json", "certify"]),
     ("maps", {"sys.json": '{"dimension": 1, "maps": 3, ' + _BOX + "}"},
      ["certify", "--ifs", "sys.json"]),
-], ids=["alpha-nan", "tolerance-nan", "trials-string", "maps-number"])
+    ("seed", {}, ["--seed", "-5", "decay", "--ifs", "cantor", "--blocks", "1:2",
+                  "--samples", "100"]),
+    ("seed", {"exp.json": '{"ifs_path": "cantor", "seed": -5}'},
+     ["--config", "exp.json", "sample"]),
+], ids=["alpha-nan", "tolerance-nan", "trials-string", "maps-number",
+        "seed-negative", "seed-negative-config"])
 def test_bad_input_is_one_error_line_naming_the_field(tmp_path, capsys, field,
                                                        files, argv):
     for name, text in files.items():

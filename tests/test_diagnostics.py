@@ -49,6 +49,8 @@ def test_doubling_validation_errors(cantor):
         certify_doubling(cantor, 0)
     with pytest.raises(ValueError):
         certify_doubling(cantor, 10, r0=-1.0)
+    with pytest.raises(ValueError, match="r0"):
+        certify_doubling(cantor, 3, r0=math.inf)
 
 
 def test_revalidation_failure_rate(cantor):
@@ -109,8 +111,8 @@ def test_decay_epsilon_monotonicity(cantor):
 
 
 def test_decay_requires_positive_alpha(cantor):
-    for alpha in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError):
+    for alpha in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha"):
             certify_decay(cantor, alpha, 10)
 
 
