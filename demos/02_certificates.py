@@ -1,17 +1,16 @@
 """Empirical measure diagnostics: doubling, absolute decay, regularity.
 
-Fits the three certificates on the Cantor measure, re-validates the
-constants on fresh trials, and shows the regularity-implied decay exponent
-on the gasket.
+Fits the three certificates on the Cantor measure in one pass of trials,
+re-validates the constants on fresh trials, and shows the
+regularity-implied decay exponent on the gasket.
 """
 
 import math
 
 from fracapprox.diagnostics import (
     certificate_table,
+    certify_all,
     certify_decay,
-    certify_doubling,
-    certify_regularity,
     decay_alpha_from_regularity,
 )
 from fracapprox.ifs import bundled_system
@@ -19,17 +18,17 @@ from fracapprox.ifs import bundled_system
 cantor = bundled_system("cantor")
 alpha = math.log(2) / math.log(3)  # = delta - (d-1) for d = 1
 
-doubling = certify_doubling(cantor, trials=500, seed=1)
+# one trial pass serves all three certificates: each trial draws its centre
+# and radius and computes mu(B(x, r)) once
+doubling, decay, regularity = certify_all(cantor, alpha, trials=500, seed=1)
 print(f"doubling:   D = {doubling.D:.4f}   (r0 = {doubling.r0}, "
       f"{doubling.discarded} discarded)")
 print(f"  fresh-seed violations: {doubling.validate(cantor, 500, seed=2)}")
 
-decay = certify_decay(cantor, alpha, trials=500, seed=1)
 print(f"decay:      C = {decay.C:.4f}  alpha = {decay.alpha:.4f}  "
       f"small-ball constant C*2^alpha = {decay.small_ball_C:.4f}")
 print(f"  fresh-seed violations: {decay.validate(cantor, 500, seed=2)}")
 
-regularity = certify_regularity(cantor, trials=500, seed=1)
 print(f"regularity: {regularity.a:.4f} <= mu(B)/r^delta <= {regularity.b:.4f}")
 
 columns, rows, trailer = certificate_table(decay)

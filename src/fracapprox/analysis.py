@@ -519,7 +519,9 @@ def audit_hyperplane_lemma(
     rationals of the dyadic block in the closed 6-dilate must always sit on a
     single hyperplane.  Exact arithmetic decides; counterexamples are counted
     (zero is the expected outcome at every block)."""
-    rng = np.random.default_rng(np.random.SeedSequence([abs(seed), d, n]))
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    rng = np.random.default_rng(np.random.SeedSequence([seed, d, n]))
     scale = DyadicScale(n, d)
     max_pts = 0
     bad = 0

@@ -263,8 +263,8 @@ def layer_hit_mask(points: np.ndarray, n: int, psi: PsiFunction, d: int) -> np.n
 
     For d = 1 the block rationals are swept against the sorted points
     (`_sweep_hit_mask`) whenever that enumerates no more centres than the
-    N 2^n point-q tests of the per-q loop below, which serves every other
-    case.  Both give the same mask bit for bit.
+    N 2^n point-q tests of the per-q loop below and psi(2^n) 2^n < 1/2; the
+    loop serves every other case.  Both give the same mask bit for bit.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != d:
@@ -318,10 +318,14 @@ def _sweep_hit_mask(x: np.ndarray, n: int, psi: PsiFunction) -> np.ndarray | Non
     tests: the float test (p/q - x)^2 <= r^2 and the numerator window
     |p - rint(x q)| <= m.  Points that hit are dropped after each step.
     Returns None, leaving the block to the per-q loop, when the centres
-    outnumber the loop's N 2^n point-q tests or the numerators could leave
-    the exact integer range of a float.
+    outnumber the loop's N 2^n point-q tests, when psi(2^n) 2^n >= 1/2 (the
+    first q's radius then reaches half its spacing 1/q, so the loop decides
+    nearly every point at that q), or when the numerators could leave the
+    exact integer range of a float.
     """
     q_lo = 2**n
+    if psi(float(q_lo)) * q_lo >= 0.5:
+        return None
     radius = np.array([psi(float(q)) for q in range(q_lo, 2 * q_lo)])  # sqrt(d) = 1
     if not np.isfinite(radius).all():
         return np.ones(x.shape[0], dtype=bool)

@@ -35,9 +35,7 @@ from .diagnostics import (
     CertificationError,
     _run_ordered,
     certificate_table,
-    certify_decay,
-    certify_doubling,
-    certify_regularity,
+    certify_all,
     decay_alpha_from_regularity,
     default_r0,
 )
@@ -246,9 +244,7 @@ def certify(ctx, ifs_path, trials, alpha):
     a = _resolve_alpha(cfg, sys_)
     r0 = default_r0(sys_)
     try:
-        dc = certify_doubling(sys_, cfg.trials, r0, cfg.seed, jobs=cfg.jobs)
-        cc = certify_decay(sys_, a, cfg.trials, r0, cfg.seed, jobs=cfg.jobs)
-        rc = certify_regularity(sys_, cfg.trials, r0, cfg.seed, jobs=cfg.jobs)
+        dc, cc, rc = certify_all(sys_, a, cfg.trials, r0, cfg.seed, jobs=cfg.jobs)
     except CertificationError as e:
         raise ScientificFailure(f"certification failed: {e}")
     for cert, name in ((dc, "doubling.csv"), (cc, "decay.csv"),

@@ -10,6 +10,7 @@ re-examined or re-validated on fresh trials.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -26,6 +27,7 @@ __all__ = [
     "certify_doubling",
     "certify_decay",
     "certify_regularity",
+    "certify_all",
     "decay_alpha_from_regularity",
     "default_r0",
     "certificate_table",
@@ -52,7 +54,7 @@ def _ball_tol(sys: IFSystem, r: float) -> float:
 
 
 def _trial_rng(seed: int, idx: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([abs(int(seed)), int(idx)]))
+    return np.random.default_rng(np.random.SeedSequence([int(seed), int(idx)]))
 
 
 def _trial_center_radius(sys: IFSystem, r0: float, rng) -> tuple:
@@ -62,25 +64,19 @@ def _trial_center_radius(sys: IFSystem, r0: float, rng) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# trial workers (module level: picklable for process pools)
+# trial rows and the trial worker (module level: picklable for process pools)
+#
+# Every row starts from the trial's shared prefix: its rng (after the centre
+# and radius draws), centre x, radius r and m = mu(B(x, r)).
 # ---------------------------------------------------------------------------
 
 
-def _doubling_trial(args) -> tuple | None:
-    sys, r0, seed, idx, _ = args
-    rng = _trial_rng(seed, idx)
-    center, radius = _trial_center_radius(sys, r0, rng)
-    m1 = measure_of_ball(sys, Ball(center, radius), _ball_tol(sys, radius))
+def _doubling_row(sys, rng, center, radius, m, alpha) -> tuple:
     m2 = measure_of_ball(sys, Ball(center, 2.0 * radius), _ball_tol(sys, 2.0 * radius))
-    if m1.lo <= 0.0:
-        return None
-    return (tuple(center), radius, m2.lo / m1.hi, m2.hi / m1.lo)
+    return (tuple(center), radius, m2.lo / m.hi, m2.hi / m.lo)
 
 
-def _decay_trial(args) -> tuple | None:
-    sys, r0, seed, idx, alpha = args
-    rng = _trial_rng(seed, idx)
-    center, radius = _trial_center_radius(sys, r0, rng)
+def _decay_row(sys, rng, center, radius, m, alpha) -> tuple:
     normal = rng.normal(size=sys.dim)
     normal /= np.linalg.norm(normal)
     plane = Hyperplane(normal, float(normal @ center))
@@ -89,32 +85,35 @@ def _decay_trial(args) -> tuple | None:
     )
     eps = rel * radius
     envelope = rel**alpha
-    ball = Ball(center, radius)
-    m_ball = measure_of_ball(sys, ball, _ball_tol(sys, radius))
-    if m_ball.lo <= 0.0:
-        return None
-    slab_tol = max(_REL_TOL * envelope * m_ball.lo, _MIN_TOL)
-    m_slab = measure_of_slab_in_ball(sys, ball, Slab(plane, eps), slab_tol)
+    slab_tol = max(_REL_TOL * envelope * m.lo, _MIN_TOL)
+    m_slab = measure_of_slab_in_ball(sys, Ball(center, radius), Slab(plane, eps), slab_tol)
     m_small = measure_of_ball(sys, Ball(center, eps), _ball_tol(sys, eps))
     return (
         tuple(center),
         radius,
         eps,
-        m_slab.lo / (envelope * m_ball.hi),
-        m_slab.hi / (envelope * m_ball.lo),
-        m_small.hi / (envelope * m_ball.lo),
+        m_slab.lo / (envelope * m.hi),
+        m_slab.hi / (envelope * m.lo),
+        m_small.hi / (envelope * m.lo),
     )
 
 
-def _regularity_trial(args) -> tuple | None:
-    sys, r0, seed, idx, _ = args
+def _regularity_row(sys, rng, center, radius, m, alpha) -> tuple:
+    scale = radius**sys.delta
+    return (tuple(center), radius, m.lo / scale, m.hi / scale)
+
+
+def _trial(args) -> tuple | None:
+    """One seeded trial: draw the centre and radius and bound mu(B(x, r))
+    once, then build every requested row from them.  None (a discarded
+    trial) when that mass cannot be bounded away from zero."""
+    rows, sys, r0, seed, idx, alpha = args
     rng = _trial_rng(seed, idx)
     center, radius = _trial_center_radius(sys, r0, rng)
     m = measure_of_ball(sys, Ball(center, radius), _ball_tol(sys, radius))
     if m.lo <= 0.0:
         return None
-    scale = radius**sys.delta
-    return (tuple(center), radius, m.lo / scale, m.hi / scale)
+    return tuple(row(sys, rng, center, radius, m, alpha) for row in rows)
 
 
 _TAIL_MARGIN = 4.0
@@ -146,14 +145,15 @@ def _tail_deflated_min(values) -> float:
 
 
 def _run_ordered(worker, payloads: list, jobs: int) -> list:
-    """worker(p) for every payload, in order, serially or over `jobs`
-    processes; the pool's map keeps the order, so results never depend on
-    `jobs`."""
-    if jobs <= 1 or len(payloads) <= 1:
+    """worker(p) for every payload, in order, serially or over a process
+    pool of at most `jobs` workers, one per payload and one per CPU; the
+    pool's map keeps the order, so results never depend on `jobs`."""
+    workers = min(jobs, len(payloads), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, payloads,
-                             chunksize=max(1, len(payloads) // (4 * jobs))))
+                             chunksize=max(1, len(payloads) // (4 * workers))))
 
 
 def _finish(results: list, trials: int) -> list:
@@ -167,10 +167,11 @@ def _finish(results: list, trials: int) -> list:
     return kept
 
 
-def _collect(worker, sys: IFSystem, trials: int, r0: float | None, seed: int,
+def _collect(rows: tuple, sys: IFSystem, trials: int, r0: float | None, seed: int,
              jobs: int, alpha: float | None = None) -> tuple:
-    """Run `trials` seeded trials of `worker`; return the kept results and
-    the fields every certificate records (r0, trials, discarded, seed).
+    """Run `trials` seeded trials, each building the given row kinds; return
+    one list of kept rows per kind and the fields every certificate records
+    (r0, trials, discarded, seed).
 
     Shared by every certificate and re-validation.  Discarded trials (None)
     are dropped; more than 20% of them aborts.  That rule also covers an
@@ -181,13 +182,16 @@ def _collect(worker, sys: IFSystem, trials: int, r0: float | None, seed: int,
         raise ValueError("alpha must be positive and finite")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if r0 is None:
         r0 = default_r0(sys)
     if not 0 < r0 < math.inf:
         raise ValueError("r0 must be positive and finite")
-    payloads = [(sys, r0, seed, i, alpha) for i in range(trials)]
-    kept = _finish(_run_ordered(worker, payloads, jobs), trials)
-    return kept, dict(r0=r0, trials=trials, discarded=trials - len(kept), seed=seed)
+    payloads = [(rows, sys, r0, seed, i, alpha) for i in range(trials)]
+    kept = _finish(_run_ordered(_trial, payloads, jobs), trials)
+    common = dict(r0=r0, trials=trials, discarded=trials - len(kept), seed=seed)
+    return list(zip(*kept)), common
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +212,7 @@ class DoublingCertificate:
 
     def validate(self, sys: IFSystem, trials: int, seed: int, jobs: int = 1) -> int:
         """Count fresh trials whose optimistic ratio still exceeds D."""
-        kept, _ = _collect(_doubling_trial, sys, trials, self.r0, seed, jobs)
+        (kept,), _ = _collect((_doubling_row,), sys, trials, self.r0, seed, jobs)
         return sum(1 for _, _, opt, _ in kept if opt > self.D)
 
 
@@ -233,7 +237,8 @@ class DecayCertificate:
         return self.C * 2.0**self.alpha
 
     def validate(self, sys: IFSystem, trials: int, seed: int, jobs: int = 1) -> int:
-        kept, _ = _collect(_decay_trial, sys, trials, self.r0, seed, jobs, self.alpha)
+        (kept,), _ = _collect((_decay_row,), sys, trials, self.r0, seed, jobs,
+                              self.alpha)
         return sum(1 for row in kept if row[3] > self.C)
 
 
@@ -251,8 +256,43 @@ class RegularityCertificate:
     seed: int
 
     def validate(self, sys: IFSystem, trials: int, seed: int, jobs: int = 1) -> int:
-        kept, _ = _collect(_regularity_trial, sys, trials, self.r0, seed, jobs)
+        (kept,), _ = _collect((_regularity_row,), sys, trials, self.r0, seed, jobs)
         return sum(1 for _, _, lo, hi in kept if lo > self.b or hi < self.a)
+
+
+def _doubling_certificate(kept: list, common: dict) -> DoublingCertificate:
+    return DoublingCertificate(
+        D=_tail_inflated_max([hi for _, _, _, hi in kept]),
+        samples=tuple(kept),
+        **common,
+    )
+
+
+def _decay_certificate(kept: list, common: dict, alpha: float) -> DecayCertificate:
+    cert = DecayCertificate(
+        alpha=alpha,
+        C=_tail_inflated_max([r[4] for r in kept]),
+        samples=tuple((r[0], r[1], r[2], r[3], r[4]) for r in kept),
+        small_ball_ratios=tuple(r[5] for r in kept),
+        **common,
+    )
+    bad = [x for x in cert.small_ball_ratios if x > cert.small_ball_C * (1 + 1e-12)]
+    if bad:
+        raise CertificationError(
+            f"{len(bad)} trials violate the concentric-ball corollary bound "
+            f"C 2^alpha = {cert.small_ball_C:.6g}"
+        )
+    return cert
+
+
+def _regularity_certificate(kept: list, common: dict, delta: float) -> RegularityCertificate:
+    return RegularityCertificate(
+        a=_tail_deflated_min([lo for _, _, lo, _ in kept]),
+        b=_tail_inflated_max([hi for _, _, _, hi in kept]),
+        delta=delta,
+        samples=tuple(kept),
+        **common,
+    )
 
 
 def certify_doubling(
@@ -265,12 +305,8 @@ def certify_doubling(
     with the evidence.  Trials whose small-ball mass cannot be bounded away
     from zero are discarded; more than 20% discards aborts certification.
     """
-    kept, common = _collect(_doubling_trial, sys, trials, r0, seed, jobs)
-    return DoublingCertificate(
-        D=_tail_inflated_max([hi for _, _, _, hi in kept]),
-        samples=tuple(kept),
-        **common,
-    )
+    (kept,), common = _collect((_doubling_row,), sys, trials, r0, seed, jobs)
+    return _doubling_certificate(kept, common)
 
 
 def certify_decay(
@@ -288,34 +324,40 @@ def certify_decay(
     log-uniform in [r/10^4, r/4].  The concentric-ball ratio of each trial is
     recorded against the corollary constant C 2^alpha.
     """
-    kept, common = _collect(_decay_trial, sys, trials, r0, seed, jobs, alpha)
-    cert = DecayCertificate(
-        alpha=alpha,
-        C=_tail_inflated_max([r[4] for r in kept]),
-        samples=tuple((r[0], r[1], r[2], r[3], r[4]) for r in kept),
-        small_ball_ratios=tuple(r[5] for r in kept),
-        **common,
-    )
-    bad = [x for x in cert.small_ball_ratios if x > cert.small_ball_C * (1 + 1e-12)]
-    if bad:
-        raise CertificationError(
-            f"{len(bad)} trials violate the concentric-ball corollary bound "
-            f"C 2^alpha = {cert.small_ball_C:.6g}"
-        )
-    return cert
+    (kept,), common = _collect((_decay_row,), sys, trials, r0, seed, jobs, alpha)
+    return _decay_certificate(kept, common, alpha)
 
 
 def certify_regularity(
     sys: IFSystem, trials: int, r0: float | None = None, seed: int = 0, jobs: int = 1
 ) -> RegularityCertificate:
     """Fit the two-sided envelope of mu(B(x,r)) / r^delta on random balls."""
-    kept, common = _collect(_regularity_trial, sys, trials, r0, seed, jobs)
-    return RegularityCertificate(
-        a=_tail_deflated_min([lo for _, _, lo, _ in kept]),
-        b=_tail_inflated_max([hi for _, _, _, hi in kept]),
-        delta=sys.delta,
-        samples=tuple(kept),
-        **common,
+    (kept,), common = _collect((_regularity_row,), sys, trials, r0, seed, jobs)
+    return _regularity_certificate(kept, common, sys.delta)
+
+
+def certify_all(
+    sys: IFSystem,
+    alpha: float,
+    trials: int,
+    r0: float | None = None,
+    seed: int = 0,
+    jobs: int = 1,
+) -> tuple:
+    """(doubling, decay, regularity) certificates from one pass of trials.
+
+    Each certificate equals the one its own function fits with the same
+    arguments: the three share every trial's centre, radius and ball mass,
+    and discard the same trials.  The checks run in the same order (the
+    discard rule, then decay's concentric-ball corollary).
+    """
+    (dbl, dec, reg), common = _collect(
+        (_doubling_row, _decay_row, _regularity_row), sys, trials, r0, seed, jobs, alpha
+    )
+    return (
+        _doubling_certificate(dbl, common),
+        _decay_certificate(dec, common, alpha),
+        _regularity_certificate(reg, common, sys.delta),
     )
 
 

@@ -293,6 +293,12 @@ def test_lemma_audit_no_counterexamples():
     assert rep2.max_rationals >= 0
 
 
+def test_lemma_audit_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        audit_hyperplane_lemma(1, 2, 5, seed=-4)
+    assert audit_hyperplane_lemma(1, 2, 5, seed=0).balls == 5
+
+
 def test_layer_decay_rows_and_envelope_bound(cantor):
     psi = PsiFunction.power(2.5)
     res = layer_decay_experiment(cantor, psi, ALPHA_CANTOR, range(1, 7),

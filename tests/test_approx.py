@@ -323,16 +323,23 @@ def test_layer_hit_mask_d1_underflowing_radius():
 
 def test_layer_hit_mask_d1_cost_rule():
     # the sweep runs when its centres are at most the loop's N 2^n point-q
-    # tests, and agrees with the loop either way
-    psi = PsiFunction.power(2.5)
+    # tests and psi(2^n) 2^n < 1/2 (past that the loop decides nearly every
+    # point at the first q), and agrees with the loop either way
+    psi, fat = PsiFunction.power(2.5), PsiFunction.power(1.0)
     rng = np.random.default_rng(4)
     many, few = rng.random(4000), rng.random(3)
     assert _sweep_hit_mask(many, 3, psi) is not None
     assert _sweep_hit_mask(few, 10, psi) is None
-    for x, n in ((many, 3), (few, 10), (many, 10), (many[:0], 3)):
+    for n in (0, 3, 10):
+        assert _sweep_hit_mask(many, n, fat) is None
+    assert _sweep_hit_mask(many, 3, PsiFunction.power(1.2)) is None  # 8^-0.2 > 1/2
+    assert _sweep_hit_mask(many, 6, PsiFunction.power(1.2)) is not None
+    for x, n, f in ((many, 3, psi), (few, 10, psi), (many, 10, psi),
+                    (many[:0], 3, psi), (many, 3, fat), (many, 10, fat),
+                    (np.append(many, [np.nan, np.inf]), 3, fat)):
         pts = x.reshape(-1, 1)
-        assert np.array_equal(layer_hit_mask(pts, n, psi, 1),
-                              reference_hit_mask(pts, n, psi, 1))
+        assert np.array_equal(layer_hit_mask(pts, n, f, 1),
+                              reference_hit_mask(pts, n, f, 1))
 
 
 def test_layer_fallback_enumeration_catches_offset_candidates():

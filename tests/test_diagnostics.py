@@ -1,12 +1,16 @@
 import math
+from dataclasses import fields
 
 import pytest
 
+from fracapprox import diagnostics
 from fracapprox.cli import ExperimentConfig, _write_csv
 from fracapprox.diagnostics import (
     CertificationError,
     _finish,
+    _run_ordered,
     certificate_table,
+    certify_all,
     certify_decay,
     certify_doubling,
     certify_regularity,
@@ -185,6 +189,132 @@ def test_parallel_trials_match_serial(cantor):
 
 def test_default_r0(cantor):
     assert default_r0(cantor) == pytest.approx(cantor.diameter / 10.0)
+
+
+def test_negative_seed_rejected(cantor):
+    cert = certify_doubling(cantor, 3, seed=0)
+    calls = (
+        lambda: certify_doubling(cantor, 3, seed=-5),
+        lambda: certify_decay(cantor, ALPHA_CANTOR, 3, seed=-5),
+        lambda: certify_regularity(cantor, 3, seed=-1),
+        lambda: certify_all(cantor, ALPHA_CANTOR, 3, seed=-5),
+        lambda: cert.validate(cantor, 3, seed=-1),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="seed"):
+            call()
+
+
+def test_pool_size_is_capped(monkeypatch):
+    # at most one worker per payload and per CPU; never starts a real pool
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(diagnostics, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(diagnostics.os, "cpu_count", lambda: 4)
+    assert _run_ordered(abs, [-1, 2, -3], 64) == [1, 2, 3]
+    assert _run_ordered(abs, list(range(-9, 0)), 64) == list(range(9, 0, -1))
+    assert _run_ordered(abs, list(range(-9, 0)), 2) == list(range(9, 0, -1))
+    assert sizes == [3, 4, 2]
+    # a pool of one would gain nothing: those run serially
+    assert _run_ordered(abs, [-7], 64) == [7]
+    monkeypatch.setattr(diagnostics.os, "cpu_count", lambda: None)
+    assert _run_ordered(abs, [-1, -2], 8) == [1, 2]
+    assert sizes == [3, 4, 2]
+
+
+# ---------------------------------------------------------------------------
+# one trial pass for all three certificates
+# ---------------------------------------------------------------------------
+
+
+def _separate(sys_, alpha, trials, **kw):
+    return (certify_doubling(sys_, trials, **kw),
+            certify_decay(sys_, alpha, trials, **kw),
+            certify_regularity(sys_, trials, **kw))
+
+
+@pytest.mark.parametrize("name, trials, r0_diams, seed, jobs", [
+    ("cantor", 40, None, 1, 1),
+    ("gasket", 20, None, 2, 1),
+    ("koch", 20, None, 1, 2),  # rotation frontier, over a process pool
+    ("gasket", 20, 1e-5, 1, 1),  # tiny balls: some trials discarded
+    ("koch", 20, 1e-6, 3, 2),
+])
+def test_certify_all_matches_separate_calls(request, name, trials, r0_diams, seed, jobs):
+    sys_ = request.getfixturevalue(name)
+    alpha = decay_alpha_from_regularity(sys_.delta, sys_.dim)
+    r0 = None if r0_diams is None else r0_diams * sys_.diameter
+    joint = certify_all(sys_, alpha, trials, r0=r0, seed=seed, jobs=jobs)
+    separate = _separate(sys_, alpha, trials, r0=r0, seed=seed)
+    for a, b in zip(joint, separate, strict=True):
+        assert type(a) is type(b)
+        for f in fields(a):
+            assert getattr(a, f.name) == getattr(b, f.name), f.name
+    assert (joint[0].discarded > 0) == (r0_diams is not None)
+
+
+def test_certify_all_ball_masses_per_trial(monkeypatch, gasket):
+    # 3 ball masses per kept trial (r, 2r, eps) and 1 per discarded trial
+    calls = []
+    real = diagnostics.measure_of_ball
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "measure_of_ball", counting)
+    alpha = decay_alpha_from_regularity(gasket.delta, 2)
+    dbl, dec, reg = certify_all(gasket, alpha, 20, r0=1e-5 * gasket.diameter, seed=1)
+    assert dbl.discarded > 0
+    assert len(dbl.samples) == len(dec.samples) == len(reg.samples) == 20 - dbl.discarded
+    assert len(calls) == 3 * len(dbl.samples) + dbl.discarded
+
+
+def test_certify_all_errors_match_separate_calls(monkeypatch, gasket):
+    alpha = decay_alpha_from_regularity(gasket.delta, 2)
+
+    def messages(trials, **kw):
+        out = []
+        for call in (lambda: certify_all(gasket, alpha, trials, **kw),
+                     lambda: certify_doubling(gasket, trials, **kw),
+                     lambda: certify_decay(gasket, alpha, trials, **kw),
+                     lambda: certify_regularity(gasket, trials, **kw)):
+            with pytest.raises(CertificationError) as err:
+                call()
+            out.append(str(err.value))
+        return out
+
+    # too many discards: balls too small to bound their mass away from zero
+    joint, *alone = messages(20, r0=3e-6 * gasket.diameter, seed=1)
+    assert "trials discarded" in joint
+    assert alone == [joint] * 3
+
+    # a corollary violation: every small-ball ratio made infinite
+    real = diagnostics._decay_row
+
+    def violating(*args):
+        return real(*args)[:5] + (math.inf,)
+
+    monkeypatch.setattr(diagnostics, "_decay_row", violating)
+    with pytest.raises(CertificationError) as joint:
+        certify_all(gasket, alpha, 10, seed=1)
+    with pytest.raises(CertificationError) as alone:
+        certify_decay(gasket, alpha, 10, seed=1)
+    assert str(joint.value) == str(alone.value)
+    assert str(joint.value).startswith("10 trials violate the concentric-ball corollary")
 
 
 # ---------------------------------------------------------------------------
