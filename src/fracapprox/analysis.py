@@ -20,7 +20,8 @@ from .geometry import (
     Box,
     DyadicScale,
     Slab,
-    greedy_cover,
+    _greedy_centres,
+    _reach,
     hyperplane_witness,
 )
 from .ifs import IFSystem, _Frontier, sample_measure
@@ -290,10 +291,7 @@ def build_dn_cover(sys: IFSystem, n: int) -> list:
             f"cylinder net of ~{sys.k**depth_needed:.2e} candidates refused"
         )
 
-    centers = _cylinder_net(sys, r_n)
-    balls = [Ball(c, r_n) for c in centers]
-    chosen, _ = greedy_cover(balls)
-    return chosen
+    return [Ball(c, r_n) for c in _greedy_centres(_cylinder_net(sys, r_n), r_n)]
 
 
 def _net_depth(sys: IFSystem, n: int) -> int:
@@ -337,15 +335,23 @@ def build_cdn_cover(
     if pool is None:
         pool = sample_measure(sys, pool_size, seed)
     r = float(psi(2.0**n))
-    three = dn.dilate(3.0)
-    dist = np.linalg.norm(pool - three.center, axis=1)
-    pdist = np.abs(pool @ slab.plane.normal - slab.plane.offset)
-    sel = (dist <= three.radius) & (pdist <= slab.epsilon)
-    pts = pool[sel]
-    if pts.shape[0] == 0:
-        return []
-    chosen, _ = greedy_cover([Ball(p, r) for p in pts])
-    return chosen
+    order = np.argsort(pool[:, 0])
+    return [Ball(c, r) for c in _cdn_centres(pool, order, pool[order, 0], dn, slab, r)]
+
+
+def _cdn_centres(pool, order, x0, dn: Ball, slab: Slab, r: float) -> np.ndarray:
+    """build_cdn_cover's centres, as rows.  `order` sorts the pool by its first
+    coordinate, x0 = pool[order, 0], and only the rows within reach of 3 D_n
+    in x0 are tested.  For d >= 2 slab distances come from the whole pool's
+    product, as BLAS may round the rows of a slice's product differently."""
+    c, radius = dn.center, 3.0 * dn.radius
+    w = _reach(radius)
+    rows = order[np.searchsorted(x0, c[0] - w):np.searchsorted(x0, c[0] + w, "right")]
+    sub, normal = pool[rows], slab.plane.normal
+    proj = sub @ normal if normal.size == 1 else (pool @ normal)[rows]
+    keep = ((np.linalg.norm(sub - c, axis=1) <= radius)
+            & (np.abs(proj - slab.plane.offset) <= slab.epsilon))
+    return _greedy_centres(sub[keep], r)
 
 
 @dataclass(frozen=True)
@@ -418,7 +424,9 @@ def hs_upper_bound(
     for n in range(k_min, k_max + 1):
         dn_balls = build_dn_cover(sys, n)
         pool = sample_measure(sys, pool_size, np.random.SeedSequence([seed, n]))
-        eps = sq * float(psi(2.0**n))
+        order = np.argsort(pool[:, 0])
+        x0 = pool[order, 0]
+        r = float(psi(2.0**n))
         scale = DyadicScale(n, d)
         c_total = 0
         c_max = 0
@@ -432,11 +440,11 @@ def hs_upper_bound(
                     "volume obstruction failed inside hs_upper_bound; "
                     "this contradicts the block geometry"
                 )
-            slab = Slab(witness.hyperplane, eps)
-            count = len(build_cdn_cover(sys, dn, slab, psi, n, pool=pool))
+            slab = Slab(witness.hyperplane, sq * r)
+            count = len(_cdn_centres(pool, order, x0, dn, slab, r))
             c_total += count
             c_max = max(c_max, count)
-        cost_n = c_total * (3.0 * float(psi(2.0**n))) ** s
+        cost_n = c_total * (3.0 * r) ** s
         rows.append((n, len(dn_balls), c_total, cost_n))
         c_maxes.append(c_max)
     costs = [row[3] for row in rows]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -30,6 +29,8 @@ __all__ = [
 
 _GRID_POINTS = 1000
 _ENUMERATION_CAP = 10**8
+# Denominators whose numerator ranges enumerate_rationals computes at once.
+_Q_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,8 @@ def enumerate_rationals(d: int, n: int, window: Box) -> list:
 
     Representations are not reduced, but coincident values within a block are
     reported once (the representative with the smallest denominator).  Refuses
-    windows whose estimated candidate count exceeds 10^8.
+    windows whose estimated candidate count exceeds 10^8.  Points come in
+    ascending q, and for each q in the product order of the numerators.
     """
     if window.dim != d:
         raise ValueError("window dimension mismatch")
@@ -201,21 +203,20 @@ def enumerate_rationals(d: int, n: int, window: Box) -> list:
         )
     slop = 1e-12
     seen = {}
-    for q in range(2**n, 2 ** (n + 1)):
-        ranges = []
-        for i in range(d):
-            p_lo = math.ceil(window.lo[i] * q - slop)
-            p_hi = math.floor(window.hi[i] * q + slop)
-            if p_hi < p_lo:
-                ranges = None
-                break
-            ranges.append(range(p_lo, p_hi + 1))
-        if ranges is None:
-            continue
-        for nums in product(*ranges):
-            key = tuple(Fraction(p, q) for p in nums)
-            if key not in seen:
-                seen[key] = RationalPoint(nums, q)
+    for start in range(2**n, 2 ** (n + 1), _Q_CHUNK):
+        # q < 2^53 is exact in float64, so these are the bits of the scalar
+        # ceil(lo q - slop) and floor(hi q + slop) for every q of the chunk
+        qf = np.arange(start, min(start + _Q_CHUNK, 2 ** (n + 1)), dtype=float)
+        p_lo = np.ceil(window.lo[:, None] * qf - slop)
+        p_hi = np.floor(window.hi[:, None] * qf + slop)
+        for j in np.flatnonzero((p_lo <= p_hi).all(axis=0)):
+            q = start + int(j)
+            ranges = [range(int(a), int(b) + 1) for a, b in zip(p_lo[:, j], p_hi[:, j])]
+            for nums in product(*ranges):
+                g = math.gcd(q, *nums)  # (nums/g, q/g) is the value in lowest terms
+                key = (tuple(p // g for p in nums), q // g)
+                if key not in seen:
+                    seen[key] = RationalPoint(nums, q)
     return list(seen.values())
 
 
@@ -274,13 +275,13 @@ def layer_hit_mask(points: np.ndarray, n: int, psi: PsiFunction, d: int) -> np.n
         if swept is not None:
             return swept
     hits = np.zeros(pts.shape[0], dtype=bool)
+    todo = np.isfinite(pts).all(axis=1)  # non-finite points never hit
     sq = math.sqrt(d)
     for q in range(2**n, 2 ** (n + 1)):
         radius = sq * psi(float(q))
         if not np.isfinite(radius):
             hits[:] = True
             return hits
-        todo = ~hits
         if not todo.any():
             break
         sub = pts[todo]
@@ -293,6 +294,7 @@ def layer_hit_mask(points: np.ndarray, n: int, psi: PsiFunction, d: int) -> np.n
             diff = (p0 + np.asarray(off, dtype=float)) / q - sub
             found |= np.einsum("ij,ij->i", diff, diff) <= r2
         hits[todo] = found
+        todo &= ~hits
     return hits
 
 

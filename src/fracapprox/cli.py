@@ -40,7 +40,14 @@ from .diagnostics import (
     default_r0,
 )
 from .geometry import unit_ball_volume
-from .ifs import BUNDLED_SYSTEMS, bundled_system, load_system, sample_measure
+from .ifs import (
+    _SAMPLE_DIGIT_CAP,
+    BUNDLED_SYSTEMS,
+    SAMPLE_DEPTH,
+    bundled_system,
+    load_system,
+    sample_measure,
+)
 
 __all__ = ["main", "ExperimentConfig", "resolve_config"]
 
@@ -140,6 +147,10 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise UsageFailure(f"config field {name!r} must be >= 1")
     if cfg.seed < 0:
         raise UsageFailure("config field 'seed' must be >= 0")
+    if cfg.samples > _SAMPLE_DIGIT_CAP // SAMPLE_DEPTH:
+        raise UsageFailure(
+            f"config field 'samples' must be <= {_SAMPLE_DIGIT_CAP // SAMPLE_DEPTH}"
+        )
     if (not isinstance(cfg.blocks, tuple) or len(cfg.blocks) != 2
             or not all(_is_int(b) for b in cfg.blocks)
             or cfg.blocks[0] > cfg.blocks[1] or cfg.blocks[0] < 0):

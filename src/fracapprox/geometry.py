@@ -298,20 +298,33 @@ def greedy_cover(balls: list) -> tuple:
                 f"greedy_cover requires a common radius; got {b.radius} != {r}"
             )
     centers = np.array([b.center for b in balls], dtype=float)
-    order = np.lexsort(centers.T[::-1])  # lexicographic in coordinate order
-    centers = centers[order]
+    if not np.isfinite(centers).all():
+        raise ValueError("greedy_cover requires finite centres")
+    return [Ball(c, r) for c in _greedy_centres(centers, r)], 3
 
-    chosen_idx = []
-    eligible = np.ones(len(centers), dtype=bool)
+
+def _reach(bound: float) -> float:
+    """Largest first-coordinate gap of two rows whose float distance is <=
+    bound: a few ulps past it, and below 1e-150 squares can underflow."""
+    return max(bound * (1.0 + 1e-9), 1e-150)
+
+
+def _greedy_centres(centers: np.ndarray, r: float) -> np.ndarray:
+    """greedy_cover's selected rows, in visiting order.  Only the later rows
+    within _reach(2r) of a selected row in the first coordinate can fail the
+    strict test `gap > 2r`, so only they are tested."""
+    centers = centers[np.lexsort(centers.T[::-1])]  # lexicographic order
     two_r = 2.0 * r
+    ends = np.searchsorted(centers[:, 0], centers[:, 0] + _reach(two_r), side="right")
+    eligible = np.ones(len(centers), dtype=bool)
+    chosen_idx = []
     for i in range(len(centers)):
         if not eligible[i]:
             continue
         chosen_idx.append(i)
-        gaps = np.linalg.norm(centers - centers[i], axis=1)
-        eligible &= gaps > two_r
-    chosen = [Ball(centers[i], r) for i in chosen_idx]
-    return chosen, 3
+        near = slice(i + 1, ends[i])
+        eligible[near] &= np.linalg.norm(centers[near] - centers[i], axis=1) > two_r
+    return centers[chosen_idx]
 
 
 # ---------------------------------------------------------------------------

@@ -575,6 +575,9 @@ def measure_of_slab_in_ball(sys: IFSystem, b: Ball, s: Slab, tol: float) -> Mass
 # ---------------------------------------------------------------------------
 
 SAMPLE_DEPTH = 40
+# Largest count x depth digit array sample_measure draws: 10^6 points at
+# SAMPLE_DEPTH, dimension_report's default batch.
+_SAMPLE_DIGIT_CAP = 10**6 * SAMPLE_DEPTH
 
 
 def sample_measure(sys: IFSystem, count: int, seed, depth: int = SAMPLE_DEPTH) -> np.ndarray:
@@ -587,6 +590,11 @@ def sample_measure(sys: IFSystem, count: int, seed, depth: int = SAMPLE_DEPTH) -
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if count * depth > _SAMPLE_DIGIT_CAP:
+        raise ValueError(
+            f"{count} samples at depth {depth} refused; at most "
+            f"{_SAMPLE_DIGIT_CAP} digits per call"
+        )
     rng = np.random.default_rng(seed)
     digits = rng.choice(sys.k, size=(count, depth), p=sys.weights / sys.weights.sum())
     return _fold_digits(sys, digits)

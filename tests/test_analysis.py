@@ -6,6 +6,7 @@ import pytest
 from fracapprox.analysis import (
     CoverCost,
     SumSpec,
+    _cylinder_net,
     audit_hyperplane_lemma,
     box_dimension,
     build_cdn_cover,
@@ -22,6 +23,9 @@ from fracapprox.analysis import (
 from fracapprox.approx import PsiFunction
 from fracapprox.geometry import Ball, DyadicScale, Hyperplane, Slab
 from fracapprox.ifs import sample_measure
+
+from cover_oracle import greedy_cover as reference_greedy_cover
+from cover_oracle import reference_hs_upper_bound
 
 ALPHA_CANTOR = math.log(2.0) / math.log(3.0)
 
@@ -247,6 +251,45 @@ def test_hs_upper_bound_tails_decrease(cantor):
     assert costs[-1] < 0.5 * costs[0]
     for n, n_dn, n_c, cost in tail.rows:
         assert n_dn > 0 and n_c >= 0 and cost >= 0.0
+
+
+@pytest.mark.parametrize("name", ["dust", "gasket", "koch"])
+def test_hs_upper_bound_d2_matches_full_scan(name, request):
+    sys_ = request.getfixturevalue(name)
+    psi = PsiFunction.power(6.0, d=2)  # psi(2^n) < r_n: many balls per D_n
+    got = hs_upper_bound(sys_, psi, sys_.delta, 1, 2, seed=3)
+    want = reference_hs_upper_bound(sys_, psi, sys_.delta, 1, 2, seed=3)
+    assert got.rows == want.rows
+    assert got.tails == want.tails
+    assert got.c_max == want.c_max
+    assert max(got.c_max) > 1
+
+
+@pytest.mark.parametrize("name", ["cantor", "dust", "koch"])
+def test_block_cover_balls_match_full_scan(name, request):
+    sys_ = request.getfixturevalue(name)
+    n, d = 2, sys_.dim
+    psi = PsiFunction.power(8.0, d=d)  # psi(2^n) < r_n: many balls per D_n
+    r_n = DyadicScale(n, d).r_n
+    dn_balls = build_dn_cover(sys_, n)
+    want, _ = reference_greedy_cover([Ball(c, r_n) for c in _cylinder_net(sys_, r_n)])
+    assert [tuple(b.center) for b in dn_balls] == [tuple(b.center) for b in want]
+    pool = sample_measure(sys_, 5000, seed=4)
+    r = psi(2.0**n)
+    rng = np.random.default_rng(5)
+    sizes = []
+    for dn in dn_balls[:20]:
+        normal = rng.normal(size=d)
+        normal /= np.linalg.norm(normal)
+        slab = Slab(Hyperplane(normal, float(normal @ dn.center)), r_n)
+        got = build_cdn_cover(sys_, dn, slab, psi, n, pool=pool)
+        three = dn.dilate(3.0)
+        sel = pool[(np.linalg.norm(pool - three.center, axis=1) <= three.radius)
+                   & (np.abs(pool @ normal - slab.plane.offset) <= slab.epsilon)]
+        ref = reference_greedy_cover([Ball(p, r) for p in sel])[0]
+        assert [tuple(b.center) for b in got] == [tuple(b.center) for b in ref]
+        sizes.append(len(got))
+    assert max(sizes) > 1
 
 
 # ---------------------------------------------------------------------------

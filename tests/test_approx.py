@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unittest import mock
+
+from fracapprox import approx
 from fracapprox.approx import (
     PsiFunction,
     _sweep_hit_mask,
@@ -17,6 +20,7 @@ from fracapprox.approx import (
     smallness_onset,
 )
 from fracapprox.geometry import Box
+from cover_oracle import enumerate_rationals as reference_enumerate
 from layer_oracle import ApproxLayer, layer_membership, reference_hit_mask
 
 
@@ -128,6 +132,42 @@ def test_enumerate_against_bruteforce_oracle():
 def test_enumerate_size_guard():
     with pytest.raises(ValueError):
         enumerate_rationals(2, 12, Box([0.0, 0.0], [1.0, 1.0]))
+
+
+@st.composite
+def _enumeration_windows(draw):
+    """(d, n, window) with a few hundred candidates at most.  An edge either
+    lies anywhere or sits on a block rational p/q, shifted by 0 or +-1e-12
+    (the enumeration's slop)."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 12))
+    top = (300.0 / 2.0 ** ((d + 1) * (n + 1))) ** (1.0 / d)
+
+    def edge(near):
+        if draw(st.booleans()):
+            return near
+        q = draw(st.integers(2**n, 2 ** (n + 1) - 1))
+        shift = draw(st.sampled_from([0.0, 1e-12, -1e-12]))
+        return math.floor(near * q) / q + shift
+
+    lo, hi = [], []
+    for _ in range(d):
+        a = edge(draw(st.floats(-1.5, 2.5)))
+        b = edge(a + draw(st.floats(0.0, top)))
+        lo.append(min(a, b))
+        hi.append(max(a, b))
+    return d, n, Box(lo, hi)
+
+
+@settings(max_examples=300)
+@given(_enumeration_windows(), st.sampled_from([1, 3, 2**16]))
+def test_enumerate_matches_reference(case, chunk):
+    d, n, window = case
+    with mock.patch.object(approx, "_Q_CHUNK", chunk):
+        got = enumerate_rationals(d, n, window)
+    want = reference_enumerate(d, n, window)
+    assert [(p.numerators, p.denominator) for p in got] == \
+        [(p.numerators, p.denominator) for p in want]
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +314,7 @@ def _layer_case(draw, n):
     return psi, np.array(xs, dtype=float).reshape(-1, 1)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf points
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning:layer_oracle")
 @settings(max_examples=150)
 @given(data=st.data(), n=st.integers(0, 10))
 def test_layer_hit_mask_d1_matches_reference(data, n):
@@ -284,7 +324,7 @@ def test_layer_hit_mask_d1_matches_reference(data, n):
                           reference_hit_mask(pts, n, psi, 1))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf points
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning:layer_oracle")
 @settings(max_examples=100)
 @given(data=st.data(), n=st.integers(0, 5), size=st.integers(300, 3000),
        seed=st.integers(0, 2**32 - 1))
@@ -295,6 +335,20 @@ def test_layer_hit_mask_d1_sweep_matches_reference(data, n, size, seed):
     pts = np.concatenate([rng.random((size, 1)), extra])
     assert np.array_equal(layer_hit_mask(pts, n, psi, 1),
                           reference_hit_mask(pts, n, psi, 1))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning:layer_oracle")
+@settings(max_examples=100)
+@given(d=st.integers(2, 3), n=st.integers(0, 4), tau=st.floats(1.0, 4.0),
+       rows=st.lists(st.lists(st.one_of(st.floats(-1.5, 2.5),
+                                        st.sampled_from(_SPECIAL)),
+                              min_size=3, max_size=3), max_size=30))
+def test_layer_hit_mask_non_finite_points_match_reference(d, n, tau, rows):
+    # the per-q loop drops points with a non-finite coordinate up front
+    psi = PsiFunction.power(tau, d=d)
+    pts = np.array([r[:d] for r in rows], dtype=float).reshape(-1, d)
+    assert np.array_equal(layer_hit_mask(pts, n, psi, d),
+                          reference_hit_mask(pts, n, psi, d))
 
 
 def test_layer_hit_mask_d1_float_tie_needs_numerator_window():

@@ -99,6 +99,26 @@ def test_bad_input_is_one_error_line_naming_the_field(tmp_path, capsys, field,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--ifs", "koch"],
+    ["decay", "--ifs", "cantor", "--blocks", "1:2"],
+    ["dim-report", "--ifs", "cantor", "--taus", "3.0"],
+], ids=["sample", "decay", "dim-report"])
+def test_samples_above_the_cap_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                                 argv):
+    from fracapprox import ifs
+
+    def no_rng(seed):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(ifs.np.random, "default_rng", no_rng)
+    over = ifs._SAMPLE_DIGIT_CAP // ifs.SAMPLE_DEPTH + 1
+    assert run(["--out", tmp_path / "out", *argv, "--samples", over]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: config field 'samples' must be <= {over - 1}"]
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cover_oracle import greedy_cover as reference_greedy_cover
 from fracapprox.geometry import (
     Ball,
     DyadicScale,
@@ -233,6 +236,52 @@ def test_greedy_cover_disjoint_and_covering(d):
         pts = centers[idx] + dirs * radii[:, None]
         dist = np.linalg.norm(pts[:, None, :] - ch[None, :, :], axis=2)
         assert np.all(dist.min(axis=1) <= 3 * r * (1 + 1e-12))
+
+
+def test_greedy_cover_exact_2r_gap_is_not_separated():
+    # gaps of exactly 2r (first coordinates 0.5 apart at r = 0.25) fail the
+    # strict test, so 0.5 is skipped; 3-4-5 gaps at r = 2.5 likewise
+    chosen, _ = greedy_cover([Ball([c], 0.25) for c in (1.0, 0.5, 0.0)])
+    assert [float(b.center[0]) for b in chosen] == [0.0, 1.0]
+    chosen, _ = greedy_cover([Ball(c, 2.5) for c in ([3.0, 4.0], [0.0, 0.0], [6.0, 8.0])])
+    assert [tuple(b.center) for b in chosen] == [(0.0, 0.0), (6.0, 8.0)]
+
+
+def test_greedy_cover_rejects_non_finite_centres():
+    with pytest.raises(ValueError, match="finite"):
+        greedy_cover([Ball([0.0, 0.0], 1.0), Ball([np.nan, 0.0], 1.0)])
+
+
+@st.composite
+def _cover_centres(draw):
+    """(rows, r): random rows, integer-grid rows whose gaps hit 2r exactly
+    (r = 0.25 on a 0.5 grid, r = 2.5 with 3-4-5 triangles), rows shifted by
+    exactly 2r in the first coordinate, and duplicates, in shuffled order."""
+    d = draw(st.integers(1, 3))
+    r, unit = draw(st.sampled_from([(0.25, 0.5), (2.5, 1.0), (None, 0.1)]))
+    if r is None:
+        r = draw(st.floats(1e-3, 1.0))
+    coord = st.floats(-2.0, 2.0)
+    rows = draw(st.lists(st.lists(coord, min_size=d, max_size=d), max_size=40))
+    grid = st.lists(st.integers(-6, 6), min_size=d, max_size=d)
+    rows += [[unit * k for k in g] for g in draw(st.lists(grid, max_size=40))]
+    if not rows:
+        rows = [[0.0] * d]
+    picks = st.lists(st.integers(0, len(rows) - 1), max_size=10)
+    rows += [[rows[i][0] + 2 * r] + rows[i][1:] for i in draw(picks)]
+    rows += [list(rows[i]) for i in draw(picks)]
+    return draw(st.permutations(rows)), r
+
+
+@settings(max_examples=300)
+@given(_cover_centres())
+def test_greedy_cover_matches_reference(case):
+    rows, r = case
+    balls = [Ball(c, r) for c in rows]
+    got, k = greedy_cover(balls)
+    want, _ = reference_greedy_cover(balls)
+    assert k == 3
+    assert [tuple(b.center) for b in got] == [tuple(b.center) for b in want]
 
 
 # ---------------------------------------------------------------------------

@@ -369,6 +369,20 @@ def test_sample_count_validation(cantor):
         sample_measure(cantor, 0, seed=1)
 
 
+def test_sample_digit_cap_refuses_before_drawing(cantor, monkeypatch):
+    from fracapprox import ifs
+
+    def no_rng(seed):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(ifs.np.random, "default_rng", no_rng)
+    over = ifs._SAMPLE_DIGIT_CAP // ifs.SAMPLE_DEPTH + 1
+    with pytest.raises(ValueError, match="refused"):
+        sample_measure(cantor, over, seed=1)
+    with pytest.raises(ValueError, match="refused"):
+        sample_measure(cantor, 2, seed=1, depth=ifs._SAMPLE_DIGIT_CAP)
+
+
 # ---------------------------------------------------------------------------
 # definition files
 # ---------------------------------------------------------------------------
