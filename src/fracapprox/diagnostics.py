@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Ball, Hyperplane, Slab
-from .ifs import IFSystem, measure_of_ball, measure_of_slab_in_ball, sample_measure
+from .ifs import IFSystem, _draw_digits, _fold_digits, measure_many
 
 __all__ = [
     "CertificationError",
@@ -36,6 +36,9 @@ __all__ = [
 _REL_TOL = 0.02
 _MIN_TOL = 1e-9
 MAX_DISCARD_FRACTION = 0.2
+# Trials whose phases share one batched mass evaluation; the frontier of a
+# block, and so the memory of a run, grows with this and not with --trials.
+_TRIAL_BLOCK = 32
 
 
 class CertificationError(RuntimeError):
@@ -57,26 +60,24 @@ def _trial_rng(seed: int, idx: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(idx)]))
 
 
-def _trial_center_radius(sys: IFSystem, r0: float, rng) -> tuple:
-    center = sample_measure(sys, 1, rng)[0]
-    radius = r0 * math.exp(-math.log(100.0) * float(rng.random()))
-    return center, radius
-
-
 # ---------------------------------------------------------------------------
-# trial rows and the trial worker (module level: picklable for process pools)
+# row kinds and the trial-block worker (module level: picklable for process
+# pools)
 #
-# Every row starts from the trial's shared prefix: its rng (after the centre
-# and radius draws), centre x, radius r and m = mu(B(x, r)).
+# A row kind is called as kind(sys, rng, center, radius, m, alpha) with a
+# kept trial's rng (after the centre and radius draws), centre x, radius r
+# and m = mu(B(x, r)).  It makes the trial's draws for its row and returns
+# the masses the row needs, as (query, tol) pairs for measure_many, and a
+# function building the row from those masses, in the same order.
 # ---------------------------------------------------------------------------
 
 
-def _doubling_row(sys, rng, center, radius, m, alpha) -> tuple:
-    m2 = measure_of_ball(sys, Ball(center, 2.0 * radius), _ball_tol(sys, 2.0 * radius))
-    return (tuple(center), radius, m2.lo / m.hi, m2.hi / m.lo)
+def _doubling(sys, rng, center, radius, m, alpha) -> tuple:
+    queries = [(Ball(center, 2.0 * radius), _ball_tol(sys, 2.0 * radius))]
+    return queries, lambda m2: (tuple(center), radius, m2.lo / m.hi, m2.hi / m.lo)
 
 
-def _decay_row(sys, rng, center, radius, m, alpha) -> tuple:
+def _decay(sys, rng, center, radius, m, alpha) -> tuple:
     normal = rng.normal(size=sys.dim)
     normal /= np.linalg.norm(normal)
     plane = Hyperplane(normal, float(normal @ center))
@@ -86,8 +87,13 @@ def _decay_row(sys, rng, center, radius, m, alpha) -> tuple:
     eps = rel * radius
     envelope = rel**alpha
     slab_tol = max(_REL_TOL * envelope * m.lo, _MIN_TOL)
-    m_slab = measure_of_slab_in_ball(sys, Ball(center, radius), Slab(plane, eps), slab_tol)
-    m_small = measure_of_ball(sys, Ball(center, eps), _ball_tol(sys, eps))
+    queries = [((Ball(center, radius), Slab(plane, eps)), slab_tol),
+               (Ball(center, eps), _ball_tol(sys, eps))]
+    return queries, lambda m_slab, m_small: _decay_row(
+        center, radius, eps, envelope, m, m_slab, m_small)
+
+
+def _decay_row(center, radius, eps, envelope, m, m_slab, m_small) -> tuple:
     return (
         tuple(center),
         radius,
@@ -98,22 +104,39 @@ def _decay_row(sys, rng, center, radius, m, alpha) -> tuple:
     )
 
 
-def _regularity_row(sys, rng, center, radius, m, alpha) -> tuple:
+def _regularity(sys, rng, center, radius, m, alpha) -> tuple:
     scale = radius**sys.delta
-    return (tuple(center), radius, m.lo / scale, m.hi / scale)
+    return [], lambda: (tuple(center), radius, m.lo / scale, m.hi / scale)
 
 
-def _trial(args) -> tuple | None:
-    """One seeded trial: draw the centre and radius and bound mu(B(x, r))
-    once, then build every requested row from them.  None (a discarded
-    trial) when that mass cannot be bounded away from zero."""
-    rows, sys, r0, seed, idx, alpha = args
-    rng = _trial_rng(seed, idx)
-    center, radius = _trial_center_radius(sys, r0, rng)
-    m = measure_of_ball(sys, Ball(center, radius), _ball_tol(sys, radius))
-    if m.lo <= 0.0:
-        return None
-    return tuple(row(sys, rng, center, radius, m, alpha) for row in rows)
+def _trial_block(args) -> list:
+    """Seeded trials start..stop-1, in phases; one row tuple per trial, or
+    None (a discarded trial) when mu(B(x, r)) cannot be bounded away from
+    zero.
+
+    Every trial draws from its own rng in the order a lone trial would: the
+    centre's digits and the radius, then, if kept, the draws of each row
+    kind.  The centres are folded in one call, all mu(B(x, r)) come from
+    one measure_many call, and all the masses the rows need from another.
+    """
+    kinds, sys, r0, seed, start, stop, alpha = args
+    rngs = [_trial_rng(seed, i) for i in range(start, stop)]
+    digits, radii = [], []
+    for rng in rngs:
+        digits.append(_draw_digits(sys, 1, rng))
+        radii.append(r0 * math.exp(-math.log(100.0) * float(rng.random())))
+    centers = _fold_digits(sys, np.concatenate(digits))
+    masses = measure_many(sys, [Ball(c, r) for c, r in zip(centers, radii)],
+                          [_ball_tol(sys, r) for r in radii])
+    kept = [i for i, m in enumerate(masses) if m.lo > 0.0]
+    plans = [[kind(sys, rngs[i], centers[i], radii[i], masses[i], alpha)
+              for kind in kinds] for i in kept]
+    queries = [q for plan in plans for qs, _ in plan for q in qs]
+    found = iter(measure_many(sys, [q for q, _ in queries], [t for _, t in queries]))
+    results = [None] * (stop - start)
+    for i, plan in zip(kept, plans):
+        results[i] = tuple(row(*[next(found) for _ in qs]) for qs, row in plan)
+    return results
 
 
 _TAIL_MARGIN = 4.0
@@ -167,7 +190,7 @@ def _finish(results: list, trials: int) -> list:
     return kept
 
 
-def _collect(rows: tuple, sys: IFSystem, trials: int, r0: float | None, seed: int,
+def _collect(kinds: tuple, sys: IFSystem, trials: int, r0: float | None, seed: int,
              jobs: int, alpha: float | None = None) -> tuple:
     """Run `trials` seeded trials, each building the given row kinds; return
     one list of kept rows per kind and the fields every certificate records
@@ -188,8 +211,13 @@ def _collect(rows: tuple, sys: IFSystem, trials: int, r0: float | None, seed: in
         r0 = default_r0(sys)
     if not 0 < r0 < math.inf:
         raise ValueError("r0 must be positive and finite")
-    payloads = [(rows, sys, r0, seed, i, alpha) for i in range(trials)]
-    kept = _finish(_run_ordered(_trial, payloads, jobs), trials)
+    # contiguous blocks of at most _TRIAL_BLOCK trials, one or more per worker
+    workers = max(1, min(jobs, os.cpu_count() or 1))
+    size = min(_TRIAL_BLOCK, -(-trials // workers))
+    payloads = [(kinds, sys, r0, seed, start, min(start + size, trials), alpha)
+                for start in range(0, trials, size)]
+    blocks = _run_ordered(_trial_block, payloads, jobs)
+    kept = _finish([r for block in blocks for r in block], trials)
     common = dict(r0=r0, trials=trials, discarded=trials - len(kept), seed=seed)
     return list(zip(*kept)), common
 
@@ -212,7 +240,7 @@ class DoublingCertificate:
 
     def validate(self, sys: IFSystem, trials: int, seed: int, jobs: int = 1) -> int:
         """Count fresh trials whose optimistic ratio still exceeds D."""
-        (kept,), _ = _collect((_doubling_row,), sys, trials, self.r0, seed, jobs)
+        (kept,), _ = _collect((_doubling,), sys, trials, self.r0, seed, jobs)
         return sum(1 for _, _, opt, _ in kept if opt > self.D)
 
 
@@ -237,7 +265,7 @@ class DecayCertificate:
         return self.C * 2.0**self.alpha
 
     def validate(self, sys: IFSystem, trials: int, seed: int, jobs: int = 1) -> int:
-        (kept,), _ = _collect((_decay_row,), sys, trials, self.r0, seed, jobs,
+        (kept,), _ = _collect((_decay,), sys, trials, self.r0, seed, jobs,
                               self.alpha)
         return sum(1 for row in kept if row[3] > self.C)
 
@@ -256,7 +284,7 @@ class RegularityCertificate:
     seed: int
 
     def validate(self, sys: IFSystem, trials: int, seed: int, jobs: int = 1) -> int:
-        (kept,), _ = _collect((_regularity_row,), sys, trials, self.r0, seed, jobs)
+        (kept,), _ = _collect((_regularity,), sys, trials, self.r0, seed, jobs)
         return sum(1 for _, _, lo, hi in kept if lo > self.b or hi < self.a)
 
 
@@ -305,7 +333,7 @@ def certify_doubling(
     with the evidence.  Trials whose small-ball mass cannot be bounded away
     from zero are discarded; more than 20% discards aborts certification.
     """
-    (kept,), common = _collect((_doubling_row,), sys, trials, r0, seed, jobs)
+    (kept,), common = _collect((_doubling,), sys, trials, r0, seed, jobs)
     return _doubling_certificate(kept, common)
 
 
@@ -324,7 +352,7 @@ def certify_decay(
     log-uniform in [r/10^4, r/4].  The concentric-ball ratio of each trial is
     recorded against the corollary constant C 2^alpha.
     """
-    (kept,), common = _collect((_decay_row,), sys, trials, r0, seed, jobs, alpha)
+    (kept,), common = _collect((_decay,), sys, trials, r0, seed, jobs, alpha)
     return _decay_certificate(kept, common, alpha)
 
 
@@ -332,7 +360,7 @@ def certify_regularity(
     sys: IFSystem, trials: int, r0: float | None = None, seed: int = 0, jobs: int = 1
 ) -> RegularityCertificate:
     """Fit the two-sided envelope of mu(B(x,r)) / r^delta on random balls."""
-    (kept,), common = _collect((_regularity_row,), sys, trials, r0, seed, jobs)
+    (kept,), common = _collect((_regularity,), sys, trials, r0, seed, jobs)
     return _regularity_certificate(kept, common, sys.delta)
 
 
@@ -352,7 +380,7 @@ def certify_all(
     discard rule, then decay's concentric-ball corollary).
     """
     (dbl, dec, reg), common = _collect(
-        (_doubling_row, _decay_row, _regularity_row), sys, trials, r0, seed, jobs, alpha
+        (_doubling, _decay, _regularity), sys, trials, r0, seed, jobs, alpha
     )
     return (
         _doubling_certificate(dbl, common),

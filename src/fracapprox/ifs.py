@@ -27,6 +27,7 @@ __all__ = [
     "OpenSetConditionError",
     "IrreducibilityWarning",
     "similarity_dimension",
+    "measure_many",
     "measure_of_ball",
     "measure_of_slab_in_ball",
     "sample_measure",
@@ -451,19 +452,22 @@ class MassInterval:
 class _Frontier:
     """The cylinders of one subdivision, as the maps x -> scale rot x + trans.
 
-    One row per cylinder, with its natural-measure weight.  The rotation
-    stack exists only when the system rotates: composing identity matrices
-    gives the same bits but made mass evaluation on the rotation-free
-    cantor and gasket systems 1.5-2.5x slower.
+    One row per cylinder, with its natural-measure weight and the index of
+    the query it serves; rows are grouped by query, and a frontier built for
+    one query holds only query 0.  The rotation stack exists only when the
+    system rotates: composing identity matrices gives the same bits but made
+    mass evaluation on the rotation-free cantor and gasket systems 1.5-2.5x
+    slower.
     """
 
-    def __init__(self, sys: IFSystem):
+    def __init__(self, sys: IFSystem, queries: int = 1):
         d = sys.dim
         self.sys = sys
-        self.trans = np.zeros((1, d))
-        self.scale = np.ones(1)
-        self.weight = np.ones(1)
-        self.rot = (np.broadcast_to(np.eye(d), (1, d, d)).copy()
+        self.trans = np.zeros((queries, d))
+        self.scale = np.ones(queries)
+        self.weight = np.ones(queries)
+        self.query = np.arange(queries)
+        self.rot = (np.broadcast_to(np.eye(d), (queries, d, d)).copy()
                     if sys.has_rotations else None)
 
     def image(self, point: np.ndarray) -> np.ndarray:
@@ -474,9 +478,11 @@ class _Frontier:
 
     def expand(self, mask: np.ndarray) -> None:
         """Replace the frontier by the children of the cylinders in `mask`,
-        grouped by the map applied last."""
+        grouped by query and, within a query, by the map applied last: the
+        order a frontier of that query alone would have."""
         sys = self.sys
         trans, scale, weight = self.trans[mask], self.scale[mask], self.weight[mask]
+        query = self.query[mask]
         if self.rot is None:
             steps = [scale[:, None] * t for t in sys.translations]
         else:
@@ -488,86 +494,146 @@ class _Frontier:
         self.trans = np.concatenate([trans + step for step in steps])
         self.scale = np.concatenate([scale * r for r in sys.ratios])
         self.weight = np.concatenate([weight * w for w in sys.weights])
+        self.query = np.tile(query, sys.k)
+        if query.size and query[0] != query[-1]:
+            order = np.argsort(self.query, kind="stable")
+            self.trans, self.scale = self.trans[order], self.scale[order]
+            self.weight, self.query = self.weight[order], self.query[order]
+            if self.rot is not None:
+                self.rot = self.rot[order]
 
 
-def _subdivide(sys: IFSystem, classify, tol: float) -> MassInterval:
-    """Shared cylinder-subdivision engine.
+def _segment_sums(values: np.ndarray, segment: np.ndarray, n: int) -> tuple:
+    """(sums, counts) over the segments j < n of `values`, where `segment`
+    holds each value's segment in ascending order.  sums[j] has the bits of
+    values[segment == j].sum().
 
-    `classify(centers, radii)` receives the enclosure balls of the current
-    frontier (vectorized) and returns boolean masks (inside, outside) for the
-    target region.  Cylinders fully inside contribute their weight to both
-    bounds and fully outside contribute nothing.  Straddling cylinders are
-    expanded; ones below the weight floor tol/1024 may instead be frozen as
-    permanent upper-bound mass, but only while the frozen total stays under
-    tol/4, so the pruning can never cost the width contract.
+    numpy adds fewer than 8 terms strictly left to right, so short segments
+    are summed column by column over a zero-padded array (x + 0.0 == x);
+    longer ones, which it sums pairwise over 8 accumulators, go one by one.
+    np.add.reduceat follows neither order.
     """
-    if tol < 1e-9:
+    counts = np.bincount(segment, minlength=n)
+    sums = np.zeros(n)
+    if values.size == 0:
+        return sums, counts
+    starts = np.cumsum(counts) - counts
+    long_ = counts >= 8
+    short_rows = ~long_[segment]
+    if short_rows.any():
+        padded = np.zeros((n, int(counts[~long_].max())))
+        offset = np.arange(values.size) - starts[segment]
+        padded[segment[short_rows], offset[short_rows]] = values[short_rows]
+        for column in padded.T:
+            sums += column
+    for j in np.flatnonzero(long_):
+        sums[j] = values[starts[j]:starts[j] + counts[j]].sum()
+    return sums, counts
+
+
+def measure_many(sys: IFSystem, queries, tols) -> list:
+    """Intervals enclosing the masses of many regions in one subdivision.
+
+    A query is a Ball b, for mu(b intersect K), or a pair (b, slab), for
+    mu(b intersect slab intersect K); tols[i] is query i's tolerance.  One
+    frontier holds the cylinders of every undecided query, and each round
+    classifies them against their own query's region.  Cylinders fully
+    inside contribute their weight to both bounds and fully outside
+    contribute nothing.  Straddling cylinders are expanded; ones below the
+    weight floor tol/1024 may instead be frozen as permanent upper-bound
+    mass, but only while the frozen total stays under tol/4, so the pruning
+    can never cost the width contract.  Each interval is bit for bit the
+    one its query gets alone, of width <= its tol when converged.
+    """
+    tols = np.asarray(tols, dtype=float)
+    if np.any(tols < 1e-9):
         raise ValueError(
             "tolerance below the float certification floor 1e-9"
         )
+    n = len(queries)
+    if tols.shape != (n,):
+        raise ValueError(f"{n} queries need {n} tolerances, got shape {tols.shape}")
+    results = [None] * n
+    if n == 0:
+        return results
+    d = sys.dim
+    balls = [q if isinstance(q, Ball) else q[0] for q in queries]
+    slabs = [None if isinstance(q, Ball) else q[1] for q in queries]
+    bc = np.array([b.center for b in balls])
+    br = np.array([b.radius for b in balls])
+    has_slab = np.array([s is not None for s in slabs])
+    normals = [s.plane.normal if s is not None else np.zeros(d) for s in slabs]
+    offset = np.array([s.plane.offset if s is not None else 0.0 for s in slabs])
+    eps = np.array([s.epsilon if s is not None else 0.0 for s in slabs])
+    normal_1d = np.array([v[0] for v in normals]) if d == 1 else None
+
     c0 = sys.bounding_ball.center
     r0 = sys.bounding_ball.radius
-    floor = tol / 1024.0
-    cyl = _Frontier(sys)
-
-    lo = 0.0
-    frozen = 0.0
+    floor = tols / 1024.0
+    cyl = _Frontier(sys, n)
+    live = np.ones(n, dtype=bool)
+    lo = np.zeros(n)
+    frozen = np.zeros(n)
     depth = 0
     while True:
-        weight = cyl.weight
-        inside, outside = classify(cyl.image(c0), cyl.scale * r0)
-        lo += float(weight[inside].sum())
+        weight, q = cyl.weight, cyl.query
+        centers, radii = cyl.image(c0), cyl.scale * r0
+        dist = np.linalg.norm(centers - bc[q], axis=1)
+        inside = dist + radii <= br[q]
+        outside = dist >= br[q] + radii
+        on_slab = has_slab[q]
+        if on_slab.any():
+            if d == 1:
+                proj = centers[:, 0] * normal_1d[q]
+            else:
+                # BLAS may round a row differently in a different array, so
+                # each query projects exactly the rows it would hold alone
+                proj = np.zeros(q.size)
+                counts = np.bincount(q, minlength=n)
+                starts = np.cumsum(counts) - counts
+                for j in np.flatnonzero(has_slab & (counts > 0)):
+                    rows = slice(starts[j], starts[j] + counts[j])
+                    proj[rows] = centers[rows] @ normals[j]
+            pdist = np.abs(proj - offset[q])
+            inside &= ~on_slab | (pdist + radii <= eps[q])
+            outside |= on_slab & (pdist >= eps[q] + radii)
+        lo += _segment_sums(weight[inside], q[inside], n)[0]
         keep = ~inside & ~outside
-        tiny = keep & (weight < floor)
+        tiny = keep & (weight < floor[q])
+        tiny_sum = _segment_sums(weight[tiny], q[tiny], n)[0]
         # the floor only prunes while the frozen mass stays well under tol,
         # otherwise the width contract could be lost to many tiny straddlers
-        if tiny.any() and frozen + float(weight[tiny].sum()) <= 0.25 * tol:
-            frozen += float(weight[tiny].sum())
-            expandable = keep & ~tiny
-        else:
-            expandable = keep
-        active = float(weight[expandable].sum())
+        freeze = frozen + tiny_sum <= 0.25 * tols
+        frozen = np.where(freeze, frozen + tiny_sum, frozen)
+        expandable = keep & ~(tiny & freeze[q])
+        active, expandable_count = _segment_sums(weight[expandable], q[expandable], n)
         # absorb float slop (Moran-root error in the cylinder weights plus
         # accumulated rounding) so the enclosure stays certified
-        pad = 2e-10 if (lo + frozen + active) > 0.0 else 0.0
-        plo = max(lo - pad, 0.0)
-        phi = min(lo + frozen + active + pad, 1.0)
-        if phi - plo <= tol:
-            return MassInterval(plo, phi, True, depth)
-        if depth >= MAX_SUBDIVISION_DEPTH or not expandable.any():
-            return MassInterval(plo, phi, False, depth)
-        cyl.expand(expandable)
+        total = lo + frozen + active
+        pad = np.where(total > 0.0, 2e-10, 0.0)
+        plo = np.maximum(lo - pad, 0.0)
+        phi = np.minimum(total + pad, 1.0)
+        converged = phi - plo <= tols
+        stuck = (depth >= MAX_SUBDIVISION_DEPTH) | (expandable_count == 0)
+        decided = live & (converged | stuck)
+        for j in np.flatnonzero(decided):
+            results[j] = MassInterval(float(plo[j]), float(phi[j]),
+                                      bool(converged[j]), depth)
+        live &= ~decided
+        if not live.any():
+            return results
+        cyl.expand(expandable & live[q])
         depth += 1
 
 
 def measure_of_ball(sys: IFSystem, b: Ball, tol: float) -> MassInterval:
     """Interval enclosing mu(b intersect K), of width <= tol when converged."""
-    bc = np.asarray(b.center, dtype=float)
-    br = float(b.radius)
-
-    def classify(centers, radii):
-        dist = np.linalg.norm(centers - bc, axis=1)
-        return dist + radii <= br, dist >= br + radii
-
-    return _subdivide(sys, classify, tol)
+    return measure_many(sys, [b], [tol])[0]
 
 
 def measure_of_slab_in_ball(sys: IFSystem, b: Ball, s: Slab, tol: float) -> MassInterval:
     """Interval enclosing mu(b intersect slab intersect K)."""
-    bc = np.asarray(b.center, dtype=float)
-    br = float(b.radius)
-    normal = s.plane.normal
-    offset = s.plane.offset
-    eps = s.epsilon
-
-    def classify(centers, radii):
-        dist = np.linalg.norm(centers - bc, axis=1)
-        pdist = np.abs(centers @ normal - offset)
-        inside = (dist + radii <= br) & (pdist + radii <= eps)
-        outside = (dist >= br + radii) | (pdist >= eps + radii)
-        return inside, outside
-
-    return _subdivide(sys, classify, tol)
+    return measure_many(sys, [(b, s)], [tol])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +661,12 @@ def sample_measure(sys: IFSystem, count: int, seed, depth: int = SAMPLE_DEPTH) -
             f"{count} samples at depth {depth} refused; at most "
             f"{_SAMPLE_DIGIT_CAP} digits per call"
         )
-    rng = np.random.default_rng(seed)
-    digits = rng.choice(sys.k, size=(count, depth), p=sys.weights / sys.weights.sum())
-    return _fold_digits(sys, digits)
+    return _fold_digits(sys, _draw_digits(sys, count, np.random.default_rng(seed), depth))
+
+
+def _draw_digits(sys: IFSystem, count: int, rng, depth: int = SAMPLE_DEPTH) -> np.ndarray:
+    """count x depth i.i.d. digits, digit i with probability ratio_i^delta."""
+    return rng.choice(sys.k, size=(count, depth), p=sys.weights / sys.weights.sum())
 
 
 def _fold_digits(sys: IFSystem, digits: np.ndarray) -> np.ndarray:

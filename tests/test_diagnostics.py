@@ -266,16 +266,50 @@ def test_certify_all_matches_separate_calls(request, name, trials, r0_diams, see
     assert (joint[0].discarded > 0) == (r0_diams is not None)
 
 
+def _assert_same_certificates(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert type(a) is type(b)
+        for f in fields(a):
+            assert getattr(a, f.name) == getattr(b, f.name), f.name
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("name, trials, r0_diams, seed", [
+    ("cantor", 20, None, 2),
+    ("koch", 10, None, 2),
+    ("gasket", 20, 1e-5, 1),  # discarded trials on both sides of the seams
+])
+def test_certify_all_trial_blocks_are_seamless(monkeypatch, request, name, trials,
+                                               r0_diams, seed, block):
+    sys_ = request.getfixturevalue(name)
+    alpha = decay_alpha_from_regularity(sys_.delta, sys_.dim)
+    r0 = None if r0_diams is None else r0_diams * sys_.diameter
+    whole = certify_all(sys_, alpha, trials, r0=r0, seed=seed)
+    assert (whole[0].discarded > 0) == (r0_diams is not None)
+    monkeypatch.setattr(diagnostics, "_TRIAL_BLOCK", block)
+    _assert_same_certificates(certify_all(sys_, alpha, trials, r0=r0, seed=seed), whole)
+
+
+@pytest.mark.parametrize("trials", [7, 21])
+def test_certify_all_jobs_with_uneven_blocks(koch, trials):
+    # 7 and 21 trials do not split evenly over two workers
+    alpha = decay_alpha_from_regularity(koch.delta, koch.dim)
+    _assert_same_certificates(certify_all(koch, alpha, trials, seed=4, jobs=2),
+                              certify_all(koch, alpha, trials, seed=4, jobs=1))
+
+
 def test_certify_all_ball_masses_per_trial(monkeypatch, gasket):
-    # 3 ball masses per kept trial (r, 2r, eps) and 1 per discarded trial
+    # 3 ball masses per kept trial (r, 2r, eps) and 1 per discarded trial,
+    # counted as the ball queries (not the (ball, slab) pairs) handed to
+    # the batched mass oracle
     calls = []
-    real = diagnostics.measure_of_ball
+    real = diagnostics.measure_many
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(sys_, queries, tols):
+        calls.extend(q for q in queries if isinstance(q, Ball))
+        return real(sys_, queries, tols)
 
-    monkeypatch.setattr(diagnostics, "measure_of_ball", counting)
+    monkeypatch.setattr(diagnostics, "measure_many", counting)
     alpha = decay_alpha_from_regularity(gasket.delta, 2)
     dbl, dec, reg = certify_all(gasket, alpha, 20, r0=1e-5 * gasket.diameter, seed=1)
     assert dbl.discarded > 0

@@ -6,22 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mass_oracle
+from fracapprox import ifs
 from fracapprox.analysis import _cylinder_net
 from fracapprox.geometry import Ball, Box, Hyperplane, Slab
 from fracapprox.ifs import (
     BUNDLED_SYSTEMS,
     ConvexPolygon,
     IFSystem,
+    MAX_SUBDIVISION_DEPTH,
     IrreducibilityWarning,
     OpenSetConditionError,
     SimilarityMap,
     dump_system,
     load_system,
+    measure_many,
     measure_of_ball,
     measure_of_slab_in_ball,
     sample_measure,
     similarity_dimension,
     _Frontier,
+    _segment_sums,
 )
 
 I1 = np.eye(1)
@@ -317,6 +322,206 @@ def test_koch_measure_eval_with_rotations(koch):
 
 
 # ---------------------------------------------------------------------------
+# the batched mass oracle
+# ---------------------------------------------------------------------------
+
+
+def _chain_system() -> IFSystem:
+    """1-D system whose map-0 cylinders [0, 0.9^n] keep weight 0.916^n, so
+    a ball edge just right of 0 straddles one of them at every depth."""
+    maps = [SimilarityMap(0.9, I1, np.array([0.0])),
+            SimilarityMap(0.05, I1, np.array([0.95]))]
+    return IFSystem.create(maps, Box([0.0], [1.0]))
+
+
+ORACLE_SYSTEMS = dict(SYSTEMS, chain=_chain_system())
+CENTRES = {name: sample_measure(sys_, 64, seed=31)
+           for name, sys_ in ORACLE_SYSTEMS.items()}
+
+# (placement, centre index, log10 centre shift / diameter, log10 radius /
+# diameter, slab or None, tolerance exponent); a slab is (angle, offset
+# shift / radius, log10 epsilon / radius)
+_QUERY = st.tuples(
+    st.sampled_from(["near", "near", "near", "miss", "swallow"]),
+    st.integers(0, 63),
+    st.floats(-8.0, -1.0),
+    st.floats(-3.0, 0.0),
+    st.one_of(st.none(), st.tuples(st.floats(0.0, 2 * math.pi), st.floats(-1.0, 1.0),
+                                   st.floats(-4.0, 0.0))),
+    st.floats(0.0, 1.0),
+)
+
+
+def _make_query(name, placement, idx, shift, log_r, slab, tol_u):
+    """A query and its tolerance.  The 1-D systems resolve any tolerance
+    cheaply, down to the 1e-9 floor; on the 2-D ones a ball edge crosses
+    about 2^depth cylinders, so their tolerances stop at 1e-5."""
+    sys_ = ORACLE_SYSTEMS[name]
+    diam = sys_.diameter
+    direction = np.ones(sys_.dim) / math.sqrt(sys_.dim)
+    c = CENTRES[name][idx] + direction * diam * 10.0**shift
+    r = diam * 10.0**log_r
+    if placement == "miss":
+        c = c + 10.0 * diam * direction
+    elif placement == "swallow":
+        r = 3.0 * diam
+    ball = Ball(c, r)
+    lowest = -9.0 if sys_.dim == 1 else -5.0
+    tol = 10.0 ** (lowest + (-1.0 - lowest) * tol_u) if tol_u > 0.1 else 10.0**lowest
+    if slab is None:
+        return ball, tol
+    angle, offset_shift, log_eps = slab
+    normal = (np.array([math.copysign(1.0, math.cos(angle))]) if sys_.dim == 1
+              else np.array([math.cos(angle), math.sin(angle)]))
+    plane = Hyperplane(normal, float(normal @ c) + offset_shift * r)
+    return (ball, Slab(plane, r * 10.0**log_eps)), tol
+
+
+def _oracle(sys_, query, tol):
+    if isinstance(query, Ball):
+        return mass_oracle.measure_of_ball(sys_, query, tol)
+    return mass_oracle.measure_of_slab_in_ball(sys_, *query, tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(ORACLE_SYSTEMS)),
+       raw=st.lists(_QUERY, min_size=1, max_size=8))
+def test_measure_many_matches_single_query_oracle(name, raw):
+    """Every interval of a mixed batch, each query with its own tolerance,
+    has the lo, hi, converged and depth of the single-query oracle."""
+    sys_ = ORACLE_SYSTEMS[name]
+    made = [_make_query(name, *q) for q in raw]
+    queries, tols = [q for q, _ in made], [t for _, t in made]
+    got = measure_many(sys_, queries, tols)
+    assert got == [_oracle(sys_, q, t) for q, t in made]
+
+
+def test_measure_many_edge_cases_match_oracle(cantor, koch):
+    """Balls that miss K, swallow K, sit at the 1e-9 floor, freeze mass or
+    reach MAX_SUBDIVISION_DEPTH, batched together."""
+    chain = ORACLE_SYSTEMS["chain"]
+    deep = Ball([-0.5], 0.5 + 1e-12)
+    cases = [
+        (chain, [deep, Ball([0.5], 2.0), Ball([3.0], 0.5),
+                 (Ball([0.5], 1.0), Slab(Hyperplane([1.0], 0.0), 1e-12))],
+         [1e-3, 1e-9, 1e-9, 1e-3]),
+        # the edge 1/4 is a point of K: straddlers there are frozen
+        (cantor, [Ball([0.0], 0.25), Ball([0.5], 2.0), Ball([5.0], 0.5),
+                  Ball([1 / 6], 1 / 6), Ball([0.25], 1e-6)],
+         [1e-9, 1e-9, 1e-9, 1e-9, 1e-6]),
+        (koch, [Ball([0.5, 0.1], 0.2), Ball([0.5, 0.0], 5.0), Ball([9.0, 9.0], 1.0),
+                (Ball([0.5, 0.1], 0.2), Slab(Hyperplane([0.6, 0.8], 0.3), 0.01))],
+         [1e-5, 1e-9, 1e-9, 1e-4]),
+    ]
+    for sys_, queries, tols in cases:
+        got = measure_many(sys_, queries, tols)
+        assert got == [_oracle(sys_, q, t) for q, t in zip(queries, tols)]
+    first = measure_many(chain, [deep], [1e-3])[0]
+    assert not first.converged and first.depth == MAX_SUBDIVISION_DEPTH
+    assert measure_many(cantor, [], []) == []
+
+
+def test_measure_many_rejects_low_tolerance_before_work(monkeypatch, cantor):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a frontier was built")
+
+    monkeypatch.setattr(ifs, "_Frontier", no_work)
+    with pytest.raises(ValueError) as want:
+        mass_oracle.measure_of_ball(cantor, Ball([0.5], 0.1), 1e-12)
+    for tols in ([1e-12], [1e-3, 1e-12], [1e-12, 1e-3, 1e-3]):
+        queries = [Ball([0.5], 0.1)] * len(tols)
+        with pytest.raises(ValueError) as err:
+            measure_many(cantor, queries, tols)
+        assert str(err.value) == str(want.value)
+
+
+_SEGMENT = st.one_of(st.integers(0, 9), st.integers(127, 129), st.integers(0, 2000))
+
+
+@settings(max_examples=80, deadline=None)
+@given(lengths=st.lists(_SEGMENT, min_size=1, max_size=10), seed=st.integers(0, 2**32 - 1))
+def test_segment_sums_match_masked_sums(lengths, seed):
+    rng = np.random.default_rng(seed)
+    segment = np.repeat(np.arange(len(lengths)), lengths)
+    values = rng.random(segment.size) * 10.0 ** rng.integers(-12, 1, segment.size)
+    sums, counts = _segment_sums(values, segment, len(lengths) + 1)
+    for j, n in enumerate(lengths):
+        mask = segment == j
+        assert counts[j] == n
+        assert sums[j] == values[mask].sum()
+    assert sums[-1] == 0.0 and counts[-1] == 0
+
+
+# properties of the intervals, through measure_many on the bundled systems
+
+_BALL = st.tuples(st.integers(0, 63), st.floats(-2.5, 0.0), st.floats(-6.0, -1.0))
+
+
+def _ball(name, idx, log_r, shift):
+    sys_ = SYSTEMS[name]
+    c = CENTRES[name][idx] + sys_.diameter * 10.0**shift
+    return Ball(c, sys_.diameter * 10.0**log_r)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(SYSTEMS)), raw=st.lists(_BALL, min_size=1, max_size=6),
+       grow=st.floats(0.0, 1.0), tol_exp=st.floats(-5.0, -2.0))
+def test_measure_many_intervals_are_ordered_and_nested(name, raw, grow, tol_exp):
+    """0 <= lo <= hi <= 1, width <= tol when converged, and a ball B inside
+    B' never gets a lower bound above the upper bound of B'."""
+    sys_ = SYSTEMS[name]
+    tol = 10.0**tol_exp
+    inner = [_ball(name, *b) for b in raw]
+    # B' = B(c', r') with |c - c'| + r <= r'
+    outer = [Ball(b.center + 0.5 * grow * b.radius, b.radius * (1.0 + grow))
+             for b in inner]
+    got = measure_many(sys_, inner + outer, [tol] * (2 * len(inner)))
+    for iv in got:
+        assert 0.0 <= iv.lo <= iv.hi <= 1.0
+        if iv.converged:
+            assert iv.width <= tol
+    for small, big in zip(got[:len(inner)], got[len(inner):]):
+        assert small.lo <= big.hi
+
+
+def _preimage(m, query):
+    """f^{-1}(query) for the similarity f = m: a ball, or a (ball, slab)."""
+    ball = query if isinstance(query, Ball) else query[0]
+    pre = Ball(((ball.center - m.translation) @ m.rotation) / m.ratio,
+               ball.radius / m.ratio)
+    if isinstance(query, Ball):
+        return pre
+    plane = query[1].plane
+    normal = plane.normal @ m.rotation
+    offset = (plane.offset - float(plane.normal @ m.translation)) / m.ratio
+    return pre, Slab(Hyperplane(normal, offset), query[1].epsilon / m.ratio)
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(SYSTEMS)), ball=_BALL,
+       slab=st.one_of(st.none(), st.tuples(st.floats(0.0, 2 * math.pi),
+                                           st.floats(-1.0, 1.0), st.floats(-2.0, 0.0))))
+def test_measure_many_is_self_similar(name, ball, slab):
+    """mu(A) = sum_i w_i mu(f_i^{-1} A): the interval for mu(A) meets the
+    weighted sum of the intervals for the preimages, for balls and slabs."""
+    sys_ = SYSTEMS[name]
+    b = _ball(name, *ball)
+    query = b
+    if slab is not None:
+        angle, offset_shift, log_eps = slab
+        normal = (np.array([math.copysign(1.0, math.cos(angle))]) if sys_.dim == 1
+                  else np.array([math.cos(angle), math.sin(angle)]))
+        plane = Hyperplane(normal, float(normal @ b.center) + offset_shift * b.radius)
+        query = (b, Slab(plane, b.radius * 10.0**log_eps))
+    tol = 1e-4
+    direct, *pre = measure_many(sys_, [query] + [_preimage(m, query) for m in sys_.maps],
+                                [tol] * (1 + sys_.k))
+    lo = sum(w * iv.lo for w, iv in zip(sys_.weights, pre))
+    hi = sum(w * iv.hi for w, iv in zip(sys_.weights, pre))
+    assert lo <= direct.hi + 1e-12 and direct.lo <= hi + 1e-12
+
+
+# ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
 
@@ -370,8 +575,6 @@ def test_sample_count_validation(cantor):
 
 
 def test_sample_digit_cap_refuses_before_drawing(cantor, monkeypatch):
-    from fracapprox import ifs
-
     def no_rng(seed):
         raise AssertionError("a generator was made")
 
