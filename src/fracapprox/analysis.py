@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import PsiFunction, enumerate_rationals, layer_hit_mask
+from .approx import PsiFunction, _enumerate_windows, layer_hit_mask
 from .geometry import (
     Ball,
-    Box,
     DyadicScale,
     Slab,
     _greedy_centres,
@@ -267,6 +266,7 @@ def dimension_bound(delta: float, alpha: float, d: int, lambda_or_tau: float) ->
 # ---------------------------------------------------------------------------
 
 _NET_BUDGET = 4_000_000
+_AUDIT_BLOCK = 1024  # trials audit_hyperplane_lemma draws and enumerates at once
 
 
 def build_dn_cover(sys: IFSystem, n: int) -> list:
@@ -279,6 +279,12 @@ def build_dn_cover(sys: IFSystem, n: int) -> list:
     and within 3 r_n of a selected centre.
     """
     r_n = DyadicScale(n, sys.dim).r_n
+    return [Ball(c, r_n) for c in _dn_centres(sys, n)]
+
+
+def _dn_centres(sys: IFSystem, n: int) -> np.ndarray:
+    """build_dn_cover's centres, as rows, with its depth and budget refusals."""
+    r_n = DyadicScale(n, sys.dim).r_n
     depth_needed = _net_depth(sys, n)
     if depth_needed > 64:
         feasible = _max_feasible_block(sys)
@@ -290,8 +296,7 @@ def build_dn_cover(sys: IFSystem, n: int) -> list:
         raise ValueError(
             f"cylinder net of ~{sys.k**depth_needed:.2e} candidates refused"
         )
-
-    return [Ball(c, r_n) for c in _greedy_centres(_cylinder_net(sys, r_n), r_n)]
+    return _greedy_centres(_cylinder_net(sys, r_n), r_n)
 
 
 def _net_depth(sys: IFSystem, n: int) -> int:
@@ -422,7 +427,7 @@ def hs_upper_bound(
     rows = []
     c_maxes = []
     for n in range(k_min, k_max + 1):
-        dn_balls = build_dn_cover(sys, n)
+        centres = _dn_centres(sys, n)
         pool = sample_measure(sys, pool_size, np.random.SeedSequence([seed, n]))
         order = np.argsort(pool[:, 0])
         x0 = pool[order, 0]
@@ -430,10 +435,10 @@ def hs_upper_bound(
         scale = DyadicScale(n, d)
         c_total = 0
         c_max = 0
-        for dn in dn_balls:
-            pts = _block_rationals_in_six_dilate(d, scale, dn)
+        for c, pts in zip(centres, _block_rationals_in_six_dilate(d, scale, centres)):
             if not pts:
                 continue
+            dn = Ball(c, scale.r_n)
             witness = hyperplane_witness(pts, dn, scale)
             if not witness.is_hyperplane:
                 raise RuntimeError(
@@ -445,7 +450,7 @@ def hs_upper_bound(
             c_total += count
             c_max = max(c_max, count)
         cost_n = c_total * (3.0 * r) ** s
-        rows.append((n, len(dn_balls), c_total, cost_n))
+        rows.append((n, len(centres), c_total, cost_n))
         c_maxes.append(c_max)
     costs = [row[3] for row in rows]
     tails = []
@@ -454,15 +459,13 @@ def hs_upper_bound(
     return HsTail(s=s, rows=tuple(rows), tails=tuple(tails), c_max=tuple(c_maxes))
 
 
-def _block_rationals_in_six_dilate(d: int, scale: DyadicScale, dn: Ball) -> list:
-    six = dn.dilate(6.0)
-    window = Box(six.center - six.radius, six.center + six.radius)
-    pts = enumerate_rationals(d, scale.n, window)
-    keep = []
-    for p in pts:
-        if np.linalg.norm(p.as_float() - six.center) <= six.radius * (1 + 1e-9):
-            keep.append(p)
-    return keep
+def _block_rationals_in_six_dilate(d: int, scale: DyadicScale, centres) -> list:
+    """For each row c of centres, the block rationals in the closed 6-dilate
+    of the block ball B(c, r_n), from one enumeration over all the windows."""
+    radius = 6.0 * scale.r_n
+    windows = _enumerate_windows(d, scale.n, centres - radius, centres + radius)
+    return [[p for p in pts if np.linalg.norm(p.as_float() - c) <= radius * (1 + 1e-9)]
+            for c, pts in zip(centres, windows)]
 
 
 # ---------------------------------------------------------------------------
@@ -533,14 +536,13 @@ def audit_hyperplane_lemma(
     scale = DyadicScale(n, d)
     max_pts = 0
     bad = 0
-    for _ in range(n_balls):
-        center = rng.random(d) * box_side
-        ball = Ball(center, scale.r_n)
-        pts = _block_rationals_in_six_dilate(d, scale, ball)
-        max_pts = max(max_pts, len(pts))
-        witness = hyperplane_witness(pts, ball, scale)
-        if not witness.is_hyperplane:
-            bad += 1
+    for start in range(0, n_balls, _AUDIT_BLOCK):
+        # one (k, d) draw gives the bits of k draws of d numbers each
+        centres = rng.random((min(_AUDIT_BLOCK, n_balls - start), d)) * box_side
+        for c, pts in zip(centres, _block_rationals_in_six_dilate(d, scale, centres)):
+            max_pts = max(max_pts, len(pts))
+            if not hyperplane_witness(pts, Ball(c, scale.r_n), scale).is_hyperplane:
+                bad += 1
     return LemmaAuditReport(d=d, n=n, balls=n_balls, max_rationals=max_pts,
                             simplex_counterexamples=bad)
 

@@ -29,8 +29,8 @@ __all__ = [
 
 _GRID_POINTS = 1000
 _ENUMERATION_CAP = 10**8
-# Denominators whose numerator ranges enumerate_rationals computes at once.
-_Q_CHUNK = 2**16
+# (window, denominator) cells whose numerator ranges one step computes.
+_CELL_BUDGET = 2**16
 
 
 @dataclass(frozen=True)
@@ -196,28 +196,38 @@ def enumerate_rationals(d: int, n: int, window: Box) -> list:
     """
     if window.dim != d:
         raise ValueError("window dimension mismatch")
-    est = window.volume() * 2.0 ** ((d + 1) * (n + 1))
-    if est > _ENUMERATION_CAP:
-        raise ValueError(
-            f"enumeration of ~{est:.2e} candidates refused; shrink the window"
-        )
+    return _enumerate_windows(d, n, window.lo[None], window.hi[None])[0]
+
+
+def _enumerate_windows(d: int, n: int, lo: np.ndarray, hi: np.ndarray) -> list:
+    """enumerate_rationals for the windows [lo[k], hi[k]] (rows of shape (K, d))
+    of one block: one list per window.  Every window is checked against the cap
+    before any cell is computed; a step covers _CELL_BUDGET (window, q) cells."""
+    est = np.prod(hi - lo, axis=1) * 2.0 ** ((d + 1) * (n + 1))
+    big = est[est > _ENUMERATION_CAP]
+    if big.size:
+        raise ValueError(f"enumeration of ~{big[0]:.2e} candidates refused; shrink the window")
     slop = 1e-12
-    seen = {}
-    for start in range(2**n, 2 ** (n + 1), _Q_CHUNK):
-        # q < 2^53 is exact in float64, so these are the bits of the scalar
-        # ceil(lo q - slop) and floor(hi q + slop) for every q of the chunk
-        qf = np.arange(start, min(start + _Q_CHUNK, 2 ** (n + 1)), dtype=float)
-        p_lo = np.ceil(window.lo[:, None] * qf - slop)
-        p_hi = np.floor(window.hi[:, None] * qf + slop)
-        for j in np.flatnonzero((p_lo <= p_hi).all(axis=0)):
-            q = start + int(j)
-            ranges = [range(int(a), int(b) + 1) for a, b in zip(p_lo[:, j], p_hi[:, j])]
-            for nums in product(*ranges):
+    seen = [{} for _ in range(len(lo))]
+    for start in range(0, len(lo) << n, _CELL_BUDGET):
+        # cells run window by window, each in ascending q; q < 2^53 is exact in
+        # float64, so these are the bits of the scalar ceil(lo q - slop) and
+        # floor(hi q + slop)
+        cell = np.arange(start, min(start + _CELL_BUDGET, len(lo) << n))
+        w, qs = cell >> n, (cell & (2**n - 1)) + 2**n
+        qf = qs[:, None].astype(float)
+        p_lo = np.ceil(lo[w] * qf - slop)
+        p_hi = np.floor(hi[w] * qf + slop)
+        hit = np.flatnonzero((p_lo <= p_hi).all(axis=1))
+        for k, q, a, b in zip(w[hit].tolist(), qs[hit].tolist(),
+                              p_lo[hit].tolist(), p_hi[hit].tolist()):
+            found = seen[k]
+            for nums in product(*(range(int(x), int(y) + 1) for x, y in zip(a, b))):
                 g = math.gcd(q, *nums)  # (nums/g, q/g) is the value in lowest terms
                 key = (tuple(p // g for p in nums), q // g)
-                if key not in seen:
-                    seen[key] = RationalPoint(nums, q)
-    return list(seen.values())
+                if key not in found:
+                    found[key] = RationalPoint(nums, q)
+    return [list(found.values()) for found in seen]
 
 
 # ---------------------------------------------------------------------------

@@ -450,9 +450,10 @@ def hyperplane_through(points: list) -> Hyperplane:
         raise ValueError("need at least one point")
     d = points[0].dim
     base = points[0].as_float()
+    if len(points) == 1:  # the complete QR of a (d, 0) matrix is the identity
+        normal = np.eye(d)[-1]
+        return Hyperplane(normal, float(np.dot(normal, base)))
     diffs = np.array([p.as_float() - base for p in points[1:]], dtype=float).T
-    if diffs.size == 0:
-        diffs = np.zeros((d, 0))
     q, _ = np.linalg.qr(diffs, mode="complete")
     normal = q[:, -1]
     for c in normal:

@@ -3,10 +3,12 @@
 These are the slow paths that the covers path of `fracapprox` must agree
 with bit for bit: `enumerate_rationals` visits every denominator of the
 block with scalar ceil/floor calls and de-duplicates on Fraction tuples,
-`greedy_cover` tests every centre against each selected one, and
+`greedy_cover` tests every centre against each selected one,
 `reference_hs_upper_bound` assembles `analysis.hs_upper_bound` from them,
-scanning the whole sample pool for every block ball.  Tests import them as
-the oracle; nothing in the package uses them.
+scanning the whole sample pool for every block ball, and
+`reference_audit_hyperplane_lemma` draws and enumerates one trial at a time.
+`hyperplane_through` always takes the QR, also for a single point.  Tests
+import them as the oracle; nothing in the package uses them.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from itertools import product
 
 import numpy as np
 
-from fracapprox.analysis import HsTail, _cylinder_net
+from fracapprox.analysis import HsTail, LemmaAuditReport, _cylinder_net
 from fracapprox.approx import _ENUMERATION_CAP
 from fracapprox.geometry import (
     Ball,
     Box,
     DyadicScale,
+    Hyperplane,
     RationalPoint,
     Slab,
     hyperplane_witness,
@@ -116,11 +119,7 @@ def reference_hs_upper_bound(sys, psi, s, k_min, k_max, seed=0, pool_size=20_000
         c_total = 0
         c_max = 0
         for dn in chosen:
-            six = dn.dilate(6.0)
-            window = Box(six.center - six.radius, six.center + six.radius)
-            pts = [p for p in enumerate_rationals(d, n, window)
-                   if np.linalg.norm(p.as_float() - six.center)
-                   <= six.radius * (1 + 1e-9)]
+            pts = _block_rationals_in_six_dilate(d, scale, dn)
             if not pts:
                 continue
             witness = hyperplane_witness(pts, dn, scale)
@@ -138,3 +137,58 @@ def reference_hs_upper_bound(sys, psi, s, k_min, k_max, seed=0, pool_size=20_000
     tails = tuple((k, float(sum(row[3] for row in rows[k - k_min:])))
                   for k in range(k_min, k_max + 1))
     return HsTail(s=s, rows=tuple(rows), tails=tails, c_max=tuple(c_maxes))
+
+
+def _block_rationals_in_six_dilate(d: int, scale: DyadicScale, dn: Ball) -> list:
+    six = dn.dilate(6.0)
+    window = Box(six.center - six.radius, six.center + six.radius)
+    pts = enumerate_rationals(d, scale.n, window)
+    keep = []
+    for p in pts:
+        if np.linalg.norm(p.as_float() - six.center) <= six.radius * (1 + 1e-9):
+            keep.append(p)
+    return keep
+
+
+def reference_audit_hyperplane_lemma(
+    d: int, n: int, n_balls: int, seed: int = 0, box_side: float = 1.0
+) -> LemmaAuditReport:
+    """audit_hyperplane_lemma with one centre draw and one enumeration per
+    trial."""
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    rng = np.random.default_rng(np.random.SeedSequence([seed, d, n]))
+    scale = DyadicScale(n, d)
+    max_pts = 0
+    bad = 0
+    for _ in range(n_balls):
+        center = rng.random(d) * box_side
+        ball = Ball(center, scale.r_n)
+        pts = _block_rationals_in_six_dilate(d, scale, ball)
+        max_pts = max(max_pts, len(pts))
+        witness = hyperplane_witness(pts, ball, scale)
+        if not witness.is_hyperplane:
+            bad += 1
+    return LemmaAuditReport(d=d, n=n, balls=n_balls, max_rationals=max_pts,
+                            simplex_counterexamples=bad)
+
+
+def hyperplane_through(points: list) -> Hyperplane:
+    """geometry.hyperplane_through, taking the complete QR for any number
+    of points."""
+    if not points:
+        raise ValueError("need at least one point")
+    d = points[0].dim
+    base = points[0].as_float()
+    diffs = np.array([p.as_float() - base for p in points[1:]], dtype=float).T
+    if diffs.size == 0:
+        diffs = np.zeros((d, 0))
+    q, _ = np.linalg.qr(diffs, mode="complete")
+    normal = q[:, -1]
+    for c in normal:
+        if abs(c) > 1e-9:
+            if c < 0:
+                normal = -normal
+            break
+    normal = normal / np.linalg.norm(normal)
+    return Hyperplane(normal, float(np.dot(normal, base)))

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from unittest import mock
+
+from fracapprox import analysis
 from fracapprox.analysis import (
     CoverCost,
     SumSpec,
@@ -24,8 +27,9 @@ from fracapprox.approx import PsiFunction
 from fracapprox.geometry import Ball, DyadicScale, Hyperplane, Slab
 from fracapprox.ifs import sample_measure
 
+import cover_oracle
 from cover_oracle import greedy_cover as reference_greedy_cover
-from cover_oracle import reference_hs_upper_bound
+from cover_oracle import reference_audit_hyperplane_lemma, reference_hs_upper_bound
 
 ALPHA_CANTOR = math.log(2.0) / math.log(3.0)
 
@@ -265,6 +269,20 @@ def test_hs_upper_bound_d2_matches_full_scan(name, request):
     assert max(got.c_max) > 1
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("tau", [3.0, 8.0])
+def test_hs_upper_bound_d1_matches_full_scan(cantor, tau, seed):
+    # tau 8: psi(2^n) << r_n from block 2 on.  In d = 1 the slab is an
+    # interval of length 2 psi, so it holds one 2 psi-separated centre at most
+    psi = PsiFunction.power(tau)
+    got = hs_upper_bound(cantor, psi, cantor.delta, 1, 6, seed=seed)
+    want = reference_hs_upper_bound(cantor, psi, cantor.delta, 1, 6, seed=seed)
+    assert got.rows == want.rows
+    assert got.tails == want.tails
+    assert got.c_max == want.c_max
+    assert max(got.c_max) == 1
+
+
 @pytest.mark.parametrize("name", ["cantor", "dust", "koch"])
 def test_block_cover_balls_match_full_scan(name, request):
     sys_ = request.getfixturevalue(name)
@@ -334,6 +352,31 @@ def test_lemma_audit_no_counterexamples():
     rep2 = audit_hyperplane_lemma(2, 2, 25, seed=4)
     assert rep2.simplex_counterexamples == 0
     assert rep2.max_rationals >= 0
+
+
+def _audit_with_witness_calls(module, audit, *args):
+    """The audit's report, and the (ball centre, points) of every witness call."""
+    calls, witness = [], module.hyperplane_witness
+
+    def record(pts, ball, scale):
+        calls.append((ball.center.tobytes(),
+                      [(p.numerators, p.denominator) for p in pts]))
+        return witness(pts, ball, scale)
+
+    with mock.patch.object(module, "hyperplane_witness", record):
+        return audit(*args), calls
+
+
+@pytest.mark.parametrize("block", [1, 3, analysis._AUDIT_BLOCK])
+@pytest.mark.parametrize("d, n, trials", [(1, 5, 40), (1, 12, 7), (2, 3, 25),
+                                          (2, 0, 10), (3, 1, 60)])
+def test_lemma_audit_trial_blocks_match_per_trial_oracle(d, n, trials, block):
+    want = _audit_with_witness_calls(cover_oracle, reference_audit_hyperplane_lemma,
+                                     d, n, trials, 2)
+    with mock.patch.object(analysis, "_AUDIT_BLOCK", block):
+        got = _audit_with_witness_calls(analysis, audit_hyperplane_lemma,
+                                        d, n, trials, 2)
+    assert got == want
 
 
 def test_lemma_audit_rejects_negative_seed():

@@ -11,6 +11,7 @@ from unittest import mock
 from fracapprox import approx
 from fracapprox.approx import (
     PsiFunction,
+    _enumerate_windows,
     _sweep_hit_mask,
     enumerate_rationals,
     is_psi_approximable,
@@ -136,11 +137,17 @@ def test_enumerate_size_guard():
 
 @st.composite
 def _enumeration_windows(draw):
-    """(d, n, window) with a few hundred candidates at most.  An edge either
-    lies anywhere or sits on a block rational p/q, shifted by 0 or +-1e-12
-    (the enumeration's slop)."""
+    """(d, n, window), the window drawn by _block_window."""
     d = draw(st.integers(1, 3))
     n = draw(st.integers(0, 12))
+    return d, n, draw(_block_window(d, n))
+
+
+@st.composite
+def _block_window(draw, d, n):
+    """A window of block n in R^d with a few hundred candidates at most.  An
+    edge either lies anywhere or sits on a block rational p/q, shifted by 0 or
+    +-1e-12 (the enumeration's slop)."""
     top = (300.0 / 2.0 ** ((d + 1) * (n + 1))) ** (1.0 / d)
 
     def edge(near):
@@ -156,18 +163,52 @@ def _enumeration_windows(draw):
         b = edge(a + draw(st.floats(0.0, top)))
         lo.append(min(a, b))
         hi.append(max(a, b))
-    return d, n, Box(lo, hi)
+    return Box(lo, hi)
+
+
+def _as_pairs(points):
+    return [(p.numerators, p.denominator) for p in points]
 
 
 @settings(max_examples=300)
 @given(_enumeration_windows(), st.sampled_from([1, 3, 2**16]))
 def test_enumerate_matches_reference(case, chunk):
     d, n, window = case
-    with mock.patch.object(approx, "_Q_CHUNK", chunk):
+    with mock.patch.object(approx, "_CELL_BUDGET", chunk):
         got = enumerate_rationals(d, n, window)
     want = reference_enumerate(d, n, window)
     assert [(p.numerators, p.denominator) for p in got] == \
         [(p.numerators, p.denominator) for p in want]
+
+
+@settings(max_examples=150)
+@given(st.data(), st.integers(1, 3), st.integers(0, 12),
+       st.sampled_from([1, 3, approx._CELL_BUDGET]))
+def test_enumerate_windows_match_reference(data, d, n, budget):
+    # several windows of one block in one batch: every step boundary, in
+    # windows or in q, must leave each window's list as its own enumeration
+    windows = data.draw(st.lists(_block_window(d, n), min_size=1, max_size=6))
+    lo = np.array([w.lo for w in windows])
+    hi = np.array([w.hi for w in windows])
+    with mock.patch.object(approx, "_CELL_BUDGET", budget):
+        got = _enumerate_windows(d, n, lo, hi)
+    assert [_as_pairs(pts) for pts in got] == \
+        [_as_pairs(reference_enumerate(d, n, w)) for w in windows]
+
+
+def test_enumerate_windows_cap_refuses_before_any_cell():
+    small, big = Box([0.0, 0.0], [0.01, 0.01]), Box([0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError) as want:
+        reference_enumerate(2, 12, big)
+    lo = np.array([small.lo, big.lo, small.lo])
+    hi = np.array([small.hi, big.hi, small.hi])
+    with mock.patch.object(np, "ceil", side_effect=AssertionError("cell computed")):
+        with pytest.raises(ValueError) as got:
+            _enumerate_windows(2, 12, lo, hi)
+        with pytest.raises(ValueError) as one:
+            enumerate_rationals(2, 12, big)
+    assert str(got.value) == str(one.value) == str(want.value)
+    assert str(got.value).startswith("enumeration of ~")
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +433,9 @@ def test_layer_hit_mask_d1_cost_rule():
                     (many[:0], 3, psi), (many, 3, fat), (many, 10, fat),
                     (np.append(many, [np.nan, np.inf]), 3, fat)):
         pts = x.reshape(-1, 1)
-        assert np.array_equal(layer_hit_mask(pts, n, f, 1),
-                              reference_hit_mask(pts, n, f, 1))
+        with np.errstate(invalid="ignore"):  # the oracle's NaN and inf points
+            want = reference_hit_mask(pts, n, f, 1)
+        assert np.array_equal(layer_hit_mask(pts, n, f, 1), want)
 
 
 def test_layer_fallback_enumeration_catches_offset_candidates():

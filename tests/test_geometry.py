@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cover_oracle import greedy_cover as reference_greedy_cover
+from cover_oracle import hyperplane_through as reference_hyperplane_through
 from fracapprox.geometry import (
     Ball,
     DyadicScale,
@@ -377,7 +378,7 @@ def test_witness_d2_block3_always_hyperplane():
     scale = DyadicScale(3, 2)
     for _ in range(50):
         ball = Ball(rng.random(2), scale.r_n)
-        pts = _block_rationals_in_six_dilate(2, scale, ball)
+        pts = _block_rationals_in_six_dilate(2, scale, ball.center[None])[0]
         res = hyperplane_witness(pts, ball, scale)
         assert res.is_hyperplane
         # independent oracle: cofactor determinants over all triples
@@ -422,6 +423,18 @@ def test_hyperplane_through_is_deterministic_and_signed():
     assert np.array_equal(h1.normal, h2.normal)
     first_nonzero = h1.normal[np.nonzero(np.abs(h1.normal) > 1e-9)[0][0]]
     assert first_nonzero > 0
+
+
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.builds(RationalPoint, st.tuples(*[st.integers(-10**6, 10**6)] * d),
+              st.integers(1, 2**40)),
+    min_size=1, max_size=3)))
+def test_hyperplane_through_matches_qr_path(points):
+    # one point skips the QR, whose (d, 0) factor is the identity
+    got = hyperplane_through(points)
+    want = reference_hyperplane_through(points)
+    assert got.normal.tobytes() == want.normal.tobytes()
+    assert np.float64(got.offset).tobytes() == np.float64(want.offset).tobytes()
 
 
 def test_slab_of_point_d1():
