@@ -20,8 +20,11 @@ from .geometry import (
     DyadicScale,
     Slab,
     _greedy_centres,
+    _greedy_segments,
+    _outside_six_dilate,
+    _rational_values,
     _reach,
-    hyperplane_witness,
+    _witness_block,
 )
 from .ifs import IFSystem, _Frontier, sample_measure
 
@@ -340,23 +343,78 @@ def build_cdn_cover(
     if pool is None:
         pool = sample_measure(sys, pool_size, seed)
     r = float(psi(2.0**n))
+    plane = slab.plane
+    rows, _ = _cdn_centres(pool, dn.center[None], 3.0 * dn.radius, plane.normal[None],
+                           np.array([plane.offset]), slab.epsilon, r)
+    return [Ball(c, r) for c in rows]
+
+
+# Most pool rows _cdn_centres gathers into the windows of one step.
+_WINDOW_ROWS = 1 << 18
+
+
+def _cdn_centres(pool, centres, radius, normals, offsets, eps, r) -> tuple:
+    """build_cdn_cover's centres for the balls B(centres[k], radius / 3) and
+    the slabs |normals[k] . x - offsets[k]| <= eps at once: (chosen rows,
+    the ball k of each row), by ball.
+
+    Ball k reads the pool rows within reach of its 3-dilate in the first
+    coordinate (the pool is sorted by it once), keeps those in the 3-dilate
+    and the slab, and _greedy_segments selects from every ball's rows at
+    once.  For d >= 2 slab distances come from the whole pool's product,
+    one per distinct normal, as BLAS may round the rows of a slice's product
+    differently; for d = 1 the product is one multiply per row.
+    """
     order = np.argsort(pool[:, 0])
-    return [Ball(c, r) for c in _cdn_centres(pool, order, pool[order, 0], dn, slab, r)]
-
-
-def _cdn_centres(pool, order, x0, dn: Ball, slab: Slab, r: float) -> np.ndarray:
-    """build_cdn_cover's centres, as rows.  `order` sorts the pool by its first
-    coordinate, x0 = pool[order, 0], and only the rows within reach of 3 D_n
-    in x0 are tested.  For d >= 2 slab distances come from the whole pool's
-    product, as BLAS may round the rows of a slice's product differently."""
-    c, radius = dn.center, 3.0 * dn.radius
+    x0 = pool[order, 0]
     w = _reach(radius)
-    rows = order[np.searchsorted(x0, c[0] - w):np.searchsorted(x0, c[0] + w, "right")]
-    sub, normal = pool[rows], slab.plane.normal
-    proj = sub @ normal if normal.size == 1 else (pool @ normal)[rows]
-    keep = ((np.linalg.norm(sub - c, axis=1) <= radius)
-            & (np.abs(proj - slab.plane.offset) <= slab.epsilon))
-    return _greedy_centres(sub[keep], r)
+    lo = np.searchsorted(x0, centres[:, 0] - w)
+    size = np.searchsorted(x0, centres[:, 0] + w, "right") - lo
+    distinct, which = np.unique(normals, axis=0, return_inverse=True)
+    picked, balls = [], []
+    for first, last in _steps(size, _WINDOW_ROWS):
+        seg = np.repeat(np.arange(first, last), size[first:last])
+        starts = lo[first:last] - (np.cumsum(size[first:last]) - size[first:last])
+        rows = order[np.arange(seg.size) + np.repeat(starts, size[first:last])]
+        sub = pool[rows]
+        if pool.shape[1] > 1:
+            proj = _slab_products(pool, rows, distinct, which.ravel()[seg])
+        else:
+            proj = sub[:, 0] * normals[seg, 0]
+        keep = ((np.linalg.norm(sub - centres[seg], axis=1) <= radius)
+                & (np.abs(proj - offsets[seg]) <= eps))
+        chosen, ball = _greedy_segments(sub[keep], seg[keep], r)
+        picked.append(chosen)
+        balls.append(ball)
+    if not picked:
+        return np.zeros((0, pool.shape[1])), np.zeros(0, dtype=np.intp)
+    return np.concatenate(picked), np.concatenate(balls)
+
+
+def _slab_products(pool: np.ndarray, rows: np.ndarray, normals: np.ndarray,
+                   which: np.ndarray) -> np.ndarray:
+    """(pool @ normals[which[i]])[rows[i]] for every i, from one whole-pool
+    product per normal in use."""
+    out = np.empty(len(rows))
+    by_normal = np.argsort(which, kind="stable")
+    for part in np.split(by_normal, np.flatnonzero(np.diff(which[by_normal])) + 1):
+        if part.size:
+            out[part] = (pool @ normals[which[part[0]]])[rows[part]]
+    return out
+
+
+def _steps(sizes: np.ndarray, budget: int) -> list:
+    """Consecutive (first, last) runs of sizes whose total is at most budget,
+    or a single item where one alone exceeds it."""
+    out, first, total = [], 0, 0
+    for k, size in enumerate(sizes.tolist()):
+        if k > first and total + size > budget:
+            out.append((first, k))
+            first, total = k, 0
+        total += size
+    if first < len(sizes):
+        out.append((first, len(sizes)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -429,29 +487,24 @@ def hs_upper_bound(
     for n in range(k_min, k_max + 1):
         centres = _dn_centres(sys, n)
         pool = sample_measure(sys, pool_size, np.random.SeedSequence([seed, n]))
-        order = np.argsort(pool[:, 0])
-        x0 = pool[order, 0]
         r = float(psi(2.0**n))
         scale = DyadicScale(n, d)
-        c_total = 0
-        c_max = 0
-        for c, pts in zip(centres, _block_rationals_in_six_dilate(d, scale, centres)):
-            if not pts:
-                continue
-            dn = Ball(c, scale.r_n)
-            witness = hyperplane_witness(pts, dn, scale)
-            if not witness.is_hyperplane:
-                raise RuntimeError(
-                    "volume obstruction failed inside hs_upper_bound; "
-                    "this contradicts the block geometry"
-                )
-            slab = Slab(witness.hyperplane, sq * r)
-            count = len(_cdn_centres(pool, order, x0, dn, slab, r))
-            c_total += count
-            c_max = max(c_max, count)
+        point_lists = _block_rationals_in_six_dilate(d, scale, centres)
+        held = [k for k, pts in enumerate(point_lists) if pts]
+        normals, offsets, simplices = _witness_block(
+            [point_lists[k] for k in held], centres[held], scale)
+        if simplices:
+            raise RuntimeError(
+                "volume obstruction failed inside hs_upper_bound; "
+                "this contradicts the block geometry"
+            )
+        _, ball = _cdn_centres(pool, centres[held], 3.0 * scale.r_n, normals, offsets,
+                               sq * r, r)
+        counts = np.bincount(ball, minlength=len(held))
+        c_total = int(counts.sum())
         cost_n = c_total * (3.0 * r) ** s
         rows.append((n, len(centres), c_total, cost_n))
-        c_maxes.append(c_max)
+        c_maxes.append(int(counts.max(initial=0)))
     costs = [row[3] for row in rows]
     tails = []
     for k in range(k_min, k_max + 1):
@@ -464,8 +517,11 @@ def _block_rationals_in_six_dilate(d: int, scale: DyadicScale, centres) -> list:
     of the block ball B(c, r_n), from one enumeration over all the windows."""
     radius = 6.0 * scale.r_n
     windows = _enumerate_windows(d, scale.n, centres - radius, centres + radius)
-    return [[p for p in pts if np.linalg.norm(p.as_float() - c) <= radius * (1 + 1e-9)]
-            for c, pts in zip(centres, windows)]
+    flat = [p for pts in windows for p in pts]
+    owner = np.repeat(np.arange(len(windows)), [len(pts) for pts in windows])
+    inside = iter((~_outside_six_dilate(_rational_values(flat, d), centres[owner],
+                                        scale.r_n)).tolist())
+    return [[p for p in pts if next(inside)] for pts in windows]
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +595,9 @@ def audit_hyperplane_lemma(
     for start in range(0, n_balls, _AUDIT_BLOCK):
         # one (k, d) draw gives the bits of k draws of d numbers each
         centres = rng.random((min(_AUDIT_BLOCK, n_balls - start), d)) * box_side
-        for c, pts in zip(centres, _block_rationals_in_six_dilate(d, scale, centres)):
-            max_pts = max(max_pts, len(pts))
-            if not hyperplane_witness(pts, Ball(c, scale.r_n), scale).is_hyperplane:
-                bad += 1
+        point_lists = _block_rationals_in_six_dilate(d, scale, centres)
+        max_pts = max(max_pts, *map(len, point_lists))
+        bad += len(_witness_block(point_lists, centres, scale)[2])
     return LemmaAuditReport(d=d, n=n, balls=n_balls, max_rationals=max_pts,
                             simplex_counterexamples=bad)
 
@@ -632,12 +687,15 @@ def dimension_report(
     scales=None,
     min_points: int = 1000,
     batch: int = 1_000_000,
+    on_shortfall=None,
 ) -> list:
     """Rows (tau, dimension bound, box-count estimate of the block-[n_lo,n_hi]
     approximant).  Taus below the Dirichlet exponent are skipped with a None
     bound.  Counting scales default to six log-spaced values spanning the ball
     radii of the outermost blocks, the window where the layer union thins out
-    the way the limsup set does."""
+    the way the limsup set does.  A tau whose approximant keeps fewer than
+    min_points points, once approximant_points' batch budget runs out, gets
+    a None estimate, and on_shortfall(tau, points kept), if given, is told."""
     d = sys.dim
     rows = []
     for tau in taus:
@@ -649,6 +707,8 @@ def dimension_report(
         pts = approximant_points(sys, psi, n_lo, n_hi, seed=seed,
                                  min_points=min_points, batch=batch)
         if pts.shape[0] < min_points:
+            if on_shortfall is not None:
+                on_shortfall(tau, pts.shape[0])
             rows.append((tau, bound, None))
             continue
         if scales is None:

@@ -349,7 +349,17 @@ def dim_report(ctx, ifs_path, taus, alpha, samples):
             )
         else:
             keep.append(tau)
-    rows = dimension_report(sys_, a, keep, seed=cfg.seed, batch=cfg.samples)
+
+    def shortfall(tau, kept):
+        click.echo(
+            f"tau={tau}: only {kept} approximant points when the budget of "
+            f"{cfg.samples}-sample batches ran out, too few for box counting; "
+            "box_estimate left blank",
+            err=True,
+        )
+
+    rows = dimension_report(sys_, a, keep, seed=cfg.seed, batch=cfg.samples,
+                            on_shortfall=shortfall)
     _write_csv(cfg, "dim_report.csv",
                ["tau", "bound", "box_estimate"], rows)
 

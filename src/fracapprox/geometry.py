@@ -310,21 +310,70 @@ def _reach(bound: float) -> float:
 
 
 def _greedy_centres(centers: np.ndarray, r: float) -> np.ndarray:
-    """greedy_cover's selected rows, in visiting order.  Only the later rows
-    within _reach(2r) of a selected row in the first coordinate can fail the
-    strict test `gap > 2r`, so only they are tested."""
-    centers = centers[np.lexsort(centers.T[::-1])]  # lexicographic order
+    """greedy_cover's selected rows, in visiting order."""
+    return _greedy_segments(centers, np.zeros(len(centers), dtype=np.intp), r)[0]
+
+
+def _greedy_segments(rows: np.ndarray, seg: np.ndarray, r: float) -> tuple:
+    """greedy_cover's selection run on each segment rows[seg == s] alone:
+    (chosen rows, their segment ids), by segment, each in visiting order.
+
+    A segment's rows are visited in lexicographic order, and a row is chosen
+    iff it lies strictly outside B(c, 2r) for every chosen row c before it.
+    Only the later rows within _reach(2r) of a chosen row in the first
+    coordinate can fail the test `gap > 2r`, so only they are tested, with
+    the per-row `norm` of greedy_cover.  A row that no earlier row of its
+    segment reaches starts a stretch, which no earlier choice can touch.
+    Each round chooses the first eligible row of every stretch and drops
+    the later rows within 2r of it; the rounds number the largest count
+    chosen in any stretch.
+    """
+    order = np.lexsort((*rows.T[::-1], seg))  # by segment, then lexicographic
+    rows, seg = rows[order], seg[order]
+    n = len(rows)
     two_r = 2.0 * r
-    ends = np.searchsorted(centers[:, 0], centers[:, 0] + _reach(two_r), side="right")
-    eligible = np.ones(len(centers), dtype=bool)
-    chosen_idx = []
-    for i in range(len(centers)):
-        if not eligible[i]:
-            continue
-        chosen_idx.append(i)
-        near = slice(i + 1, ends[i])
-        eligible[near] &= np.linalg.norm(centers[near] - centers[i], axis=1) > two_r
-    return centers[chosen_idx]
+    ends = _segment_ends(seg, rows[:, 0], rows[:, 0] + _reach(two_r))
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = ends[:-1] <= np.arange(1, n)
+    heads = np.flatnonzero(starts)
+    stops = np.append(heads[1:], n)
+    eligible = np.ones(n, dtype=bool)
+    chosen = []
+    while heads.size:
+        chosen.append(heads)
+        nxt = _next_heads(rows, ends, eligible, heads, two_r)
+        more = nxt < stops
+        heads, stops = nxt[more], stops[more]
+    picked = np.sort(np.concatenate(chosen)) if chosen else np.zeros(0, dtype=np.intp)
+    return rows[picked], seg[picked]
+
+
+def _next_heads(rows, ends, eligible, heads, two_r) -> np.ndarray:
+    """One greedy round: drop from `eligible` the rows of each head's window
+    within 2r of the head, and give each head's successor, the first row
+    left in its window or else the window's end."""
+    nxt = ends[heads]
+    span = nxt - heads - 1
+    if span.any():
+        group = np.repeat(np.arange(heads.size), span)
+        near = np.arange(group.size) + np.repeat(heads + 1 - (np.cumsum(span) - span), span)
+        gaps = np.linalg.norm(rows[near] - rows[heads[group]], axis=1)
+        eligible[near] &= gaps > two_r
+        left = np.flatnonzero(eligible[near])
+        owner = group[left]
+        first = left[np.concatenate(([True], owner[1:] != owner[:-1]))] if left.size else left
+        nxt[group[first]] = near[first]
+    return nxt
+
+
+def _segment_ends(seg: np.ndarray, x: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """For rows sorted by (seg, x): one past the last row j of row i's segment
+    with x[j] <= bound[i], the side="right" searchsorted of each segment.
+    The bounds, sorted in with the rows (a row before an equal bound), fall
+    in row order when bound is non-decreasing in x."""
+    n = len(x)
+    merged = np.lexsort((np.r_[np.zeros(n), np.ones(n)], np.r_[x, bound], np.r_[seg, seg]))
+    return np.flatnonzero(merged >= n) - np.arange(n)
 
 
 # ---------------------------------------------------------------------------
@@ -491,39 +540,77 @@ def hyperplane_witness(points: list, container: Ball, block: DyadicScale) -> Wit
     volume > |6 D_n|, which is impossible; the affine rank is decided exactly,
     and if the impossible configuration nevertheless occurs (precondition
     breach, eg. an oversized container) the offending Simplex is returned as
-    the counterexample.
+    the counterexample.  This is the one-ball call of _witness_block.
     """
-    d = container.dim
     if abs(container.radius - block.r_n) > 1e-12 * max(block.r_n, 1.0):
         raise ValueError(
             f"container radius {container.radius} does not match block radius {block.r_n}"
         )
-    six = container.dilate(6.0)
-    for p in points:
-        if p.dim != d:
-            raise ValueError("point dimension does not match container")
-        if not (block.q_lo <= p.denominator < block.q_hi):
-            raise ValueError(
-                f"denominator {p.denominator} outside dyadic block "
-                f"[{block.q_lo}, {block.q_hi})"
-            )
-        if np.linalg.norm(p.as_float() - six.center) > six.radius * (1.0 + 1e-9):
-            raise ValueError("point lies outside the 6-dilate of the container")
+    normals, offsets, simplices = _witness_block([points], container.center[None], block)
+    if simplices:
+        return WitnessResult(simplex=simplices[0])
+    return WitnessResult(hyperplane=Hyperplane(normals[0], offsets[0]))
 
-    if not points:
-        # no rationals at all: any hyperplane works; pin one at the centre
-        normal = np.zeros(d)
-        normal[-1] = 1.0
-        return WitnessResult(
-            hyperplane=Hyperplane(normal, float(container.center[-1]))
+
+def _witness_block(point_lists: list, centres: np.ndarray, block: DyadicScale) -> tuple:
+    """hyperplane_witness for the balls B(centres[k], r_n) of one block, with
+    point_lists[k] the points near ball k: (normals (K, d), offsets (K,),
+    {k: Simplex} for the balls whose points span a simplex; their rows hold
+    NaN).
+
+    The preconditions are checked on arrays, and the first point that breaks
+    one is reported.  A ball with no points gets the hyperplane x_d = c_d
+    through its centre, and a single point p/q the hyperplane x_d = p_d/q;
+    in d = 1 a ball that holds a block rational holds just one.  Larger sets
+    take the exact affine rank.
+    """
+    d = centres.shape[1]
+    flat = [p for pts in point_lists for p in pts]
+    owner = np.repeat(np.arange(len(point_lists)), [len(pts) for pts in point_lists])
+    wrong_dim = next((i for i, p in enumerate(flat) if p.dim != d), len(flat))
+    q_lo, q_hi = block.q_lo, block.q_hi
+    wrong_q = [not q_lo <= p.denominator < q_hi for p in flat[:wrong_dim]]
+    far = _outside_six_dilate(_rational_values(flat[:wrong_dim], d),
+                              centres[owner[:wrong_dim]], block.r_n)
+    faults = np.flatnonzero(np.logical_or(wrong_q, far))
+    if faults.size and wrong_q[faults[0]]:
+        raise ValueError(
+            f"denominator {flat[faults[0]].denominator} outside dyadic block "
+            f"[{q_lo}, {q_hi})"
         )
+    if faults.size:
+        raise ValueError("point lies outside the 6-dilate of the container")
+    if wrong_dim < len(flat):
+        raise ValueError("point dimension does not match container")
 
-    distinct = list({p.value_key(): p for p in points}.values())
-    if len(distinct) <= d:
-        return WitnessResult(hyperplane=hyperplane_through(distinct))
+    normals = np.zeros((len(point_lists), d))
+    normals[:, -1] = 1.0
+    offsets = centres[:, -1].copy()
+    simplices = {}
+    for k, pts in enumerate(point_lists):
+        if len(pts) == 1:
+            p = pts[0]
+            offsets[k] = p.numerators[-1] / p.denominator
+        elif pts:
+            distinct = list({p.value_key(): p for p in pts}.values())
+            if len(distinct) <= d or affine_rank(distinct) <= d - 1:
+                plane = hyperplane_through(distinct)
+                normals[k], offsets[k] = plane.normal, plane.offset
+            else:
+                simplices[k] = Simplex(tuple(_independent_subset(distinct, d)))
+                normals[k], offsets[k] = np.nan, np.nan
+    return normals, offsets, simplices
 
-    rank = affine_rank(distinct)
-    if rank <= d - 1:
-        return WitnessResult(hyperplane=hyperplane_through(distinct))
-    return WitnessResult(simplex=Simplex(tuple(_independent_subset(distinct, d))))
 
+def _rational_values(points: list, d: int) -> np.ndarray:
+    """The points p/q as rows of floats, each coordinate the correctly rounded
+    p_i / q of RationalPoint.as_float."""
+    return np.array([[x / p.denominator for x in p.numerators] for p in points],
+                    dtype=float).reshape(-1, d)
+
+
+def _outside_six_dilate(values: np.ndarray, centres: np.ndarray, r_n: float) -> np.ndarray:
+    """Which rows of values lie outside the closed 6-dilate of B(centres, r_n),
+    with a relative slack of 1e-9: the one test both the block-rational
+    filter and the witness preconditions decide by."""
+    return np.linalg.norm(values - centres, axis=1) > 6.0 * r_n * (1.0 + 1e-9)

@@ -644,6 +644,7 @@ SAMPLE_DEPTH = 40
 # Largest count x depth digit array sample_measure draws: 10^6 points at
 # SAMPLE_DEPTH, dimension_report's default batch.
 _SAMPLE_DIGIT_CAP = 10**6 * SAMPLE_DEPTH
+_DRAW_CHUNK = 1 << 16  # uniforms _draw_digits holds at once
 
 
 def sample_measure(sys: IFSystem, count: int, seed, depth: int = SAMPLE_DEPTH) -> np.ndarray:
@@ -665,23 +666,47 @@ def sample_measure(sys: IFSystem, count: int, seed, depth: int = SAMPLE_DEPTH) -
 
 
 def _draw_digits(sys: IFSystem, count: int, rng, depth: int = SAMPLE_DEPTH) -> np.ndarray:
-    """count x depth i.i.d. digits, digit i with probability ratio_i^delta."""
-    return rng.choice(sys.k, size=(count, depth), p=sys.weights / sys.weights.sum())
+    """count x depth i.i.d. digits, digit i with probability ratio_i^delta, in
+    the smallest unsigned dtype that holds k - 1.
+
+    These are the bits of rng.choice(k, (count, depth), p=weights / sum),
+    which draws rng.random((count, depth)) and takes
+    cdf.searchsorted(u, "right"): the number of cdf entries <= u.  As
+    cdf[-1] = 1 > u, k - 1 comparisons count it.  The uniforms are drawn in
+    row chunks of about _DRAW_CHUNK values, which continue one stream.
+    """
+    cdf = (sys.weights / sys.weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    digits = np.zeros((count, depth), dtype=np.min_scalar_type(sys.k - 1))
+    rows = max(1, _DRAW_CHUNK // max(depth, 1))
+    for start in range(0, count, rows):
+        u = rng.random((min(rows, count - start), depth))
+        chunk = digits[start:start + rows]
+        for edge in cdf[:-1]:
+            chunk += edge <= u
+    return digits
 
 
 def _fold_digits(sys: IFSystem, digits: np.ndarray) -> np.ndarray:
+    """The images of the anchor under the digit words, one row per word:
+    the maps of the last column act first.  Without rotations the points
+    are held one coordinate per row, where each element takes the same
+    multiply and add as in the (count, d) layout."""
+    columns = np.ascontiguousarray(digits.T)[::-1]
     rho, trs = sys.ratios, sys.translations
-    pts = np.broadcast_to(sys.anchor, (digits.shape[0], sys.dim)).copy()
     if sys.has_rotations:
         rots = sys.rotations
-        for j in range(digits.shape[1] - 1, -1, -1):
-            dig = digits[:, j]
+        pts = np.broadcast_to(sys.anchor, (digits.shape[0], sys.dim)).copy()
+        for dig in columns:
             pts = rho[dig, None] * np.einsum("nij,nj->ni", rots[dig], pts) + trs[dig]
-    else:
-        for j in range(digits.shape[1] - 1, -1, -1):
-            dig = digits[:, j]
-            pts = rho[dig, None] * pts + trs[dig]
-    return pts
+        return pts
+    shifts = np.ascontiguousarray(trs.T)
+    pts = np.repeat(sys.anchor[:, None], digits.shape[0], axis=1)
+    for dig in columns:
+        pts *= rho.take(dig)
+        for coord, shift in zip(pts, shifts):
+            coord += shift.take(dig)
+    return np.ascontiguousarray(pts.T)
 
 
 # ---------------------------------------------------------------------------

@@ -19,18 +19,29 @@ from itertools import product
 
 import numpy as np
 
-from fracapprox.analysis import HsTail, LemmaAuditReport, _cylinder_net
-from fracapprox.approx import _ENUMERATION_CAP
+from fracapprox.analysis import (
+    _NET_BUDGET,
+    HsTail,
+    LemmaAuditReport,
+    _cylinder_net,
+    _max_feasible_block,
+    _net_depth,
+)
+from fracapprox.approx import _ENUMERATION_CAP, PsiFunction, _enumerate_windows
 from fracapprox.geometry import (
     Ball,
     Box,
     DyadicScale,
     Hyperplane,
     RationalPoint,
+    Simplex,
     Slab,
-    hyperplane_witness,
+    WitnessResult,
+    _independent_subset,
+    _reach,
+    affine_rank,
 )
-from fracapprox.ifs import sample_measure
+from fracapprox.ifs import IFSystem, sample_measure
 
 
 def enumerate_rationals(d: int, n: int, window: Box) -> list:
@@ -192,3 +203,177 @@ def hyperplane_through(points: list) -> Hyperplane:
             break
     normal = normal / np.linalg.norm(normal)
     return Hyperplane(normal, float(np.dot(normal, base)))
+
+
+# ---------------------------------------------------------------------------
+# The per-ball covers path: hs_upper_bound with one witness call and one
+# pool window and greedy pass per block ball D_n, and the functions it calls,
+# as they stood before the block passes replaced them.  Two names changed:
+# hs_upper_bound is loop_hs_upper_bound and its block enumeration filter is
+# _window_rationals_in_six_dilate.  hyperplane_witness, used by every oracle
+# here, calls this module's QR-only hyperplane_through.
+# ---------------------------------------------------------------------------
+
+
+def loop_hs_upper_bound(
+    sys: IFSystem,
+    psi: PsiFunction,
+    s: float,
+    k_min: int,
+    k_max: int,
+    seed: int = 0,
+    pool_size: int = 20_000,
+) -> HsTail:
+    """Assemble the block-cover cost sum_n #D_n #C(D_n) (3 psi(2^n))^s and
+    report its tails for starting blocks k_min..k_max.
+
+    For each block ball D_n the rationals of the dyadic block inside the
+    closed 6-dilate determine the slab (half-width sqrt(d) psi(2^n)); the slab
+    mass inside 3 D_n is then covered by sample-centred balls of radius
+    psi(2^n).  Balls whose 6-dilate holds no block rational contribute no
+    cost.
+    """
+    if not 0 <= s:
+        raise ValueError("s must be >= 0")
+    if k_min < 0 or k_max < k_min:
+        raise ValueError("need 0 <= k_min <= k_max")
+    d = sys.dim
+    sq = math.sqrt(d)
+    rows = []
+    c_maxes = []
+    for n in range(k_min, k_max + 1):
+        centres = _dn_centres(sys, n)
+        pool = sample_measure(sys, pool_size, np.random.SeedSequence([seed, n]))
+        order = np.argsort(pool[:, 0])
+        x0 = pool[order, 0]
+        r = float(psi(2.0**n))
+        scale = DyadicScale(n, d)
+        c_total = 0
+        c_max = 0
+        for c, pts in zip(centres, _window_rationals_in_six_dilate(d, scale, centres)):
+            if not pts:
+                continue
+            dn = Ball(c, scale.r_n)
+            witness = hyperplane_witness(pts, dn, scale)
+            if not witness.is_hyperplane:
+                raise RuntimeError(
+                    "volume obstruction failed inside hs_upper_bound; "
+                    "this contradicts the block geometry"
+                )
+            slab = Slab(witness.hyperplane, sq * r)
+            count = len(_cdn_centres(pool, order, x0, dn, slab, r))
+            c_total += count
+            c_max = max(c_max, count)
+        cost_n = c_total * (3.0 * r) ** s
+        rows.append((n, len(centres), c_total, cost_n))
+        c_maxes.append(c_max)
+    costs = [row[3] for row in rows]
+    tails = []
+    for k in range(k_min, k_max + 1):
+        tails.append((k, float(sum(costs[k - k_min:]))))
+    return HsTail(s=s, rows=tuple(rows), tails=tuple(tails), c_max=tuple(c_maxes))
+
+
+def _window_rationals_in_six_dilate(d: int, scale: DyadicScale, centres) -> list:
+    """For each row c of centres, the block rationals in the closed 6-dilate
+    of the block ball B(c, r_n), from one enumeration over all the windows."""
+    radius = 6.0 * scale.r_n
+    windows = _enumerate_windows(d, scale.n, centres - radius, centres + radius)
+    return [[p for p in pts if np.linalg.norm(p.as_float() - c) <= radius * (1 + 1e-9)]
+            for c, pts in zip(centres, windows)]
+
+
+def _dn_centres(sys: IFSystem, n: int) -> np.ndarray:
+    """build_dn_cover's centres, as rows, with its depth and budget refusals."""
+    r_n = DyadicScale(n, sys.dim).r_n
+    depth_needed = _net_depth(sys, n)
+    if depth_needed > 64:
+        feasible = _max_feasible_block(sys)
+        raise ValueError(
+            f"block {n} needs cylinder depth {depth_needed} > 64; "
+            f"largest feasible block is {feasible}"
+        )
+    if sys.k**depth_needed > _NET_BUDGET:
+        raise ValueError(
+            f"cylinder net of ~{sys.k**depth_needed:.2e} candidates refused"
+        )
+    return _greedy_centres(_cylinder_net(sys, r_n), r_n)
+
+
+def _cdn_centres(pool, order, x0, dn: Ball, slab: Slab, r: float) -> np.ndarray:
+    """build_cdn_cover's centres, as rows.  `order` sorts the pool by its first
+    coordinate, x0 = pool[order, 0], and only the rows within reach of 3 D_n
+    in x0 are tested.  For d >= 2 slab distances come from the whole pool's
+    product, as BLAS may round the rows of a slice's product differently."""
+    c, radius = dn.center, 3.0 * dn.radius
+    w = _reach(radius)
+    rows = order[np.searchsorted(x0, c[0] - w):np.searchsorted(x0, c[0] + w, "right")]
+    sub, normal = pool[rows], slab.plane.normal
+    proj = sub @ normal if normal.size == 1 else (pool @ normal)[rows]
+    keep = ((np.linalg.norm(sub - c, axis=1) <= radius)
+            & (np.abs(proj - slab.plane.offset) <= slab.epsilon))
+    return _greedy_centres(sub[keep], r)
+
+
+def _greedy_centres(centers: np.ndarray, r: float) -> np.ndarray:
+    """greedy_cover's selected rows, in visiting order.  Only the later rows
+    within _reach(2r) of a selected row in the first coordinate can fail the
+    strict test `gap > 2r`, so only they are tested."""
+    centers = centers[np.lexsort(centers.T[::-1])]  # lexicographic order
+    two_r = 2.0 * r
+    ends = np.searchsorted(centers[:, 0], centers[:, 0] + _reach(two_r), side="right")
+    eligible = np.ones(len(centers), dtype=bool)
+    chosen_idx = []
+    for i in range(len(centers)):
+        if not eligible[i]:
+            continue
+        chosen_idx.append(i)
+        near = slice(i + 1, ends[i])
+        eligible[near] &= np.linalg.norm(centers[near] - centers[i], axis=1) > two_r
+    return centers[chosen_idx]
+
+
+def hyperplane_witness(points: list, container: Ball, block: DyadicScale) -> WitnessResult:
+    """Find the hyperplane carrying all block-n rationals near a ball D_n.
+
+    Preconditions: every point has denominator in [2^n, 2^(n+1)), lies in the
+    6-dilate of `container`, and `container` has the block radius r_n.  Under
+    these conditions d+1 affinely independent points would span a simplex of
+    volume > |6 D_n|, which is impossible; the affine rank is decided exactly,
+    and if the impossible configuration nevertheless occurs (precondition
+    breach, eg. an oversized container) the offending Simplex is returned as
+    the counterexample.
+    """
+    d = container.dim
+    if abs(container.radius - block.r_n) > 1e-12 * max(block.r_n, 1.0):
+        raise ValueError(
+            f"container radius {container.radius} does not match block radius {block.r_n}"
+        )
+    six = container.dilate(6.0)
+    for p in points:
+        if p.dim != d:
+            raise ValueError("point dimension does not match container")
+        if not (block.q_lo <= p.denominator < block.q_hi):
+            raise ValueError(
+                f"denominator {p.denominator} outside dyadic block "
+                f"[{block.q_lo}, {block.q_hi})"
+            )
+        if np.linalg.norm(p.as_float() - six.center) > six.radius * (1.0 + 1e-9):
+            raise ValueError("point lies outside the 6-dilate of the container")
+
+    if not points:
+        # no rationals at all: any hyperplane works; pin one at the centre
+        normal = np.zeros(d)
+        normal[-1] = 1.0
+        return WitnessResult(
+            hyperplane=Hyperplane(normal, float(container.center[-1]))
+        )
+
+    distinct = list({p.value_key(): p for p in points}.values())
+    if len(distinct) <= d:
+        return WitnessResult(hyperplane=hyperplane_through(distinct))
+
+    rank = affine_rank(distinct)
+    if rank <= d - 1:
+        return WitnessResult(hyperplane=hyperplane_through(distinct))
+    return WitnessResult(simplex=Simplex(tuple(_independent_subset(distinct, d))))

@@ -283,6 +283,33 @@ def test_hs_upper_bound_d1_matches_full_scan(cantor, tau, seed):
     assert max(got.c_max) == 1
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name, tau, blocks", [
+    ("cantor", 3.0, (1, 6)), ("cantor", 8.0, (1, 6)), ("dust", 3.0, (1, 3)),
+    ("gasket", 3.0, (1, 2)), ("koch", 6.0, (1, 2))])
+def test_hs_upper_bound_matches_per_ball_loop(name, tau, blocks, seed, request):
+    # the loop makes one witness call, one pool window and one greedy pass
+    # per block ball; koch at tau 6 chooses up to 13 balls per D_n
+    sys_ = request.getfixturevalue(name)
+    psi = PsiFunction.power(tau, d=sys_.dim)
+    got = hs_upper_bound(sys_, psi, sys_.delta, *blocks, seed=seed)
+    want = cover_oracle.loop_hs_upper_bound(sys_, psi, sys_.delta, *blocks, seed=seed)
+    assert got == want
+    assert [[type(v) for v in row] for row in got.rows] == \
+        [[type(v) for v in row] for row in want.rows]
+
+
+@pytest.mark.parametrize("budget", [1, 700])
+@pytest.mark.parametrize("name", ["cantor", "koch"])
+def test_hs_upper_bound_window_steps_are_seamless(name, budget, request):
+    # a step gathers whole windows up to the row budget, or one window alone
+    sys_ = request.getfixturevalue(name)
+    psi = PsiFunction.power(6.0, d=sys_.dim)
+    want = hs_upper_bound(sys_, psi, sys_.delta, 1, 3, seed=1)
+    with mock.patch.object(analysis, "_WINDOW_ROWS", budget):
+        assert hs_upper_bound(sys_, psi, sys_.delta, 1, 3, seed=1) == want
+
+
 @pytest.mark.parametrize("name", ["cantor", "dust", "koch"])
 def test_block_cover_balls_match_full_scan(name, request):
     sys_ = request.getfixturevalue(name)
@@ -355,15 +382,28 @@ def test_lemma_audit_no_counterexamples():
 
 
 def _audit_with_witness_calls(module, audit, *args):
-    """The audit's report, and the (ball centre, points) of every witness call."""
-    calls, witness = [], module.hyperplane_witness
+    """The audit's report, and the (ball centre, points) of every ball whose
+    witness it asks for: one per hyperplane_witness call of the oracle, one
+    per ball of each _witness_block call of the package."""
+    calls = []
 
-    def record(pts, ball, scale):
-        calls.append((ball.center.tobytes(),
-                      [(p.numerators, p.denominator) for p in pts]))
-        return witness(pts, ball, scale)
+    def numbers(pts):
+        return [(p.numerators, p.denominator) for p in pts]
 
-    with mock.patch.object(module, "hyperplane_witness", record):
+    if module is analysis:
+        name, block = "_witness_block", module._witness_block
+
+        def record(point_lists, centres, scale):
+            calls.extend((c.tobytes(), numbers(pts)) for c, pts in zip(centres, point_lists))
+            return block(point_lists, centres, scale)
+    else:
+        name, witness = "hyperplane_witness", module.hyperplane_witness
+
+        def record(pts, ball, scale):
+            calls.append((ball.center.tobytes(), numbers(pts)))
+            return witness(pts, ball, scale)
+
+    with mock.patch.object(module, name, record):
         return audit(*args), calls
 
 

@@ -242,6 +242,25 @@ def test_dim_report_rejects_low_tau_on_stderr(tmp_path, capsys):
     assert len(rows) == 1 and rows[0].startswith("2.0,")
 
 
+def test_dim_report_names_short_approximants_on_stderr(tmp_path, capsys):
+    # 200-sample batches leave too few layer points for box counting: the
+    # CSV keeps its blank estimates and stderr says why, once per tau
+    out = tmp_path / "run"
+    code = run(["--seed", 0, "--out", out, "dim-report", "--ifs", "cantor",
+                "--taus", "3.0,6.0", "--samples", 200])
+    assert code == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "tau=3.0: only 193 approximant points when the budget of 200-sample "
+        "batches ran out, too few for box counting; box_estimate left blank",
+        "tau=6.0: only 0 approximant points when the budget of 200-sample "
+        "batches ran out, too few for box counting; box_estimate left blank",
+    ]
+    rows = [l for l in (out / "dim_report.csv").read_text().splitlines()
+            if l and not l.startswith("#") and not l.startswith("tau,")]
+    assert rows == ["3.0,0.4206198357143004,", "6.0,0.21030991785715014,"]
+
+
 def test_ifs_file_path_roundtrip(tmp_path):
     from fracapprox.ifs import dump_system, four_corner_dust
 

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cover_oracle
 from cover_oracle import greedy_cover as reference_greedy_cover
 from cover_oracle import hyperplane_through as reference_hyperplane_through
+from fracapprox.analysis import _block_rationals_in_six_dilate
 from fracapprox.geometry import (
     Ball,
     DyadicScale,
@@ -22,6 +24,8 @@ from fracapprox.geometry import (
     hyperplane_witness,
     simplex_volume_times_dfact,
     unit_ball_volume,
+    _greedy_segments,
+    _witness_block,
 )
 
 
@@ -283,6 +287,79 @@ def test_greedy_cover_matches_reference(case):
     want, _ = reference_greedy_cover(balls)
     assert k == 3
     assert [tuple(b.center) for b in got] == [tuple(b.center) for b in want]
+
+
+@settings(max_examples=300)
+@given(_cover_centres(), st.integers(1, 6), st.data())
+def test_greedy_segments_match_per_segment_oracle(case, segments, data):
+    # segment ids drawn per row, so segments come out empty, interleaved and
+    # holding duplicates; each is selected as if alone, in visiting order
+    rows, r = case
+    rows = np.array(rows, dtype=float)
+    seg = np.array(data.draw(st.lists(st.integers(0, segments - 1),
+                                      min_size=len(rows), max_size=len(rows))))
+    got, got_seg = _greedy_segments(rows, seg, r)
+    assert np.all(np.diff(got_seg) >= 0)
+    for k in range(segments):
+        want = cover_oracle._greedy_centres(rows[seg == k], r)
+        assert got[got_seg == k].tobytes() == want.tobytes()
+
+
+def test_greedy_segments_of_nothing():
+    got, seg = _greedy_segments(np.zeros((0, 2)), np.zeros(0, dtype=int), 0.5)
+    assert got.shape == (0, 2) and seg.shape == (0,)
+
+
+def _witness_outcome(witness, pts, ball, scale):
+    try:
+        res = witness(pts, ball, scale)
+    except ValueError as e:
+        return "error", str(e)
+    if res.is_hyperplane:
+        return "plane", res.hyperplane.normal.tobytes(), res.hyperplane.offset
+    return "simplex", [(v.numerators, v.denominator) for v in res.simplex.vertices]
+
+
+@st.composite
+def _witness_case(draw):
+    """(points, ball, scale): block rationals near a block ball, drawn with
+    repeats, and now and then a point that breaks a precondition (its
+    denominator, its distance or its dimension) at any position."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    scale = DyadicScale(n, d)
+    centre = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)))
+    near = _block_rationals_in_six_dilate(d, scale, centre[None])[0]
+    pts = draw(st.lists(st.sampled_from(near), max_size=5)) if near else []
+    q = scale.q_lo
+    for flaw in draw(st.lists(st.sampled_from(["q", "far", "dim"]), max_size=2)):
+        bad = {"q": RationalPoint((0,) * d, scale.q_hi),
+               "far": RationalPoint((5 * q,) * d, q),
+               "dim": RationalPoint((0,) * (d + 1), q)}[flaw]
+        pts.insert(draw(st.integers(0, len(pts))), bad)
+    return pts, Ball(centre, scale.r_n), scale
+
+
+@settings(max_examples=300)
+@given(_witness_case())
+def test_hyperplane_witness_matches_per_ball_oracle(case):
+    pts, ball, scale = case
+    got = _witness_outcome(hyperplane_witness, pts, ball, scale)
+    assert got == _witness_outcome(cover_oracle.hyperplane_witness, pts, ball, scale)
+
+
+@pytest.mark.parametrize("d, n", [(1, 3), (1, 9), (2, 0), (2, 4), (2, 5), (3, 2)])
+def test_witness_block_matches_per_ball_oracle(d, n):
+    scale = DyadicScale(n, d)
+    centres = np.random.default_rng(1).random((300, d))
+    point_lists = _block_rationals_in_six_dilate(d, scale, centres)
+    # at d = 2, blocks 4 and 5 hold balls with two rationals, which take the
+    # exact rank path
+    assert any(len(pts) > 1 for pts in point_lists) == ((d, n) in [(2, 4), (2, 5)])
+    normals, offsets, simplices = _witness_block(point_lists, centres, scale)
+    assert simplices == {}
+    for c, pts, normal, offset in zip(centres, point_lists, normals, offsets):
+        want = cover_oracle.hyperplane_witness(pts, Ball(c, scale.r_n), scale).hyperplane
+        assert normal.tobytes() == want.normal.tobytes() and offset == want.offset
 
 
 # ---------------------------------------------------------------------------

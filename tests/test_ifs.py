@@ -1,5 +1,7 @@
 import json
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mass_oracle
+import sample_oracle
 from fracapprox import ifs
 from fracapprox.analysis import _cylinder_net
 from fracapprox.geometry import Ball, Box, Hyperplane, Slab
@@ -584,6 +587,56 @@ def test_sample_digit_cap_refuses_before_drawing(cantor, monkeypatch):
         sample_measure(cantor, over, seed=1)
     with pytest.raises(ValueError, match="refused"):
         sample_measure(cantor, 2, seed=1, depth=ifs._SAMPLE_DIGIT_CAP)
+
+
+def _stand_in_system(weights, d, rotate, rng):
+    """What the sampler reads of a system, for any weights and maps: the
+    maps need not satisfy the open set condition."""
+    k = len(weights)
+    if rotate:
+        rots = np.array([np.linalg.qr(rng.normal(size=(d, d)))[0] for _ in range(k)])
+    else:
+        rots = np.broadcast_to(np.eye(d), (k, d, d))
+    return SimpleNamespace(
+        k=k, dim=d, weights=np.array(weights, dtype=float),
+        ratios=rng.uniform(0.05, 0.95, size=k), translations=rng.normal(size=(k, d)),
+        rotations=rots, has_rotations=rotate, anchor=rng.normal(size=d))
+
+
+@settings(max_examples=150)
+@given(weights=st.lists(st.one_of(st.integers(0, 3).map(float),
+                                  st.floats(0.01, 1.0)),
+                        min_size=1, max_size=6).filter(any),
+       count=st.integers(0, 3000), depth=st.integers(0, 40),
+       d=st.integers(1, 3), rotate=st.booleans(),
+       chunk=st.sampled_from([1, 5, 97, 40 * 1000 + 3, ifs._DRAW_CHUNK]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sampler_matches_oracle(weights, count, depth, d, rotate, chunk, seed):
+    # integer weights give tied and zero-width digit intervals; every chunk
+    # size but the default puts a seam inside most (count, depth) draws
+    sys_ = _stand_in_system(weights, d, rotate, np.random.default_rng(seed))
+    fast_rng = np.random.default_rng(seed)
+    slow_rng = np.random.default_rng(seed)
+    with mock.patch.object(ifs, "_DRAW_CHUNK", chunk):
+        digits = ifs._draw_digits(sys_, count, fast_rng, depth)
+    want = sample_oracle._draw_digits(sys_, count, slow_rng, depth)
+    assert digits.shape == want.shape and np.array_equal(digits, want)
+    assert digits.dtype == np.min_scalar_type(len(weights) - 1)
+    # the diagnostics trials keep drawing from the same rng after the digits
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+    pts = ifs._fold_digits(sys_, digits)
+    ref = sample_oracle._fold_digits(sys_, want)
+    assert pts.shape == ref.shape == (count, d)
+    assert pts.flags.c_contiguous and pts.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_SYSTEMS))
+def test_sample_measure_matches_oracle_on_bundled_systems(name):
+    sys_ = ifs.bundled_system(name)
+    rng = np.random.default_rng(np.random.SeedSequence([4, 1]))
+    ref = sample_oracle._fold_digits(sys_, sample_oracle._draw_digits(sys_, 5000, rng))
+    pts = sample_measure(sys_, 5000, np.random.SeedSequence([4, 1]))
+    assert pts.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
