@@ -18,8 +18,6 @@ from .approx import PsiFunction, _enumerate_windows, layer_hit_mask
 from .geometry import (
     Ball,
     DyadicScale,
-    Slab,
-    _greedy_centres,
     _greedy_segments,
     _outside_six_dilate,
     _rational_values,
@@ -31,15 +29,12 @@ from .ifs import IFSystem, _Frontier, sample_measure
 __all__ = [
     "SumSpec",
     "SumVerdict",
-    "CoverCost",
     "classify_sum",
     "predict_measure_zero",
     "dimension_bound",
     "sum_term_log",
     "condensed_term_log",
     "build_dn_cover",
-    "build_cdn_cover",
-    "cover_cost",
     "hs_upper_bound",
     "HsTail",
     "box_dimension",
@@ -299,7 +294,8 @@ def _dn_centres(sys: IFSystem, n: int) -> np.ndarray:
         raise ValueError(
             f"cylinder net of ~{sys.k**depth_needed:.2e} candidates refused"
         )
-    return _greedy_centres(_cylinder_net(sys, r_n), r_n)
+    net = _cylinder_net(sys, r_n)
+    return _greedy_segments(net, np.zeros(len(net), dtype=np.intp), r_n)[0]
 
 
 def _net_depth(sys: IFSystem, n: int) -> int:
@@ -328,35 +324,16 @@ def _cylinder_net(sys: IFSystem, resolution: float) -> np.ndarray:
         cyl.expand(~finished)
 
 
-def build_cdn_cover(
-    sys: IFSystem,
-    dn: Ball,
-    slab: Slab,
-    psi: PsiFunction,
-    n: int,
-    pool: np.ndarray | None = None,
-    seed: int = 0,
-    pool_size: int = 10_000,
-) -> list:
-    """Disjoint balls of radius psi(2^n) centred at natural-measure samples in
-    (3 D_n) intersect slab; their 3-dilates cover those samples."""
-    if pool is None:
-        pool = sample_measure(sys, pool_size, seed)
-    r = float(psi(2.0**n))
-    plane = slab.plane
-    rows, _ = _cdn_centres(pool, dn.center[None], 3.0 * dn.radius, plane.normal[None],
-                           np.array([plane.offset]), slab.epsilon, r)
-    return [Ball(c, r) for c in rows]
-
-
 # Most pool rows _cdn_centres gathers into the windows of one step.
 _WINDOW_ROWS = 1 << 18
 
 
 def _cdn_centres(pool, centres, radius, normals, offsets, eps, r) -> tuple:
-    """build_cdn_cover's centres for the balls B(centres[k], radius / 3) and
-    the slabs |normals[k] . x - offsets[k]| <= eps at once: (chosen rows,
-    the ball k of each row), by ball.
+    """The covers C(D_n) of many block balls at once: for each ball
+    B(centres[k], radius / 3) with the slab |normals[k] . x - offsets[k]|
+    <= eps, disjoint balls of radius r centred at the pool rows in its
+    3-dilate and its slab, whose 3-dilates cover those rows.  Returns
+    (chosen rows, the ball k of each row), by ball.
 
     Ball k reads the pool rows within reach of its 3-dilate in the first
     coordinate (the pool is sorted by it once), keeps those in the 3-dilate
@@ -415,32 +392,6 @@ def _steps(sizes: np.ndarray, budget: int) -> list:
     if first < len(sizes):
         out.append((first, len(sizes)))
     return out
-
-
-@dataclass(frozen=True)
-class CoverCost:
-    """Cost sum(radius^s) of a ball collection with radii <= rho."""
-
-    s: float
-    rho: float
-    radii: tuple
-    cost: float
-
-
-def cover_cost(s: float, balls, rho: float | None = None) -> CoverCost:
-    """Cover cost at exponent s; balls may be Ball objects or bare radii."""
-    if s < 0:
-        raise ValueError("exponent s must be >= 0")
-    radii = tuple(
-        float(b.radius) if isinstance(b, Ball) else float(b) for b in balls
-    )
-    if any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
-    if rho is None:
-        rho = max(radii) if radii else 0.0
-    if any(r > rho * (1 + 1e-12) for r in radii):
-        raise ValueError("a radius exceeds the cover scale rho")
-    return CoverCost(s=s, rho=rho, radii=radii, cost=float(sum(r**s for r in radii)))
 
 
 @dataclass(frozen=True)

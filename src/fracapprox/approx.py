@@ -140,6 +140,8 @@ def parse_psi_spec(spec: str, d: int = 1) -> PsiFunction:
             for rec in csv.reader(fh):
                 if not rec or rec[0].lstrip().startswith("#"):
                     continue
+                if len(rec) < 2:
+                    raise ValueError(f"table row {rec} needs two columns, r and psi")
                 rows.append((float(rec[0]), float(rec[1])))
         return PsiFunction.from_table(rows, d=d)
     kv = {}
@@ -201,8 +203,11 @@ def enumerate_rationals(d: int, n: int, window: Box) -> list:
 
 def _enumerate_windows(d: int, n: int, lo: np.ndarray, hi: np.ndarray) -> list:
     """enumerate_rationals for the windows [lo[k], hi[k]] (rows of shape (K, d))
-    of one block: one list per window.  Every window is checked against the cap
+    of one block: one list per window.  The block and every window are checked
     before any cell is computed; a step covers _CELL_BUDGET (window, q) cells."""
+    if n >= 53:
+        raise ValueError(f"block {n} refused: its denominators are not exact in "
+                         "float64, so blocks stop at 52")
     est = np.prod(hi - lo, axis=1) * 2.0 ** ((d + 1) * (n + 1))
     big = est[est > _ENUMERATION_CAP]
     if big.size:

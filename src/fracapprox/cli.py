@@ -169,7 +169,7 @@ def _resolve_system(cfg: ExperimentConfig):
         raise UsageFailure(f"config field 'ifs_path': no such file {cfg.ifs_path!r}")
     try:
         return load_system(path)
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, OSError) as e:
         raise UsageFailure(f"config field 'ifs_path': invalid system file: {e}")
 
 
@@ -310,7 +310,10 @@ def lemma_audit(ctx, ifs_path, blocks, trials):
     rows = []
     bad_total = 0
     for n in range(lo, hi + 1):
-        rep = audit_hyperplane_lemma(d, n, cfg.trials, seed=cfg.seed)
+        try:
+            rep = audit_hyperplane_lemma(d, n, cfg.trials, seed=cfg.seed)
+        except ValueError as e:
+            raise UsageFailure(f"config field 'blocks': {e}")
         rows.append((rep.d, rep.n, rep.balls, rep.max_rationals,
                      rep.simplex_counterexamples))
         bad_total += rep.simplex_counterexamples

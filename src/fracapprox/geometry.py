@@ -23,13 +23,10 @@ __all__ = [
     "RationalPoint",
     "Simplex",
     "DyadicScale",
-    "WitnessResult",
     "unit_ball_volume",
-    "greedy_cover",
     "simplex_volume_times_dfact",
     "affine_rank",
     "hyperplane_through",
-    "hyperplane_witness",
 ]
 
 _UNIT_TOL = 1e-12
@@ -41,6 +38,12 @@ def _as_vector(x) -> np.ndarray:
         raise ValueError(f"expected a 1-d point, got shape {v.shape}")
     v.flags.writeable = False
     return v
+
+
+def _each(x: np.ndarray, inside):
+    """A contains(x, tol) answer: a bool for one point x, a bool array for
+    the rows of an (N, d) array x."""
+    return bool(inside) if x.ndim == 1 else inside
 
 
 @dataclass(frozen=True)
@@ -66,8 +69,9 @@ class Ball:
             raise ValueError(f"dilation factor must be >= 1, got {k}")
         return Ball(self.center, k * self.radius)
 
-    def contains(self, x) -> bool:
-        return float(np.linalg.norm(_as_vector(x) - self.center)) <= self.radius
+    def contains(self, x, tol: float = 0.0):
+        v = np.asarray(x, dtype=float)
+        return _each(v, np.linalg.norm(v - self.center, axis=-1) <= self.radius + tol)
 
 
 @dataclass(frozen=True)
@@ -96,9 +100,9 @@ class Box:
     def volume(self) -> float:
         return float(np.prod(self.sides))
 
-    def contains(self, x, tol: float = 0.0) -> bool:
-        v = _as_vector(x)
-        return bool(np.all(v >= self.lo - tol) and np.all(v <= self.hi + tol))
+    def contains(self, x, tol: float = 0.0):
+        v = np.asarray(x, dtype=float)
+        return _each(v, np.all((v >= self.lo - tol) & (v <= self.hi + tol), axis=-1))
 
     def bounding_ball(self) -> Ball:
         c = 0.5 * (self.lo + self.hi)
@@ -278,55 +282,30 @@ class DyadicScale:
 # ---------------------------------------------------------------------------
 
 
-def greedy_cover(balls: list) -> tuple:
-    """Select a disjoint sub-collection whose 3-dilates cover the input.
-
-    All input balls must share one radius r.  Centres are visited in
-    lexicographic order; a centre is selected iff it lies strictly outside
-    every B(c_i, 2r) chosen so far.  Selected balls are pairwise disjoint
-    (centre gaps > 2r) and every input centre lies within 2r of a selected
-    one, so each input ball sits inside the 3-dilate of a selected ball.
-
-    Returns (chosen, 3) where 3 is the dilation factor that makes the cover.
-    """
-    if not balls:
-        return [], 3
-    r = balls[0].radius
-    for b in balls:
-        if b.radius != r:
-            raise ValueError(
-                f"greedy_cover requires a common radius; got {b.radius} != {r}"
-            )
-    centers = np.array([b.center for b in balls], dtype=float)
-    if not np.isfinite(centers).all():
-        raise ValueError("greedy_cover requires finite centres")
-    return [Ball(c, r) for c in _greedy_centres(centers, r)], 3
-
-
 def _reach(bound: float) -> float:
     """Largest first-coordinate gap of two rows whose float distance is <=
     bound: a few ulps past it, and below 1e-150 squares can underflow."""
     return max(bound * (1.0 + 1e-9), 1e-150)
 
 
-def _greedy_centres(centers: np.ndarray, r: float) -> np.ndarray:
-    """greedy_cover's selected rows, in visiting order."""
-    return _greedy_segments(centers, np.zeros(len(centers), dtype=np.intp), r)[0]
-
-
 def _greedy_segments(rows: np.ndarray, seg: np.ndarray, r: float) -> tuple:
-    """greedy_cover's selection run on each segment rows[seg == s] alone:
-    (chosen rows, their segment ids), by segment, each in visiting order.
+    """The common-radius greedy cover of each segment rows[seg == s], run on
+    every segment at once: (chosen rows, their segment ids), by segment, each
+    in visiting order.
 
     A segment's rows are visited in lexicographic order, and a row is chosen
     iff it lies strictly outside B(c, 2r) for every chosen row c before it.
+    The chosen balls B(c, r) are pairwise disjoint (centre gaps > 2r), and
+    every row lies within 2r of a chosen one, so the 3-dilates of the chosen
+    balls cover the balls of radius r around all the rows.
+
     Only the later rows within _reach(2r) of a chosen row in the first
-    coordinate can fail the test `gap > 2r`, so only they are tested, with
-    the per-row `norm` of greedy_cover.  A row that no earlier row of its
-    segment reaches starts a stretch, which no earlier choice can touch.
-    Each round chooses the first eligible row of every stretch and drops
-    the later rows within 2r of it; the rounds number the largest count
-    chosen in any stretch.
+    coordinate can fail the test `gap > 2r`, so only they are tested, each
+    with its own row `norm`.  A row that no earlier row of its segment
+    reaches starts a stretch, which no earlier choice can touch.  Each round
+    chooses the first eligible row of every stretch and drops the later rows
+    within 2r of it; the rounds number the largest count chosen in any
+    stretch.
     """
     order = np.lexsort((*rows.T[::-1], seg))  # by segment, then lexicographic
     rows, seg = rows[order], seg[order]
@@ -514,55 +493,23 @@ def hyperplane_through(points: list) -> Hyperplane:
     return Hyperplane(normal, float(np.dot(normal, base)))
 
 
-@dataclass(frozen=True)
-class WitnessResult:
-    """Outcome of the rationals-on-a-hyperplane check.
-
-    Exactly one of `hyperplane` and `simplex` is set.  A simplex means d+1 of
-    the input points were affinely independent (exact arithmetic), i.e. the
-    volume obstruction failed.
-    """
-
-    hyperplane: Hyperplane | None = None
-    simplex: Simplex | None = None
-
-    @property
-    def is_hyperplane(self) -> bool:
-        return self.hyperplane is not None
-
-
-def hyperplane_witness(points: list, container: Ball, block: DyadicScale) -> WitnessResult:
-    """Find the hyperplane carrying all block-n rationals near a ball D_n.
-
-    Preconditions: every point has denominator in [2^n, 2^(n+1)), lies in the
-    6-dilate of `container`, and `container` has the block radius r_n.  Under
-    these conditions d+1 affinely independent points would span a simplex of
-    volume > |6 D_n|, which is impossible; the affine rank is decided exactly,
-    and if the impossible configuration nevertheless occurs (precondition
-    breach, eg. an oversized container) the offending Simplex is returned as
-    the counterexample.  This is the one-ball call of _witness_block.
-    """
-    if abs(container.radius - block.r_n) > 1e-12 * max(block.r_n, 1.0):
-        raise ValueError(
-            f"container radius {container.radius} does not match block radius {block.r_n}"
-        )
-    normals, offsets, simplices = _witness_block([points], container.center[None], block)
-    if simplices:
-        return WitnessResult(simplex=simplices[0])
-    return WitnessResult(hyperplane=Hyperplane(normals[0], offsets[0]))
-
-
 def _witness_block(point_lists: list, centres: np.ndarray, block: DyadicScale) -> tuple:
-    """hyperplane_witness for the balls B(centres[k], r_n) of one block, with
-    point_lists[k] the points near ball k: (normals (K, d), offsets (K,),
-    {k: Simplex} for the balls whose points span a simplex; their rows hold
-    NaN).
+    """Find the hyperplane carrying the block-n rationals near each ball
+    D_n = B(centres[k], r_n) of one block, with point_lists[k] the points
+    near ball k: (normals (K, d), offsets (K,), {k: Simplex} for the balls
+    whose points span a simplex; their rows hold NaN).
+
+    Preconditions: every point has denominator in [2^n, 2^(n+1)) and lies in
+    the 6-dilate of its ball.  Then d+1 affinely independent points would
+    span a simplex of volume > |6 D_n|, which is impossible; the affine rank
+    is decided exactly, and if the impossible configuration nevertheless
+    occurs the offending Simplex is returned as the counterexample.
 
     The preconditions are checked on arrays, and the first point that breaks
-    one is reported.  A ball with no points gets the hyperplane x_d = c_d
-    through its centre, and a single point p/q the hyperplane x_d = p_d/q;
-    in d = 1 a ball that holds a block rational holds just one.  Larger sets
-    take the exact affine rank.
+    one raises ValueError.  A ball with no points gets the hyperplane
+    x_d = c_d through its centre, and a single point p/q the hyperplane
+    x_d = p_d/q; in d = 1 a ball that holds a block rational holds just one.
+    Larger sets take the exact affine rank.
     """
     d = centres.shape[1]
     flat = [p for pts in point_lists for p in pts]

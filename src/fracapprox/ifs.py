@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Ball, Box, Slab
+from .geometry import Ball, Box, Slab, _each
 
 __all__ = [
     "SimilarityMap",
@@ -133,13 +133,13 @@ class ConvexPolygon:
     def dim(self) -> int:
         return 2
 
-    def contains(self, x, tol: float = 0.0) -> bool:
+    def contains(self, x, tol: float = 0.0):
         x = np.asarray(x, dtype=float)
         v = self.vertices
         e = np.roll(v, -1, axis=0) - v
-        w = x[None, :] - v
-        cross = e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0]
-        return bool(np.all(cross >= -tol))
+        w = x[..., None, :] - v
+        cross = e[:, 0] * w[..., 1] - e[:, 1] * w[..., 0]
+        return _each(x, np.all(cross >= -tol, axis=-1))
 
     def bounding_ball(self) -> Ball:
         c = self.vertices.mean(axis=0)
@@ -287,17 +287,10 @@ def _fixed_points_span(maps) -> bool:
 def _check_attractor_in_closure(sys: "IFSystem", samples: int = 512) -> None:
     pts = sample_measure(sys, samples, seed=0)
     tol = 1e-9 * max(sys.diameter, 1.0)
-    ok = all(_region_contains(sys.open_set, p, tol) for p in pts)
-    if not ok:
+    if not sys.open_set.contains(pts, tol).all():
         raise OpenSetConditionError(
             "sampled attractor points escape the closure of the open set"
         )
-
-
-def _region_contains(region, x, tol) -> bool:
-    if isinstance(region, Ball):
-        return float(np.linalg.norm(np.asarray(x) - region.center)) <= region.radius + tol
-    return region.contains(x, tol) if isinstance(region, (Box, ConvexPolygon)) else False
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +403,8 @@ def _check_open_set_condition(maps, open_set) -> None:
 
     # polygon images
     for i, verts in enumerate(images):
-        for v in verts:
-            if not _region_contains(open_set, v, tol):
-                raise OpenSetConditionError(f"image {i} escapes the witness")
+        if not open_set.contains(verts, tol).all():
+            raise OpenSetConditionError(f"image {i} escapes the witness")
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
             if not _polygons_open_disjoint(images[i], images[j], tol):
@@ -842,7 +834,7 @@ def load_system(path) -> IFSystem:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError("a definition file holds a JSON object")
-    d = _parse_field("dimension", int, payload.get("dimension"))
+    d = _parse_field("dimension", _positive_int, payload.get("dimension"))
     entries = payload.get("maps")
     if not isinstance(entries, list):
         raise ValueError("field 'maps' must be a list of maps")
@@ -859,6 +851,12 @@ def _parse_field(name: str, parse, value):
         raise ValueError(f"field {name!r}: missing key {e}") from None
     except (TypeError, ValueError, AttributeError) as e:
         raise ValueError(f"field {name!r}: {e}") from None
+
+
+def _positive_int(v) -> int:
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        raise ValueError(f"must be a positive integer, got {v!r}")
+    return v
 
 
 def _map_from_json(entry: dict, d: int) -> SimilarityMap:

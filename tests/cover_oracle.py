@@ -36,7 +36,6 @@ from fracapprox.geometry import (
     RationalPoint,
     Simplex,
     Slab,
-    WitnessResult,
     _independent_subset,
     _reach,
     affine_rank,
@@ -133,9 +132,9 @@ def reference_hs_upper_bound(sys, psi, s, k_min, k_max, seed=0, pool_size=20_000
             pts = _block_rationals_in_six_dilate(d, scale, dn)
             if not pts:
                 continue
-            witness = hyperplane_witness(pts, dn, scale)
-            assert witness.is_hyperplane
-            slab = Slab(witness.hyperplane, sq * r)
+            plane, simplex = hyperplane_witness(pts, dn, scale)
+            assert simplex is None
+            slab = Slab(plane, sq * r)
             three = dn.dilate(3.0)
             dist = np.linalg.norm(pool - three.center, axis=1)
             pdist = np.abs(pool @ slab.plane.normal - slab.plane.offset)
@@ -177,8 +176,8 @@ def reference_audit_hyperplane_lemma(
         ball = Ball(center, scale.r_n)
         pts = _block_rationals_in_six_dilate(d, scale, ball)
         max_pts = max(max_pts, len(pts))
-        witness = hyperplane_witness(pts, ball, scale)
-        if not witness.is_hyperplane:
+        _, simplex = hyperplane_witness(pts, ball, scale)
+        if simplex is not None:
             bad += 1
     return LemmaAuditReport(d=d, n=n, balls=n_balls, max_rationals=max_pts,
                             simplex_counterexamples=bad)
@@ -254,13 +253,13 @@ def loop_hs_upper_bound(
             if not pts:
                 continue
             dn = Ball(c, scale.r_n)
-            witness = hyperplane_witness(pts, dn, scale)
-            if not witness.is_hyperplane:
+            plane, simplex = hyperplane_witness(pts, dn, scale)
+            if simplex is not None:
                 raise RuntimeError(
                     "volume obstruction failed inside hs_upper_bound; "
                     "this contradicts the block geometry"
                 )
-            slab = Slab(witness.hyperplane, sq * r)
+            slab = Slab(plane, sq * r)
             count = len(_cdn_centres(pool, order, x0, dn, slab, r))
             c_total += count
             c_max = max(c_max, count)
@@ -301,9 +300,9 @@ def _dn_centres(sys: IFSystem, n: int) -> np.ndarray:
 
 
 def _cdn_centres(pool, order, x0, dn: Ball, slab: Slab, r: float) -> np.ndarray:
-    """build_cdn_cover's centres, as rows.  `order` sorts the pool by its first
-    coordinate, x0 = pool[order, 0], and only the rows within reach of 3 D_n
-    in x0 are tested.  For d >= 2 slab distances come from the whole pool's
+    """The centres of C(D_n) for the one ball dn, as rows.  `order` sorts the
+    pool by its first coordinate, x0 = pool[order, 0], and only the rows
+    within reach of 3 D_n in x0 are tested.  For d >= 2 slab distances come from the whole pool's
     product, as BLAS may round the rows of a slice's product differently."""
     c, radius = dn.center, 3.0 * dn.radius
     w = _reach(radius)
@@ -333,8 +332,9 @@ def _greedy_centres(centers: np.ndarray, r: float) -> np.ndarray:
     return centers[chosen_idx]
 
 
-def hyperplane_witness(points: list, container: Ball, block: DyadicScale) -> WitnessResult:
-    """Find the hyperplane carrying all block-n rationals near a ball D_n.
+def hyperplane_witness(points: list, container: Ball, block: DyadicScale) -> tuple:
+    """Find the hyperplane carrying all block-n rationals near a ball D_n:
+    (hyperplane, None), or (None, simplex) for a counterexample.
 
     Preconditions: every point has denominator in [2^n, 2^(n+1)), lies in the
     6-dilate of `container`, and `container` has the block radius r_n.  Under
@@ -365,15 +365,13 @@ def hyperplane_witness(points: list, container: Ball, block: DyadicScale) -> Wit
         # no rationals at all: any hyperplane works; pin one at the centre
         normal = np.zeros(d)
         normal[-1] = 1.0
-        return WitnessResult(
-            hyperplane=Hyperplane(normal, float(container.center[-1]))
-        )
+        return Hyperplane(normal, float(container.center[-1])), None
 
     distinct = list({p.value_key(): p for p in points}.values())
     if len(distinct) <= d:
-        return WitnessResult(hyperplane=hyperplane_through(distinct))
+        return hyperplane_through(distinct), None
 
     rank = affine_rank(distinct)
     if rank <= d - 1:
-        return WitnessResult(hyperplane=hyperplane_through(distinct))
-    return WitnessResult(simplex=Simplex(tuple(_independent_subset(distinct, d))))
+        return hyperplane_through(distinct), None
+    return None, Simplex(tuple(_independent_subset(distinct, d)))

@@ -25,7 +25,7 @@ from fracapprox.analysis import (
     layer_decay_experiment,
 )
 from fracapprox.approx import PsiFunction
-from fracapprox.geometry import Ball, greedy_cover
+from fracapprox.geometry import Ball, _greedy_segments
 from fracapprox.ifs import measure_of_ball, sample_measure, similarity_dimension
 
 ALPHA = math.log(2.0) / math.log(3.0)
@@ -73,8 +73,7 @@ def test_criterion_2_covering_lemma():
         m = int(np.exp(rng.uniform(0.0, math.log(500.0))))
         r = float(rng.uniform(0.02, 0.5))
         centers = rng.uniform(0.0, 3.0, size=(m, d))
-        chosen, _ = greedy_cover([Ball(c, r) for c in centers])
-        ch = np.array([b.center for b in chosen])
+        ch, _ = _greedy_segments(centers, np.zeros(m, dtype=np.intp), r)
         if len(ch) > 1:
             gaps = np.linalg.norm(ch[:, None, :] - ch[None, :, :], axis=2)
             np.fill_diagonal(gaps, np.inf)

@@ -7,16 +7,15 @@ from unittest import mock
 
 from fracapprox import analysis
 from fracapprox.analysis import (
-    CoverCost,
     SumSpec,
+    _cdn_centres,
     _cylinder_net,
+    _dn_centres,
     audit_hyperplane_lemma,
     box_dimension,
-    build_cdn_cover,
     build_dn_cover,
     classify_sum,
     condensed_term_log,
-    cover_cost,
     dimension_bound,
     hs_upper_bound,
     layer_decay_experiment,
@@ -24,7 +23,7 @@ from fracapprox.analysis import (
     sum_term_log,
 )
 from fracapprox.approx import PsiFunction
-from fracapprox.geometry import Ball, DyadicScale, Hyperplane, Slab
+from fracapprox.geometry import Ball, DyadicScale
 from fracapprox.ifs import sample_measure
 
 import cover_oracle
@@ -206,45 +205,30 @@ def test_dn_cover_refuses_infeasible_block(cantor):
 
 
 def test_cdn_cover_empty_when_slab_misses(cantor):
-    scale = DyadicScale(3, 1)
-    dn = Ball([0.1], scale.r_n)
-    far = Slab(Hyperplane([1.0], 0.9), 1e-6)
-    assert build_cdn_cover(cantor, dn, far, PsiFunction.power(3.0), 3) == []
+    # D_n = B(0.1, r_3) against the slab |x - 0.9| <= 1e-6
+    pool = sample_measure(cantor, 10_000, seed=0)
+    rows, ball = _cdn_centres(pool, np.array([[0.1]]), 3.0 * DyadicScale(3, 1).r_n,
+                              np.array([[1.0]]), np.array([0.9]), 1e-6,
+                              PsiFunction.power(3.0)(2.0**3))
+    assert rows.shape == (0, 1) and ball.shape == (0,)
 
 
 def test_cdn_cover_covers_its_samples(cantor):
     psi = PsiFunction.power(3.0)
     n = 4
-    scale = DyadicScale(n, 1)
-    dn_balls = build_dn_cover(cantor, n)
+    r_n = DyadicScale(n, 1).r_n
+    centres = _dn_centres(cantor, n)[:40]
     pool = sample_measure(cantor, 20_000, seed=6)
     eps = psi(2.0**n)
-    covered_any = 0
-    for dn in dn_balls[:40]:
-        slab = Slab(Hyperplane([1.0], float(dn.center[0])), eps)
-        cover = build_cdn_cover(cantor, dn, slab, psi, n, pool=pool)
-        if not cover:
-            continue
-        covered_any += 1
-        three = dn.dilate(3.0)
-        sel = (np.abs(pool[:, 0] - three.center[0]) <= three.radius) & (
-            np.abs(pool[:, 0] - slab.plane.offset) <= slab.epsilon
-        )
-        pts = pool[sel]
-        centers = np.array([b.center for b in cover])
-        dist = np.abs(pts[:, 0][:, None] - centers[None, :, 0])
+    # each D_n with the slab |x - c| <= eps through its centre c
+    chosen, ball = _cdn_centres(pool, centres, 3.0 * r_n, np.ones((40, 1)),
+                                centres[:, 0], eps, eps)
+    for k in np.unique(ball):
+        c = centres[k, 0]
+        pts = pool[(np.abs(pool[:, 0] - c) <= 3.0 * r_n) & (np.abs(pool[:, 0] - c) <= eps)]
+        dist = np.abs(pts[:, 0][:, None] - chosen[ball == k, 0][None, :])
         assert np.all(dist.min(axis=1) <= 3 * eps * (1 + 1e-9))
-    assert covered_any >= 3
-
-
-def test_cover_cost_basics():
-    c = cover_cost(0.0, [Ball([0.0], 0.5)])
-    assert c.cost == 1.0
-    costs = [cover_cost(s, [0.5, 0.25, 0.125]).cost for s in (0.0, 0.5, 1.0)]
-    assert costs[0] >= costs[1] >= costs[2]
-    with pytest.raises(ValueError):
-        cover_cost(0.5, [0.5], rho=0.25)
-    assert isinstance(c, CoverCost)
+    assert len(np.unique(ball)) >= 3
 
 
 def test_hs_upper_bound_tails_decrease(cantor):
@@ -322,18 +306,20 @@ def test_block_cover_balls_match_full_scan(name, request):
     pool = sample_measure(sys_, 5000, seed=4)
     r = psi(2.0**n)
     rng = np.random.default_rng(5)
+    # the first 20 D_n, each with a random slab of half-width r_n through its
+    # centre, all in one call
+    centres = np.array([b.center for b in dn_balls[:20]])
+    normals = rng.normal(size=(20, d))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    offsets = np.array([float(u @ c) for u, c in zip(normals, centres)])
+    chosen, ball = _cdn_centres(pool, centres, 3.0 * r_n, normals, offsets, r_n, r)
     sizes = []
-    for dn in dn_balls[:20]:
-        normal = rng.normal(size=d)
-        normal /= np.linalg.norm(normal)
-        slab = Slab(Hyperplane(normal, float(normal @ dn.center)), r_n)
-        got = build_cdn_cover(sys_, dn, slab, psi, n, pool=pool)
-        three = dn.dilate(3.0)
-        sel = pool[(np.linalg.norm(pool - three.center, axis=1) <= three.radius)
-                   & (np.abs(pool @ normal - slab.plane.offset) <= slab.epsilon)]
+    for k, (c, normal, offset) in enumerate(zip(centres, normals, offsets)):
+        sel = pool[(np.linalg.norm(pool - c, axis=1) <= 3.0 * r_n)
+                   & (np.abs(pool @ normal - offset) <= r_n)]
         ref = reference_greedy_cover([Ball(p, r) for p in sel])[0]
-        assert [tuple(b.center) for b in got] == [tuple(b.center) for b in ref]
-        sizes.append(len(got))
+        assert [tuple(p) for p in chosen[ball == k]] == [tuple(b.center) for b in ref]
+        sizes.append(len(ref))
     assert max(sizes) > 1
 
 

@@ -211,6 +211,15 @@ def test_enumerate_windows_cap_refuses_before_any_cell():
     assert str(got.value).startswith("enumeration of ~")
 
 
+@pytest.mark.parametrize("n", [53, 70])
+def test_enumerate_windows_refuses_inexact_blocks_before_any_cell(n):
+    # blocks from 53 on hold denominators q >= 2^53, not all exact in float64
+    lo = hi = np.full((1, 1), 0.5)
+    with mock.patch.object(np, "arange", side_effect=AssertionError("cell computed")):
+        with pytest.raises(ValueError, match=f"^block {n} refused: .* blocks stop at 52$"):
+            _enumerate_windows(1, n, lo, hi)
+
+
 # ---------------------------------------------------------------------------
 # approximability
 # ---------------------------------------------------------------------------

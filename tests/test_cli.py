@@ -71,6 +71,9 @@ def test_unknown_subcommand_is_usage_error(tmp_path):
 
 
 _BOX = '"open_set": {"type": "box", "min": [0.0], "max": [1.0]}'
+_MAPS = ('"maps": [{"ratio": 0.3333333333333333, "rotation": [1.0], "translation": [0.0]}, '
+         '{"ratio": 0.3333333333333333, "rotation": [1.0], '
+         '"translation": [0.6666666666666666]}], ')
 
 
 @pytest.mark.parametrize("field, files, argv", [
@@ -85,10 +88,26 @@ _BOX = '"open_set": {"type": "box", "min": [0.0], "max": [1.0]}'
                   "--samples", "100"]),
     ("seed", {"exp.json": '{"ifs_path": "cantor", "seed": -5}'},
      ["--config", "exp.json", "sample"]),
+    ("psi_spec", {"t.csv": "2.0\n4.0,0.1\n"},
+     ["sums", "--ifs", "cantor", "--psi", "table:t.csv"]),
+    ("ifs_path", {}, ["sums", "--ifs", "."]),
+    ("dimension", {"sys.json": '{"dimension": 1.7, ' + _MAPS + _BOX + "}"},
+     ["sums", "--ifs", "sys.json"]),
+    ("dimension", {"sys.json": '{"dimension": true, ' + _MAPS + _BOX + "}"},
+     ["sums", "--ifs", "sys.json"]),
+    ("dimension", {"sys.json": '{"dimension": "1", ' + _MAPS + _BOX + "}"},
+     ["sums", "--ifs", "sys.json"]),
+    ("blocks", {}, ["lemma-audit", "--ifs", "cantor", "--blocks", "70:70",
+                    "--trials", "1"]),
+    ("blocks", {}, ["lemma-audit", "--ifs", "cantor", "--blocks", "53:53",
+                    "--trials", "1"]),
 ], ids=["alpha-nan", "tolerance-nan", "trials-string", "maps-number",
-        "seed-negative", "seed-negative-config"])
-def test_bad_input_is_one_error_line_naming_the_field(tmp_path, capsys, field,
-                                                       files, argv):
+        "seed-negative", "seed-negative-config", "psi-table-one-column",
+        "ifs-directory", "dimension-fraction", "dimension-bool",
+        "dimension-string", "blocks-70", "blocks-53"])
+def test_bad_input_is_one_error_line_naming_the_field(tmp_path, capsys, monkeypatch,
+                                                       field, files, argv):
+    monkeypatch.chdir(tmp_path)  # relative paths, as in a table: spec, are files here
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     args = [tmp_path / a if a in files else a for a in argv]

@@ -19,9 +19,7 @@ from fracapprox.geometry import (
     Simplex,
     Slab,
     affine_rank,
-    greedy_cover,
     hyperplane_through,
-    hyperplane_witness,
     simplex_volume_times_dfact,
     unit_ball_volume,
     _greedy_segments,
@@ -179,45 +177,39 @@ def test_dyadic_block_bounds():
 # ---------------------------------------------------------------------------
 
 
+def _greedy(centers, r):
+    """The greedy cover of one segment: its chosen rows, in visiting order."""
+    rows = np.array(centers, dtype=float)
+    return _greedy_segments(rows, np.zeros(len(rows), dtype=np.intp), r)[0]
+
+
 def test_greedy_cover_trace_012():
-    balls = [Ball([float(c)], 1.0) for c in (0, 1, 2)]
-    chosen, k = greedy_cover(balls)
-    assert k == 3
-    assert [float(b.center[0]) for b in chosen] == [0.0]
+    chosen = _greedy([[0.0], [1.0], [2.0]], 1.0)
+    assert chosen.tolist() == [[0.0]]
     # the 3-dilate [-3, 3] covers the union [-1, 3]
-    assert chosen[0].dilate(3).contains([3.0])
+    assert Ball(chosen[0], 1.0).dilate(3).contains([3.0])
 
 
 def test_greedy_cover_single_ball():
-    chosen, _ = greedy_cover([Ball([0.3, 0.4], 0.2)])
-    assert len(chosen) == 1
+    assert len(_greedy([[0.3, 0.4]], 0.2)) == 1
 
 
 def test_greedy_cover_separated_balls_all_kept():
-    balls = [Ball([float(c)], 1.0) for c in (0, 10, 20)]
-    chosen, _ = greedy_cover(balls)
-    assert sorted(float(b.center[0]) for b in chosen) == [0.0, 10.0, 20.0]
-
-
-def test_greedy_cover_rejects_mixed_radii():
-    with pytest.raises(ValueError):
-        greedy_cover([Ball([0.0], 1.0), Ball([3.0], 2.0)])
+    chosen = _greedy([[0.0], [10.0], [20.0]], 1.0)
+    assert chosen[:, 0].tolist() == [0.0, 10.0, 20.0]
 
 
 def test_greedy_cover_empty_input():
-    chosen, k = greedy_cover([])
-    assert chosen == [] and k == 3
+    assert _greedy(np.zeros((0, 1)), 1.0).shape == (0, 1)
 
 
 def test_greedy_cover_order_independent():
     rng = np.random.default_rng(7)
     centers = rng.random((40, 2))
-    balls = [Ball(c, 0.1) for c in centers]
-    ref = {tuple(b.center) for b in greedy_cover(balls)[0]}
+    ref = {tuple(c) for c in _greedy(centers, 0.1)}
     for _ in range(5):
-        perm = rng.permutation(len(balls))
-        got = {tuple(b.center) for b in greedy_cover([balls[i] for i in perm])[0]}
-        assert got == ref
+        perm = rng.permutation(len(centers))
+        assert {tuple(c) for c in _greedy(centers[perm], 0.1)} == ref
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -227,8 +219,7 @@ def test_greedy_cover_disjoint_and_covering(d):
         m = int(rng.integers(1, 120))
         r = float(rng.uniform(0.05, 0.4))
         centers = rng.uniform(0, 3, size=(m, d))
-        chosen, _ = greedy_cover([Ball(c, r) for c in centers])
-        ch = np.array([b.center for b in chosen])
+        ch = _greedy(centers, r)
         if len(ch) > 1:
             gaps = np.linalg.norm(ch[:, None, :] - ch[None, :, :], axis=2)
             np.fill_diagonal(gaps, np.inf)
@@ -246,15 +237,9 @@ def test_greedy_cover_disjoint_and_covering(d):
 def test_greedy_cover_exact_2r_gap_is_not_separated():
     # gaps of exactly 2r (first coordinates 0.5 apart at r = 0.25) fail the
     # strict test, so 0.5 is skipped; 3-4-5 gaps at r = 2.5 likewise
-    chosen, _ = greedy_cover([Ball([c], 0.25) for c in (1.0, 0.5, 0.0)])
-    assert [float(b.center[0]) for b in chosen] == [0.0, 1.0]
-    chosen, _ = greedy_cover([Ball(c, 2.5) for c in ([3.0, 4.0], [0.0, 0.0], [6.0, 8.0])])
-    assert [tuple(b.center) for b in chosen] == [(0.0, 0.0), (6.0, 8.0)]
-
-
-def test_greedy_cover_rejects_non_finite_centres():
-    with pytest.raises(ValueError, match="finite"):
-        greedy_cover([Ball([0.0, 0.0], 1.0), Ball([np.nan, 0.0], 1.0)])
+    assert _greedy([[1.0], [0.5], [0.0]], 0.25).tolist() == [[0.0], [1.0]]
+    chosen = _greedy([[3.0, 4.0], [0.0, 0.0], [6.0, 8.0]], 2.5)
+    assert chosen.tolist() == [[0.0, 0.0], [6.0, 8.0]]
 
 
 @st.composite
@@ -282,11 +267,8 @@ def _cover_centres(draw):
 @given(_cover_centres())
 def test_greedy_cover_matches_reference(case):
     rows, r = case
-    balls = [Ball(c, r) for c in rows]
-    got, k = greedy_cover(balls)
-    want, _ = reference_greedy_cover(balls)
-    assert k == 3
-    assert [tuple(b.center) for b in got] == [tuple(b.center) for b in want]
+    want, _ = reference_greedy_cover([Ball(c, r) for c in rows])
+    assert [tuple(c) for c in _greedy(rows, r)] == [tuple(b.center) for b in want]
 
 
 @settings(max_examples=300)
@@ -310,14 +292,22 @@ def test_greedy_segments_of_nothing():
     assert got.shape == (0, 2) and seg.shape == (0,)
 
 
-def _witness_outcome(witness, pts, ball, scale):
+def _witness_outcome(pts, ball, scale, oracle=False):
+    """What the witness of one ball gives: an error, a plane or a simplex,
+    from _witness_block or from the per-ball oracle."""
     try:
-        res = witness(pts, ball, scale)
+        if oracle:
+            plane, simplex = cover_oracle.hyperplane_witness(pts, ball, scale)
+            if plane is not None:
+                plane = plane.normal, plane.offset
+        else:
+            normals, offsets, simplices = _witness_block([pts], ball.center[None], scale)
+            plane, simplex = (normals[0], offsets[0]), simplices.get(0)
     except ValueError as e:
         return "error", str(e)
-    if res.is_hyperplane:
-        return "plane", res.hyperplane.normal.tobytes(), res.hyperplane.offset
-    return "simplex", [(v.numerators, v.denominator) for v in res.simplex.vertices]
+    if simplex is None:
+        return "plane", plane[0].tobytes(), plane[1]
+    return "simplex", [(v.numerators, v.denominator) for v in simplex.vertices]
 
 
 @st.composite
@@ -343,8 +333,7 @@ def _witness_case(draw):
 @given(_witness_case())
 def test_hyperplane_witness_matches_per_ball_oracle(case):
     pts, ball, scale = case
-    got = _witness_outcome(hyperplane_witness, pts, ball, scale)
-    assert got == _witness_outcome(cover_oracle.hyperplane_witness, pts, ball, scale)
+    assert _witness_outcome(pts, ball, scale) == _witness_outcome(pts, ball, scale, True)
 
 
 @pytest.mark.parametrize("d, n", [(1, 3), (1, 9), (2, 0), (2, 4), (2, 5), (3, 2)])
@@ -358,7 +347,7 @@ def test_witness_block_matches_per_ball_oracle(d, n):
     normals, offsets, simplices = _witness_block(point_lists, centres, scale)
     assert simplices == {}
     for c, pts, normal, offset in zip(centres, point_lists, normals, offsets):
-        want = cover_oracle.hyperplane_witness(pts, Ball(c, scale.r_n), scale).hyperplane
+        want, _ = cover_oracle.hyperplane_witness(pts, Ball(c, scale.r_n), scale)
         assert normal.tobytes() == want.normal.tobytes() and offset == want.offset
 
 
@@ -369,29 +358,22 @@ def test_witness_block_matches_per_ball_oracle(d, n):
 
 def test_witness_single_point_d1():
     scale = DyadicScale(1, 1)
-    res = hyperplane_witness(
-        [RationalPoint((1,), 2)], Ball([0.5], scale.r_n), scale
-    )
-    assert res.is_hyperplane
-    assert res.hyperplane.distance([0.5]) < 1e-12
+    normals, offsets, simplices = _witness_block([[RationalPoint((1,), 2)]],
+                                                 np.array([[0.5]]), scale)
+    assert simplices == {}
+    assert Hyperplane(normals[0], offsets[0]).distance([0.5]) < 1e-12
 
 
 def test_witness_rejects_wrong_block_denominator():
     scale = DyadicScale(1, 1)
-    with pytest.raises(ValueError):
-        hyperplane_witness([RationalPoint((1,), 5)], Ball([0.2], scale.r_n), scale)
+    with pytest.raises(ValueError, match="outside dyadic block"):
+        _witness_block([[RationalPoint((1,), 5)]], np.array([[0.2]]), scale)
 
 
 def test_witness_rejects_far_points():
     scale = DyadicScale(1, 1)
-    with pytest.raises(ValueError):
-        hyperplane_witness([RationalPoint((1,), 2)], Ball([0.9], scale.r_n), scale)
-
-
-def test_witness_rejects_wrong_container_radius():
-    scale = DyadicScale(1, 1)
-    with pytest.raises(ValueError):
-        hyperplane_witness([RationalPoint((1,), 2)], Ball([0.5], 0.25), scale)
+    with pytest.raises(ValueError, match="6-dilate"):
+        _witness_block([[RationalPoint((1,), 2)]], np.array([[0.9]]), scale)
 
 
 def test_block1_interval_of_length_one_sixteenth_holds_one_rational():
@@ -451,31 +433,29 @@ def _exact_triple_independent(points) -> bool:
 def test_witness_d2_block3_always_hyperplane():
     from fracapprox.analysis import _block_rationals_in_six_dilate
 
-    rng = np.random.default_rng(42)
     scale = DyadicScale(3, 2)
-    for _ in range(50):
-        ball = Ball(rng.random(2), scale.r_n)
-        pts = _block_rationals_in_six_dilate(2, scale, ball.center[None])[0]
-        res = hyperplane_witness(pts, ball, scale)
-        assert res.is_hyperplane
+    centres = np.random.default_rng(42).random((50, 2))
+    point_lists = _block_rationals_in_six_dilate(2, scale, centres)
+    normals, offsets, simplices = _witness_block(point_lists, centres, scale)
+    assert simplices == {}
+    for pts, normal, offset in zip(point_lists, normals, offsets):
         # independent oracle: cofactor determinants over all triples
         assert not _exact_triple_independent(pts)
         for p in pts:
-            assert res.hyperplane.distance(p.as_float()) < 1e-9
+            assert Hyperplane(normal, offset).distance(p.as_float()) < 1e-9
 
 
 def test_witness_returns_simplex_when_preconditions_broken():
     # an oversized container admits genuinely independent triples; the result
     # must expose one as the counterexample
     scale = DyadicScale(1, 2)
-    big = Ball([0.5, 0.5], scale.r_n)
     pts = [
         RationalPoint((0, 0), 2),
         RationalPoint((1, 0), 2),
         RationalPoint((0, 1), 2),
     ]
-    with pytest.raises(ValueError):
-        hyperplane_witness(pts, big, scale)  # they are outside the 6-dilate
+    with pytest.raises(ValueError, match="6-dilate"):  # they are outside it
+        _witness_block([pts], np.array([[0.5, 0.5]]), scale)
 
 
 def test_simplex_branch_via_affine_rank_directly():
@@ -542,7 +522,7 @@ def test_slab_of_contains_all_inputs():
 
 def test_slab_of_rejects_empty_and_independent():
     # no hyperplane through no points; d+1 independent points lie on none,
-    # which the exact rank decides (hyperplane_witness then gives a simplex)
+    # which the exact rank decides (_witness_block then gives a simplex)
     with pytest.raises(ValueError):
         hyperplane_through([])
     pts = [

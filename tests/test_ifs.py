@@ -124,6 +124,33 @@ def test_koch_rotated_box_witness_fails():
         IFSystem.create(maps, Box([0.0, 0.0], [1.0, 0.3]))
 
 
+_TRIANGLE = ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
+
+
+@pytest.mark.parametrize("region, edge, outward", [
+    (Box([0.0, 0.0], [1.0, 2.0]),
+     [[1.0, 0.5], [0.3, 0.0], [0.0, 2.0]], [[1.0, 0.0], [0.0, -1.0], [-1.0, 1.0]]),
+    (Ball([0.5, 0.5], 0.25),
+     [[0.75, 0.5], [0.65, 0.7], [0.5, 0.25]], [[1.0, 0.0], [0.6, 0.8], [0.0, -1.0]]),
+    (_TRIANGLE,
+     [[0.5, 0.0], [0.75, math.sqrt(3.0) / 4.0], [0.25, math.sqrt(3.0) / 4.0]],
+     [[0.0, -1.0], [math.sqrt(3.0) / 2.0, 0.5], [-math.sqrt(3.0) / 2.0, 0.5]]),
+], ids=["box", "ball", "polygon"])
+def test_contains_decides_rows_as_single_points(region, edge, outward):
+    # points on the boundary, just inside, and outside by tol / 2 (still in),
+    # by 2 tol and by 1e-6 (out); the polygon's edges have unit length, so
+    # its cross products are distances
+    tol = 1e-9
+    steps = np.array([-tol, 0.0, tol / 2, 2 * tol, 1e-6])
+    pts = (np.array(edge)[:, None, :]
+           + steps[None, :, None] * np.array(outward)[:, None, :]).reshape(-1, 2)
+    rows = region.contains(pts, tol)
+    single = [region.contains(p, tol) for p in pts]
+    assert all(type(v) is bool for v in single)
+    assert rows.dtype == bool and rows.tolist() == single
+    assert single == [s <= tol for _ in edge for s in steps]
+
+
 def test_irreducibility_warning_for_collinear_fixed_points():
     maps = [
         SimilarityMap(1 / 3, I2, np.array([0.0, 0.0])),
