@@ -20,7 +20,6 @@ from .geometry import (
     DyadicScale,
     _greedy_segments,
     _outside_six_dilate,
-    _rational_values,
     _reach,
     _witness_block,
 )
@@ -440,10 +439,9 @@ def hs_upper_bound(
         pool = sample_measure(sys, pool_size, np.random.SeedSequence([seed, n]))
         r = float(psi(2.0**n))
         scale = DyadicScale(n, d)
-        point_lists = _block_rationals_in_six_dilate(d, scale, centres)
-        held = [k for k, pts in enumerate(point_lists) if pts]
-        normals, offsets, simplices = _witness_block(
-            [point_lists[k] for k in held], centres[held], scale)
+        nums, qs, owner = _block_rationals_in_six_dilate(d, scale, centres)
+        held, owner = np.unique(owner, return_inverse=True)  # the balls with points
+        normals, offsets, simplices = _witness_block(nums, qs, owner, centres[held], scale)
         if simplices:
             raise RuntimeError(
                 "volume obstruction failed inside hs_upper_bound; "
@@ -463,16 +461,13 @@ def hs_upper_bound(
     return HsTail(s=s, rows=tuple(rows), tails=tuple(tails), c_max=tuple(c_maxes))
 
 
-def _block_rationals_in_six_dilate(d: int, scale: DyadicScale, centres) -> list:
-    """For each row c of centres, the block rationals in the closed 6-dilate
-    of the block ball B(c, r_n), from one enumeration over all the windows."""
+def _block_rationals_in_six_dilate(d: int, scale: DyadicScale, centres) -> tuple:
+    """The block rationals in the closed 6-dilates of the balls B(c, r_n), c the
+    rows of centres, from one enumeration: (nums, qs, owner), owner the row."""
     radius = 6.0 * scale.r_n
-    windows = _enumerate_windows(d, scale.n, centres - radius, centres + radius)
-    flat = [p for pts in windows for p in pts]
-    owner = np.repeat(np.arange(len(windows)), [len(pts) for pts in windows])
-    inside = iter((~_outside_six_dilate(_rational_values(flat, d), centres[owner],
-                                        scale.r_n)).tolist())
-    return [[p for p in pts if next(inside)] for pts in windows]
+    nums, qs, owner = _enumerate_windows(d, scale.n, centres - radius, centres + radius)
+    inside = ~_outside_six_dilate(nums / qs[:, None], centres[owner], scale.r_n)
+    return nums[inside], qs[inside], owner[inside]
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +541,9 @@ def audit_hyperplane_lemma(
     for start in range(0, n_balls, _AUDIT_BLOCK):
         # one (k, d) draw gives the bits of k draws of d numbers each
         centres = rng.random((min(_AUDIT_BLOCK, n_balls - start), d)) * box_side
-        point_lists = _block_rationals_in_six_dilate(d, scale, centres)
-        max_pts = max(max_pts, *map(len, point_lists))
-        bad += len(_witness_block(point_lists, centres, scale)[2])
+        nums, qs, owner = _block_rationals_in_six_dilate(d, scale, centres)
+        max_pts = max(max_pts, int(np.bincount(owner).max(initial=0)))
+        bad += len(_witness_block(nums, qs, owner, centres, scale)[2])
     return LemmaAuditReport(d=d, n=n, balls=n_balls, max_rationals=max_pts,
                             simplex_counterexamples=bad)
 

@@ -29,6 +29,8 @@ __all__ = [
 
 _GRID_POINTS = 1000
 _ENUMERATION_CAP = 10**8
+# Largest number of denominators 2^n one enumeration window may walk.
+_WINDOW_CELL_CAP = 2**20
 # (window, denominator) cells whose numerator ranges one step computes.
 _CELL_BUDGET = 2**16
 
@@ -193,46 +195,58 @@ def enumerate_rationals(d: int, n: int, window: Box) -> list:
 
     Representations are not reduced, but coincident values within a block are
     reported once (the representative with the smallest denominator).  Refuses
-    windows whose estimated candidate count exceeds 10^8.  Points come in
-    ascending q, and for each q in the product order of the numerators.
+    windows whose estimated candidate count exceeds 10^8, and the blocks that
+    _enumerate_windows refuses.  Points come in ascending q, and for each q in
+    the product order of the numerators.
     """
     if window.dim != d:
         raise ValueError("window dimension mismatch")
-    return _enumerate_windows(d, n, window.lo[None], window.hi[None])[0]
+    nums, qs, _ = _enumerate_windows(d, n, window.lo[None], window.hi[None])
+    return [RationalPoint(p, q) for p, q in zip(nums.tolist(), qs.tolist())]
 
 
-def _enumerate_windows(d: int, n: int, lo: np.ndarray, hi: np.ndarray) -> list:
+def _enumerate_windows(d: int, n: int, lo: np.ndarray, hi: np.ndarray) -> tuple:
     """enumerate_rationals for the windows [lo[k], hi[k]] (rows of shape (K, d))
-    of one block: one list per window.  The block and every window are checked
-    before any cell is computed; a step covers _CELL_BUDGET (window, q) cells."""
-    if n >= 53:
-        raise ValueError(f"block {n} refused: its denominators are not exact in "
-                         "float64, so blocks stop at 52")
+    of one block, as int64 numerators (M, d), denominators (M,) and windows
+    k (M,), window by window.  Refused before any cell: 2^n > _WINDOW_CELL_CAP,
+    and windows whose lo q - slop, hi q + slop can round by more than the slop
+    in all (ulp(max |endpoint| 2^(n+1) + slop) > slop).  Below that no rational
+    of a window is missed and none returned lies beyond 2 slop / q outside it."""
+    slop = 1e-12
+    if 2**n > _WINDOW_CELL_CAP:
+        raise ValueError(f"block {n} refused: its 2^{n} denominators per window "
+                         f"exceed the ceiling of {_WINDOW_CELL_CAP} cells")
     est = np.prod(hi - lo, axis=1) * 2.0 ** ((d + 1) * (n + 1))
     big = est[est > _ENUMERATION_CAP]
     if big.size:
         raise ValueError(f"enumeration of ~{big[0]:.2e} candidates refused; shrink the window")
-    slop = 1e-12
-    seen = [{} for _ in range(len(lo))]
+    top = max(np.abs(lo).max(), np.abs(hi).max())
+    if not np.spacing(top * 2.0 ** (n + 1) + slop) <= slop:  # also non-finite edges
+        raise ValueError(f"block {n} refused: float64 numerator bounds for window "
+                         f"endpoints up to {top:.6g} round by more than {slop}")
+    boxes = []
     for start in range(0, len(lo) << n, _CELL_BUDGET):
-        # cells run window by window, each in ascending q; q < 2^53 is exact in
-        # float64, so these are the bits of the scalar ceil(lo q - slop) and
-        # floor(hi q + slop)
+        # a step's cells (w, q) run window by window, each in ascending q
         cell = np.arange(start, min(start + _CELL_BUDGET, len(lo) << n))
-        w, qs = cell >> n, (cell & (2**n - 1)) + 2**n
-        qf = qs[:, None].astype(float)
-        p_lo = np.ceil(lo[w] * qf - slop)
-        p_hi = np.floor(hi[w] * qf + slop)
+        w, q = cell >> n, (cell & (2**n - 1)) + 2**n
+        p_lo, p_hi = np.ceil(lo[w] * q[:, None] - slop), np.floor(hi[w] * q[:, None] + slop)
         hit = np.flatnonzero((p_lo <= p_hi).all(axis=1))
-        for k, q, a, b in zip(w[hit].tolist(), qs[hit].tolist(),
-                              p_lo[hit].tolist(), p_hi[hit].tolist()):
-            found = seen[k]
-            for nums in product(*(range(int(x), int(y) + 1) for x, y in zip(a, b))):
-                g = math.gcd(q, *nums)  # (nums/g, q/g) is the value in lowest terms
-                key = (tuple(p // g for p in nums), q // g)
-                if key not in found:
-                    found[key] = RationalPoint(nums, q)
-    return [list(found.values()) for found in seen]
+        boxes.append(np.column_stack((w[hit], q[hit], p_lo[hit], p_hi[hit])))
+    w, q, p_lo, p_hi = np.hsplit(np.concatenate(boxes).astype(np.int64), [1, 2, 2 + d])
+    # every point of each hit cell's box, the last numerator fastest
+    sides = p_hi - p_lo + 1
+    size = sides.prod(axis=1)
+    at = np.repeat(np.arange(len(size)), size)
+    rest = np.arange(len(at)) - np.repeat(np.cumsum(size) - size, size)
+    nums = np.empty((len(at), d), dtype=np.int64)
+    for i in range(d - 1, -1, -1):
+        rest, nums[:, i] = np.divmod(rest, sides[at, i])
+    nums, qs, owner = nums + p_lo[at], q[at, 0], w[at, 0]
+    # keep each value's first point, the one with the smallest denominator
+    g = np.gcd.reduce(np.column_stack((nums, qs)), axis=1)
+    key = np.column_stack((owner, nums // g[:, None], qs // g))
+    first = np.sort(np.unique(key, axis=0, return_index=True)[1])
+    return nums[first], qs[first], owner[first]
 
 
 # ---------------------------------------------------------------------------

@@ -414,11 +414,13 @@ def cover_cost_cmd(ctx, ifs_path, psi_spec, blocks, s_param):
     sys_ = _resolve_system(cfg)
     psi = _parse_psi(cfg, sys_.dim)
     s_val = cfg.s if cfg.s is not None else sys_.delta
+    if not s_val >= 0:
+        raise UsageFailure("config field 's' must be >= 0")
     k_min, k_max = cfg.blocks
     try:
         tail = hs_upper_bound(sys_, psi, s_val, k_min, k_max, seed=cfg.seed)
-    except ValueError as e:
-        raise UsageFailure(str(e))
+    except ValueError as e:  # the net, depth and enumeration refusals of a block
+        raise UsageFailure(f"config field 'blocks': {e}")
     tails = dict(tail.tails)
     rows = [
         (n, nd, nc, tails[n]) for (n, nd, nc, _cost) in tail.rows

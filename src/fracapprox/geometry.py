@@ -493,11 +493,12 @@ def hyperplane_through(points: list) -> Hyperplane:
     return Hyperplane(normal, float(np.dot(normal, base)))
 
 
-def _witness_block(point_lists: list, centres: np.ndarray, block: DyadicScale) -> tuple:
-    """Find the hyperplane carrying the block-n rationals near each ball
-    D_n = B(centres[k], r_n) of one block, with point_lists[k] the points
-    near ball k: (normals (K, d), offsets (K,), {k: Simplex} for the balls
-    whose points span a simplex; their rows hold NaN).
+def _witness_block(nums: np.ndarray, qs: np.ndarray, owner: np.ndarray,
+                   centres: np.ndarray, block: DyadicScale) -> tuple:
+    """Find the hyperplane carrying the block-n rationals nums[i] / qs[i]
+    (int64) near each ball D_n = B(centres[owner[i]], r_n) of one block:
+    (normals (K, d), offsets (K,), {k: Simplex} for the balls whose points
+    span a simplex; their rows hold NaN).
 
     Preconditions: every point has denominator in [2^n, 2^(n+1)) and lies in
     the 6-dilate of its ball.  Then d+1 affinely independent points would
@@ -509,51 +510,39 @@ def _witness_block(point_lists: list, centres: np.ndarray, block: DyadicScale) -
     one raises ValueError.  A ball with no points gets the hyperplane
     x_d = c_d through its centre, and a single point p/q the hyperplane
     x_d = p_d/q; in d = 1 a ball that holds a block rational holds just one.
-    Larger sets take the exact affine rank.
+    Larger sets take the exact affine rank, on RationalPoints.
     """
     d = centres.shape[1]
-    flat = [p for pts in point_lists for p in pts]
-    owner = np.repeat(np.arange(len(point_lists)), [len(pts) for pts in point_lists])
-    wrong_dim = next((i for i, p in enumerate(flat) if p.dim != d), len(flat))
     q_lo, q_hi = block.q_lo, block.q_hi
-    wrong_q = [not q_lo <= p.denominator < q_hi for p in flat[:wrong_dim]]
-    far = _outside_six_dilate(_rational_values(flat[:wrong_dim], d),
-                              centres[owner[:wrong_dim]], block.r_n)
-    faults = np.flatnonzero(np.logical_or(wrong_q, far))
+    wrong_q = (qs < q_lo) | (qs >= q_hi)
+    far = _outside_six_dilate(nums / qs[:, None], centres[owner], block.r_n)
+    faults = np.flatnonzero(wrong_q | far)
     if faults.size and wrong_q[faults[0]]:
-        raise ValueError(
-            f"denominator {flat[faults[0]].denominator} outside dyadic block "
-            f"[{q_lo}, {q_hi})"
-        )
+        raise ValueError(f"denominator {qs[faults[0]]} outside dyadic block "
+                         f"[{q_lo}, {q_hi})")
     if faults.size:
         raise ValueError("point lies outside the 6-dilate of the container")
-    if wrong_dim < len(flat):
-        raise ValueError("point dimension does not match container")
 
-    normals = np.zeros((len(point_lists), d))
+    normals = np.zeros((len(centres), d))
     normals[:, -1] = 1.0
     offsets = centres[:, -1].copy()
+    counts = np.bincount(owner, minlength=len(centres))
+    lone = counts[owner] == 1
+    offsets[owner[lone]] = nums[lone, -1] / qs[lone]
     simplices = {}
-    for k, pts in enumerate(point_lists):
-        if len(pts) == 1:
-            p = pts[0]
-            offsets[k] = p.numerators[-1] / p.denominator
-        elif pts:
-            distinct = list({p.value_key(): p for p in pts}.values())
-            if len(distinct) <= d or affine_rank(distinct) <= d - 1:
-                plane = hyperplane_through(distinct)
-                normals[k], offsets[k] = plane.normal, plane.offset
-            else:
-                simplices[k] = Simplex(tuple(_independent_subset(distinct, d)))
-                normals[k], offsets[k] = np.nan, np.nan
+    many = np.flatnonzero(~lone)
+    many = many[np.argsort(owner[many], kind="stable")]  # by ball, in point order
+    for rows in np.split(many, np.flatnonzero(np.diff(owner[many])) + 1) if many.size else []:
+        k = int(owner[rows[0]])
+        pts = [RationalPoint(p, q) for p, q in zip(nums[rows].tolist(), qs[rows].tolist())]
+        distinct = list({p.value_key(): p for p in pts}.values())
+        if len(distinct) <= d or affine_rank(distinct) <= d - 1:
+            plane = hyperplane_through(distinct)
+            normals[k], offsets[k] = plane.normal, plane.offset
+        else:
+            simplices[k] = Simplex(tuple(_independent_subset(distinct, d)))
+            normals[k], offsets[k] = np.nan, np.nan
     return normals, offsets, simplices
-
-
-def _rational_values(points: list, d: int) -> np.ndarray:
-    """The points p/q as rows of floats, each coordinate the correctly rounded
-    p_i / q of RationalPoint.as_float."""
-    return np.array([[x / p.denominator for x in p.numerators] for p in points],
-                    dtype=float).reshape(-1, d)
 
 
 def _outside_six_dilate(values: np.ndarray, centres: np.ndarray, r_n: float) -> np.ndarray:

@@ -27,7 +27,7 @@ from fracapprox.analysis import (
     _max_feasible_block,
     _net_depth,
 )
-from fracapprox.approx import _ENUMERATION_CAP, PsiFunction, _enumerate_windows
+from fracapprox.approx import _ENUMERATION_CAP, PsiFunction
 from fracapprox.geometry import (
     Ball,
     Box,
@@ -209,7 +209,8 @@ def hyperplane_through(points: list) -> Hyperplane:
 # pool window and greedy pass per block ball D_n, and the functions it calls,
 # as they stood before the block passes replaced them.  Two names changed:
 # hs_upper_bound is loop_hs_upper_bound and its block enumeration filter is
-# _window_rationals_in_six_dilate.  hyperplane_witness, used by every oracle
+# _window_rationals_in_six_dilate, which now enumerates each window with this
+# module's enumerate_rationals.  hyperplane_witness, used by every oracle
 # here, calls this module's QR-only hyperplane_through.
 # ---------------------------------------------------------------------------
 
@@ -275,9 +276,10 @@ def loop_hs_upper_bound(
 
 def _window_rationals_in_six_dilate(d: int, scale: DyadicScale, centres) -> list:
     """For each row c of centres, the block rationals in the closed 6-dilate
-    of the block ball B(c, r_n), from one enumeration over all the windows."""
+    of the block ball B(c, r_n), from this module's enumeration of each
+    window [c - 6 r_n, c + 6 r_n]."""
     radius = 6.0 * scale.r_n
-    windows = _enumerate_windows(d, scale.n, centres - radius, centres + radius)
+    windows = [enumerate_rationals(d, scale.n, Box(c - radius, c + radius)) for c in centres]
     return [[p for p in pts if np.linalg.norm(p.as_float() - c) <= radius * (1 + 1e-9)]
             for c, pts in zip(centres, windows)]
 

@@ -379,9 +379,11 @@ def _audit_with_witness_calls(module, audit, *args):
     if module is analysis:
         name, block = "_witness_block", module._witness_block
 
-        def record(point_lists, centres, scale):
-            calls.extend((c.tobytes(), numbers(pts)) for c, pts in zip(centres, point_lists))
-            return block(point_lists, centres, scale)
+        def record(nums, qs, owner, centres, scale):
+            calls.extend((c.tobytes(), list(zip(map(tuple, nums[owner == k].tolist()),
+                                                qs[owner == k].tolist())))
+                         for k, c in enumerate(centres))
+            return block(nums, qs, owner, centres, scale)
     else:
         name, witness = "hyperplane_witness", module.hyperplane_witness
 

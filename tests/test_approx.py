@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -147,8 +148,11 @@ def _enumeration_windows(draw):
 def _block_window(draw, d, n):
     """A window of block n in R^d with a few hundred candidates at most.  An
     edge either lies anywhere or sits on a block rational p/q, shifted by 0 or
-    +-1e-12 (the enumeration's slop)."""
+    +-1e-12 (the enumeration's slop).  Most windows lie in [-1.5, 2.5]^d; some
+    lie near 64, -1000 or 2^30, where the numerator bounds round coarsely and
+    the enumeration refuses all but the lowest blocks."""
     top = (300.0 / 2.0 ** ((d + 1) * (n + 1))) ** (1.0 / d)
+    base = draw(st.sampled_from([0.0, 0.0, 0.0, 64.0, -1000.0, 2.0**30]))
 
     def edge(near):
         if draw(st.booleans()):
@@ -159,7 +163,7 @@ def _block_window(draw, d, n):
 
     lo, hi = [], []
     for _ in range(d):
-        a = edge(draw(st.floats(-1.5, 2.5)))
+        a = edge(base + draw(st.floats(-1.5, 2.5)))
         b = edge(a + draw(st.floats(0.0, top)))
         lo.append(min(a, b))
         hi.append(max(a, b))
@@ -170,12 +174,32 @@ def _as_pairs(points):
     return [(p.numerators, p.denominator) for p in points]
 
 
+_SLOP = 1e-12  # the enumeration's slop on the numerator bounds
+
+
+def _refused(n, lo, hi) -> bool:
+    """The enumeration's block refusal, restated: more denominators per window
+    than the cell ceiling, or a float64 product bound lo q, hi q (q < 2^(n+1))
+    whose ulp, plus that of the slop shift, can exceed the slop."""
+    top = max(abs(float(v)) for v in [*np.ravel(lo), *np.ravel(hi)])
+    return 2**n > approx._WINDOW_CELL_CAP or math.ulp(top * 2.0 ** (n + 1) + _SLOP) > _SLOP
+
+
+def _refusal_holds(error, n, lo, hi) -> bool:
+    return str(error).startswith(f"block {n} refused: ") and _refused(n, lo, hi)
+
+
 @settings(max_examples=300)
 @given(_enumeration_windows(), st.sampled_from([1, 3, 2**16]))
 def test_enumerate_matches_reference(case, chunk):
     d, n, window = case
-    with mock.patch.object(approx, "_CELL_BUDGET", chunk):
-        got = enumerate_rationals(d, n, window)
+    try:
+        with mock.patch.object(approx, "_CELL_BUDGET", chunk):
+            got = enumerate_rationals(d, n, window)
+    except ValueError as e:
+        assert _refusal_holds(e, n, window.lo, window.hi)
+        return
+    assert not _refused(n, window.lo, window.hi)
     want = reference_enumerate(d, n, window)
     assert [(p.numerators, p.denominator) for p in got] == \
         [(p.numerators, p.denominator) for p in want]
@@ -190,10 +214,46 @@ def test_enumerate_windows_match_reference(data, d, n, budget):
     windows = data.draw(st.lists(_block_window(d, n), min_size=1, max_size=6))
     lo = np.array([w.lo for w in windows])
     hi = np.array([w.hi for w in windows])
-    with mock.patch.object(approx, "_CELL_BUDGET", budget):
-        got = _enumerate_windows(d, n, lo, hi)
-    assert [_as_pairs(pts) for pts in got] == \
-        [_as_pairs(reference_enumerate(d, n, w)) for w in windows]
+    try:
+        with mock.patch.object(approx, "_CELL_BUDGET", budget):
+            nums, qs, owner = _enumerate_windows(d, n, lo, hi)
+    except ValueError as e:
+        assert _refusal_holds(e, n, lo, hi)
+        return
+    assert not _refused(n, lo, hi)
+    assert nums.dtype == qs.dtype == owner.dtype == np.int64
+    assert nums.shape == (len(qs), d) and np.all(np.diff(owner) >= 0)
+    got = [list(zip(map(tuple, nums[owner == k].tolist()), qs[owner == k].tolist()))
+           for k in range(len(windows))]
+    assert got == [_as_pairs(reference_enumerate(d, n, w)) for w in windows]
+
+
+@settings(max_examples=300)
+@given(_enumeration_windows())
+def test_enumerate_windows_against_exact_bounds(case):
+    # the oracle above does the same float arithmetic; here the window's edges
+    # are read as exact Fractions: every rational of the closed window is
+    # returned, and none lies more than 2 slop / q outside it
+    d, n, window = case
+    try:
+        nums, qs, _ = _enumerate_windows(d, n, window.lo[None], window.hi[None])
+    except ValueError as e:
+        assert _refusal_holds(e, n, window.lo, window.hi)
+        return
+    lo = [Fraction(v) for v in window.lo]
+    hi = [Fraction(v) for v in window.hi]
+    exact = set()
+    for q in range(2**n, 2 ** (n + 1)):
+        ranges = [range(math.ceil(a * q), math.floor(b * q) + 1) for a, b in zip(lo, hi)]
+        exact.update(tuple(Fraction(p, q) for p in ps) for ps in product(*ranges))
+    got = set()
+    for ps, q in zip(nums.tolist(), qs.tolist()):
+        assert 2**n <= q < 2 ** (n + 1)
+        reach = 2 * Fraction(_SLOP) / q
+        value = tuple(Fraction(p, q) for p in ps)
+        assert all(a - reach <= v <= b + reach for v, a, b in zip(value, lo, hi))
+        got.add(value)
+    assert exact <= got
 
 
 def test_enumerate_windows_cap_refuses_before_any_cell():
@@ -211,12 +271,19 @@ def test_enumerate_windows_cap_refuses_before_any_cell():
     assert str(got.value).startswith("enumeration of ~")
 
 
-@pytest.mark.parametrize("n", [53, 70])
-def test_enumerate_windows_refuses_inexact_blocks_before_any_cell(n):
-    # blocks from 53 on hold denominators q >= 2^53, not all exact in float64
-    lo = hi = np.full((1, 1), 0.5)
+@pytest.mark.parametrize("n, edge, reason", [
+    (53, 0.5, "denominators per window exceed the ceiling"),
+    (70, 0.5, "denominators per window exceed the ceiling"),
+    (13, 0.9, "float64 numerator bounds"),
+    (0, 2.0**30, "float64 numerator bounds"),
+], ids=["53", "70", "rounding-13", "rounding-far"])
+def test_enumerate_windows_refuses_inexact_blocks_before_any_cell(n, edge, reason):
+    # past the cell ceiling a window walks too many denominators; past the
+    # rounding bound lo q and hi q round by more than the slop
+    lo = hi = np.full((1, 1), edge)
+    assert _refused(n, lo, hi)
     with mock.patch.object(np, "arange", side_effect=AssertionError("cell computed")):
-        with pytest.raises(ValueError, match=f"^block {n} refused: .* blocks stop at 52$"):
+        with pytest.raises(ValueError, match=f"^block {n} refused: .*{reason}"):
             _enumerate_windows(1, n, lo, hi)
 
 

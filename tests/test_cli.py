@@ -101,10 +101,19 @@ _MAPS = ('"maps": [{"ratio": 0.3333333333333333, "rotation": [1.0], "translation
                     "--trials", "1"]),
     ("blocks", {}, ["lemma-audit", "--ifs", "cantor", "--blocks", "53:53",
                     "--trials", "1"]),
+    ("blocks", {}, ["lemma-audit", "--ifs", "cantor", "--blocks", "52:52",
+                    "--trials", "1"]),
+    ("blocks", {}, ["lemma-audit", "--ifs", "cantor", "--blocks", "26:26",
+                    "--trials", "1"]),
+    ("blocks", {}, ["lemma-audit", "--ifs", "cantor", "--blocks", "13:13",
+                    "--trials", "200"]),
+    ("blocks", {}, ["cover-cost", "--ifs", "cantor", "--blocks", "14:14"]),
+    ("s", {}, ["cover-cost", "--ifs", "cantor", "--s-param", "-1"]),
 ], ids=["alpha-nan", "tolerance-nan", "trials-string", "maps-number",
         "seed-negative", "seed-negative-config", "psi-table-one-column",
         "ifs-directory", "dimension-fraction", "dimension-bool",
-        "dimension-string", "blocks-70", "blocks-53"])
+        "dimension-string", "blocks-70", "blocks-53", "blocks-52", "blocks-26",
+        "blocks-13-rounding", "cover-cost-blocks-14", "cover-cost-s-negative"])
 def test_bad_input_is_one_error_line_naming_the_field(tmp_path, capsys, monkeypatch,
                                                        field, files, argv):
     monkeypatch.chdir(tmp_path)  # relative paths, as in a table: spec, are files here

@@ -292,6 +292,25 @@ def test_greedy_segments_of_nothing():
     assert got.shape == (0, 2) and seg.shape == (0,)
 
 
+def _as_triple(point_lists, d):
+    """The (nums, qs, owner) int64 arrays of lists of RationalPoints, list k
+    owning its points."""
+    pts = [p for ps in point_lists for p in ps]
+    nums = np.array([p.numerators for p in pts], dtype=np.int64).reshape(-1, d)
+    qs = np.array([p.denominator for p in pts], dtype=np.int64)
+    owner = np.repeat(np.arange(len(point_lists)), [len(ps) for ps in point_lists])
+    return nums, qs, owner
+
+
+def _point_lists(triple, balls):
+    """The points of each of `balls` balls of a (nums, qs, owner) triple, as
+    RationalPoints in triple order."""
+    nums, qs, owner = triple
+    return [[RationalPoint(p, q) for p, q in zip(nums[owner == k].tolist(),
+                                                 qs[owner == k].tolist())]
+            for k in range(balls)]
+
+
 def _witness_outcome(pts, ball, scale, oracle=False):
     """What the witness of one ball gives: an error, a plane or a simplex,
     from _witness_block or from the per-ball oracle."""
@@ -301,7 +320,8 @@ def _witness_outcome(pts, ball, scale, oracle=False):
             if plane is not None:
                 plane = plane.normal, plane.offset
         else:
-            normals, offsets, simplices = _witness_block([pts], ball.center[None], scale)
+            normals, offsets, simplices = _witness_block(*_as_triple([pts], ball.dim),
+                                                         ball.center[None], scale)
             plane, simplex = (normals[0], offsets[0]), simplices.get(0)
     except ValueError as e:
         return "error", str(e)
@@ -314,17 +334,16 @@ def _witness_outcome(pts, ball, scale, oracle=False):
 def _witness_case(draw):
     """(points, ball, scale): block rationals near a block ball, drawn with
     repeats, and now and then a point that breaks a precondition (its
-    denominator, its distance or its dimension) at any position."""
+    denominator or its distance) at any position."""
     d, n = draw(st.integers(1, 3)), draw(st.integers(0, 4))
     scale = DyadicScale(n, d)
     centre = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)))
-    near = _block_rationals_in_six_dilate(d, scale, centre[None])[0]
+    near = _point_lists(_block_rationals_in_six_dilate(d, scale, centre[None]), 1)[0]
     pts = draw(st.lists(st.sampled_from(near), max_size=5)) if near else []
     q = scale.q_lo
-    for flaw in draw(st.lists(st.sampled_from(["q", "far", "dim"]), max_size=2)):
+    for flaw in draw(st.lists(st.sampled_from(["q", "far"]), max_size=2)):
         bad = {"q": RationalPoint((0,) * d, scale.q_hi),
-               "far": RationalPoint((5 * q,) * d, q),
-               "dim": RationalPoint((0,) * (d + 1), q)}[flaw]
+               "far": RationalPoint((5 * q,) * d, q)}[flaw]
         pts.insert(draw(st.integers(0, len(pts))), bad)
     return pts, Ball(centre, scale.r_n), scale
 
@@ -340,11 +359,12 @@ def test_hyperplane_witness_matches_per_ball_oracle(case):
 def test_witness_block_matches_per_ball_oracle(d, n):
     scale = DyadicScale(n, d)
     centres = np.random.default_rng(1).random((300, d))
-    point_lists = _block_rationals_in_six_dilate(d, scale, centres)
+    triple = _block_rationals_in_six_dilate(d, scale, centres)
+    point_lists = _point_lists(triple, len(centres))
     # at d = 2, blocks 4 and 5 hold balls with two rationals, which take the
     # exact rank path
     assert any(len(pts) > 1 for pts in point_lists) == ((d, n) in [(2, 4), (2, 5)])
-    normals, offsets, simplices = _witness_block(point_lists, centres, scale)
+    normals, offsets, simplices = _witness_block(*triple, centres, scale)
     assert simplices == {}
     for c, pts, normal, offset in zip(centres, point_lists, normals, offsets):
         want, _ = cover_oracle.hyperplane_witness(pts, Ball(c, scale.r_n), scale)
@@ -358,7 +378,7 @@ def test_witness_block_matches_per_ball_oracle(d, n):
 
 def test_witness_single_point_d1():
     scale = DyadicScale(1, 1)
-    normals, offsets, simplices = _witness_block([[RationalPoint((1,), 2)]],
+    normals, offsets, simplices = _witness_block(*_as_triple([[RationalPoint((1,), 2)]], 1),
                                                  np.array([[0.5]]), scale)
     assert simplices == {}
     assert Hyperplane(normals[0], offsets[0]).distance([0.5]) < 1e-12
@@ -367,13 +387,13 @@ def test_witness_single_point_d1():
 def test_witness_rejects_wrong_block_denominator():
     scale = DyadicScale(1, 1)
     with pytest.raises(ValueError, match="outside dyadic block"):
-        _witness_block([[RationalPoint((1,), 5)]], np.array([[0.2]]), scale)
+        _witness_block(*_as_triple([[RationalPoint((1,), 5)]], 1), np.array([[0.2]]), scale)
 
 
 def test_witness_rejects_far_points():
     scale = DyadicScale(1, 1)
     with pytest.raises(ValueError, match="6-dilate"):
-        _witness_block([[RationalPoint((1,), 2)]], np.array([[0.9]]), scale)
+        _witness_block(*_as_triple([[RationalPoint((1,), 2)]], 1), np.array([[0.9]]), scale)
 
 
 def test_block1_interval_of_length_one_sixteenth_holds_one_rational():
@@ -435,8 +455,9 @@ def test_witness_d2_block3_always_hyperplane():
 
     scale = DyadicScale(3, 2)
     centres = np.random.default_rng(42).random((50, 2))
-    point_lists = _block_rationals_in_six_dilate(2, scale, centres)
-    normals, offsets, simplices = _witness_block(point_lists, centres, scale)
+    triple = _block_rationals_in_six_dilate(2, scale, centres)
+    point_lists = _point_lists(triple, len(centres))
+    normals, offsets, simplices = _witness_block(*triple, centres, scale)
     assert simplices == {}
     for pts, normal, offset in zip(point_lists, normals, offsets):
         # independent oracle: cofactor determinants over all triples
@@ -455,7 +476,7 @@ def test_witness_returns_simplex_when_preconditions_broken():
         RationalPoint((0, 1), 2),
     ]
     with pytest.raises(ValueError, match="6-dilate"):  # they are outside it
-        _witness_block([pts], np.array([[0.5, 0.5]]), scale)
+        _witness_block(*_as_triple([pts], 2), np.array([[0.5, 0.5]]), scale)
 
 
 def test_simplex_branch_via_affine_rank_directly():
