@@ -58,7 +58,7 @@ class SumSpec:
     "measure_zero":  sum r^(alpha (d+1)/d - 1) psi(r)^alpha -- gates the
                      fractal-measure verdict for an alpha-decaying measure
     "hausdorff":     sum r^(alpha (d+1)/d - 1) psi(r)^(alpha + s - delta) --
-                     gates the s-dimensional cover-cost verdict; s <= delta
+                     gates the s-dimensional cover-cost verdict; 0 <= s <= delta
     """
 
     kind: str
@@ -70,17 +70,17 @@ class SumSpec:
 
     def __post_init__(self):
         if self.kind not in ("lebesgue", "measure_zero", "hausdorff"):
-            raise ValueError(f"unknown sum kind {self.kind!r}")
+            raise ValueError(f"'kind' must be lebesgue, measure_zero or hausdorff: {self.kind!r}")
         if self.d < 1:
-            raise ValueError("dimension must be >= 1")
+            raise ValueError("'d' must be >= 1")
         if self.kind in ("measure_zero", "hausdorff"):
             if self.alpha is None or self.alpha <= 0:
-                raise ValueError(f"{self.kind} needs alpha > 0")
+                raise ValueError(f"'alpha' must be > 0 for the {self.kind} sum")
         if self.kind == "hausdorff":
             if self.delta is None or self.s is None:
-                raise ValueError("the hausdorff sum needs both s and delta")
-            if self.s > self.delta + _BOUNDARY_TOL:
-                raise ValueError("the hausdorff sum assumes s <= delta")
+                raise ValueError("'s' and 'delta' are both needed for the hausdorff sum")
+            if not 0 <= self.s <= self.delta + _BOUNDARY_TOL:
+                raise ValueError(f"'s' must be in [0, delta] = [0, {self.delta!r}]")
 
     @property
     def psi_exponent(self) -> float:

@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .geometry import Box, RationalPoint
+from .geometry import Box, RationalPoint, _first_of_each_value
 
 __all__ = [
     "PsiFunction",
@@ -243,9 +243,7 @@ def _enumerate_windows(d: int, n: int, lo: np.ndarray, hi: np.ndarray) -> tuple:
         rest, nums[:, i] = np.divmod(rest, sides[at, i])
     nums, qs, owner = nums + p_lo[at], q[at, 0], w[at, 0]
     # keep each value's first point, the one with the smallest denominator
-    g = np.gcd.reduce(np.column_stack((nums, qs)), axis=1)
-    key = np.column_stack((owner, nums // g[:, None], qs // g))
-    first = np.sort(np.unique(key, axis=0, return_index=True)[1])
+    first = _first_of_each_value(nums, qs, owner)
     return nums[first], qs[first], owner[first]
 
 

@@ -386,8 +386,8 @@ def sums(ctx, ifs_path, psi_spec, kind, alpha, s_param):
         spec = SumSpec(cfg.kind, psi, sys_.dim, alpha=a,
                        delta=sys_.delta if cfg.kind == "hausdorff" else None,
                        s=s_val if cfg.kind == "hausdorff" else None)
-    except ValueError as e:
-        raise UsageFailure(str(e))
+    except ValueError as e:  # each names its field: 'kind', 's', ...
+        raise UsageFailure(f"config field {e}")
     verdict = classify_sum(spec)
     rows = [
         (n, term, ps)

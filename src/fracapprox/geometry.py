@@ -190,10 +190,6 @@ class RationalPoint:
     def as_float(self) -> np.ndarray:
         return np.array([p / self.denominator for p in self.numerators], dtype=float)
 
-    def value_key(self) -> tuple:
-        """Canonical exact value, for de-duplicating equal points."""
-        return self.fractions()
-
     def __eq__(self, other):
         if not isinstance(other, RationalPoint):
             return NotImplemented
@@ -206,7 +202,7 @@ class RationalPoint:
         )
 
     def __hash__(self):
-        return hash(self.value_key())
+        return hash(self.fractions())
 
 
 @dataclass(frozen=True)
@@ -360,104 +356,70 @@ def _segment_ends(seg: np.ndarray, x: np.ndarray, bound: np.ndarray) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _integer_determinant(rows: list) -> int:
-    """Bareiss fraction-free determinant of a square integer matrix."""
-    m = [list(map(int, row)) for row in rows]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant needs a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _eliminate(rows: list) -> tuple:
+    """Bareiss fraction-free elimination of an integer matrix (a list of rows
+    of Python ints), with row swaps: (rank, signed last pivot).  For a square
+    matrix of full rank the signed last pivot is the determinant.
+
+    A point p/q enters as the homogeneous row (q, p_1, ..., p_d); points are
+    affinely independent iff their rows are linearly independent.
+    """
+    m = [list(row) for row in rows]
+    rank, sign, prev = 0, 1, 1
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
+        top = m[rank]
+        for i in range(rank + 1, len(m)):
+            m[i] = [(x * top[col] - m[i][col] * y) // prev for x, y in zip(m[i], top)]
+        prev = top[col]
+        rank += 1
+    return rank, sign * prev
 
 
 def simplex_volume_times_dfact(s: Simplex) -> Fraction:
     """Exact d! * volume of a rational simplex.
 
-    Equals |det| of the (d+1)x(d+1) matrix with rows (1, p_i/q_i).  Rows are
-    cleared to integers (row i times q_i), the integer determinant is taken
-    with Bareiss elimination, and the product of the q_i is divided back out.
-    Zero iff the vertices are affinely dependent.
+    Equals |det| of the (d+1)x(d+1) matrix with rows (1, p_i/q_i): the
+    determinant of the homogeneous rows (q_i, p_i), divided by the product
+    of the q_i.  Zero iff the vertices are affinely dependent.
     """
-    rows = []
-    qs = 1
-    for v in s.vertices:
-        rows.append([v.denominator] + list(v.numerators))
-        qs *= v.denominator
-    det = _integer_determinant(rows)
-    return Fraction(abs(det), qs)
+    rank, pivot = _eliminate([[v.denominator, *v.numerators] for v in s.vertices])
+    return Fraction(abs(pivot) if rank == len(s.vertices) else 0,
+                    math.prod(v.denominator for v in s.vertices))
 
 
 def affine_rank(points: list) -> int:
-    """Exact affine rank of a set of RationalPoints (0 for a single point).
-
-    Row-reduces the difference vectors p_i - p_0 over the rationals.  The
-    points all lie on a hyperplane of R^d iff the affine rank is <= d - 1.
+    """Exact affine rank of a set of RationalPoints (0 for a single point):
+    the rank of their homogeneous rows, less one.  The points all lie on a
+    hyperplane of R^d iff the affine rank is <= d - 1.
     """
     if not points:
         raise ValueError("affine_rank needs at least one point")
-    base = points[0].fractions()
-    rows = [
-        [f - b for f, b in zip(p.fractions(), base)]
-        for p in points[1:]
-    ]
-    return _fraction_rank(rows)
+    return _eliminate([[p.denominator, *p.numerators] for p in points])[0] - 1
 
 
-def _fraction_rank(rows: list) -> int:
-    rows = [list(r) for r in rows if any(x != 0 for x in r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        inv = 1 / pr[col]
-        rows[rank] = [x * inv for x in pr]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+def _independent_subset(rows: list, size: int) -> list:
+    """Indices of the first `size` linearly independent integer rows, each
+    kept iff it raises the rank of the rows kept before it."""
+    keep = []
+    for i, row in enumerate(rows):
+        if len(keep) < size and _eliminate([rows[j] for j in keep] + [row])[0] > len(keep):
+            keep.append(i)
+    return keep
 
 
-def _independent_subset(points: list, target_rank: int) -> list:
-    """Greedy affinely independent subset of size target_rank + 1."""
-    subset = [points[0]]
-    rank = 0
-    for p in points[1:]:
-        if affine_rank(subset + [p]) > rank:
-            subset.append(p)
-            rank += 1
-            if rank == target_rank:
-                break
-    return subset
+def _first_of_each_value(nums: np.ndarray, qs: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first point nums[i] / qs[i] (qs > 0) of each
+    distinct value within each owner: equal values share the key of their
+    reduced representation."""
+    g = np.gcd.reduce(np.column_stack((nums, qs)), axis=1)
+    key = np.column_stack((owner, nums // g[:, None], qs // g))
+    return np.sort(np.unique(key, axis=0, return_index=True)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -465,24 +427,23 @@ def _independent_subset(points: list, target_rank: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def hyperplane_through(points: list) -> Hyperplane:
-    """Deterministic hyperplane containing the given affinely dependent points.
+def hyperplane_through(values: np.ndarray) -> Hyperplane:
+    """Deterministic hyperplane containing the affinely dependent points that
+    are the rows of the (m, d) float array `values`.
 
     The normal is the last column of the complete QR factorization of the
-    matrix of difference vectors p_i - p_0, with the sign fixed so that the
+    matrix of difference vectors v_i - v_0, with the sign fixed so that the
     first component exceeding 1e-9 in magnitude is positive.  With fewer than
     d affinely independent differences the hyperplane is not unique; this rule
     pins a reproducible representative.
     """
-    if not points:
+    if not len(values):
         raise ValueError("need at least one point")
-    d = points[0].dim
-    base = points[0].as_float()
-    if len(points) == 1:  # the complete QR of a (d, 0) matrix is the identity
-        normal = np.eye(d)[-1]
+    base = values[0]
+    if len(values) == 1:  # the complete QR of a (d, 0) matrix is the identity
+        normal = np.eye(len(base))[-1]
         return Hyperplane(normal, float(np.dot(normal, base)))
-    diffs = np.array([p.as_float() - base for p in points[1:]], dtype=float).T
-    q, _ = np.linalg.qr(diffs, mode="complete")
+    q, _ = np.linalg.qr((values[1:] - base).T, mode="complete")
     normal = q[:, -1]
     for c in normal:
         if abs(c) > 1e-9:
@@ -510,12 +471,15 @@ def _witness_block(nums: np.ndarray, qs: np.ndarray, owner: np.ndarray,
     one raises ValueError.  A ball with no points gets the hyperplane
     x_d = c_d through its centre, and a single point p/q the hyperplane
     x_d = p_d/q; in d = 1 a ball that holds a block rational holds just one.
-    Larger sets take the exact affine rank, on RationalPoints.
+    Larger sets keep the first point of each value and take the exact rank
+    of their homogeneous integer rows (q, p); RationalPoints are built only
+    for a counterexample.
     """
     d = centres.shape[1]
     q_lo, q_hi = block.q_lo, block.q_hi
+    values = nums / qs[:, None]
     wrong_q = (qs < q_lo) | (qs >= q_hi)
-    far = _outside_six_dilate(nums / qs[:, None], centres[owner], block.r_n)
+    far = _outside_six_dilate(values, centres[owner], block.r_n)
     faults = np.flatnonzero(wrong_q | far)
     if faults.size and wrong_q[faults[0]]:
         raise ValueError(f"denominator {qs[faults[0]]} outside dyadic block "
@@ -528,19 +492,21 @@ def _witness_block(nums: np.ndarray, qs: np.ndarray, owner: np.ndarray,
     offsets = centres[:, -1].copy()
     counts = np.bincount(owner, minlength=len(centres))
     lone = counts[owner] == 1
-    offsets[owner[lone]] = nums[lone, -1] / qs[lone]
+    offsets[owner[lone]] = values[lone, -1]
     simplices = {}
     many = np.flatnonzero(~lone)
-    many = many[np.argsort(owner[many], kind="stable")]  # by ball, in point order
+    if many.size:  # each ball's first point of each value, by ball in point order
+        many = many[_first_of_each_value(nums[many], qs[many], owner[many])]
+        many = many[np.argsort(owner[many], kind="stable")]
     for rows in np.split(many, np.flatnonzero(np.diff(owner[many])) + 1) if many.size else []:
         k = int(owner[rows[0]])
-        pts = [RationalPoint(p, q) for p, q in zip(nums[rows].tolist(), qs[rows].tolist())]
-        distinct = list({p.value_key(): p for p in pts}.values())
-        if len(distinct) <= d or affine_rank(distinct) <= d - 1:
-            plane = hyperplane_through(distinct)
+        hom = np.column_stack((qs[rows], nums[rows])).tolist()
+        if _eliminate(hom)[0] <= d:  # affine rank <= d - 1
+            plane = hyperplane_through(values[rows])
             normals[k], offsets[k] = plane.normal, plane.offset
         else:
-            simplices[k] = Simplex(tuple(_independent_subset(distinct, d)))
+            simplices[k] = Simplex(tuple(RationalPoint(hom[i][1:], hom[i][0])
+                                         for i in _independent_subset(hom, d + 1)))
             normals[k], offsets[k] = np.nan, np.nan
     return normals, offsets, simplices
 

@@ -7,8 +7,10 @@ block with scalar ceil/floor calls and de-duplicates on Fraction tuples,
 `reference_hs_upper_bound` assembles `analysis.hs_upper_bound` from them,
 scanning the whole sample pool for every block ball, and
 `reference_audit_hyperplane_lemma` draws and enumerates one trial at a time.
-`hyperplane_through` always takes the QR, also for a single point.  Tests
-import them as the oracle; nothing in the package uses them.
+`hyperplane_through` always takes the QR, also for a single point, and
+`affine_rank` and `_independent_subset` decide ranks by Gauss-Jordan
+elimination over Fractions.  Tests import them as the oracle; nothing in
+the package uses them.
 """
 
 from __future__ import annotations
@@ -36,9 +38,7 @@ from fracapprox.geometry import (
     RationalPoint,
     Simplex,
     Slab,
-    _independent_subset,
     _reach,
-    affine_rank,
 )
 from fracapprox.ifs import IFSystem, sample_measure
 
@@ -181,6 +181,64 @@ def reference_audit_hyperplane_lemma(
             bad += 1
     return LemmaAuditReport(d=d, n=n, balls=n_balls, max_rationals=max_pts,
                             simplex_counterexamples=bad)
+
+
+def affine_rank(points: list) -> int:
+    """Exact affine rank of a set of RationalPoints (0 for a single point).
+
+    Row-reduces the difference vectors p_i - p_0 over the rationals.  The
+    points all lie on a hyperplane of R^d iff the affine rank is <= d - 1.
+    """
+    if not points:
+        raise ValueError("affine_rank needs at least one point")
+    base = points[0].fractions()
+    rows = [
+        [f - b for f, b in zip(p.fractions(), base)]
+        for p in points[1:]
+    ]
+    return _fraction_rank(rows)
+
+
+def _fraction_rank(rows: list) -> int:
+    rows = [list(r) for r in rows if any(x != 0 for x in r)]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    col = 0
+    while col < ncols and rank < len(rows):
+        pivot = None
+        for i in range(rank, len(rows)):
+            if rows[i][col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pr = rows[rank]
+        inv = 1 / pr[col]
+        rows[rank] = [x * inv for x in pr]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def _independent_subset(points: list, target_rank: int) -> list:
+    """Greedy affinely independent subset of size target_rank + 1."""
+    subset = [points[0]]
+    rank = 0
+    for p in points[1:]:
+        if affine_rank(subset + [p]) > rank:
+            subset.append(p)
+            rank += 1
+            if rank == target_rank:
+                break
+    return subset
 
 
 def hyperplane_through(points: list) -> Hyperplane:
@@ -369,7 +427,7 @@ def hyperplane_witness(points: list, container: Ball, block: DyadicScale) -> tup
         normal[-1] = 1.0
         return Hyperplane(normal, float(container.center[-1])), None
 
-    distinct = list({p.value_key(): p for p in points}.values())
+    distinct = list({p.fractions(): p for p in points}.values())
     if len(distinct) <= d:
         return hyperplane_through(distinct), None
 

@@ -42,6 +42,8 @@ def test_sum_spec_validation():
     psi = PsiFunction.power(2.5)
     with pytest.raises(ValueError):
         SumSpec("hausdorff", psi, 1, alpha=0.5, delta=0.6, s=0.7)  # s > delta
+    with pytest.raises(ValueError, match="'s'"):
+        SumSpec("hausdorff", psi, 1, alpha=0.5, delta=0.6, s=-0.1)  # s < 0
     with pytest.raises(ValueError):
         SumSpec("measure_zero", psi, 1)  # alpha missing
     with pytest.raises(ValueError):

@@ -109,11 +109,15 @@ _MAPS = ('"maps": [{"ratio": 0.3333333333333333, "rotation": [1.0], "translation
                     "--trials", "200"]),
     ("blocks", {}, ["cover-cost", "--ifs", "cantor", "--blocks", "14:14"]),
     ("s", {}, ["cover-cost", "--ifs", "cantor", "--s-param", "-1"]),
+    ("kind", {}, ["sums", "--ifs", "cantor", "--kind", "bogus"]),
+    ("s", {}, ["sums", "--ifs", "cantor", "--kind", "hausdorff", "--s-param", "5"]),
+    ("s", {}, ["sums", "--ifs", "cantor", "--kind", "hausdorff", "--s-param", "-1"]),
 ], ids=["alpha-nan", "tolerance-nan", "trials-string", "maps-number",
         "seed-negative", "seed-negative-config", "psi-table-one-column",
         "ifs-directory", "dimension-fraction", "dimension-bool",
         "dimension-string", "blocks-70", "blocks-53", "blocks-52", "blocks-26",
-        "blocks-13-rounding", "cover-cost-blocks-14", "cover-cost-s-negative"])
+        "blocks-13-rounding", "cover-cost-blocks-14", "cover-cost-s-negative",
+        "sums-kind-bogus", "sums-s-above-delta", "sums-s-negative"])
 def test_bad_input_is_one_error_line_naming_the_field(tmp_path, capsys, monkeypatch,
                                                        field, files, argv):
     monkeypatch.chdir(tmp_path)  # relative paths, as in a table: spec, are files here

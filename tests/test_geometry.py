@@ -23,6 +23,7 @@ from fracapprox.geometry import (
     simplex_volume_times_dfact,
     unit_ball_volume,
     _greedy_segments,
+    _independent_subset,
     _witness_block,
 )
 
@@ -119,7 +120,7 @@ def test_determinant_matches_float_and_rank(d):
         if exact != 0:
             assert abs(approx - float(exact)) <= 1e-6 * float(exact)
         # exact zero iff the independent rank computation sees dependence
-        assert (exact == 0) == (affine_rank(pts) < d)
+        assert (exact == 0) == (cover_oracle.affine_rank(pts) < d)
 
 
 def test_zero_volume_on_constructed_dependence():
@@ -130,7 +131,48 @@ def test_zero_volume_on_constructed_dependence():
         RationalPoint((9, 9), 13),
     ]
     assert simplex_volume_times_dfact(Simplex(tuple(pts))) == 0
-    assert affine_rank(pts) == 1
+    assert cover_oracle.affine_rank(pts) == 1
+
+
+@st.composite
+def _homogeneous_rows(draw):
+    """(d, rows): the homogeneous rows (q, p_1, ..., p_d) of 1-7 rational
+    points in R^d, d = 1..4, with entries up to 2^60 (past int64 once
+    combined), repeats in other representations and points on the line
+    through two earlier ones."""
+    d = draw(st.integers(1, 4))
+    small_or_big = st.one_of(st.integers(-3, 3), st.integers(-2**60, 2**60))
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["free", "repeat", "dependent"])) if rows else "free"
+        if kind == "free":
+            q = draw(st.one_of(st.integers(1, 3), st.integers(1, 2**60)))
+            rows.append([q, *draw(st.lists(small_or_big, min_size=d, max_size=d))])
+        elif kind == "repeat":
+            rows.append([draw(st.integers(1, 3)) * x for x in draw(st.sampled_from(rows))])
+        else:  # a + t (b - a), over the denominator q_a q_b
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            t = draw(st.integers(-3, 3))
+            rows.append([a[0] * b[0]] + [x * b[0] + t * (y * a[0] - x * b[0])
+                                         for x, y in zip(a[1:], b[1:])])
+    return d, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_homogeneous_rows())
+def test_elimination_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    d, rows = case
+    pts = [RationalPoint(row[1:], row[0]) for row in rows]
+    assert affine_rank(pts) == sympy.Matrix(rows).rank() - 1
+    if len(rows) == d + 1:
+        det = sympy.Matrix(rows).det(method="berkowitz")
+        assert simplex_volume_times_dfact(Simplex(tuple(pts))) == Fraction(
+            abs(int(det)), math.prod(row[0] for row in rows))
+    # the first basis in row order: the rows that raise the rank of their prefix
+    ranks = [sympy.Matrix(rows[:i]).rank() if i else 0 for i in range(len(rows) + 1)]
+    basis = [i for i in range(len(rows)) if ranks[i + 1] > ranks[i]]
+    assert _independent_subset(rows, d + 1) == basis[:d + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +537,7 @@ def test_simplex_branch_via_affine_rank_directly():
 
 
 def test_hyperplane_through_is_deterministic_and_signed():
-    pts = [RationalPoint((0, 0), 1), RationalPoint((1, 0), 1)]
+    pts = np.array([[0.0, 0.0], [1.0, 0.0]])
     h1 = hyperplane_through(pts)
     h2 = hyperplane_through(pts)
     assert np.array_equal(h1.normal, h2.normal)
@@ -509,23 +551,23 @@ def test_hyperplane_through_is_deterministic_and_signed():
     min_size=1, max_size=3)))
 def test_hyperplane_through_matches_qr_path(points):
     # one point skips the QR, whose (d, 0) factor is the identity
-    got = hyperplane_through(points)
+    got = hyperplane_through(np.array([p.as_float() for p in points]))
     want = reference_hyperplane_through(points)
     assert got.normal.tobytes() == want.normal.tobytes()
     assert np.float64(got.offset).tobytes() == np.float64(want.offset).tobytes()
 
 
 def test_slab_of_point_d1():
-    s = Slab(hyperplane_through([RationalPoint((1,), 2)]), 0.01)
+    s = Slab(hyperplane_through(np.array([[0.5]])), 0.01)
     assert s.contains([0.4901]) and s.contains([0.5099])
     assert not s.contains([0.489]) and not s.contains([0.5111])
     # boundary exact where floats permit: epsilon an exact dyadic
-    s2 = Slab(hyperplane_through([RationalPoint((1,), 2)]), 0.015625)
+    s2 = Slab(hyperplane_through(np.array([[0.5]])), 0.015625)
     assert s2.contains([0.5 - 0.015625]) and s2.contains([0.5 + 0.015625])
 
 
 def test_slab_of_x_axis_d2():
-    s = Slab(hyperplane_through([RationalPoint((0, 0), 1), RationalPoint((1, 0), 1)]), 0.1)
+    s = Slab(hyperplane_through(np.array([[0.0, 0.0], [1.0, 0.0]])), 0.1)
     assert abs(abs(s.plane.normal[1]) - 1.0) < 1e-12
     assert s.contains([7.0, 0.09]) and not s.contains([0.0, 0.11])
 
@@ -536,7 +578,7 @@ def test_slab_of_contains_all_inputs():
         q = int(rng.integers(2, 50))
         a = RationalPoint((int(rng.integers(0, q)), int(rng.integers(0, q))), q)
         b = RationalPoint((int(rng.integers(0, q)), int(rng.integers(0, q))), q)
-        s = Slab(hyperplane_through([a, b]), 1e-6)
+        s = Slab(hyperplane_through(np.array([a.as_float(), b.as_float()])), 1e-6)
         assert s.plane.distance(a.as_float()) <= 1e-6
         assert s.plane.distance(b.as_float()) <= 1e-6
 
@@ -545,7 +587,7 @@ def test_slab_of_rejects_empty_and_independent():
     # no hyperplane through no points; d+1 independent points lie on none,
     # which the exact rank decides (_witness_block then gives a simplex)
     with pytest.raises(ValueError):
-        hyperplane_through([])
+        hyperplane_through(np.zeros((0, 2)))
     pts = [
         RationalPoint((0, 0), 1),
         RationalPoint((1, 0), 1),
