@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import PsiFunction, _enumerate_windows, layer_hit_mask
+from .approx import PsiFunction, _check_windows, _enumerate_windows, layer_hit_mask
 from .geometry import (
     Ball,
     DyadicScale,
@@ -103,13 +103,12 @@ def sum_term_log(spec: SumSpec, r) -> np.ndarray:
     e = spec.psi_exponent
     base = spec.r_exponent * np.log(rr)
     psi = spec.psi
-    if psi.family == "power":
-        lpsi = -psi.tau * np.log(rr)
-    elif psi.family in ("power_log", "generic_power_log"):
-        tau = (psi.d + 1) / psi.d if psi.family == "power_log" else psi.tau
-        lpsi = -tau * np.log(rr) - psi.beta * np.log(np.log(rr))
-    else:
+    if psi.family == "table":
         lpsi = np.log(psi(rr))
+    else:
+        lpsi = -psi.tau * np.log(rr)
+        if psi.beta:  # (log r)^0 = 1, also where log log r is not finite
+            lpsi = lpsi - psi.beta * np.log(np.log(rr))
     return base + e * lpsi
 
 
@@ -117,21 +116,6 @@ def condensed_term_log(spec: SumSpec, n) -> np.ndarray:
     """log of the dyadic condensation term 2^n * f(2^n)."""
     nn = np.asarray(n, dtype=float)
     return nn * math.log(2.0) + sum_term_log(spec, 2.0**nn)
-
-
-def _closed_form_exponents(spec: SumSpec) -> tuple:
-    """(A, B) with summand asymptotically r^A (log r)^B."""
-    psi = spec.psi
-    e = spec.psi_exponent
-    if psi.family == "power":
-        tau, beta = psi.tau, 0.0
-    elif psi.family == "power_log":
-        tau, beta = (psi.d + 1) / psi.d, psi.beta
-    elif psi.family == "generic_power_log":
-        tau, beta = psi.tau, psi.beta
-    else:
-        raise ValueError("no closed form for tabulated psi")
-    return spec.r_exponent - tau * e, -beta * e
 
 
 @dataclass(frozen=True)
@@ -180,18 +164,14 @@ def classify_sum(spec: SumSpec, blocks=CONDENSATION_BLOCKS) -> SumVerdict:
     condensed terms to a geometric-times-polynomial shape and read the rates,
     answering undetermined near the boundary or on short tables.
     """
-    if spec.psi.family != "table":
-        a_exp, b_exp = _closed_form_exponents(spec)
-        if a_exp < -1.0 - _BOUNDARY_TOL:
-            verdict = "yes"
-        elif a_exp > -1.0 + _BOUNDARY_TOL:
-            verdict = "no"
-        elif b_exp < -1.0 - _BOUNDARY_TOL:
-            verdict = "yes"
-        elif b_exp > -1.0 + _BOUNDARY_TOL:
-            verdict = "no"
-        else:
-            verdict = "no"  # A = -1, B = -1 exactly: sum 1/(r log r) diverges
+    psi = spec.psi
+    if psi.family != "table":
+        a_exp = spec.r_exponent - psi.tau * spec.psi_exponent
+        b_exp = -psi.beta * spec.psi_exponent
+        # at A = -1 and B = -1 exactly, sum 1/(r log r) diverges
+        converges = a_exp < -1.0 - _BOUNDARY_TOL or (
+            a_exp <= -1.0 + _BOUNDARY_TOL and b_exp < -1.0 - _BOUNDARY_TOL)
+        verdict = "yes" if converges else "no"
         margin = abs(a_exp + 1.0)
         if margin <= _BOUNDARY_TOL:
             margin = abs(b_exp + 1.0)
@@ -204,7 +184,7 @@ def classify_sum(spec: SumSpec, blocks=CONDENSATION_BLOCKS) -> SumVerdict:
                           condensed, partials)
 
     # tabulated psi: condensation over the covered dyadic range
-    r = spec.psi.table_r
+    r = psi.table_r
     n_lo = max(1, math.ceil(math.log2(float(r[0]))))
     n_hi = math.floor(math.log2(float(r[-1])))
     avail = range(n_lo, n_hi + 1)
@@ -280,19 +260,16 @@ def build_dn_cover(sys: IFSystem, n: int) -> list:
 
 
 def _dn_centres(sys: IFSystem, n: int) -> np.ndarray:
-    """build_dn_cover's centres, as rows, with its depth and budget refusals."""
+    """build_dn_cover's centres, as rows.  Refuses a block whose r_n
+    underflows to 0, and one whose cylinder net, k^depth anchors, exceeds
+    _NET_BUDGET (compared in log space, as k^depth can overflow a float)."""
     r_n = DyadicScale(n, sys.dim).r_n
-    depth_needed = _net_depth(sys, n)
-    if depth_needed > 64:
-        feasible = _max_feasible_block(sys)
-        raise ValueError(
-            f"block {n} needs cylinder depth {depth_needed} > 64; "
-            f"largest feasible block is {feasible}"
-        )
-    if sys.k**depth_needed > _NET_BUDGET:
-        raise ValueError(
-            f"cylinder net of ~{sys.k**depth_needed:.2e} candidates refused"
-        )
+    if r_n == 0.0:
+        raise ValueError(f"block {n} refused: its radius r_n underflows to 0")
+    depth = _net_depth(sys, n)
+    if depth * math.log(sys.k) > math.log(_NET_BUDGET):
+        raise ValueError(f"block {n} refused: its cylinder net of {sys.k}^{depth} "
+                         f"candidates exceeds the budget of {_NET_BUDGET}")
     net = _cylinder_net(sys, r_n)
     return _greedy_segments(net, np.zeros(len(net), dtype=np.intp), r_n)[0]
 
@@ -301,13 +278,6 @@ def _net_depth(sys: IFSystem, n: int) -> int:
     """Cylinder depth at which every cylinder is at most r_n across."""
     r_n = DyadicScale(n, sys.dim).r_n
     return max(0, math.ceil(math.log(r_n / sys.diameter, float(np.max(sys.ratios)))))
-
-
-def _max_feasible_block(sys: IFSystem) -> int:
-    for n in range(0, 1000):
-        if _net_depth(sys, n) > 64:
-            return n - 1
-    return 1000
 
 
 def _cylinder_net(sys: IFSystem, resolution: float) -> np.ndarray:
@@ -432,13 +402,16 @@ def hs_upper_bound(
         raise ValueError("need 0 <= k_min <= k_max")
     d = sys.dim
     sq = math.sqrt(d)
+    blocks = []
+    for n in range(k_min, k_max + 1):  # every refusal before any block is covered
+        scale, centres = DyadicScale(n, d), _dn_centres(sys, n)
+        _check_windows(d, n, centres - 6.0 * scale.r_n, centres + 6.0 * scale.r_n)
+        blocks.append((n, scale, centres))
     rows = []
     c_maxes = []
-    for n in range(k_min, k_max + 1):
-        centres = _dn_centres(sys, n)
+    for n, scale, centres in blocks:
         pool = sample_measure(sys, pool_size, np.random.SeedSequence([seed, n]))
         r = float(psi(2.0**n))
-        scale = DyadicScale(n, d)
         nums, qs, owner = _block_rationals_in_six_dilate(d, scale, centres)
         held, owner = np.unique(owner, return_inverse=True)  # the balls with points
         normals, offsets, simplices = _witness_block(nums, qs, owner, centres[held], scale)
@@ -592,23 +565,27 @@ def _log2_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(coef[0])
 
 
+# Fewest approximant points box counting takes, and the most sampling
+# batches approximant_points draws to reach them.
+_MIN_POINTS = 1000
+_MAX_BATCHES = 12
+
+
 def approximant_points(
     sys: IFSystem,
     psi: PsiFunction,
     n_lo: int,
     n_hi: int,
     seed: int = 0,
-    min_points: int = 1000,
     batch: int = 1_000_000,
-    max_batches: int = 12,
 ) -> np.ndarray:
     """Natural-measure samples lying in at least one layer with block index in
     [n_lo, n_hi]; sampling continues in deterministic batches until at least
-    min_points survivors are collected (or the batch budget runs out)."""
+    _MIN_POINTS survivors are collected (or _MAX_BATCHES batches are drawn)."""
     d = sys.dim
     survivors = []
     total = 0
-    for b in range(max_batches):
+    for b in range(_MAX_BATCHES):
         pts = sample_measure(sys, batch, np.random.SeedSequence([seed, b]))
         mask = np.zeros(batch, dtype=bool)
         for n in range(n_lo, n_hi + 1):
@@ -618,7 +595,7 @@ def approximant_points(
             mask[todo] |= layer_hit_mask(pts[todo], n, psi, d)
         survivors.append(pts[mask])
         total += int(mask.sum())
-        if total >= min_points:
+        if total >= _MIN_POINTS:
             break
     return np.concatenate(survivors) if survivors else np.empty((0, d))
 
@@ -630,39 +607,32 @@ def dimension_report(
     n_lo: int = 5,
     n_hi: int = 10,
     seed: int = 0,
-    scales=None,
-    min_points: int = 1000,
     batch: int = 1_000_000,
     on_shortfall=None,
 ) -> list:
     """Rows (tau, dimension bound, box-count estimate of the block-[n_lo,n_hi]
-    approximant).  Taus below the Dirichlet exponent are skipped with a None
-    bound.  Counting scales default to six log-spaced values spanning the ball
-    radii of the outermost blocks, the window where the layer union thins out
-    the way the limsup set does.  A tau whose approximant keeps fewer than
-    min_points points, once approximant_points' batch budget runs out, gets
-    a None estimate, and on_shortfall(tau, points kept), if given, is told."""
+    approximant).  Taus below the Dirichlet exponent (d+1)/d get a None bound
+    and no estimate.  The counting scales are six log-spaced values spanning
+    the ball radii of the outermost blocks, the window where the layer union
+    thins out the way the limsup set does.  A tau whose approximant keeps
+    fewer than _MIN_POINTS points, once approximant_points' batch budget runs
+    out, gets a None estimate, and on_shortfall(tau, points kept), if given,
+    is told."""
     d = sys.dim
     rows = []
     for tau in taus:
-        if tau < (d + 1) / d - _BOUNDARY_TOL:
+        try:
+            bound = dimension_bound(sys.delta, alpha, d, tau)
+        except ValueError:  # tau below the Dirichlet exponent
             rows.append((tau, None, None))
             continue
-        bound = dimension_bound(sys.delta, alpha, d, tau)
         psi = PsiFunction.power(tau, d=d)
-        pts = approximant_points(sys, psi, n_lo, n_hi, seed=seed,
-                                 min_points=min_points, batch=batch)
-        if pts.shape[0] < min_points:
+        pts = approximant_points(sys, psi, n_lo, n_hi, seed=seed, batch=batch)
+        if pts.shape[0] < _MIN_POINTS:
             if on_shortfall is not None:
                 on_shortfall(tau, pts.shape[0])
             rows.append((tau, bound, None))
             continue
-        if scales is None:
-            g_lo = float(psi(2.0**n_hi))
-            g_hi = float(psi(2.0**n_lo))
-            use_scales = np.geomspace(g_lo, g_hi, 6)
-        else:
-            use_scales = scales
-        est = box_dimension(pts, use_scales)
-        rows.append((tau, bound, est.slope))
+        scales = np.geomspace(float(psi(2.0**n_hi)), float(psi(2.0**n_lo)), 6)
+        rows.append((tau, bound, box_dimension(pts, scales).slope))
     return rows

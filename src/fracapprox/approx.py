@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .geometry import Box, RationalPoint, _first_of_each_value
+from .geometry import Box, RationalPoint, _first_of_each_value, _reach
 
 __all__ = [
     "PsiFunction",
@@ -33,6 +33,8 @@ _ENUMERATION_CAP = 10**8
 _WINDOW_CELL_CAP = 2**20
 # (window, denominator) cells whose numerator ranges one step computes.
 _CELL_BUDGET = 2**16
+# Slop on the numerator bounds lo q - slop and hi q + slop of a window.
+_SLOP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,9 @@ class PsiFunction:
       generic_power_log  r -> r^-tau * (log r)^-beta
       table              finite samples (r, psi(r)), geometric interpolation
 
-    The log families are +inf at r <= 1, which keeps every x trivially
+    Every symbolic family is r^-tau (log r)^-beta, and construction stores
+    its tau and beta: beta = 0 for power, tau = (d+1)/d for power_log.  The
+    log families are +inf at r <= 1, which keeps every x trivially
     approximable at q = 1 and matches the intent of a function defined for
     large r.  Monotonicity is asserted on a 1000-point grid at construction
     (tables are checked exactly).
@@ -79,6 +83,10 @@ class PsiFunction:
             object.__setattr__(self, "table_r", r)
             object.__setattr__(self, "table_v", v)
         else:
+            if self.family == "power":
+                object.__setattr__(self, "beta", 0.0)
+            elif self.family == "power_log":
+                object.__setattr__(self, "tau", (self.d + 1) / self.d)
             lo = 1.0 if self.family == "power" else 1.001
             grid = np.geomspace(lo, 2.0**30, _GRID_POINTS)
             vals = self(grid)
@@ -115,12 +123,11 @@ class PsiFunction:
         rr = np.asarray(r, dtype=float)
         if self.family == "power":
             out = rr ** (-self.tau)
-        elif self.family in ("power_log", "generic_power_log"):
-            tau = (self.d + 1) / self.d if self.family == "power_log" else self.tau
+        elif self.family != "table":
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 out = np.where(
                     rr > 1.0,
-                    rr ** (-tau) * np.log(np.maximum(rr, 1.0 + 1e-300)) ** (-self.beta),
+                    rr ** (-self.tau) * np.log(np.maximum(rr, 1.0 + 1e-300)) ** (-self.beta),
                     np.inf,
                 )
         else:
@@ -164,14 +171,10 @@ def parse_psi_spec(spec: str, d: int = 1) -> PsiFunction:
 def lower_order(psi: PsiFunction) -> float:
     """liminf of -log psi(r) / log r as r grows.
 
-    Closed form for the symbolic families; for tables, the minimum of the
-    pointwise estimate over the last decade of the sampled range.
+    tau for the symbolic families; for tables, the minimum of the pointwise
+    estimate over the last decade of the sampled range.
     """
-    if psi.family == "power":
-        return psi.tau
-    if psi.family == "power_log":
-        return (psi.d + 1) / psi.d
-    if psi.family == "generic_power_log":
+    if psi.family != "table":
         return psi.tau
     if psi.table_r.size < 10:
         raise ValueError("table needs >= 10 points to estimate the lower order")
@@ -205,14 +208,11 @@ def enumerate_rationals(d: int, n: int, window: Box) -> list:
     return [RationalPoint(p, q) for p, q in zip(nums.tolist(), qs.tolist())]
 
 
-def _enumerate_windows(d: int, n: int, lo: np.ndarray, hi: np.ndarray) -> tuple:
-    """enumerate_rationals for the windows [lo[k], hi[k]] (rows of shape (K, d))
-    of one block, as int64 numerators (M, d), denominators (M,) and windows
-    k (M,), window by window.  Refused before any cell: 2^n > _WINDOW_CELL_CAP,
-    and windows whose lo q - slop, hi q + slop can round by more than the slop
-    in all (ulp(max |endpoint| 2^(n+1) + slop) > slop).  Below that no rational
-    of a window is missed and none returned lies beyond 2 slop / q outside it."""
-    slop = 1e-12
+def _check_windows(d: int, n: int, lo: np.ndarray, hi: np.ndarray) -> None:
+    """The refusals of _enumerate_windows, which it makes before any cell:
+    2^n > _WINDOW_CELL_CAP, a window of more than _ENUMERATION_CAP estimated
+    candidates, and windows whose lo q - slop, hi q + slop can round by more
+    than the slop in all (ulp(max |endpoint| 2^(n+1) + slop) > slop)."""
     if 2**n > _WINDOW_CELL_CAP:
         raise ValueError(f"block {n} refused: its 2^{n} denominators per window "
                          f"exceed the ceiling of {_WINDOW_CELL_CAP} cells")
@@ -221,15 +221,24 @@ def _enumerate_windows(d: int, n: int, lo: np.ndarray, hi: np.ndarray) -> tuple:
     if big.size:
         raise ValueError(f"enumeration of ~{big[0]:.2e} candidates refused; shrink the window")
     top = max(np.abs(lo).max(), np.abs(hi).max())
-    if not np.spacing(top * 2.0 ** (n + 1) + slop) <= slop:  # also non-finite edges
+    if not np.spacing(top * 2.0 ** (n + 1) + _SLOP) <= _SLOP:  # also non-finite edges
         raise ValueError(f"block {n} refused: float64 numerator bounds for window "
-                         f"endpoints up to {top:.6g} round by more than {slop}")
+                         f"endpoints up to {top:.6g} round by more than {_SLOP}")
+
+
+def _enumerate_windows(d: int, n: int, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """enumerate_rationals for the windows [lo[k], hi[k]] (rows of shape (K, d))
+    of one block, as int64 numerators (M, d), denominators (M,) and windows
+    k (M,), window by window, after the refusals of _check_windows.  Below
+    them no rational of a window is missed and none returned lies beyond
+    2 slop / q outside it."""
+    _check_windows(d, n, lo, hi)
     boxes = []
     for start in range(0, len(lo) << n, _CELL_BUDGET):
         # a step's cells (w, q) run window by window, each in ascending q
         cell = np.arange(start, min(start + _CELL_BUDGET, len(lo) << n))
         w, q = cell >> n, (cell & (2**n - 1)) + 2**n
-        p_lo, p_hi = np.ceil(lo[w] * q[:, None] - slop), np.floor(hi[w] * q[:, None] + slop)
+        p_lo, p_hi = np.ceil(lo[w] * q[:, None] - _SLOP), np.floor(hi[w] * q[:, None] + _SLOP)
         hit = np.flatnonzero((p_lo <= p_hi).all(axis=1))
         boxes.append(np.column_stack((w[hit], q[hit], p_lo[hit], p_hi[hit])))
     w, q, p_lo, p_hi = np.hsplit(np.concatenate(boxes).astype(np.int64), [1, 2, 2 + d])
@@ -331,11 +340,6 @@ _SWEEP_CHUNK = 2**14
 _SWEEP_FIRST = 2**10
 # Largest number of (point, centre) candidate pairs one sweep step decides.
 _SWEEP_PAIRS = 2**16
-# Search half-width beyond the radius: the float test accepts distances up to
-# a few ulps past the radius, and below 1e-150 the squared distance can
-# underflow to the squared radius whatever the radius is.
-_SWEEP_SLACK = 1e-9
-_SWEEP_FLOOR = 1e-150
 
 
 def _sweep_hit_mask(x: np.ndarray, n: int, psi: PsiFunction) -> np.ndarray | None:
@@ -365,7 +369,7 @@ def _sweep_hit_mask(x: np.ndarray, n: int, psi: PsiFunction) -> np.ndarray | Non
     live = live[np.argsort(x[live])]
     xs = x[live]
     qf = np.arange(q_lo, 2 * q_lo, dtype=float)
-    reach = np.maximum(radius * (1.0 + _SWEEP_SLACK), _SWEEP_FLOOR)
+    reach = _reach(radius)  # how far past each radius the float test accepts
     if (max(-xs[0], xs[-1]) + reach.max() + 2.0) * qf[-1] >= 2.0**52:
         return None
     p_first = np.floor((xs[0] - reach) * qf) - 1.0

@@ -342,16 +342,6 @@ def dim_report(ctx, ifs_path, taus, alpha, samples):
         raise UsageFailure("config field 'taus' must be nonempty")
     sys_ = _resolve_system(cfg)
     a = _resolve_alpha(cfg, sys_)
-    d = sys_.dim
-    keep = []
-    for tau in cfg.taus:
-        if tau < (d + 1) / d - 1e-12:
-            click.echo(
-                f"tau={tau} below the Dirichlet exponent {(d + 1) / d}; skipped",
-                err=True,
-            )
-        else:
-            keep.append(tau)
 
     def shortfall(tau, kept):
         click.echo(
@@ -361,10 +351,15 @@ def dim_report(ctx, ifs_path, taus, alpha, samples):
             err=True,
         )
 
-    rows = dimension_report(sys_, a, keep, seed=cfg.seed, batch=cfg.samples,
+    rows = dimension_report(sys_, a, cfg.taus, seed=cfg.seed, batch=cfg.samples,
                             on_shortfall=shortfall)
-    _write_csv(cfg, "dim_report.csv",
-               ["tau", "bound", "box_estimate"], rows)
+    d = sys_.dim
+    for tau, bound, _ in rows:
+        if bound is None:
+            click.echo(f"tau={tau} below the Dirichlet exponent {(d + 1) / d}; skipped",
+                       err=True)
+    _write_csv(cfg, "dim_report.csv", ["tau", "bound", "box_estimate"],
+               [row for row in rows if row[1] is not None])
 
 
 @cli.command()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Ball, Hyperplane, Slab
-from .ifs import IFSystem, _draw_digits, _fold_digits, measure_many
+from .ifs import _TOL_FLOOR, IFSystem, _draw_digits, _fold_digits, measure_many
 
 __all__ = [
     "CertificationError",
@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 _REL_TOL = 0.02
-_MIN_TOL = 1e-9
 MAX_DISCARD_FRACTION = 0.2
 # Trials whose phases share one batched mass evaluation; the frontier of a
 # block, and so the memory of a run, grows with this and not with --trials.
@@ -53,7 +52,7 @@ def default_r0(sys: IFSystem) -> float:
 
 def _ball_tol(sys: IFSystem, r: float) -> float:
     expected = (min(r / sys.diameter, 1.0)) ** sys.delta
-    return max(_REL_TOL * expected, _MIN_TOL)
+    return max(_REL_TOL * expected, _TOL_FLOOR)
 
 
 def _trial_rng(seed: int, idx: int) -> np.random.Generator:
@@ -86,7 +85,7 @@ def _decay(sys, rng, center, radius, m, alpha) -> tuple:
     )
     eps = rel * radius
     envelope = rel**alpha
-    slab_tol = max(_REL_TOL * envelope * m.lo, _MIN_TOL)
+    slab_tol = max(_REL_TOL * envelope * m.lo, _TOL_FLOOR)
     queries = [((Ball(center, radius), Slab(plane, eps)), slab_tol),
                (Ball(center, eps), _ball_tol(sys, eps))]
     return queries, lambda m_slab, m_small: _decay_row(

@@ -278,10 +278,10 @@ class DyadicScale:
 # ---------------------------------------------------------------------------
 
 
-def _reach(bound: float) -> float:
-    """Largest first-coordinate gap of two rows whose float distance is <=
-    bound: a few ulps past it, and below 1e-150 squares can underflow."""
-    return max(bound * (1.0 + 1e-9), 1e-150)
+def _reach(bound):
+    """Largest coordinate gap of two points whose float distance is <= bound
+    (a float or an array): a few ulps past it; below 1e-150 squares underflow."""
+    return np.maximum(bound * (1.0 + 1e-9), 1e-150)
 
 
 def _greedy_segments(rows: np.ndarray, seg: np.ndarray, r: float) -> tuple:

@@ -14,6 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -43,6 +44,8 @@ __all__ = [
 
 _ORTHO_TOL = 1e-12
 MAX_SUBDIVISION_DEPTH = 64
+# Smallest tolerance measure_many certifies a mass to in float64.
+_TOL_FLOOR = 1e-9
 
 
 class OpenSetConditionError(ValueError):
@@ -298,13 +301,65 @@ def _check_attractor_in_closure(sys: "IFSystem", samples: int = 512) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _box_corners(box: Box) -> np.ndarray:
-    d = box.dim
-    corners = np.array(
-        [[box.lo[i] if (m >> i) & 1 == 0 else box.hi[i] for i in range(d)]
-         for m in range(2**d)]
-    )
-    return corners
+def _check_open_set_condition(maps, open_set) -> None:
+    """Verify the user-supplied witness: every image inside it and every pair
+    of images apart.
+
+    Inside is in the closure of the witness; apart is disjoint open interiors
+    (boundary touching allowed).  Both use a tolerance scaled to the witness
+    diameter.  Each witness kind has its own two tests: a ball, a box whose
+    maps do not rotate, and a convex polygon, which also serves a 2-d box
+    under rotating maps as its 4-vertex polygon.
+    """
+    if isinstance(open_set, Ball):
+        images = [(m.apply(open_set.center), m.ratio * open_set.radius) for m in maps]
+        inside, apart, name = _ball_inside, _balls_apart, "witness ball"
+    elif isinstance(open_set, Box) and all(m.is_identity_rotation() for m in maps):
+        corners = [(m.apply(open_set.lo), m.apply(open_set.hi)) for m in maps]
+        images = [(np.minimum(lo, hi), np.maximum(lo, hi)) for lo, hi in corners]
+        inside, apart, name = _box_inside, _boxes_apart, "witness box"
+    elif isinstance(open_set, (Box, ConvexPolygon)):
+        if isinstance(open_set, ConvexPolygon):
+            vertices = open_set.vertices
+        elif open_set.dim == 2:
+            (x0, y0), (x1, y1) = open_set.lo, open_set.hi
+            vertices = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])  # CCW
+        else:
+            raise OpenSetConditionError("rotated box witnesses are only supported in R^2")
+        images = [m.apply(vertices) for m in maps]
+        inside, apart, name = _polygon_inside, _polygons_open_disjoint, "witness"
+    else:
+        raise OpenSetConditionError(f"unsupported open set witness {type(open_set)!r}")
+    scale = open_set.radius if isinstance(open_set, Ball) else open_set.bounding_ball().radius
+    tol = 1e-9 * max(2.0 * scale, 1.0)
+    for i, image in enumerate(images):
+        if not inside(open_set, image, tol):
+            raise OpenSetConditionError(f"image {i} escapes the {name}")
+    for i, j in combinations(range(len(images)), 2):
+        if not apart(images[i], images[j], tol):
+            raise OpenSetConditionError(f"images {i} and {j} overlap")
+
+
+def _ball_inside(witness: Ball, image: tuple, tol: float) -> bool:
+    centre, radius = image
+    return not float(np.linalg.norm(centre - witness.center)) + radius > witness.radius + tol
+
+
+def _balls_apart(a: tuple, b: tuple, tol: float) -> bool:
+    return not float(np.linalg.norm(a[0] - b[0])) < a[1] + b[1] - tol
+
+
+def _box_inside(witness: Box, image: tuple, tol: float) -> bool:
+    lo, hi = image
+    return not (np.any(lo < witness.lo - tol) or np.any(hi > witness.hi + tol))
+
+
+def _boxes_apart(a: tuple, b: tuple, tol: float) -> bool:
+    return bool(np.any(a[1] <= b[0] + tol) or np.any(b[1] <= a[0] + tol))
+
+
+def _polygon_inside(witness, vertices: np.ndarray, tol: float) -> bool:
+    return bool(witness.contains(vertices, tol).all())
 
 
 def _project(vertices: np.ndarray, axis: np.ndarray) -> tuple:
@@ -333,82 +388,6 @@ def _polygons_open_disjoint(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
             if hi1 <= lo2 + tol or hi2 <= lo1 + tol:
                 return True
     return False
-
-
-def _image_shapes(maps, open_set):
-    """Images of the witness under each map, in a homogeneous representation."""
-    if isinstance(open_set, Ball):
-        return "ball", [
-            (m.apply(open_set.center), m.ratio * open_set.radius) for m in maps
-        ]
-    if isinstance(open_set, Box):
-        if all(m.is_identity_rotation() for m in maps):
-            images = []
-            for m in maps:
-                lo = m.apply(open_set.lo)
-                hi = m.apply(open_set.hi)
-                images.append((np.minimum(lo, hi), np.maximum(lo, hi)))
-            return "box", images
-        if open_set.dim != 2:
-            raise OpenSetConditionError(
-                "rotated box witnesses are only supported in R^2"
-            )
-        corners = _box_corners(open_set)
-        hull = corners[[0, 1, 3, 2]]  # CCW order of a 2-d box
-        return "polygon", [m.apply(hull) for m in maps]
-    if isinstance(open_set, ConvexPolygon):
-        return "polygon", [m.apply(open_set.vertices) for m in maps]
-    raise OpenSetConditionError(f"unsupported open set witness {type(open_set)!r}")
-
-
-def _check_open_set_condition(maps, open_set) -> None:
-    """Verify the user-supplied witness: images disjoint and contained.
-
-    Disjointness is of open interiors (boundary touching allowed); containment
-    is in the closure of the witness.  Both use a tolerance scaled to the
-    witness diameter.
-    """
-    kind, images = _image_shapes(maps, open_set)
-    scale = (
-        2.0 * open_set.radius
-        if isinstance(open_set, Ball)
-        else 2.0 * open_set.bounding_ball().radius
-    )
-    tol = 1e-9 * max(scale, 1.0)
-
-    if kind == "ball":
-        for i, (ci, ri) in enumerate(images):
-            if float(np.linalg.norm(ci - open_set.center)) + ri > open_set.radius + tol:
-                raise OpenSetConditionError(f"image {i} escapes the witness ball")
-        for i in range(len(images)):
-            for j in range(i + 1, len(images)):
-                ci, ri = images[i]
-                cj, rj = images[j]
-                if float(np.linalg.norm(ci - cj)) < ri + rj - tol:
-                    raise OpenSetConditionError(f"images {i} and {j} overlap")
-        return
-
-    if kind == "box":
-        for i, (lo, hi) in enumerate(images):
-            if np.any(lo < open_set.lo - tol) or np.any(hi > open_set.hi + tol):
-                raise OpenSetConditionError(f"image {i} escapes the witness box")
-        for i in range(len(images)):
-            for j in range(i + 1, len(images)):
-                lo1, hi1 = images[i]
-                lo2, hi2 = images[j]
-                separated = np.any(hi1 <= lo2 + tol) or np.any(hi2 <= lo1 + tol)
-                if not separated:
-                    raise OpenSetConditionError(f"images {i} and {j} overlap")
-        return
-
-    # polygon images
-    for i, verts in enumerate(images):
-        if not open_set.contains(verts, tol).all():
-            raise OpenSetConditionError(f"image {i} escapes the witness")
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            if not _polygons_open_disjoint(images[i], images[j], tol):
-                raise OpenSetConditionError(f"images {i} and {j} overlap")
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +517,7 @@ def measure_many(sys: IFSystem, queries, tols) -> list:
     one its query gets alone, of width <= its tol when converged.
     """
     tols = np.asarray(tols, dtype=float)
-    if np.any(tols < 1e-9):
+    if np.any(tols < _TOL_FLOOR):
         raise ValueError(
             "tolerance below the float certification floor 1e-9"
         )

@@ -26,7 +26,6 @@ from fracapprox.analysis import (
     HsTail,
     LemmaAuditReport,
     _cylinder_net,
-    _max_feasible_block,
     _net_depth,
 )
 from fracapprox.approx import _ENUMERATION_CAP, PsiFunction
@@ -343,19 +342,13 @@ def _window_rationals_in_six_dilate(d: int, scale: DyadicScale, centres) -> list
 
 
 def _dn_centres(sys: IFSystem, n: int) -> np.ndarray:
-    """build_dn_cover's centres, as rows, with its depth and budget refusals."""
+    """build_dn_cover's centres, as rows, with its net budget refusal (the
+    net size compared as an exact integer)."""
     r_n = DyadicScale(n, sys.dim).r_n
-    depth_needed = _net_depth(sys, n)
-    if depth_needed > 64:
-        feasible = _max_feasible_block(sys)
-        raise ValueError(
-            f"block {n} needs cylinder depth {depth_needed} > 64; "
-            f"largest feasible block is {feasible}"
-        )
-    if sys.k**depth_needed > _NET_BUDGET:
-        raise ValueError(
-            f"cylinder net of ~{sys.k**depth_needed:.2e} candidates refused"
-        )
+    depth = _net_depth(sys, n)
+    if sys.k**depth > _NET_BUDGET:
+        raise ValueError(f"block {n} refused: its cylinder net of {sys.k}^{depth} "
+                         f"candidates exceeds the budget of {_NET_BUDGET}")
     return _greedy_centres(_cylinder_net(sys, r_n), r_n)
 
 

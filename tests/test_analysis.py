@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unittest import mock
 
@@ -22,11 +24,12 @@ from fracapprox.analysis import (
     predict_measure_zero,
     sum_term_log,
 )
-from fracapprox.approx import PsiFunction
+from fracapprox.approx import PsiFunction, lower_order
 from fracapprox.geometry import Ball, DyadicScale
 from fracapprox.ifs import sample_measure
 
 import cover_oracle
+import psi_oracle
 from cover_oracle import greedy_cover as reference_greedy_cover
 from cover_oracle import reference_audit_hyperplane_lemma, reference_hs_upper_bound
 
@@ -100,6 +103,45 @@ def test_verdict_carries_condensed_evidence():
     ns = [n for n, _ in v.condensed_terms]
     logc = condensed_term_log(spec, np.array(ns, dtype=float))
     assert np.allclose([t for _, t in v.condensed_terms], np.exp(logc))
+
+
+def _exactly(value) -> str:
+    """A float or an array of them as bits, so -0.0 and NaN compare too."""
+    return np.asarray(value, dtype=float).tobytes().hex()
+
+
+@st.composite
+def _symbolic_sums(draw):
+    """A symbolic psi with every sum kind over it, its tau and beta often on
+    the values where the summand exponents hit A = -1 or B = -1 exactly."""
+    family = draw(st.sampled_from(["power", "power_log", "generic_power_log"]))
+    d = draw(st.integers(1, 3))
+    tau = draw(st.sampled_from([(d + 1) / d, 1.5, 2.0, 3.0]) | st.floats(0.25, 6.0))
+    beta = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 4.0))
+    alpha = draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.1, 3.0))
+    delta = draw(st.floats(0.1, float(d)))
+    s = draw(st.sampled_from([0.0, delta]) | st.floats(0.0, delta))
+    psi = PsiFunction(family=family, d=d, tau=tau, beta=beta)  # unused tau or beta dropped
+    specs = [SumSpec("lebesgue", psi, d), SumSpec("measure_zero", psi, d, alpha=alpha),
+             SumSpec("hausdorff", psi, d, alpha=alpha, delta=delta, s=s)]
+    rs = draw(st.lists(st.floats(1e-3, 1e12) | st.sampled_from([1.0, 2.0, 2.0**60]),
+                       min_size=1, max_size=6))
+    return psi, specs, np.array(rs)
+
+
+@settings(max_examples=300)
+@given(_symbolic_sums())
+def test_symbolic_psi_rules_match_family_dispatch_oracle(case):
+    # one stored (tau, beta) pair gives the bits of the per-family branches
+    psi, specs, r = case
+    assert _exactly(psi(r)) == _exactly(psi_oracle.psi_value(psi, r))
+    assert lower_order(psi) == psi_oracle.lower_order(psi)
+    above = r[r > 1.0]  # the sums' domain, where the log families are finite
+    for spec in specs:
+        assert _exactly(sum_term_log(spec, above)) == _exactly(
+            psi_oracle.sum_term_log(spec, above))
+        got = classify_sum(spec)
+        assert (got.converges, got.margin, got.criterion) == psi_oracle.closed_form_verdict(spec)
 
 
 def _tabulate(psi, lo=2.0, hi=2.0**45, points=240):
@@ -202,8 +244,12 @@ def test_dn_cover_cardinality_envelope(cantor):
 
 
 def test_dn_cover_refuses_infeasible_block(cantor):
-    with pytest.raises(ValueError, match="feasible"):
-        build_dn_cover(cantor, 60)
+    # the net budget alone refuses every block from 14 on, deep ones included
+    for n, depth in ((14, 22), (60, 80)):
+        with pytest.raises(ValueError) as refused:
+            build_dn_cover(cantor, n)
+        assert str(refused.value) == (f"block {n} refused: its cylinder net of 2^{depth} "
+                                      "candidates exceeds the budget of 4000000")
 
 
 def test_cdn_cover_empty_when_slab_misses(cantor):

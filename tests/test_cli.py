@@ -108,6 +108,9 @@ _MAPS = ('"maps": [{"ratio": 0.3333333333333333, "rotation": [1.0], "translation
     ("blocks", {}, ["lemma-audit", "--ifs", "cantor", "--blocks", "13:13",
                     "--trials", "200"]),
     ("blocks", {}, ["cover-cost", "--ifs", "cantor", "--blocks", "14:14"]),
+    ("blocks", {}, ["cover-cost", "--ifs", "cantor", "--blocks", "50:50"]),
+    ("blocks", {}, ["cover-cost", "--ifs", "dust", "--blocks", "700:700"]),
+    ("blocks", {}, ["cover-cost", "--ifs", "cantor", "--blocks", "900:900"]),
     ("s", {}, ["cover-cost", "--ifs", "cantor", "--s-param", "-1"]),
     ("kind", {}, ["sums", "--ifs", "cantor", "--kind", "bogus"]),
     ("s", {}, ["sums", "--ifs", "cantor", "--kind", "hausdorff", "--s-param", "5"]),
@@ -116,7 +119,8 @@ _MAPS = ('"maps": [{"ratio": 0.3333333333333333, "rotation": [1.0], "translation
         "seed-negative", "seed-negative-config", "psi-table-one-column",
         "ifs-directory", "dimension-fraction", "dimension-bool",
         "dimension-string", "blocks-70", "blocks-53", "blocks-52", "blocks-26",
-        "blocks-13-rounding", "cover-cost-blocks-14", "cover-cost-s-negative",
+        "blocks-13-rounding", "cover-cost-blocks-14", "blocks-50",
+        "dust-blocks-700", "blocks-900", "cover-cost-s-negative",
         "sums-kind-bogus", "sums-s-above-delta", "sums-s-negative"])
 def test_bad_input_is_one_error_line_naming_the_field(tmp_path, capsys, monkeypatch,
                                                        field, files, argv):
@@ -129,6 +133,29 @@ def test_bad_input_is_one_error_line_naming_the_field(tmp_path, capsys, monkeypa
     assert len(err) == 1 and err[0].startswith("error: ")
     assert f"'{field}'" in err[0]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("ifs, blocks, reason", [
+    ("cantor", "2:60", "block 12 refused: float64 numerator bounds"),
+    ("cantor", "50:50", "block 50 refused: its cylinder net of 2^67 candidates exceeds "
+                        "the budget of 4000000"),
+    ("dust", "700:700", "block 700 refused: its cylinder net of 4^528 candidates exceeds "
+                        "the budget of 4000000"),
+    ("cantor", "900:900", "block 900 refused: its radius r_n underflows to 0"),
+], ids=["rounding-12", "budget-50", "dust-budget-700", "underflow-900"])
+def test_cover_cost_refuses_a_block_range_before_any_pool(tmp_path, capsys, monkeypatch,
+                                                          ifs, blocks, reason):
+    # blocks 2-11 are fine; the range is refused before any of them is covered
+    from fracapprox import analysis
+
+    def no_pool(*args):
+        raise AssertionError("a sample pool was drawn")
+
+    monkeypatch.setattr(analysis, "sample_measure", no_pool)
+    assert run(["--out", tmp_path / "out", "cover-cost", "--ifs", ifs,
+                "--blocks", blocks]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config field 'blocks': {reason}")
 
 
 @pytest.mark.parametrize("argv", [

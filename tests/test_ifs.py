@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mass_oracle
+import osc_oracle
 import sample_oracle
 from fracapprox import ifs
 from fracapprox.analysis import _cylinder_net
@@ -125,6 +126,63 @@ def test_koch_rotated_box_witness_fails():
 
 
 _TRIANGLE = ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
+
+_OSC_WITNESSES = {
+    "ball": lambda d: Ball(np.full(d, 0.5), 0.5 * math.sqrt(d)),
+    "box": lambda d: Box(np.zeros(d), np.ones(d)),
+    "rotated-box": lambda d: Box(np.zeros(2), np.ones(2)),
+    "polygon": lambda d: ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+    "triangle": lambda d: _TRIANGLE,
+    "unsupported": lambda d: Hyperplane(np.ones(d) / math.sqrt(d), 0.5),
+}
+
+
+@st.composite
+def _osc_cases(draw):
+    """Maps onto cells of an m^d grid over the witness's unit box, shrunk,
+    grown or shifted (by NaN too) now and then, and in some cases turning
+    about the cell centre in d = 2 or reflecting in d = 1 or 3, so the
+    witness is accepted or refused for either reason."""
+    kind = draw(st.sampled_from(sorted(_OSC_WITNESSES)))
+    d = 2 if kind in ("rotated-box", "polygon", "triangle") else draw(st.integers(1, 3))
+    m = draw(st.integers(2, 3))
+    cells = draw(st.lists(st.integers(0, m**d - 1), min_size=2, max_size=4,
+                          unique=draw(st.booleans())))
+    turns = kind == "rotated-box" or draw(st.booleans())
+    maps = []
+    for cell in cells:
+        ratio = draw(st.sampled_from([1.0, 1.0, 0.9, 1.1])) / m
+        if not turns:
+            rot = np.eye(d)
+        elif d == 2:
+            angle = draw(st.sampled_from([math.pi / 2, math.pi, math.pi / 3, 0.1]))
+            rot = np.array([[math.cos(angle), -math.sin(angle)],
+                            [math.sin(angle), math.cos(angle)]])
+            rot = rot * [1.0, draw(st.sampled_from([1.0, -1.0]))]
+        else:
+            rot = np.diag([draw(st.sampled_from([1.0, -1.0])) for _ in range(d)])
+        centre = (np.array([(cell // m**i) % m for i in range(d)]) + 0.5) / m
+        shift = [draw(st.sampled_from([0.0] * 5 + [1e-10, -1e-3, 0.2, math.nan]))
+                 for _ in range(d)]
+        translation = centre - ratio * rot @ np.full(d, 0.5) + shift
+        maps.append(SimilarityMap(ratio, rot, translation))
+    return maps, _OSC_WITNESSES[kind](d)
+
+
+def _osc_outcome(check, maps, witness):
+    try:
+        check(maps, witness)
+    except OpenSetConditionError as e:
+        return str(e)
+    return "accepted"
+
+
+@settings(max_examples=400)
+@given(_osc_cases())
+def test_open_set_check_matches_three_branch_oracle(case):
+    maps, witness = case
+    assert (_osc_outcome(ifs._check_open_set_condition, maps, witness)
+            == _osc_outcome(osc_oracle._check_open_set_condition, maps, witness))
 
 
 @pytest.mark.parametrize("region, edge, outward", [
