@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import PsiFunction, _check_windows, _enumerate_windows, layer_hit_mask
+from .approx import (PsiFunction, _check_denominators, _check_windows, _enumerate_windows,
+                     layer_hit_mask)
 from .geometry import (
     Ball,
     DyadicScale,
@@ -244,6 +245,8 @@ def dimension_bound(delta: float, alpha: float, d: int, lambda_or_tau: float) ->
 
 _NET_BUDGET = 4_000_000
 _AUDIT_BLOCK = 1024  # trials audit_hyperplane_lemma draws and enumerates at once
+_AUDIT_BOX_SIDE = 1.0  # the audit draws its ball centres uniformly from [0, side)^d
+_POOL_SIZE = 20_000  # natural-measure samples hs_upper_bound draws per block
 
 
 def build_dn_cover(sys: IFSystem, n: int) -> list:
@@ -385,7 +388,6 @@ def hs_upper_bound(
     k_min: int,
     k_max: int,
     seed: int = 0,
-    pool_size: int = 20_000,
 ) -> HsTail:
     """Assemble the block-cover cost sum_n #D_n #C(D_n) (3 psi(2^n))^s and
     report its tails for starting blocks k_min..k_max.
@@ -410,7 +412,7 @@ def hs_upper_bound(
     rows = []
     c_maxes = []
     for n, scale, centres in blocks:
-        pool = sample_measure(sys, pool_size, np.random.SeedSequence([seed, n]))
+        pool = sample_measure(sys, _POOL_SIZE, np.random.SeedSequence([seed, n]))
         r = float(psi(2.0**n))
         nums, qs, owner = _block_rationals_in_six_dilate(d, scale, centres)
         held, owner = np.unique(owner, return_inverse=True)  # the balls with points
@@ -498,27 +500,40 @@ class LemmaAuditReport:
     simplex_counterexamples: int
 
 
-def audit_hyperplane_lemma(
-    d: int, n: int, n_balls: int, seed: int = 0, box_side: float = 1.0
-) -> LemmaAuditReport:
+def audit_hyperplane_lemma(d: int, n: int, n_balls: int, seed: int = 0) -> LemmaAuditReport:
     """Randomized audit of the volume obstruction: for random block balls the
     rationals of the dyadic block in the closed 6-dilate must always sit on a
     single hyperplane.  Exact arithmetic decides; counterexamples are counted
     (zero is the expected outcome at every block)."""
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, d, n]))
     scale = DyadicScale(n, d)
     max_pts = 0
     bad = 0
-    for start in range(0, n_balls, _AUDIT_BLOCK):
-        # one (k, d) draw gives the bits of k draws of d numbers each
-        centres = rng.random((min(_AUDIT_BLOCK, n_balls - start), d)) * box_side
+    for centres in _audit_centres(d, n, n_balls, seed):
         nums, qs, owner = _block_rationals_in_six_dilate(d, scale, centres)
         max_pts = max(max_pts, int(np.bincount(owner).max(initial=0)))
         bad += len(_witness_block(nums, qs, owner, centres, scale)[2])
     return LemmaAuditReport(d=d, n=n, balls=n_balls, max_rationals=max_pts,
                             simplex_counterexamples=bad)
+
+
+def _audit_centres(d: int, n: int, n_balls: int, seed: int):
+    """The ball centres audit_hyperplane_lemma draws for block n, in chunks
+    of at most _AUDIT_BLOCK rows."""
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    rng = np.random.default_rng(np.random.SeedSequence([seed, d, n]))
+    for start in range(0, n_balls, _AUDIT_BLOCK):
+        # one (k, d) draw gives the bits of k draws of d numbers each
+        yield rng.random((min(_AUDIT_BLOCK, n_balls - start), d)) * _AUDIT_BOX_SIDE
+
+
+def _check_audit_range(d: int, blocks, n_balls: int, seed: int) -> None:
+    """Raise the first enumeration refusal audit_hyperplane_lemma would meet
+    on the blocks in order, from the same centres, without enumerating."""
+    for n in blocks:
+        radius = 6.0 * DyadicScale(n, d).r_n
+        for centres in _audit_centres(d, n, n_balls, seed):
+            _check_windows(d, n, centres - radius, centres + radius)
 
 
 @dataclass(frozen=True)
@@ -540,8 +555,12 @@ def layer_decay_experiment(
     n_samples: int,
     seed: int = 0,
 ) -> LayerDecayResult:
-    """Estimate the natural-measure mass of each block layer by sampling."""
+    """Estimate the natural-measure mass of each block layer by sampling;
+    every block of the range is checked against the layer test's ceiling
+    before any sample is drawn."""
     blocks = list(blocks)
+    for n in blocks:
+        _check_denominators(n)
     pts = sample_measure(sys, n_samples, seed)
     d = sys.dim
     rows = []

@@ -29,7 +29,7 @@ __all__ = [
 
 _GRID_POINTS = 1000
 _ENUMERATION_CAP = 10**8
-# Largest number of denominators 2^n one enumeration window may walk.
+# Largest number of denominators 2^n one enumeration window or layer test walks.
 _WINDOW_CELL_CAP = 2**20
 # (window, denominator) cells whose numerator ranges one step computes.
 _CELL_BUDGET = 2**16
@@ -208,14 +208,20 @@ def enumerate_rationals(d: int, n: int, window: Box) -> list:
     return [RationalPoint(p, q) for p, q in zip(nums.tolist(), qs.tolist())]
 
 
-def _check_windows(d: int, n: int, lo: np.ndarray, hi: np.ndarray) -> None:
-    """The refusals of _enumerate_windows, which it makes before any cell:
-    2^n > _WINDOW_CELL_CAP, a window of more than _ENUMERATION_CAP estimated
-    candidates, and windows whose lo q - slop, hi q + slop can round by more
-    than the slop in all (ulp(max |endpoint| 2^(n+1) + slop) > slop)."""
+def _check_denominators(n: int) -> None:
+    """The ceiling of every walk over the 2^n denominators of block n, the
+    enumeration's and the layer test's: 2^n <= _WINDOW_CELL_CAP."""
     if 2**n > _WINDOW_CELL_CAP:
         raise ValueError(f"block {n} refused: its 2^{n} denominators per window "
                          f"exceed the ceiling of {_WINDOW_CELL_CAP} cells")
+
+
+def _check_windows(d: int, n: int, lo: np.ndarray, hi: np.ndarray) -> None:
+    """The refusals of _enumerate_windows, which it makes before any cell:
+    _check_denominators' ceiling, a window of more than _ENUMERATION_CAP
+    estimated candidates, and windows whose lo q - slop, hi q + slop can round
+    by more than the slop in all (ulp(max |endpoint| 2^(n+1) + slop) > slop)."""
+    _check_denominators(n)
     est = np.prod(hi - lo, axis=1) * 2.0 ** ((d + 1) * (n + 1))
     big = est[est > _ENUMERATION_CAP]
     if big.size:
@@ -301,8 +307,10 @@ def layer_hit_mask(points: np.ndarray, n: int, psi: PsiFunction, d: int) -> np.n
     For d = 1 the block rationals are swept against the sorted points
     (`_sweep_hit_mask`) whenever that enumerates no more centres than the
     N 2^n point-q tests of the per-q loop below and psi(2^n) 2^n < 1/2; the
-    loop serves every other case.  Both give the same mask bit for bit.
+    loop serves every other case.  Both give the same mask bit for bit, and
+    both walk all 2^n denominators, under the ceiling of _check_denominators.
     """
+    _check_denominators(n)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != d:
         raise ValueError(f"expected points of shape (N, {d})")

@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import sys as _sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 
 import click
@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     SumSpec,
+    _check_audit_range,
     audit_hyperplane_lemma,
     classify_sum,
     dimension_report,
@@ -278,8 +279,11 @@ def decay(ctx, ifs_path, psi_spec, blocks, samples, alpha):
     a = _resolve_alpha(cfg, sys_)
     psi = _parse_psi(cfg, sys_.dim)
     lo, hi = cfg.blocks
-    res = layer_decay_experiment(sys_, psi, a, range(lo, hi + 1),
-                                 cfg.samples, cfg.seed)
+    try:
+        res = layer_decay_experiment(sys_, psi, a, range(lo, hi + 1),
+                                     cfg.samples, cfg.seed)
+    except ValueError as e:  # the layer test's ceiling on a block
+        raise UsageFailure(f"config field 'blocks': {e}")
     d = sys_.dim
     c_audit = (
         0.5 / math.sqrt(d)
@@ -306,20 +310,16 @@ def lemma_audit(ctx, ifs_path, blocks, trials):
     cfg = _cfg(ctx, ifs_path=ifs_path, blocks=_parse_blocks(blocks), trials=trials)
     sys_ = _resolve_system(cfg)
     d = sys_.dim
-    lo, hi = cfg.blocks
-    rows = []
-    bad_total = 0
-    for n in range(lo, hi + 1):
-        try:
-            rep = audit_hyperplane_lemma(d, n, cfg.trials, seed=cfg.seed)
-        except ValueError as e:
-            raise UsageFailure(f"config field 'blocks': {e}")
-        rows.append((rep.d, rep.n, rep.balls, rep.max_rationals,
-                     rep.simplex_counterexamples))
-        bad_total += rep.simplex_counterexamples
+    ns = range(cfg.blocks[0], cfg.blocks[1] + 1)
+    try:  # every refusal before any block is audited
+        _check_audit_range(d, ns, cfg.trials, cfg.seed)
+        reports = [audit_hyperplane_lemma(d, n, cfg.trials, seed=cfg.seed) for n in ns]
+    except ValueError as e:
+        raise UsageFailure(f"config field 'blocks': {e}")
+    bad_total = sum(rep.simplex_counterexamples for rep in reports)
     _write_csv(cfg, "lemma_audit.csv",
                ["d", "n", "balls", "max_rationals", "simplex_counterexamples"],
-               rows)
+               [astuple(rep) for rep in reports])
     if bad_total:
         raise ScientificFailure(
             f"{bad_total} simplex counterexamples found; the volume obstruction "

@@ -32,10 +32,6 @@ __all__ = [
     "measure_of_ball",
     "measure_of_slab_in_ball",
     "sample_measure",
-    "cantor_middle_thirds",
-    "sierpinski_gasket",
-    "four_corner_dust",
-    "koch_curve",
     "bundled_system",
     "load_system",
     "dump_system",
@@ -479,25 +475,16 @@ def _segment_sums(values: np.ndarray, segment: np.ndarray, n: int) -> tuple:
     holds each value's segment in ascending order.  sums[j] has the bits of
     values[segment == j].sum().
 
-    numpy adds fewer than 8 terms strictly left to right, so short segments
-    are summed column by column over a zero-padded array (x + 0.0 == x);
-    longer ones, which it sums pairwise over 8 accumulators, go one by one.
+    numpy adds fewer than 8 terms strictly left to right from 0.0, as
+    np.bincount does, so bincount sums the short segments; longer ones,
+    which numpy sums pairwise over 8 accumulators, go one by one.
     np.add.reduceat follows neither order.
     """
     counts = np.bincount(segment, minlength=n)
-    sums = np.zeros(n)
-    if values.size == 0:
-        return sums, counts
+    # without values bincount gives int64 zeros
+    sums = np.bincount(segment, weights=values, minlength=n).astype(float, copy=False)
     starts = np.cumsum(counts) - counts
-    long_ = counts >= 8
-    short_rows = ~long_[segment]
-    if short_rows.any():
-        padded = np.zeros((n, int(counts[~long_].max())))
-        offset = np.arange(values.size) - starts[segment]
-        padded[segment[short_rows], offset[short_rows]] = values[short_rows]
-        for column in padded.T:
-            sums += column
-    for j in np.flatnonzero(long_):
+    for j in np.flatnonzero(counts >= 8):
         sums[j] = values[starts[j]:starts[j] + counts[j]].sum()
     return sums, counts
 
@@ -681,86 +668,65 @@ def _fold_digits(sys: IFSystem, digits: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# bundled systems
+# bundled systems and definition files
 # ---------------------------------------------------------------------------
 
 
-def _no_rotation(d: int) -> np.ndarray:
-    return np.eye(d)
-
-
-def cantor_middle_thirds() -> IFSystem:
-    """Middle-thirds Cantor set in R^1; delta = log 2 / log 3."""
-    maps = [
-        SimilarityMap(1 / 3, _no_rotation(1), np.array([0.0])),
-        SimilarityMap(1 / 3, _no_rotation(1), np.array([2 / 3])),
-    ]
-    return IFSystem.create(maps, Box([0.0], [1.0]))
-
-
-def sierpinski_gasket() -> IFSystem:
-    """Sierpinski gasket on the triangle (0,0), (1,0), (1/2, sqrt3/2)."""
-    h = math.sqrt(3.0) / 2.0
-    maps = [
-        SimilarityMap(0.5, _no_rotation(2), np.array([0.0, 0.0])),
-        SimilarityMap(0.5, _no_rotation(2), np.array([0.5, 0.0])),
-        SimilarityMap(0.5, _no_rotation(2), np.array([0.25, h / 2.0])),
-    ]
-    return IFSystem.create(maps, Box([0.0, 0.0], [1.0, h]))
-
-
-def four_corner_dust() -> IFSystem:
-    """Four-corner Cantor dust in the unit square with contraction 1/4."""
-    maps = [
-        SimilarityMap(0.25, _no_rotation(2), np.array([0.0, 0.0])),
-        SimilarityMap(0.25, _no_rotation(2), np.array([0.75, 0.0])),
-        SimilarityMap(0.25, _no_rotation(2), np.array([0.0, 0.75])),
-        SimilarityMap(0.25, _no_rotation(2), np.array([0.75, 0.75])),
-    ]
-    return IFSystem.create(maps, Box([0.0, 0.0], [1.0, 1.0]))
-
-
-def koch_curve() -> IFSystem:
-    """Von Koch curve over [0,1]; two of the four maps rotate by +-60 degrees.
-
-    The witness is the open triangle with base [0,1] and apex (1/2, sqrt3/6);
-    its four images tile it up to shared boundary points.
-    """
-    c, s = 0.5, math.sqrt(3.0) / 2.0
-    rot_pos = np.array([[c, -s], [s, c]])
-    rot_neg = np.array([[c, s], [-s, c]])
-    maps = [
-        SimilarityMap(1 / 3, _no_rotation(2), np.array([0.0, 0.0])),
-        SimilarityMap(1 / 3, rot_pos, np.array([1 / 3, 0.0])),
-        SimilarityMap(1 / 3, rot_neg, np.array([0.5, math.sqrt(3.0) / 6.0])),
-        SimilarityMap(1 / 3, _no_rotation(2), np.array([2 / 3, 0.0])),
-    ]
-    witness = ConvexPolygon(
-        np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 6.0]])
-    )
-    return IFSystem.create(maps, witness)
-
+# The definition payload of each bundled system, in the definition-file
+# schema; bundled_system reads it with the parser load_system uses.
+_ID2 = [1.0, 0.0, 0.0, 1.0]  # the identity rotation of the plane, row-major
+_SIN60 = math.sqrt(3.0) / 2.0
 
 BUNDLED_SYSTEMS = {
-    "cantor": cantor_middle_thirds,
-    "gasket": sierpinski_gasket,
-    "dust": four_corner_dust,
-    "koch": koch_curve,
+    # middle-thirds Cantor set in R^1; delta = log 2 / log 3
+    "cantor": {
+        "dimension": 1,
+        "maps": [{"ratio": 1 / 3, "rotation": [1.0], "translation": [0.0]},
+                 {"ratio": 1 / 3, "rotation": [1.0], "translation": [2 / 3]}],
+        "open_set": {"type": "box", "min": [0.0], "max": [1.0]},
+    },
+    # Sierpinski gasket on the triangle (0,0), (1,0), (1/2, sqrt3/2)
+    "gasket": {
+        "dimension": 2,
+        "maps": [{"ratio": 0.5, "rotation": _ID2, "translation": [0.0, 0.0]},
+                 {"ratio": 0.5, "rotation": _ID2, "translation": [0.5, 0.0]},
+                 {"ratio": 0.5, "rotation": _ID2, "translation": [0.25, _SIN60 / 2.0]}],
+        "open_set": {"type": "box", "min": [0.0, 0.0], "max": [1.0, _SIN60]},
+    },
+    # four-corner Cantor dust in the unit square with contraction 1/4
+    "dust": {
+        "dimension": 2,
+        "maps": [{"ratio": 0.25, "rotation": _ID2, "translation": [0.0, 0.0]},
+                 {"ratio": 0.25, "rotation": _ID2, "translation": [0.75, 0.0]},
+                 {"ratio": 0.25, "rotation": _ID2, "translation": [0.0, 0.75]},
+                 {"ratio": 0.25, "rotation": _ID2, "translation": [0.75, 0.75]}],
+        "open_set": {"type": "box", "min": [0.0, 0.0], "max": [1.0, 1.0]},
+    },
+    # von Koch curve over [0,1]; the middle two maps rotate by +-60 degrees.
+    # The witness is the open triangle with base [0,1] and apex (1/2, sqrt3/6);
+    # its four images tile it up to shared boundary points.
+    "koch": {
+        "dimension": 2,
+        "maps": [{"ratio": 1 / 3, "rotation": _ID2, "translation": [0.0, 0.0]},
+                 {"ratio": 1 / 3, "rotation": [0.5, -_SIN60, _SIN60, 0.5],
+                  "translation": [1 / 3, 0.0]},
+                 {"ratio": 1 / 3, "rotation": [0.5, _SIN60, -_SIN60, 0.5],
+                  "translation": [0.5, math.sqrt(3.0) / 6.0]},
+                 {"ratio": 1 / 3, "rotation": _ID2, "translation": [2 / 3, 0.0]}],
+        "open_set": {"type": "polygon",
+                     "vertices": [[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 6.0]]},
+    },
 }
 
 
 def bundled_system(name: str) -> IFSystem:
     try:
-        return BUNDLED_SYSTEMS[name]()
+        payload = BUNDLED_SYSTEMS[name]
     except KeyError:
         raise ValueError(
             f"unknown bundled system {name!r}; choose from {sorted(BUNDLED_SYSTEMS)}"
         ) from None
-
-
-# ---------------------------------------------------------------------------
-# definition files
-# ---------------------------------------------------------------------------
+    return _system_from_payload(payload)
 
 
 def _open_set_to_json(open_set) -> dict:
@@ -806,11 +772,14 @@ def dump_system(sys: IFSystem, path) -> None:
 
 
 def load_system(path) -> IFSystem:
-    """Read a definition file and validate it (Moran root, OSC witness).
-
-    A malformed field raises ValueError naming it."""
+    """Read a definition file and validate it (Moran root, OSC witness)."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        return _system_from_payload(json.load(fh))
+
+
+def _system_from_payload(payload) -> IFSystem:
+    """The system a parsed definition file describes; a malformed field
+    raises ValueError naming it."""
     if not isinstance(payload, dict):
         raise ValueError("a definition file holds a JSON object")
     d = _parse_field("dimension", _positive_int, payload.get("dimension"))

@@ -4,12 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from fracapprox.ifs import (
-    cantor_middle_thirds,
-    four_corner_dust,
-    koch_curve,
-    sierpinski_gasket,
-)
+from fracapprox.ifs import bundled_system
 
 # Property tests draw the same examples on every run (no example database, no
 # random seed), and a slow machine cannot fail them on time alone.
@@ -26,19 +21,19 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 @pytest.fixture(scope="session")
 def cantor():
-    return cantor_middle_thirds()
+    return bundled_system("cantor")
 
 
 @pytest.fixture(scope="session")
 def gasket():
-    return sierpinski_gasket()
+    return bundled_system("gasket")
 
 
 @pytest.fixture(scope="session")
 def dust():
-    return four_corner_dust()
+    return bundled_system("dust")
 
 
 @pytest.fixture(scope="session")
 def koch():
-    return koch_curve()
+    return bundled_system("koch")

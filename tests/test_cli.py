@@ -112,6 +112,7 @@ _MAPS = ('"maps": [{"ratio": 0.3333333333333333, "rotation": [1.0], "translation
     ("blocks", {}, ["cover-cost", "--ifs", "dust", "--blocks", "700:700"]),
     ("blocks", {}, ["cover-cost", "--ifs", "cantor", "--blocks", "900:900"]),
     ("s", {}, ["cover-cost", "--ifs", "cantor", "--s-param", "-1"]),
+    ("blocks", {}, ["decay", "--ifs", "cantor", "--blocks", "21:21", "--samples", "10"]),
     ("kind", {}, ["sums", "--ifs", "cantor", "--kind", "bogus"]),
     ("s", {}, ["sums", "--ifs", "cantor", "--kind", "hausdorff", "--s-param", "5"]),
     ("s", {}, ["sums", "--ifs", "cantor", "--kind", "hausdorff", "--s-param", "-1"]),
@@ -120,7 +121,7 @@ _MAPS = ('"maps": [{"ratio": 0.3333333333333333, "rotation": [1.0], "translation
         "ifs-directory", "dimension-fraction", "dimension-bool",
         "dimension-string", "blocks-70", "blocks-53", "blocks-52", "blocks-26",
         "blocks-13-rounding", "cover-cost-blocks-14", "blocks-50",
-        "dust-blocks-700", "blocks-900", "cover-cost-s-negative",
+        "dust-blocks-700", "blocks-900", "cover-cost-s-negative", "decay-blocks-21",
         "sums-kind-bogus", "sums-s-above-delta", "sums-s-negative"])
 def test_bad_input_is_one_error_line_naming_the_field(tmp_path, capsys, monkeypatch,
                                                        field, files, argv):
@@ -156,6 +157,42 @@ def test_cover_cost_refuses_a_block_range_before_any_pool(tmp_path, capsys, monk
                 "--blocks", blocks]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: config field 'blocks': {reason}")
+
+
+@pytest.mark.parametrize("ifs, blocks, trials, reason", [
+    ("gasket", "1:13", "5000", "block 13 refused: float64 numerator bounds for window "
+                               "endpoints up to 0.999768"),
+    ("cantor", "1:70", "200", "block 13 refused: float64 numerator bounds for window "
+                              "endpoints up to 0.988892"),
+], ids=["gasket-rounding-13", "cantor-rounding-13"])
+def test_lemma_audit_refuses_a_block_range_before_any_audit(tmp_path, capsys, monkeypatch,
+                                                            ifs, blocks, trials, reason):
+    # the earlier blocks are fine; the range is refused before any is enumerated
+    from fracapprox import analysis
+
+    def no_enumeration(*args):
+        raise AssertionError("a block was enumerated")
+
+    monkeypatch.setattr(analysis, "_enumerate_windows", no_enumeration)
+    assert run(["--out", tmp_path / "out", "lemma-audit", "--ifs", ifs,
+                "--blocks", blocks, "--trials", trials]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config field 'blocks': {reason}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_decay_refuses_a_block_range_before_sampling(tmp_path, capsys, monkeypatch):
+    from fracapprox import analysis
+
+    def no_samples(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(analysis, "sample_measure", no_samples)
+    assert run(["--out", tmp_path / "out", "decay", "--ifs", "cantor",
+                "--blocks", "1:40"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: config field 'blocks': block 21 refused: its 2^21 "
+                   "denominators per window exceed the ceiling of 1048576 cells"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -321,10 +358,10 @@ def test_dim_report_names_short_approximants_on_stderr(tmp_path, capsys):
 
 
 def test_ifs_file_path_roundtrip(tmp_path):
-    from fracapprox.ifs import dump_system, four_corner_dust
+    from fracapprox.ifs import bundled_system, dump_system
 
     sys_file = tmp_path / "dust.json"
-    dump_system(four_corner_dust(), sys_file)
+    dump_system(bundled_system("dust"), sys_file)
     out = tmp_path / "run"
     code = run(["--seed", 1, "--out", out, "sample", "--ifs", sys_file,
                 "--samples", 100])

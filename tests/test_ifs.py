@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -118,9 +119,7 @@ def test_osc_polygon_witness_koch(koch):
 def test_koch_rotated_box_witness_fails():
     # the Koch maps admit no axis-aligned box witness: the rotated images
     # always cut into their neighbors
-    from fracapprox.ifs import koch_curve
-
-    maps = koch_curve().maps
+    maps = ifs.bundled_system("koch").maps
     with pytest.raises(OpenSetConditionError):
         IFSystem.create(maps, Box([0.0, 0.0], [1.0, 0.3]))
 
@@ -232,7 +231,7 @@ def test_bundled_systems_have_spanning_fixed_points(gasket, dust, koch):
 # the cylinder frontier
 # ---------------------------------------------------------------------------
 
-SYSTEMS = {name: factory() for name, factory in BUNDLED_SYSTEMS.items()}
+SYSTEMS = {name: ifs.bundled_system(name) for name in BUNDLED_SYSTEMS}
 
 
 def _compose(sys_, word, x):
@@ -533,6 +532,7 @@ def test_segment_sums_match_masked_sums(lengths, seed):
     segment = np.repeat(np.arange(len(lengths)), lengths)
     values = rng.random(segment.size) * 10.0 ** rng.integers(-12, 1, segment.size)
     sums, counts = _segment_sums(values, segment, len(lengths) + 1)
+    assert sums.dtype == np.float64  # also when every segment is empty
     for j, n in enumerate(lengths):
         mask = segment == j
         assert counts[j] == n
@@ -747,6 +747,41 @@ def test_dump_writes_row_major_rotation(tmp_path, koch):
     rot = payload["maps"][1]["rotation"]
     assert rot == [float(x) for x in koch.maps[1].rotation.reshape(-1)]
     assert load_system(path).has_rotations
+
+
+def _system_arrays(sys_):
+    witness = sys_.open_set
+    return [sys_.ratios, sys_.translations, sys_.rotations, sys_.anchor, sys_.weights,
+            sys_.bounding_ball.center, np.array([sys_.bounding_ball.radius, sys_.delta]),
+            *(getattr(witness, a) for a in ("lo", "hi", "vertices") if hasattr(witness, a))]
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_SYSTEMS))
+def test_bundled_system_is_its_definition_payload(tmp_path, name):
+    # dumping a bundled system writes its payload back, and loading that file
+    # gives the bundled system's bits
+    sys_ = ifs.bundled_system(name)
+    path = tmp_path / f"{name}.json"
+    dump_system(sys_, path)
+    assert json.loads(path.read_text()) == json.loads(json.dumps(BUNDLED_SYSTEMS[name]))
+    loaded = load_system(path)
+    assert type(loaded.open_set) is type(sys_.open_set)
+    for got, want in zip(_system_arrays(loaded), _system_arrays(sys_), strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_readme_definition_file_example_is_the_cantor_payload():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("is the payload of `cantor`:", 1)[1]
+    example = example.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(example) == BUNDLED_SYSTEMS["cantor"]
+
+
+def test_unknown_bundled_name_lists_the_names():
+    with pytest.raises(ValueError) as err:
+        ifs.bundled_system("fern")
+    assert str(err.value) == ("unknown bundled system 'fern'; "
+                              "choose from ['cantor', 'dust', 'gasket', 'koch']")
 
 
 def test_load_decimal_literals(tmp_path):
