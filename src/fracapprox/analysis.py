@@ -156,7 +156,7 @@ def _condensation_fit(ns: np.ndarray, logc: np.ndarray) -> tuple:
     return float(coef[0]), float(coef[1])
 
 
-def classify_sum(spec: SumSpec, blocks=CONDENSATION_BLOCKS) -> SumVerdict:
+def classify_sum(spec: SumSpec) -> SumVerdict:
     """Trivalent convergence verdict for the requested sum.
 
     Symbolic psi families are classified in closed form from the exponent pair
@@ -180,7 +180,7 @@ def classify_sum(spec: SumSpec, blocks=CONDENSATION_BLOCKS) -> SumVerdict:
             f"summand ~ r^{a_exp:.12g} (log r)^{b_exp:.12g}; "
             "convergent iff A < -1 or (A = -1 and B < -1)"
         )
-        _, _, condensed, partials = _condensation_evidence(spec, blocks)
+        _, _, condensed, partials = _condensation_evidence(spec, CONDENSATION_BLOCKS)
         return SumVerdict(verdict, "closed_form", crit, margin,
                           condensed, partials)
 
@@ -310,9 +310,9 @@ def _cdn_centres(pool, centres, radius, normals, offsets, eps, r) -> tuple:
     Ball k reads the pool rows within reach of its 3-dilate in the first
     coordinate (the pool is sorted by it once), keeps those in the 3-dilate
     and the slab, and _greedy_segments selects from every ball's rows at
-    once.  For d >= 2 slab distances come from the whole pool's product,
-    one per distinct normal, as BLAS may round the rows of a slice's product
-    differently; for d = 1 the product is one multiply per row.
+    once.  Slab distances come from the whole pool's product, one per
+    distinct normal, as BLAS may round the rows of a slice's product
+    differently.
     """
     order = np.argsort(pool[:, 0])
     x0 = pool[order, 0]
@@ -326,10 +326,7 @@ def _cdn_centres(pool, centres, radius, normals, offsets, eps, r) -> tuple:
         starts = lo[first:last] - (np.cumsum(size[first:last]) - size[first:last])
         rows = order[np.arange(seg.size) + np.repeat(starts, size[first:last])]
         sub = pool[rows]
-        if pool.shape[1] > 1:
-            proj = _slab_products(pool, rows, distinct, which.ravel()[seg])
-        else:
-            proj = sub[:, 0] * normals[seg, 0]
+        proj = _slab_products(pool, rows, distinct, which.ravel()[seg])
         keep = ((np.linalg.norm(sub - centres[seg], axis=1) <= radius)
                 & (np.abs(proj - offsets[seg]) <= eps))
         chosen, ball = _greedy_segments(sub[keep], seg[keep], r)

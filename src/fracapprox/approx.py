@@ -35,6 +35,8 @@ _WINDOW_CELL_CAP = 2**20
 _CELL_BUDGET = 2**16
 # Slop on the numerator bounds lo q - slop and hi q + slop of a window.
 _SLOP = 1e-12
+# The last block smallness_onset checks.
+_ONSET_LAST = 60
 
 
 @dataclass(frozen=True)
@@ -119,8 +121,9 @@ class PsiFunction:
     # evaluation -----------------------------------------------------------
 
     def __call__(self, r):
+        # a scalar is a one-element array, so psi(r) has the bits of psi([r])[0]
         scalar = np.isscalar(r)
-        rr = np.asarray(r, dtype=float)
+        rr = np.atleast_1d(np.asarray(r, dtype=float))
         if self.family == "power":
             out = rr ** (-self.tau)
         elif self.family != "table":
@@ -135,7 +138,7 @@ class PsiFunction:
             out = np.exp(
                 np.interp(np.log(rc), np.log(self.table_r), np.log(self.table_v))
             )
-        return float(out) if scalar else out
+        return float(out[0]) if scalar else out.reshape(np.shape(r))
 
 
 def parse_psi_spec(spec: str, d: int = 1) -> PsiFunction:
@@ -291,54 +294,68 @@ def is_psi_approximable(x, psi: PsiFunction, q_max: int) -> tuple:
     return int(hits.sum()), witnesses
 
 
-def _offsets(m: int, d: int):
-    return product(range(-m, m + 1), repeat=d)
-
-
 def layer_hit_mask(points: np.ndarray, n: int, psi: PsiFunction, d: int) -> np.ndarray:
     """Which points lie in the block-n layer, for many points at once.
 
     points has shape (N, d).  A point x hits when some q in the block and
     some p within m of the rounded numerator rint(x q) give |p/q - x|^2 <=
-    (sqrt(d) psi(q))^2, where m = 0 while the radius times q is below 1/2
-    and floor(radius q + 1/2) beyond.  Non-finite points never hit; a
-    non-finite radius anywhere in the block makes every point hit.
+    r^2, r = sqrt(d) psi(q), where m = 0 while r q is below 1/2 and
+    floor(r q + 1/2) beyond.  Non-finite points never hit; a non-finite
+    radius anywhere in the block makes every point hit.
 
-    For d = 1 the block rationals are swept against the sorted points
-    (`_sweep_hit_mask`) whenever that enumerates no more centres than the
-    N 2^n point-q tests of the per-q loop below and psi(2^n) 2^n < 1/2; the
-    loop serves every other case.  Both give the same mask bit for bit, and
-    both walk all 2^n denominators, under the ceiling of _check_denominators.
+    The block's table (per q: m, r^2 and, for the sweep, the float reach
+    of r) is built once, from one psi call.  For d = 1 the block rationals
+    are swept against the sorted points (`_sweep_hit_mask`) when psi(2^n)
+    2^n < 1/2, the numerators stay below 2^52 and the sweep enumerates no
+    more centres than the N 2^n point-q tests of the q loop; the loop
+    serves every other case.  It takes the table's q in steps that start at
+    one q and double up to _CELL_BUDGET (q, point) pairs, and drops the
+    points that hit after each step.  Both give the same mask bit for bit,
+    and both walk all 2^n denominators, under the ceiling of
+    _check_denominators.
     """
     _check_denominators(n)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != d:
         raise ValueError(f"expected points of shape (N, {d})")
-    if d == 1:
-        swept = _sweep_hit_mask(pts[:, 0], n, psi)
-        if swept is not None:
-            return swept
+    q = np.arange(2**n, 2 ** (n + 1), dtype=float)
+    radius = math.sqrt(d) * psi(q)
+    if not np.isfinite(radius).all():
+        return np.ones(pts.shape[0], dtype=bool)
+    half = radius * q
+    m = np.where(half < 0.5, 0.0, np.floor(half + 0.5))
+    r2 = radius * radius
     hits = np.zeros(pts.shape[0], dtype=bool)
-    todo = np.isfinite(pts).all(axis=1)  # non-finite points never hit
-    sq = math.sqrt(d)
-    for q in range(2**n, 2 ** (n + 1)):
-        radius = sq * psi(float(q))
-        if not np.isfinite(radius):
-            hits[:] = True
+    live = np.flatnonzero(np.isfinite(pts).all(axis=1))  # non-finite points never hit
+    if live.size and d == 1 and half[0] < 0.5:
+        live = live[np.argsort(pts[live, 0])]
+        # reach: how far past each radius the float test accepts; first and
+        # count: the numerators of the centres p/q it lets touch [xs[0], xs[-1]]
+        xs, reach = pts[live, 0], _reach(radius)
+        first = np.floor((xs[0] - reach) * q) - 1.0
+        count = np.ceil((xs[-1] + reach) * q) + 2.0 - first
+        if ((max(-xs[0], xs[-1]) + reach.max() + 2.0) * q[-1] < 2.0**52
+                and count.sum() <= pts.shape[0] * q.size):
+            hits[live] = _sweep_hit_mask(xs, (q, m, r2, reach), first, count)
             return hits
-        if not todo.any():
-            break
-        sub = pts[todo]
-        half = radius * q
-        p0 = np.rint(sub * q)
-        m = 0 if half < 0.5 else math.floor(half + 0.5)
-        r2 = radius * radius
-        found = np.zeros(sub.shape[0], dtype=bool)
-        for off in _offsets(m, d):
-            diff = (p0 + np.asarray(off, dtype=float)) / q - sub
-            found |= np.einsum("ij,ij->i", diff, diff) <= r2
-        hits[todo] = found
-        todo &= ~hits
+    j, size = 0, 1
+    while j < q.size and live.size:
+        # the q j..k-1 on a (q, point, coordinate) array; bound[s] is r^2 at
+        # the q whose m reaches offsets of sup norm s, and -1 (no hit) elsewhere
+        k = min(j + size, q.size)
+        qs, sub = q[j:k, None, None], pts[live][None]
+        p0 = np.rint(sub * qs)
+        top = int(m[j:k].max())
+        bound = np.where(m[j:k] >= np.arange(top + 1)[:, None], r2[j:k], -1.0)[..., None]
+        offs = np.array(list(product(range(-top, top + 1), repeat=d)), dtype=float)
+        found = np.zeros((k - j, live.size), dtype=bool)
+        for off, s in zip(offs, np.abs(offs).max(axis=1).astype(int).tolist()):
+            diff = (p0 + off) / qs - sub
+            found |= np.einsum("qij,qij->qi", diff, diff) <= bound[s]
+        got = found.any(axis=0)
+        hits[live[got]] = True
+        live = live[~got]
+        j, size = k, min(2 * size, max(1, _CELL_BUDGET // max(live.size, 1)))
     return hits
 
 
@@ -350,45 +367,22 @@ _SWEEP_FIRST = 2**10
 _SWEEP_PAIRS = 2**16
 
 
-def _sweep_hit_mask(x: np.ndarray, n: int, psi: PsiFunction) -> np.ndarray | None:
-    """layer_hit_mask for d = 1, deciding each (point, p, q) candidate.
+def _sweep_hit_mask(xs: np.ndarray, table: tuple, first: np.ndarray,
+                    count: np.ndarray) -> np.ndarray:
+    """layer_hit_mask for d = 1 on the sorted finite points xs and the block's
+    table (q, m, r^2, reach), deciding each (point, p, q) candidate.
 
-    Walks the centres p/q of the block in ascending q, then p, over the span
-    of the finite points, and finds each centre's points by `searchsorted`
-    in the sorted points.  A candidate hits under exactly the per-q loop's two
+    Walks the centres p/q of the block in ascending q, then p, the j-th q's
+    count[j] numerators from first[j], and finds each centre's points by
+    `searchsorted` in xs.  A candidate hits under exactly the q loop's two
     tests: the float test (p/q - x)^2 <= r^2 and the numerator window
     |p - rint(x q)| <= m.  Points that hit are dropped after each step.
-    Returns None, leaving the block to the per-q loop, when the centres
-    outnumber the loop's N 2^n point-q tests, when psi(2^n) 2^n >= 1/2 (the
-    first q's radius then reaches half its spacing 1/q, so the loop decides
-    nearly every point at that q), or when the numerators could leave the
-    exact integer range of a float.
     """
-    q_lo = 2**n
-    if psi(float(q_lo)) * q_lo >= 0.5:
-        return None
-    radius = np.array([psi(float(q)) for q in range(q_lo, 2 * q_lo)])  # sqrt(d) = 1
-    if not np.isfinite(radius).all():
-        return np.ones(x.shape[0], dtype=bool)
-    hits = np.zeros(x.shape[0], dtype=bool)
-    live = np.flatnonzero(np.isfinite(x))
-    if live.size == 0:
-        return hits
-    live = live[np.argsort(x[live])]
-    xs = x[live]
-    qf = np.arange(q_lo, 2 * q_lo, dtype=float)
-    reach = _reach(radius)  # how far past each radius the float test accepts
-    if (max(-xs[0], xs[-1]) + reach.max() + 2.0) * qf[-1] >= 2.0**52:
-        return None
-    p_first = np.floor((xs[0] - reach) * qf) - 1.0
-    count = np.ceil((xs[-1] + reach) * qf) + 2.0 - p_first
-    if count.sum() > x.shape[0] * q_lo:
-        return None
-    p_first = p_first.astype(np.int64)
+    qf, m, r2, reach = table
+    hits = np.zeros(xs.shape[0], dtype=bool)
+    live = np.arange(xs.shape[0])
+    first = first.astype(np.int64)
     starts = np.concatenate(([0], np.cumsum(count.astype(np.int64))))
-    half = radius * qf
-    m = np.where(half < 0.5, 0.0, np.floor(half + 0.5))
-    r2 = radius * radius
 
     k, size = 0, _SWEEP_FIRST
     while k < starts[-1] and live.size:
@@ -397,7 +391,7 @@ def _sweep_hit_mask(x: np.ndarray, n: int, psi: PsiFunction) -> np.ndarray | Non
         js = np.arange(np.searchsorted(starts, k, side="right") - 1,
                        np.searchsorted(starts, ks[-1], side="right"))
         j = np.repeat(js, np.minimum(starts[js + 1], ks[-1] + 1) - np.maximum(starts[js], k))
-        p = (p_first[j] + (ks - starts[j])).astype(float)
+        p = (first[j] + (ks - starts[j])).astype(float)
         centre = p / qf[j]
         top = centre + reach[j]
         lo = np.searchsorted(xs, centre - reach[j], side="left")
@@ -426,13 +420,13 @@ def _sweep_hit_mask(x: np.ndarray, n: int, psi: PsiFunction) -> np.ndarray | Non
     return hits
 
 
-def smallness_onset(psi: PsiFunction, c: float, d: int, n_max: int = 60) -> int | None:
+def smallness_onset(psi: PsiFunction, c: float, d: int) -> int | None:
     """First block index from which psi(2^n) < c * 2^(-n(d+1)/d) holds through
-    n_max; None if the threshold is never reached in range."""
+    block _ONSET_LAST; None if the threshold is never reached in range."""
     if c <= 0:
         raise ValueError("c must be positive")
     onset = None
-    for n in range(0, n_max + 1):
+    for n in range(0, _ONSET_LAST + 1):
         if psi(2.0**n) < c * 2.0 ** (-n * (d + 1) / d):
             if onset is None:
                 onset = n

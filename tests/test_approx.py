@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unittest import mock
@@ -13,7 +13,6 @@ from fracapprox import approx
 from fracapprox.approx import (
     PsiFunction,
     _enumerate_windows,
-    _sweep_hit_mask,
     enumerate_rationals,
     is_psi_approximable,
     layer_hit_mask,
@@ -22,6 +21,7 @@ from fracapprox.approx import (
     smallness_onset,
 )
 from fracapprox.geometry import Box
+from fracapprox.ifs import bundled_system, sample_measure
 from cover_oracle import enumerate_rationals as reference_enumerate
 from layer_oracle import ApproxLayer, layer_membership, reference_hit_mask
 
@@ -29,6 +29,23 @@ from layer_oracle import ApproxLayer, layer_membership, reference_hit_mask
 # ---------------------------------------------------------------------------
 # psi functions
 # ---------------------------------------------------------------------------
+
+
+@example(psi=PsiFunction.power_log(3.0), rs=[2.0, 4.0, 16.0], i=0)
+@settings(max_examples=200)
+@given(psi=st.one_of(
+           st.floats(0.5, 5.0).map(PsiFunction.power),
+           st.floats(0.1, 4.0).map(PsiFunction.power_log),
+           st.tuples(st.floats(1.0, 4.0), st.floats(0.0, 3.0)).map(
+               lambda a: PsiFunction.generic_power_log(*a)),
+           st.floats(1.0, 4.0).map(
+               lambda tau: PsiFunction.from_table([(1.0, 1.0), (2.0**40, 2.0**(-40 * tau))]))),
+       rs=st.lists(st.floats(1.0, 2.0**40), min_size=1, max_size=20),
+       i=st.integers(0, 19))
+def test_psi_scalar_has_the_bits_of_the_array(psi, rs, i):
+    # a scalar, a one-element array and a longer array agree bit for bit
+    r = rs[i % len(rs)]
+    assert psi(r) == psi(np.array([r]))[0] == psi(np.array(rs))[i % len(rs)]
 
 
 def test_power_family_basics():
@@ -468,6 +485,13 @@ def test_layer_hit_mask_non_finite_points_match_reference(d, n, tau, rows):
                           reference_hit_mask(pts, n, psi, d))
 
 
+def _takes_sweep(x, n, psi):
+    """Whether layer_hit_mask hands the 1-D points x of block n to the sweep."""
+    with mock.patch.object(approx, "_sweep_hit_mask", wraps=approx._sweep_hit_mask) as spy:
+        layer_hit_mask(np.reshape(x, (-1, 1)), n, psi, 1)
+    return spy.called
+
+
 def test_layer_hit_mask_d1_float_tie_needs_numerator_window():
     # x is one ulp above 1/6, so 3x rounds to 0.5 and rint gives p = 0; yet
     # in floats x is nearer to 1/3 than to 0.  With m = 0 the per-q loop
@@ -477,7 +501,7 @@ def test_layer_hit_mask_d1_float_tie_needs_numerator_window():
     assert (1 / 3 - x) ** 2 <= psi(3.0) ** 2 and psi(3.0) * 3 < 0.5
     pts = np.full((10, 1), x)
     assert not reference_hit_mask(pts, 1, psi, 1).any()
-    assert _sweep_hit_mask(pts[:, 0], 1, psi) is not None
+    assert _takes_sweep(pts, 1, psi)
     assert not layer_hit_mask(pts, 1, psi, 1).any()
 
 
@@ -488,7 +512,7 @@ def test_layer_hit_mask_d1_underflowing_radius():
     pts = np.array([[1e-170], [-3e-165], [1e-140], [0.0], [0.5]] * 4)
     ref = reference_hit_mask(pts, 3, psi, 1)
     assert ref[:2].all() and not ref[2]
-    assert _sweep_hit_mask(pts[:, 0], 3, psi) is not None
+    assert _takes_sweep(pts, 3, psi)
     assert np.array_equal(layer_hit_mask(pts, 3, psi, 1), ref)
 
 
@@ -499,12 +523,12 @@ def test_layer_hit_mask_d1_cost_rule():
     psi, fat = PsiFunction.power(2.5), PsiFunction.power(1.0)
     rng = np.random.default_rng(4)
     many, few = rng.random(4000), rng.random(3)
-    assert _sweep_hit_mask(many, 3, psi) is not None
-    assert _sweep_hit_mask(few, 10, psi) is None
+    assert _takes_sweep(many, 3, psi)
+    assert not _takes_sweep(few, 10, psi)
     for n in (0, 3, 10):
-        assert _sweep_hit_mask(many, n, fat) is None
-    assert _sweep_hit_mask(many, 3, PsiFunction.power(1.2)) is None  # 8^-0.2 > 1/2
-    assert _sweep_hit_mask(many, 6, PsiFunction.power(1.2)) is not None
+        assert not _takes_sweep(many, n, fat)
+    assert not _takes_sweep(many, 3, PsiFunction.power(1.2))  # 8^-0.2 > 1/2
+    assert _takes_sweep(many, 6, PsiFunction.power(1.2))
     for x, n, f in ((many, 3, psi), (few, 10, psi), (many, 10, psi),
                     (many[:0], 3, psi), (many, 3, fat), (many, 10, fat),
                     (np.append(many, [np.nan, np.inf]), 3, fat)):
@@ -512,6 +536,32 @@ def test_layer_hit_mask_d1_cost_rule():
         with np.errstate(invalid="ignore"):  # the oracle's NaN and inf points
             want = reference_hit_mask(pts, n, f, 1)
         assert np.array_equal(layer_hit_mask(pts, n, f, 1), want)
+
+
+@pytest.mark.parametrize("n, size, d, sweep", [(3, 4000, 1, True), (10, 3, 1, False),
+                                               (4, 300, 2, False)])
+def test_layer_hit_mask_evaluates_psi_once(n, size, d, sweep):
+    # one psi call builds the block's table, whichever kernel reads it
+    psi = PsiFunction.power(2.5, d=d)
+    counted = mock.Mock(wraps=psi)
+    pts = np.random.default_rng(8).random((size, d))
+    with mock.patch.object(approx, "_sweep_hit_mask", wraps=approx._sweep_hit_mask) as spy:
+        mask = layer_hit_mask(pts, n, counted, d)
+    assert counted.call_count == 1 and spy.called == sweep
+    assert np.array_equal(mask, reference_hit_mask(pts, n, psi, d))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning:layer_oracle")
+@pytest.mark.parametrize("name, n, tau, size", [("cantor", 12, 2.5, 8), ("cantor", 12, 0.9, 8),
+                                                ("gasket", 7, 1.5, 6)])
+def test_layer_hit_mask_q_steps_match_reference(name, n, tau, size):
+    # few points at a high block: the q loop takes steps of many q at once
+    pts = sample_measure(bundled_system(name), size, 3)
+    if name == "cantor":
+        pts = np.append(pts, [[math.nan]], axis=0)
+    psi = PsiFunction.power(tau, d=pts.shape[1])
+    assert np.array_equal(layer_hit_mask(pts, n, psi, pts.shape[1]),
+                          reference_hit_mask(pts, n, psi, pts.shape[1]))
 
 
 def test_layer_fallback_enumeration_catches_offset_candidates():
