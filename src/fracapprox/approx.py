@@ -303,16 +303,25 @@ def layer_hit_mask(points: np.ndarray, n: int, psi: PsiFunction, d: int) -> np.n
     floor(r q + 1/2) beyond.  Non-finite points never hit; a non-finite
     radius anywhere in the block makes every point hit.
 
-    The block's table (per q: m, r^2 and, for the sweep, the float reach
-    of r) is built once, from one psi call.  For d = 1 the block rationals
-    are swept against the sorted points (`_sweep_hit_mask`) when psi(2^n)
-    2^n < 1/2, the numerators stay below 2^52 and the sweep enumerates no
-    more centres than the N 2^n point-q tests of the q loop; the loop
-    serves every other case.  It takes the table's q in steps that start at
-    one q and double up to _CELL_BUDGET (q, point) pairs, and drops the
-    points that hit after each step.  Both give the same mask bit for bit,
-    and both walk all 2^n denominators, under the ceiling of
-    _check_denominators.
+    The block's table (per q: m, r^2 and, in one dimension, the float
+    reach of r) is built once, from one psi call.  Three kernels read it and
+    give the same mask bit for bit; among those whose preconditions hold,
+    the one with the least estimated work takes the block:
+
+      the q loop, N 2^n point-q tests, no precondition.  It takes the
+        table's q in steps that start at one q and double up to
+        _CELL_BUDGET (q, point) pairs, and drops the points that hit after
+        each step;
+      the sweep of the block rationals over the sorted points
+        (`_sweep_hit_mask`), as many steps as centres it enumerates; for
+        d = 1 when psi(2^n) 2^n < 1/2 and every numerator stays below 2^52;
+      the continued-fraction kernel (`_convergent_hit_mask`), N times the
+        Euclid step bound ceil(log_phi 2^(n+1)) + 1; under the sweep's
+        numerator bound and the Legendre condition 2 q^2 (reach + ulp) < 1
+        for every q of the block, where ulp is the float spacing at the
+        sweep's bound max |x| + max reach + 2.
+
+    All three stay under the 2^n denominator ceiling of _check_denominators.
     """
     _check_denominators(n)
     pts = np.asarray(points, dtype=float)
@@ -327,17 +336,32 @@ def layer_hit_mask(points: np.ndarray, n: int, psi: PsiFunction, d: int) -> np.n
     r2 = radius * radius
     hits = np.zeros(pts.shape[0], dtype=bool)
     live = np.flatnonzero(np.isfinite(pts).all(axis=1))  # non-finite points never hit
+    work = {}  # estimated work of each kernel whose preconditions hold
     if live.size and d == 1 and half[0] < 0.5:
-        live = live[np.argsort(pts[live, 0])]
         # reach: how far past each radius the float test accepts; first and
-        # count: the numerators of the centres p/q it lets touch [xs[0], xs[-1]]
-        xs, reach = pts[live, 0], _reach(radius)
-        first = np.floor((xs[0] - reach) * q) - 1.0
-        count = np.ceil((xs[-1] + reach) * q) + 2.0 - first
-        if ((max(-xs[0], xs[-1]) + reach.max() + 2.0) * q[-1] < 2.0**52
-                and count.sum() <= pts.shape[0] * q.size):
-            hits[live] = _sweep_hit_mask(xs, (q, m, r2, reach), first, count)
-            return hits
+        # count: the numerators of the centres p/q it lets touch [lo, hi]
+        lo, hi, reach = pts[live, 0].min(), pts[live, 0].max(), _reach(radius)
+        top = max(-lo, hi) + reach.max() + 2.0
+        if top * q[-1] < 2.0**52:
+            first = np.floor((lo - reach) * q) - 1.0
+            count = np.ceil((hi + reach) * q) + 2.0 - first
+            work["sweep"] = count.sum()
+            # the float centre of a hit p/q lies within reach of its point
+            # and within one spacing at top of p/q: Legendre's condition
+            # |x - p/q| < 1/(2 q^2) holds when this does
+            if (2.0 * q * q * (reach + np.spacing(top)) < 1.0).all():
+                # denominators of the convergents grow at least like phi^k
+                steps = math.ceil((n + 1) / math.log2((1 + math.sqrt(5)) / 2)) + 1
+                work["convergent"] = pts.shape[0] * steps
+    work["loop"] = pts.shape[0] * q.size
+    kernel = min(work, key=work.get)
+    if kernel == "sweep":
+        live = live[np.argsort(pts[live, 0])]
+        hits[live] = _sweep_hit_mask(pts[live, 0], (q, m, r2, reach), first, count)
+        return hits
+    if kernel == "convergent":
+        hits[live] = _convergent_hit_mask(pts[live, 0], n, (q, m, r2))
+        return hits
     j, size = 0, 1
     while j < q.size and live.size:
         # the q j..k-1 on a (q, point, coordinate) array; bound[s] is r^2 at
@@ -359,6 +383,15 @@ def layer_hit_mask(points: np.ndarray, n: int, psi: PsiFunction, d: int) -> np.n
     return hits
 
 
+def _float_hits(p: np.ndarray, x: np.ndarray, j: np.ndarray, table: tuple) -> np.ndarray:
+    """The q loop's two tests on d = 1 candidates p/q[j] for the points x,
+    with the block's table (q, m, r^2, ...): the float test (p/q - x)^2 <=
+    r^2 and the numerator window |p - rint(x q)| <= m."""
+    q, m, r2 = table[:3]
+    diff = p / q[j] - x
+    return (diff * diff <= r2[j]) & (np.abs(p - np.rint(x * q[j])) <= m[j])
+
+
 # Largest number of block centres one sweep step searches; steps start at
 # _SWEEP_FIRST centres and double, so points that hit at small q leave early.
 _SWEEP_CHUNK = 2**14
@@ -375,10 +408,9 @@ def _sweep_hit_mask(xs: np.ndarray, table: tuple, first: np.ndarray,
     Walks the centres p/q of the block in ascending q, then p, the j-th q's
     count[j] numerators from first[j], and finds each centre's points by
     `searchsorted` in xs.  A candidate hits under exactly the q loop's two
-    tests: the float test (p/q - x)^2 <= r^2 and the numerator window
-    |p - rint(x q)| <= m.  Points that hit are dropped after each step.
+    tests (`_float_hits`).  Points that hit are dropped after each step.
     """
-    qf, m, r2, reach = table
+    qf, reach = table[0], table[3]
     hits = np.zeros(xs.shape[0], dtype=bool)
     live = np.arange(xs.shape[0])
     first = first.astype(np.int64)
@@ -408,16 +440,103 @@ def _sweep_hit_mask(xs: np.ndarray, table: tuple, first: np.ndarray,
         near, found = near[:take], found[:take]
         c = np.repeat(near, found)  # centre and sorted-point index of each candidate
         pos = np.arange(pairs[take - 1]) + np.repeat(lo[near] - pairs[:take] + found, found)
-        xv = xs[pos]
-        jc = j[c]
-        diff = centre[c] - xv
-        ok = (diff * diff <= r2[jc]) & (np.abs(p[c] - np.rint(xv * qf[jc])) <= m[jc])
+        ok = _float_hits(p[c], xs[pos], j[c], table)
         if ok.any():
             got = np.zeros(xs.shape[0], dtype=bool)
             got[pos[ok]] = True
             hits[live[got]] = True
             live, xs = live[~got], xs[~got]
     return hits
+
+
+# Largest number of points one continued-fraction expansion step holds.
+_EXPAND_SLICE = 2**13
+
+
+def _convergent_hit_mask(x: np.ndarray, n: int, table: tuple) -> np.ndarray:
+    """layer_hit_mask for d = 1 on the finite points x and the block's table
+    (q, m, r^2), under the Legendre condition that every float hit p/q lies
+    within 1/(2 q^2) of its point.
+
+    By Legendre's theorem such a p/q, in lowest terms a/b, is a convergent
+    of x, and -a/b one of -x.  IEEE division rounds every multiple (t a)/(t b)
+    to the float of a/b, so the float test (p/q - x)^2 <= r^2 can pass only
+    for the multiples of the convergents that `_close_convergents` keeps.
+    The candidates are their multiples with 2^n <= t b < 2^(n+1), decided by
+    exactly the q loop's two tests (`_float_hits`).  Points are expanded
+    _EXPAND_SLICE at a time; each round takes the next multiples of every
+    pair whose point has not hit, one at first and doubling up to
+    _CELL_BUDGET candidates a round.
+    """
+    hits, r2_max = np.zeros(x.size, dtype=bool), table[2].max()
+    for s in range(0, x.size, _EXPAND_SLICE):
+        xs = x[s:s + _EXPAND_SLICE]
+        pt, num, den = _close_convergents(xs, n, r2_max)
+        num = np.where(xs[pt] < 0, -num, num)
+        t, stop = -(-(2**n) // den), (2 ** (n + 1) - 1) // den + 1
+        got, size = hits[s:s + _EXPAND_SLICE], 1
+        while pt.size:
+            take = np.minimum(stop - t, size)
+            c = np.repeat(np.arange(pt.size), take)
+            tc = t[c] + np.arange(c.size) - np.repeat(np.cumsum(take) - take, take)
+            p, j = (tc * num[c]).astype(float), tc * den[c] - 2**n
+            ok = _float_hits(p, xs[pt[c]], j, table)
+            got[pt[c[ok]]] = True
+            t = t + take
+            left = (t < stop) & ~got[pt]
+            pt, num, den, t, stop = pt[left], num[left], den[left], t[left], stop[left]
+            size = min(2 * size, max(1, _CELL_BUDGET // max(pt.size, 1)))
+    return hits
+
+
+def _close_convergents(x: np.ndarray, n: int, r2_max: float) -> tuple:
+    """The convergents a/b of the points |x| with b < 2^(n+1) and float gap
+    (a/b - |x|)^2 <= r2_max, as int64 arrays (point index, a, b).
+
+    |x| = F + M/2^E with F = floor(|x|) and 2^52 <= M < 2^53 is expanded by
+    one Euclid run over all points, and every quotient is exact.  When
+    2^E/M > 2^(n+2) the first quotient puts the next denominator past the
+    block, and F/1 is the only convergent.  Otherwise E <= n + 54: the first
+    remainder is the exact IEEE fmod(2^E, M), the first quotient an integer
+    of at most 2^(n+2) that float division gets to far less than 1/2, and
+    the later steps divide int64 values below 2^53.  Denominators grow, so a
+    point stops at its first convergent whose denominator reaches 2^(n+1).
+    """
+    y = np.abs(x)
+    whole = np.floor(y)
+    frac = y - whole  # exact: whole <= y < 2 whole, or whole = 0
+    lim = 2 ** (n + 1)
+    found = []
+
+    def keep(at, a, b, ok=True):
+        gap = a / b - y[at]
+        close = ok & (gap * gap <= r2_max)
+        if close.any():
+            found.append((at[close], a[close], b[close]))
+
+    keep(np.arange(y.size), whole.astype(np.int64), np.ones(y.size, dtype=np.int64))
+    at = np.flatnonzero(frac >= 2.0 ** -(n + 2))
+    mant, exp = np.frexp(frac[at])
+    big, low = np.ldexp(mant, 53), np.ldexp(1.0, 53 - exp)  # frac = big / low
+    rem = np.fmod(low, big)
+    quot = np.rint((low - rem) / big)
+    # per point: the next quotient, the remainder pair (u, v) it leaves and
+    # the last two convergents a0/b0, a1/b1
+    one = np.ones(at.size, dtype=np.int64)
+    state = (at, *(col.astype(np.int64) for col in (quot, big, rem)), one,
+             whole[at].astype(np.int64), np.zeros_like(one), one)
+    while state[0].size:
+        at, quot, u, v, a0, a1, b0, b1 = state
+        b2 = np.minimum(quot, lim) * b1 + b0
+        ok = b2 < lim
+        a2 = np.where(ok, quot, 0) * a1 + a0
+        keep(at, a2, b2, ok)
+        quot, rem = np.divmod(u, np.maximum(v, 1))
+        go = ok & (v > 0)
+        state = tuple(col[go] for col in (at, quot, v, rem, a1, a2, b1, b2))
+    if not found:
+        return np.zeros((3, 0), dtype=np.int64)
+    return tuple(np.concatenate(col) for col in zip(*found))
 
 
 def smallness_onset(psi: PsiFunction, c: float, d: int) -> int | None:

@@ -485,11 +485,15 @@ def test_layer_hit_mask_non_finite_points_match_reference(d, n, tau, rows):
                           reference_hit_mask(pts, n, psi, d))
 
 
-def _takes_sweep(x, n, psi):
-    """Whether layer_hit_mask hands the 1-D points x of block n to the sweep."""
-    with mock.patch.object(approx, "_sweep_hit_mask", wraps=approx._sweep_hit_mask) as spy:
+def _kernel(x, n, psi):
+    """The kernel layer_hit_mask hands the 1-D points x of block n to:
+    "sweep", "convergent" or "loop"."""
+    with mock.patch.object(approx, "_sweep_hit_mask", wraps=approx._sweep_hit_mask) as sweep, \
+            mock.patch.object(approx, "_convergent_hit_mask",
+                              wraps=approx._convergent_hit_mask) as convergent:
         layer_hit_mask(np.reshape(x, (-1, 1)), n, psi, 1)
-    return spy.called
+    assert sweep.call_count + convergent.call_count <= 1
+    return "sweep" if sweep.called else "convergent" if convergent.called else "loop"
 
 
 def test_layer_hit_mask_d1_float_tie_needs_numerator_window():
@@ -501,7 +505,7 @@ def test_layer_hit_mask_d1_float_tie_needs_numerator_window():
     assert (1 / 3 - x) ** 2 <= psi(3.0) ** 2 and psi(3.0) * 3 < 0.5
     pts = np.full((10, 1), x)
     assert not reference_hit_mask(pts, 1, psi, 1).any()
-    assert _takes_sweep(pts, 1, psi)
+    assert _kernel(pts, 1, psi) == "sweep"
     assert not layer_hit_mask(pts, 1, psi, 1).any()
 
 
@@ -512,26 +516,87 @@ def test_layer_hit_mask_d1_underflowing_radius():
     pts = np.array([[1e-170], [-3e-165], [1e-140], [0.0], [0.5]] * 4)
     ref = reference_hit_mask(pts, 3, psi, 1)
     assert ref[:2].all() and not ref[2]
-    assert _takes_sweep(pts, 3, psi)
+    assert _kernel(pts, 3, psi) == "sweep"
     assert np.array_equal(layer_hit_mask(pts, 3, psi, 1), ref)
 
 
+_WIDE = 2**20
+
+
+@st.composite
+def _convergent_case(draw, n):
+    """A psi and points for block n spread over [-2^20, 2^20], so that the
+    sweep would enumerate far more centres than the convergent kernel takes
+    Euclid steps: the points of _layer_case, integers, dyadics k/2^j, the
+    floats nearest a/b with b <= 2^(n+1), and integers plus or minus 2^-k
+    for k = 9..1074, down to the subnormal 5e-324."""
+    psi, pts = draw(_layer_case(n))
+    whole = st.integers(-_WIDE, _WIDE)
+    xs = [-float(_WIDE), float(_WIDE)]
+    xs += draw(st.lists(whole.map(float), max_size=8))
+    xs += [k / 2.0**j for k, j in draw(st.lists(st.tuples(whole, st.integers(0, 60)),
+                                                 max_size=8))]
+    for i, b in draw(st.lists(st.tuples(whole, st.integers(1, 2 ** (n + 1))), max_size=16)):
+        xs.append((i * b + draw(st.integers(0, b - 1))) / b)
+    xs += [i + s * math.ldexp(1.0, -k) for i, s, k in draw(st.lists(
+        st.tuples(st.integers(-3, 3), st.sampled_from([-1, 1]), st.integers(9, 1074)),
+        max_size=12))]
+    return psi, np.concatenate([pts, np.array(xs).reshape(-1, 1)])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning:layer_oracle")
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(3, 12))
+def test_layer_hit_mask_convergent_matches_reference(data, n):
+    # the convergent kernel takes every block whose psi keeps 2 q^2 psi(q)
+    # clear of 1, refuses every block where it reaches 1, and keeps every bit
+    psi, pts = data.draw(_convergent_case(n))
+    q = np.arange(2**n, 2 ** (n + 1), dtype=float)
+    legendre = (2 * q * q * psi(q)).max()
+    kernel = _kernel(pts, n, psi)
+    if legendre < 0.9:
+        assert kernel == "convergent"
+    elif legendre >= 1:
+        assert kernel != "convergent"
+    assert np.array_equal(layer_hit_mask(pts, n, psi, 1), reference_hit_mask(pts, n, psi, 1))
+
+
+def test_layer_hit_mask_legendre_boundary():
+    # 2 q^2 psi(q) = 1 at q = 4 for tau = 2.5 (block 2), and is one ulp below
+    # 1 at q = 8 for tau = 7/3 (block 3), where the float reach puts it past
+    # 1: neither block is inside the Legendre condition.  Block 3 at tau =
+    # 2.5 is (2 q^2 psi(q) <= 0.71), and takes the convergent kernel.
+    rng = np.random.default_rng(16)
+    x = np.concatenate([rng.uniform(-_WIDE, _WIDE, 200), rng.integers(-99, 99, 100) / 8,
+                        rng.random(100), [1 / 4 + 4.0**-2.5, 3 / 8 - 8.0**-2.5]])
+    for n, tau, want in ((2, 2.5, "loop"), (3, 7 / 3, "loop"), (3, 2.5, "convergent")):
+        psi = PsiFunction.power(tau)
+        assert _kernel(x, n, psi) == want
+        pts = x.reshape(-1, 1)
+        assert np.array_equal(layer_hit_mask(pts, n, psi, 1), reference_hit_mask(pts, n, psi, 1))
+
+
 def test_layer_hit_mask_d1_cost_rule():
-    # the sweep runs when its centres are at most the loop's N 2^n point-q
-    # tests and psi(2^n) 2^n < 1/2 (past that the loop decides nearly every
-    # point at the first q), and agrees with the loop either way
+    # of the kernels whose preconditions hold, the one with the least work
+    # runs: the loop's N 2^n point-q tests, the sweep's centres (when psi(2^n)
+    # 2^n < 1/2; past that the loop decides nearly every point at the first
+    # q) or the convergent kernel's N (ceil(log_phi 2^(n+1)) + 1) Euclid
+    # steps (under the Legendre condition); all agree with the loop
     psi, fat = PsiFunction.power(2.5), PsiFunction.power(1.0)
     rng = np.random.default_rng(4)
     many, few = rng.random(4000), rng.random(3)
-    assert _takes_sweep(many, 3, psi)
-    assert not _takes_sweep(few, 10, psi)
+    assert _kernel(many, 3, psi) == "sweep"  # ~120 centres, 28,000 steps
+    assert _kernel(few, 10, psi) == "convergent"  # 3 * 17 steps, 3 * 1024 tests
+    assert _kernel(many, 10, psi) == "convergent"  # ~1.6e6 centres, 68,000 steps
+    assert _kernel(few, 2, psi) == "loop"  # outside the Legendre condition
     for n in (0, 3, 10):
-        assert not _takes_sweep(many, n, fat)
-    assert not _takes_sweep(many, 3, PsiFunction.power(1.2))  # 8^-0.2 > 1/2
-    assert _takes_sweep(many, 6, PsiFunction.power(1.2))
-    for x, n, f in ((many, 3, psi), (few, 10, psi), (many, 10, psi),
+        assert _kernel(many, n, fat) == "loop"
+    assert _kernel(many, 3, PsiFunction.power(1.2)) == "loop"  # 8^-0.2 > 1/2
+    assert _kernel(many, 6, PsiFunction.power(1.2)) == "sweep"  # no Legendre: tau < 2
+    for x, n, f in ((many, 3, psi), (few, 10, psi), (many, 10, psi), (few, 2, psi),
                     (many[:0], 3, psi), (many, 3, fat), (many, 10, fat),
-                    (np.append(many, [np.nan, np.inf]), 3, fat)):
+                    (np.append(many, [np.nan, np.inf]), 3, fat),
+                    (np.append(many, [np.nan, -np.inf]), 10, psi)):
         pts = x.reshape(-1, 1)
         with np.errstate(invalid="ignore"):  # the oracle's NaN and inf points
             want = reference_hit_mask(pts, n, f, 1)
@@ -539,15 +604,21 @@ def test_layer_hit_mask_d1_cost_rule():
 
 
 @pytest.mark.parametrize("n, size, d, sweep", [(3, 4000, 1, True), (10, 3, 1, False),
-                                               (4, 300, 2, False)])
+                                               (4, 300, 2, False), (2, 3, 1, False)])
 def test_layer_hit_mask_evaluates_psi_once(n, size, d, sweep):
-    # one psi call builds the block's table, whichever kernel reads it
+    # one psi call builds the block's table, whichever kernel reads it; at
+    # tau = 2.5 the Legendre condition holds from block 3 on, so in d = 1 the
+    # convergent kernel takes the blocks from 3 on that the sweep leaves
+    kernel = "sweep" if sweep else "convergent" if d == 1 and n >= 3 else "loop"
     psi = PsiFunction.power(2.5, d=d)
     counted = mock.Mock(wraps=psi)
     pts = np.random.default_rng(8).random((size, d))
-    with mock.patch.object(approx, "_sweep_hit_mask", wraps=approx._sweep_hit_mask) as spy:
+    with mock.patch.object(approx, "_sweep_hit_mask", wraps=approx._sweep_hit_mask) as spy, \
+            mock.patch.object(approx, "_convergent_hit_mask",
+                              wraps=approx._convergent_hit_mask) as convergent_spy:
         mask = layer_hit_mask(pts, n, counted, d)
     assert counted.call_count == 1 and spy.called == sweep
+    assert convergent_spy.called == (kernel == "convergent")
     assert np.array_equal(mask, reference_hit_mask(pts, n, psi, d))
 
 
