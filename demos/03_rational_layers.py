@@ -36,7 +36,6 @@ print(f"golden ratio, psi(q)=q^-3, q<=10^4: {count} hits, "
 # lie on one hyperplane, decided exactly; no counterexample exists
 print("\nvolume-obstruction audit (200 random balls per block):")
 for d in (1, 2):
-    for n in (2, 4, 6):
-        rep = audit_hyperplane_lemma(d, n, 200, seed=11)
-        print(f"  d={d} n={n}: max rationals/ball={rep.max_rationals}, "
+    for rep in audit_hyperplane_lemma(d, (2, 4, 6), 200, seed=11):
+        print(f"  d={d} n={rep.n}: max rationals/ball={rep.max_rationals}, "
               f"simplex counterexamples={rep.simplex_counterexamples}")

@@ -446,6 +446,8 @@ def _block_rationals_in_six_dilate(d: int, scale: DyadicScale, centres) -> tuple
 # box counting
 # ---------------------------------------------------------------------------
 
+_MIN_POINTS = 1000  # fewest points box counting takes
+
 
 @dataclass(frozen=True)
 class BoxDimensionEstimate:
@@ -459,8 +461,8 @@ def box_dimension(points: np.ndarray, scales) -> BoxDimensionEstimate:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if pts.shape[0] < 1000:
-        raise ValueError("box counting needs at least 1000 points")
+    if pts.shape[0] < _MIN_POINTS:
+        raise ValueError(f"box counting needs at least {_MIN_POINTS} points")
     scales = sorted(float(g) for g in scales)
     if len(scales) < 4:
         raise ValueError("box counting needs at least 4 scales")
@@ -497,20 +499,28 @@ class LemmaAuditReport:
     simplex_counterexamples: int
 
 
-def audit_hyperplane_lemma(d: int, n: int, n_balls: int, seed: int = 0) -> LemmaAuditReport:
-    """Randomized audit of the volume obstruction: for random block balls the
-    rationals of the dyadic block in the closed 6-dilate must always sit on a
-    single hyperplane.  Exact arithmetic decides; counterexamples are counted
-    (zero is the expected outcome at every block)."""
-    scale = DyadicScale(n, d)
-    max_pts = 0
-    bad = 0
-    for centres in _audit_centres(d, n, n_balls, seed):
-        nums, qs, owner = _block_rationals_in_six_dilate(d, scale, centres)
-        max_pts = max(max_pts, int(np.bincount(owner).max(initial=0)))
-        bad += len(_witness_block(nums, qs, owner, centres, scale)[2])
-    return LemmaAuditReport(d=d, n=n, balls=n_balls, max_rationals=max_pts,
-                            simplex_counterexamples=bad)
+def audit_hyperplane_lemma(d: int, blocks, n_balls: int, seed: int = 0) -> list:
+    """Randomized audit of the volume obstruction, one report per block: for
+    random block balls the rationals of the dyadic block in the closed
+    6-dilate must always sit on a single hyperplane.  Exact arithmetic decides;
+    counterexamples are counted (zero is expected at every block).  Every
+    block's enumeration refusal is raised before any block is enumerated."""
+    blocks = list(blocks)
+    for n in blocks:
+        radius = 6.0 * DyadicScale(n, d).r_n
+        for centres in _audit_centres(d, n, n_balls, seed):
+            _check_windows(d, n, centres - radius, centres + radius)
+    reports = []
+    for n in blocks:
+        scale = DyadicScale(n, d)
+        max_pts = bad = 0
+        for centres in _audit_centres(d, n, n_balls, seed):
+            nums, qs, owner = _block_rationals_in_six_dilate(d, scale, centres)
+            max_pts = max(max_pts, int(np.bincount(owner).max(initial=0)))
+            bad += len(_witness_block(nums, qs, owner, centres, scale)[2])
+        reports.append(LemmaAuditReport(d=d, n=n, balls=n_balls, max_rationals=max_pts,
+                                        simplex_counterexamples=bad))
+    return reports
 
 
 def _audit_centres(d: int, n: int, n_balls: int, seed: int):
@@ -522,15 +532,6 @@ def _audit_centres(d: int, n: int, n_balls: int, seed: int):
     for start in range(0, n_balls, _AUDIT_BLOCK):
         # one (k, d) draw gives the bits of k draws of d numbers each
         yield rng.random((min(_AUDIT_BLOCK, n_balls - start), d)) * _AUDIT_BOX_SIDE
-
-
-def _check_audit_range(d: int, blocks, n_balls: int, seed: int) -> None:
-    """Raise the first enumeration refusal audit_hyperplane_lemma would meet
-    on the blocks in order, from the same centres, without enumerating."""
-    for n in blocks:
-        radius = 6.0 * DyadicScale(n, d).r_n
-        for centres in _audit_centres(d, n, n_balls, seed):
-            _check_windows(d, n, centres - radius, centres + radius)
 
 
 @dataclass(frozen=True)
@@ -581,30 +582,28 @@ def _log2_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(coef[0])
 
 
-# Fewest approximant points box counting takes, and the most sampling
-# batches approximant_points draws to reach them.
-_MIN_POINTS = 1000
+# The blocks whose layers approximant_points unites, and the most sampling
+# batches it draws to reach _MIN_POINTS points.
+_APPROXIMANT_BLOCKS = range(5, 11)
 _MAX_BATCHES = 12
 
 
 def approximant_points(
     sys: IFSystem,
     psi: PsiFunction,
-    n_lo: int,
-    n_hi: int,
     seed: int = 0,
     batch: int = 1_000_000,
 ) -> np.ndarray:
-    """Natural-measure samples lying in at least one layer with block index in
-    [n_lo, n_hi]; sampling continues in deterministic batches until at least
-    _MIN_POINTS survivors are collected (or _MAX_BATCHES batches are drawn)."""
+    """Natural-measure samples lying in at least one layer of the blocks
+    _APPROXIMANT_BLOCKS; sampling continues in deterministic batches until at
+    least _MIN_POINTS survivors are collected (or _MAX_BATCHES are drawn)."""
     d = sys.dim
     survivors = []
     total = 0
     for b in range(_MAX_BATCHES):
         pts = sample_measure(sys, batch, np.random.SeedSequence([seed, b]))
         mask = np.zeros(batch, dtype=bool)
-        for n in range(n_lo, n_hi + 1):
+        for n in _APPROXIMANT_BLOCKS:
             todo = ~mask
             if not todo.any():
                 break
@@ -620,35 +619,40 @@ def dimension_report(
     sys: IFSystem,
     alpha: float,
     taus,
-    n_lo: int = 5,
-    n_hi: int = 10,
     seed: int = 0,
     batch: int = 1_000_000,
     on_shortfall=None,
 ) -> list:
-    """Rows (tau, dimension bound, box-count estimate of the block-[n_lo,n_hi]
-    approximant).  Taus below the Dirichlet exponent (d+1)/d get a None bound
-    and no estimate.  The counting scales are six log-spaced values spanning
-    the ball radii of the outermost blocks, the window where the layer union
-    thins out the way the limsup set does.  A tau whose approximant keeps
-    fewer than _MIN_POINTS points, once approximant_points' batch budget runs
-    out, gets a None estimate, and on_shortfall(tau, points kept), if given,
-    is told."""
+    """Rows (tau, dimension bound, box-count estimate of the approximant).
+    Taus below the Dirichlet exponent (d+1)/d get a None bound and no
+    estimate; every other tau's psi is built, or refused with its tau, before
+    any sample is drawn.  The counting scales are six log-spaced values
+    spanning the ball radii of the ends of _APPROXIMANT_BLOCKS, the window
+    where the layer union thins out the way the limsup set does.  A tau whose
+    approximant keeps fewer than _MIN_POINTS points gets a None estimate, and
+    on_shortfall(tau, points kept), if given, is told."""
     d = sys.dim
-    rows = []
+    plans = []
     for tau in taus:
         try:
             bound = dimension_bound(sys.delta, alpha, d, tau)
         except ValueError:  # tau below the Dirichlet exponent
-            rows.append((tau, None, None))
+            plans.append((tau, None, None))
             continue
-        psi = PsiFunction.power(tau, d=d)
-        pts = approximant_points(sys, psi, n_lo, n_hi, seed=seed, batch=batch)
-        if pts.shape[0] < _MIN_POINTS:
-            if on_shortfall is not None:
+        try:
+            plans.append((tau, bound, PsiFunction.power(tau, d=d)))
+        except ValueError as e:
+            raise ValueError(f"tau={tau}: {e}") from e
+    rows = []
+    for tau, bound, psi in plans:
+        est = None
+        if psi is not None:
+            pts = approximant_points(sys, psi, seed=seed, batch=batch)
+            if pts.shape[0] >= _MIN_POINTS:
+                n_lo, n_hi = _APPROXIMANT_BLOCKS[0], _APPROXIMANT_BLOCKS[-1]
+                scales = np.geomspace(float(psi(2.0**n_hi)), float(psi(2.0**n_lo)), 6)
+                est = box_dimension(pts, scales).slope
+            elif on_shortfall is not None:
                 on_shortfall(tau, pts.shape[0])
-            rows.append((tau, bound, None))
-            continue
-        scales = np.geomspace(float(psi(2.0**n_hi)), float(psi(2.0**n_lo)), 6)
-        rows.append((tau, bound, box_dimension(pts, scales).slope))
+        rows.append((tau, bound, est))
     return rows

@@ -31,7 +31,8 @@ _GRID_POINTS = 1000
 _ENUMERATION_CAP = 10**8
 # Largest number of denominators 2^n one enumeration window or layer test walks.
 _WINDOW_CELL_CAP = 2**20
-# (window, denominator) cells whose numerator ranges one step computes.
+# Rows one vectorised step holds: the enumeration's (window, denominator)
+# cells, the q loop's (q, point) pairs and the d = 1 kernels' candidates.
 _CELL_BUDGET = 2**16
 # Slop on the numerator bounds lo q - slop and hi q + slop of a window.
 _SLOP = 1e-12
@@ -130,7 +131,7 @@ class PsiFunction:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 out = np.where(
                     rr > 1.0,
-                    rr ** (-self.tau) * np.log(np.maximum(rr, 1.0 + 1e-300)) ** (-self.beta),
+                    rr ** (-self.tau) * np.log(np.maximum(rr, 1.0)) ** (-self.beta),
                     np.inf,
                 )
         else:
@@ -396,8 +397,6 @@ def _float_hits(p: np.ndarray, x: np.ndarray, j: np.ndarray, table: tuple) -> np
 # _SWEEP_FIRST centres and double, so points that hit at small q leave early.
 _SWEEP_CHUNK = 2**14
 _SWEEP_FIRST = 2**10
-# Largest number of (point, centre) candidate pairs one sweep step decides.
-_SWEEP_PAIRS = 2**16
 
 
 def _sweep_hit_mask(xs: np.ndarray, table: tuple, first: np.ndarray,
@@ -431,7 +430,7 @@ def _sweep_hit_mask(xs: np.ndarray, table: tuple, first: np.ndarray,
         near = np.flatnonzero(xs[np.minimum(lo, xs.size - 1)] <= top)
         found = np.searchsorted(xs, top[near], side="right") - lo[near]
         pairs = np.cumsum(found)
-        take = max(1, int(np.searchsorted(pairs, _SWEEP_PAIRS, side="right")))
+        take = max(1, int(np.searchsorted(pairs, _CELL_BUDGET, side="right")))
         if take < near.size:  # decide the rest of the step in the next one
             ks = ks[:near[take]]
         k, size = ks[-1] + 1, min(2 * ks.size, _SWEEP_CHUNK)

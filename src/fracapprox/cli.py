@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__
 from .analysis import (
     SumSpec,
-    _check_audit_range,
     audit_hyperplane_lemma,
     classify_sum,
     dimension_report,
@@ -309,12 +308,11 @@ def lemma_audit(ctx, ifs_path, blocks, trials):
     """Exact-arithmetic audit: block rationals near a ball lie on a hyperplane."""
     cfg = _cfg(ctx, ifs_path=ifs_path, blocks=_parse_blocks(blocks), trials=trials)
     sys_ = _resolve_system(cfg)
-    d = sys_.dim
-    ns = range(cfg.blocks[0], cfg.blocks[1] + 1)
-    try:  # every refusal before any block is audited
-        _check_audit_range(d, ns, cfg.trials, cfg.seed)
-        reports = [audit_hyperplane_lemma(d, n, cfg.trials, seed=cfg.seed) for n in ns]
-    except ValueError as e:
+    lo, hi = cfg.blocks
+    try:
+        reports = audit_hyperplane_lemma(sys_.dim, range(lo, hi + 1), cfg.trials,
+                                         seed=cfg.seed)
+    except ValueError as e:  # the enumeration refusals of a block
         raise UsageFailure(f"config field 'blocks': {e}")
     bad_total = sum(rep.simplex_counterexamples for rep in reports)
     _write_csv(cfg, "lemma_audit.csv",
@@ -351,8 +349,11 @@ def dim_report(ctx, ifs_path, taus, alpha, samples):
             err=True,
         )
 
-    rows = dimension_report(sys_, a, cfg.taus, seed=cfg.seed, batch=cfg.samples,
-                            on_shortfall=shortfall)
+    try:
+        rows = dimension_report(sys_, a, cfg.taus, seed=cfg.seed, batch=cfg.samples,
+                                on_shortfall=shortfall)
+    except ValueError as e:  # a tau whose psi cannot be built
+        raise UsageFailure(f"config field 'taus': {e}")
     d = sys_.dim
     for tau, bound, _ in rows:
         if bound is None:

@@ -440,9 +440,6 @@ def hyperplane_through(values: np.ndarray) -> Hyperplane:
     if not len(values):
         raise ValueError("need at least one point")
     base = values[0]
-    if len(values) == 1:  # the complete QR of a (d, 0) matrix is the identity
-        normal = np.eye(len(base))[-1]
-        return Hyperplane(normal, float(np.dot(normal, base)))
     q, _ = np.linalg.qr((values[1:] - base).T, mode="complete")
     normal = q[:, -1]
     for c in normal:

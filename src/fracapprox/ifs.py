@@ -151,7 +151,7 @@ def _signed_area2(v: np.ndarray) -> float:
     return float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def similarity_dimension(maps: list, ambient_dim: int | None = None) -> float:
+def similarity_dimension(maps: list, ambient_dim: int) -> float:
     """Unique root of sum(ratio_i^s) = 1, by bisection on [0, d].
 
     `maps` may hold SimilarityMap objects or bare ratios.  Rejects systems
@@ -163,10 +163,6 @@ def similarity_dimension(maps: list, ambient_dim: int | None = None) -> float:
         raise ValueError("need at least two maps (k >= 2)")
     if any(not (0.0 < r < 1.0) for r in ratios):
         raise ValueError("all contraction ratios must lie in (0,1)")
-    if ambient_dim is None:
-        ambient_dim = (
-            maps[0].dim if isinstance(maps[0], SimilarityMap) else len(ratios)
-        )
 
     def moran(s: float) -> float:
         return sum(r**s for r in ratios) - 1.0

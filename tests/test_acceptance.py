@@ -49,8 +49,7 @@ def test_criterion_1_simplex_lemma_audit():
     bad = 0
     max_pts = 0
     for d in (1, 2):
-        for n in range(1, 7):
-            rep = audit_hyperplane_lemma(d, n, 200, seed=2024)
+        for rep in audit_hyperplane_lemma(d, range(1, 7), 200, seed=2024):
             bad += rep.simplex_counterexamples
             max_pts = max(max_pts, rep.max_rationals)
     ok = bad == 0
@@ -264,8 +263,7 @@ def test_criterion_8_dimension_bounds(cantor):
         and abs(dimension_bound(delta, ALPHA, 1, 3.0) - 2.0 * delta / 3.0) <= 1e-12
         and abs(dimension_bound(delta, ALPHA, 1, 4.0) - delta / 2.0) <= 1e-12
     )
-    rows = dimension_report(cantor, ALPHA, [3.0, 4.0], n_lo=5, n_hi=10,
-                            seed=808)
+    rows = dimension_report(cantor, ALPHA, [3.0, 4.0], seed=808)
     est_ok = True
     details = []
     for tau, bound, est in rows:

@@ -408,9 +408,10 @@ def test_box_dimension_validation():
 
 
 def test_lemma_audit_no_counterexamples():
-    rep = audit_hyperplane_lemma(1, 2, 50, seed=4)
-    assert rep.simplex_counterexamples == 0
-    rep2 = audit_hyperplane_lemma(2, 2, 25, seed=4)
+    reps = audit_hyperplane_lemma(1, range(1, 4), 50, seed=4)
+    assert [rep.n for rep in reps] == [1, 2, 3]
+    assert all(rep.simplex_counterexamples == 0 for rep in reps)
+    [rep2] = audit_hyperplane_lemma(2, [2], 25, seed=4)
     assert rep2.simplex_counterexamples == 0
     assert rep2.max_rationals >= 0
 
@@ -447,18 +448,24 @@ def _audit_with_witness_calls(module, audit, *args):
 @pytest.mark.parametrize("d, n, trials", [(1, 5, 40), (1, 12, 7), (2, 3, 25),
                                           (2, 0, 10), (3, 1, 60)])
 def test_lemma_audit_trial_blocks_match_per_trial_oracle(d, n, trials, block):
-    want = _audit_with_witness_calls(cover_oracle, reference_audit_hyperplane_lemma,
-                                     d, n, trials, 2)
+    # the package audits blocks n-1..n in one call, the oracle one block at a time
+    blocks = range(max(n - 1, 0), n + 1)
+    want = [], []
+    for m in blocks:
+        rep, calls = _audit_with_witness_calls(
+            cover_oracle, reference_audit_hyperplane_lemma, d, m, trials, 2)
+        want[0].append(rep)
+        want[1].extend(calls)
     with mock.patch.object(analysis, "_AUDIT_BLOCK", block):
         got = _audit_with_witness_calls(analysis, audit_hyperplane_lemma,
-                                        d, n, trials, 2)
+                                        d, blocks, trials, 2)
     assert got == want
 
 
 def test_lemma_audit_rejects_negative_seed():
     with pytest.raises(ValueError, match="seed"):
-        audit_hyperplane_lemma(1, 2, 5, seed=-4)
-    assert audit_hyperplane_lemma(1, 2, 5, seed=0).balls == 5
+        audit_hyperplane_lemma(1, [2], 5, seed=-4)
+    assert [rep.balls for rep in audit_hyperplane_lemma(1, [2, 3], 5, seed=0)] == [5, 5]
 
 
 def test_layer_decay_rows_and_envelope_bound(cantor):

@@ -113,6 +113,7 @@ _MAPS = ('"maps": [{"ratio": 0.3333333333333333, "rotation": [1.0], "translation
     ("blocks", {}, ["cover-cost", "--ifs", "cantor", "--blocks", "900:900"]),
     ("s", {}, ["cover-cost", "--ifs", "cantor", "--s-param", "-1"]),
     ("blocks", {}, ["decay", "--ifs", "cantor", "--blocks", "21:21", "--samples", "10"]),
+    ("taus", {}, ["dim-report", "--ifs", "cantor", "--taus", "3,40", "--samples", "40000"]),
     ("kind", {}, ["sums", "--ifs", "cantor", "--kind", "bogus"]),
     ("s", {}, ["sums", "--ifs", "cantor", "--kind", "hausdorff", "--s-param", "5"]),
     ("s", {}, ["sums", "--ifs", "cantor", "--kind", "hausdorff", "--s-param", "-1"]),
@@ -122,7 +123,7 @@ _MAPS = ('"maps": [{"ratio": 0.3333333333333333, "rotation": [1.0], "translation
         "dimension-string", "blocks-70", "blocks-53", "blocks-52", "blocks-26",
         "blocks-13-rounding", "cover-cost-blocks-14", "blocks-50",
         "dust-blocks-700", "blocks-900", "cover-cost-s-negative", "decay-blocks-21",
-        "sums-kind-bogus", "sums-s-above-delta", "sums-s-negative"])
+        "dim-report-taus-40", "sums-kind-bogus", "sums-s-above-delta", "sums-s-negative"])
 def test_bad_input_is_one_error_line_naming_the_field(tmp_path, capsys, monkeypatch,
                                                        field, files, argv):
     monkeypatch.chdir(tmp_path)  # relative paths, as in a table: spec, are files here
@@ -193,6 +194,22 @@ def test_decay_refuses_a_block_range_before_sampling(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: config field 'blocks': block 21 refused: its 2^21 "
                    "denominators per window exceed the ceiling of 1048576 cells"]
+
+
+def test_dim_report_refuses_a_tau_before_sampling(tmp_path, capsys, monkeypatch):
+    # tau = 3 is fine; psi(r) = r^-40 underflows to 0 on its domain
+    from fracapprox import analysis
+
+    def no_samples(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(analysis, "sample_measure", no_samples)
+    assert run(["--out", tmp_path / "out", "dim-report", "--ifs", "cantor",
+                "--taus", "3,40"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: config field 'taus': tau=40.0: psi must be positive and "
+                   "finite on its domain"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [
