@@ -15,7 +15,7 @@ from fracapprox.geometry import Box
 
 # block rationals, de-duplicated by value
 for n in (0, 1, 2):
-    pts = enumerate_rationals(1, n, Box([0.0], [1.0]))
+    pts = enumerate_rationals(n, Box([0.0], [1.0]))
     vals = sorted(float(p.fractions()[0]) for p in pts)
     print(f"block {n} (q in [{2**n},{2**(n+1)})): {len(vals)} values")
 

@@ -27,7 +27,7 @@ for n in range(1, 7):
     print(f"  n={n}: #D_n={len(dn):5d}   #D_n * 2^(-2(n+1)delta) = {quantity:.3f}")
 
 print("\ncover-cost tails at s = delta, psi(q) = q^-3 (convergent regime):")
-tail = hs_upper_bound(cantor, PsiFunction.power(3.0), cantor.delta, 2, 6, seed=0)
+tail = hs_upper_bound(cantor, PsiFunction.power(3.0), cantor.delta, range(2, 7), seed=0)
 for (n, n_dn, n_c, _), (k, t) in zip(tail.rows, tail.tails):
     print(f"  n={n}: #D_n={n_dn:5d}  #C_total={n_c:4d}   tail from {k}: {t:.4f}")
 

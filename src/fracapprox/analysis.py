@@ -374,44 +374,38 @@ class HsTail:
 
     s: float
     rows: tuple
-    tails: tuple  # (k, tail cost) pairs, k = k_min..k_max
+    tails: tuple  # (k, tail cost) pairs, k each block of the range
     c_max: tuple
 
 
-def hs_upper_bound(
-    sys: IFSystem,
-    psi: PsiFunction,
-    s: float,
-    k_min: int,
-    k_max: int,
-    seed: int = 0,
-) -> HsTail:
-    """Assemble the block-cover cost sum_n #D_n #C(D_n) (3 psi(2^n))^s and
-    report its tails for starting blocks k_min..k_max.
+def hs_upper_bound(sys: IFSystem, psi: PsiFunction, s: float, blocks, seed: int = 0) -> HsTail:
+    """Assemble the block-cover cost sum_n #D_n #C(D_n) (3 psi(2^n))^s over
+    the block range and report its tail from each starting block of it.
 
     For each block ball D_n the rationals of the dyadic block inside the
     closed 6-dilate determine the slab (half-width sqrt(d) psi(2^n)); the slab
     mass inside 3 D_n is then covered by sample-centred balls of radius
     psi(2^n).  Balls whose 6-dilate holds no block rational contribute no
-    cost.
+    cost.  Every block's refusal is raised before any pool is drawn.
     """
     if not 0 <= s:
         raise ValueError("s must be >= 0")
-    if k_min < 0 or k_max < k_min:
-        raise ValueError("need 0 <= k_min <= k_max")
+    blocks = list(blocks)
+    if not blocks or min(blocks) < 0:
+        raise ValueError("blocks must be a nonempty range of blocks >= 0")
     d = sys.dim
     sq = math.sqrt(d)
-    blocks = []
-    for n in range(k_min, k_max + 1):  # every refusal before any block is covered
+    plans = []
+    for n in blocks:  # every refusal before any block is covered
         scale, centres = DyadicScale(n, d), _dn_centres(sys, n)
-        _check_windows(d, n, centres - 6.0 * scale.r_n, centres + 6.0 * scale.r_n)
-        blocks.append((n, scale, centres))
+        _check_windows(n, centres - 6.0 * scale.r_n, centres + 6.0 * scale.r_n)
+        plans.append((n, scale, centres))
     rows = []
     c_maxes = []
-    for n, scale, centres in blocks:
+    for n, scale, centres in plans:
         pool = sample_measure(sys, _POOL_SIZE, np.random.SeedSequence([seed, n]))
         r = float(psi(2.0**n))
-        nums, qs, owner = _block_rationals_in_six_dilate(d, scale, centres)
+        nums, qs, owner = _block_rationals_in_six_dilate(scale, centres)
         held, owner = np.unique(owner, return_inverse=True)  # the balls with points
         normals, offsets, simplices = _witness_block(nums, qs, owner, centres[held], scale)
         if simplices:
@@ -427,17 +421,15 @@ def hs_upper_bound(
         rows.append((n, len(centres), c_total, cost_n))
         c_maxes.append(int(counts.max(initial=0)))
     costs = [row[3] for row in rows]
-    tails = []
-    for k in range(k_min, k_max + 1):
-        tails.append((k, float(sum(costs[k - k_min:]))))
-    return HsTail(s=s, rows=tuple(rows), tails=tuple(tails), c_max=tuple(c_maxes))
+    tails = tuple((n, float(sum(costs[i:]))) for i, n in enumerate(blocks))
+    return HsTail(s=s, rows=tuple(rows), tails=tails, c_max=tuple(c_maxes))
 
 
-def _block_rationals_in_six_dilate(d: int, scale: DyadicScale, centres) -> tuple:
+def _block_rationals_in_six_dilate(scale: DyadicScale, centres) -> tuple:
     """The block rationals in the closed 6-dilates of the balls B(c, r_n), c the
     rows of centres, from one enumeration: (nums, qs, owner), owner the row."""
     radius = 6.0 * scale.r_n
-    nums, qs, owner = _enumerate_windows(d, scale.n, centres - radius, centres + radius)
+    nums, qs, owner = _enumerate_windows(scale.n, centres - radius, centres + radius)
     inside = ~_outside_six_dilate(nums / qs[:, None], centres[owner], scale.r_n)
     return nums[inside], qs[inside], owner[inside]
 
@@ -509,13 +501,13 @@ def audit_hyperplane_lemma(d: int, blocks, n_balls: int, seed: int = 0) -> list:
     for n in blocks:
         radius = 6.0 * DyadicScale(n, d).r_n
         for centres in _audit_centres(d, n, n_balls, seed):
-            _check_windows(d, n, centres - radius, centres + radius)
+            _check_windows(n, centres - radius, centres + radius)
     reports = []
     for n in blocks:
         scale = DyadicScale(n, d)
         max_pts = bad = 0
         for centres in _audit_centres(d, n, n_balls, seed):
-            nums, qs, owner = _block_rationals_in_six_dilate(d, scale, centres)
+            nums, qs, owner = _block_rationals_in_six_dilate(scale, centres)
             max_pts = max(max_pts, int(np.bincount(owner).max(initial=0)))
             bad += len(_witness_block(nums, qs, owner, centres, scale)[2])
         reports.append(LemmaAuditReport(d=d, n=n, balls=n_balls, max_rationals=max_pts,
@@ -563,7 +555,7 @@ def layer_decay_experiment(
     d = sys.dim
     rows = []
     for n in blocks:
-        mask = layer_hit_mask(pts, n, psi, d)
+        mask = layer_hit_mask(pts, n, psi)
         emp = float(mask.mean())
         env = float((2.0 ** (n * (d + 1) / d) * psi(2.0**n)) ** alpha)
         rows.append((n, emp, env))
@@ -607,7 +599,7 @@ def approximant_points(
             todo = ~mask
             if not todo.any():
                 break
-            mask[todo] |= layer_hit_mask(pts[todo], n, psi, d)
+            mask[todo] |= layer_hit_mask(pts[todo], n, psi)
         survivors.append(pts[mask])
         total += int(mask.sum())
         if total >= _MIN_POINTS:

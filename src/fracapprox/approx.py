@@ -54,8 +54,10 @@ class PsiFunction:
     its tau and beta: beta = 0 for power, tau = (d+1)/d for power_log.  The
     log families are +inf at r <= 1, which keeps every x trivially
     approximable at q = 1 and matches the intent of a function defined for
-    large r.  Monotonicity is asserted on a 1000-point grid at construction
-    (tables are checked exactly).
+    large r.  Construction checks one set of samples, the table's (r, psi)
+    or psi on a 1000-point grid, under one rule: psi finite, positive and
+    non-increasing.  A table's r must be finite, positive and strictly
+    ascending.
     """
 
     family: str
@@ -72,31 +74,28 @@ class PsiFunction:
             raise ValueError(f"unknown psi family {self.family!r}")
         if self.family == "table":
             r = np.asarray(self.table_r, dtype=float)
-            v = np.asarray(self.table_v, dtype=float)
-            if r.ndim != 1 or r.shape != v.shape or r.size < 2:
+            vals = np.asarray(self.table_v, dtype=float)
+            if r.ndim != 1 or r.shape != vals.shape or r.size < 2:
                 raise ValueError("table needs matching r and psi columns, >= 2 rows")
-            if np.any(np.diff(r) <= 0):
-                raise ValueError("table r values must be strictly ascending")
-            if np.any(v <= 0):
-                raise ValueError("table psi values must be positive")
-            if np.any(np.diff(v) > 0):
-                raise ValueError("table psi values must be non-increasing")
+            if not (np.isfinite(r).all() and r[0] > 0 and (np.diff(r) > 0).all()):
+                raise ValueError("table r values must be finite, positive and "
+                                 "strictly ascending")
             r.flags.writeable = False
-            v.flags.writeable = False
+            vals.flags.writeable = False
             object.__setattr__(self, "table_r", r)
-            object.__setattr__(self, "table_v", v)
+            object.__setattr__(self, "table_v", vals)
         else:
             if self.family == "power":
                 object.__setattr__(self, "beta", 0.0)
             elif self.family == "power_log":
                 object.__setattr__(self, "tau", (self.d + 1) / self.d)
             lo = 1.0 if self.family == "power" else 1.001
-            grid = np.geomspace(lo, 2.0**30, _GRID_POINTS)
-            vals = self(grid)
-            if np.any(~np.isfinite(vals)) or np.any(vals <= 0):
-                raise ValueError("psi must be positive and finite on its domain")
-            if np.any(np.diff(vals) > 0):
-                raise ValueError("psi must be non-increasing on its domain")
+            vals = self(np.geomspace(lo, 2.0**30, _GRID_POINTS))
+        # one rule for the samples of every family: the table's, or the grid's
+        if not (np.isfinite(vals).all() and (vals > 0).all()):
+            raise ValueError("psi must be positive and finite on its domain")
+        if np.any(np.diff(vals) > 0):
+            raise ValueError("psi must be non-increasing on its domain")
 
     # constructors ---------------------------------------------------------
 
@@ -142,9 +141,18 @@ class PsiFunction:
         return float(out[0]) if scalar else out.reshape(np.shape(r))
 
 
+# spec head -> (constructor, the keys it takes, in order)
+_PSI_SPECS = {
+    "power": (PsiFunction.power, ("tau",)),
+    "powerlog": (PsiFunction.power_log, ("beta",)),
+    "gpl": (PsiFunction.generic_power_log, ("tau", "beta")),
+}
+
+
 def parse_psi_spec(spec: str, d: int = 1) -> PsiFunction:
     """Parse the CLI psi string: power:tau=2.0 | powerlog:beta=3.0 |
-    gpl:tau=2.0,beta=1.0 | table:<path to two-column CSV, r ascending>."""
+    gpl:tau=2.0,beta=1.0 | table:<path to two-column CSV of r and psi>.  A
+    symbolic spec gives exactly its family's keys, once each."""
     head, _, rest = spec.partition(":")
     head = head.strip().lower()
     if head == "table":
@@ -157,19 +165,16 @@ def parse_psi_spec(spec: str, d: int = 1) -> PsiFunction:
                     raise ValueError(f"table row {rec} needs two columns, r and psi")
                 rows.append((float(rec[0]), float(rec[1])))
         return PsiFunction.from_table(rows, d=d)
-    kv = {}
-    for part in rest.split(","):
-        if not part.strip():
-            continue
-        key, _, val = part.partition("=")
-        kv[key.strip()] = float(val)
-    if head == "power":
-        return PsiFunction.power(kv["tau"], d=d)
-    if head == "powerlog":
-        return PsiFunction.power_log(kv["beta"], d=d)
-    if head == "gpl":
-        return PsiFunction.generic_power_log(kv["tau"], kv["beta"], d=d)
-    raise ValueError(f"unknown psi spec {spec!r}")
+    if head not in _PSI_SPECS:
+        raise ValueError(f"unknown psi spec {spec!r}")
+    make, keys = _PSI_SPECS[head]
+    pairs = [part.partition("=") for part in rest.split(",") if part.strip()]
+    got = [key.strip() for key, _, _ in pairs]
+    if sorted(got) != sorted(keys):
+        raise ValueError(f"{head} spec needs the keys {', '.join(keys)}, once each; "
+                         f"got {got}")
+    kv = {key.strip(): float(val) for key, _, val in pairs}
+    return make(*(kv[key] for key in keys), d=d)
 
 
 def lower_order(psi: PsiFunction) -> float:
@@ -197,7 +202,7 @@ def lower_order(psi: PsiFunction) -> float:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_rationals(d: int, n: int, window: Box) -> list:
+def enumerate_rationals(n: int, window: Box) -> list:
     """All rational points p/q with 2^n <= q < 2^(n+1) inside the closed window.
 
     Representations are not reduced, but coincident values within a block are
@@ -206,9 +211,7 @@ def enumerate_rationals(d: int, n: int, window: Box) -> list:
     _enumerate_windows refuses.  Points come in ascending q, and for each q in
     the product order of the numerators.
     """
-    if window.dim != d:
-        raise ValueError("window dimension mismatch")
-    nums, qs, _ = _enumerate_windows(d, n, window.lo[None], window.hi[None])
+    nums, qs, _ = _enumerate_windows(n, window.lo[None], window.hi[None])
     return [RationalPoint(p, q) for p, q in zip(nums.tolist(), qs.tolist())]
 
 
@@ -220,13 +223,13 @@ def _check_denominators(n: int) -> None:
                          f"exceed the ceiling of {_WINDOW_CELL_CAP} cells")
 
 
-def _check_windows(d: int, n: int, lo: np.ndarray, hi: np.ndarray) -> None:
+def _check_windows(n: int, lo: np.ndarray, hi: np.ndarray) -> None:
     """The refusals of _enumerate_windows, which it makes before any cell:
     _check_denominators' ceiling, a window of more than _ENUMERATION_CAP
     estimated candidates, and windows whose lo q - slop, hi q + slop can round
     by more than the slop in all (ulp(max |endpoint| 2^(n+1) + slop) > slop)."""
     _check_denominators(n)
-    est = np.prod(hi - lo, axis=1) * 2.0 ** ((d + 1) * (n + 1))
+    est = np.prod(hi - lo, axis=1) * 2.0 ** ((lo.shape[1] + 1) * (n + 1))
     big = est[est > _ENUMERATION_CAP]
     if big.size:
         raise ValueError(f"enumeration of ~{big[0]:.2e} candidates refused; shrink the window")
@@ -236,13 +239,14 @@ def _check_windows(d: int, n: int, lo: np.ndarray, hi: np.ndarray) -> None:
                          f"endpoints up to {top:.6g} round by more than {_SLOP}")
 
 
-def _enumerate_windows(d: int, n: int, lo: np.ndarray, hi: np.ndarray) -> tuple:
+def _enumerate_windows(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple:
     """enumerate_rationals for the windows [lo[k], hi[k]] (rows of shape (K, d))
     of one block, as int64 numerators (M, d), denominators (M,) and windows
     k (M,), window by window, after the refusals of _check_windows.  Below
     them no rational of a window is missed and none returned lies beyond
     2 slop / q outside it."""
-    _check_windows(d, n, lo, hi)
+    _check_windows(n, lo, hi)
+    d = lo.shape[1]
     boxes = []
     for start in range(0, len(lo) << n, _CELL_BUDGET):
         # a step's cells (w, q) run window by window, each in ascending q
@@ -295,7 +299,7 @@ def is_psi_approximable(x, psi: PsiFunction, q_max: int) -> tuple:
     return int(hits.sum()), witnesses
 
 
-def layer_hit_mask(points: np.ndarray, n: int, psi: PsiFunction, d: int) -> np.ndarray:
+def layer_hit_mask(points: np.ndarray, n: int, psi: PsiFunction) -> np.ndarray:
     """Which points lie in the block-n layer, for many points at once.
 
     points has shape (N, d).  A point x hits when some q in the block and
@@ -326,8 +330,9 @@ def layer_hit_mask(points: np.ndarray, n: int, psi: PsiFunction, d: int) -> np.n
     """
     _check_denominators(n)
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != d:
-        raise ValueError(f"expected points of shape (N, {d})")
+    if pts.ndim != 2 or pts.shape[1] < 1:
+        raise ValueError("expected points of shape (N, d), d >= 1")
+    d = pts.shape[1]
     q = np.arange(2**n, 2 ** (n + 1), dtype=float)
     radius = math.sqrt(d) * psi(q)
     if not np.isfinite(radius).all():

@@ -400,7 +400,7 @@ def sums(ctx, ifs_path, psi_spec, kind, alpha, s_param):
 @cli.command("cover-cost")
 @click.option("--ifs", "ifs_path", type=str, default=None)
 @click.option("--psi", "psi_spec", type=str, default=None)
-@click.option("--blocks", type=str, default=None, help="Range k_min:k_max.")
+@click.option("--blocks", type=str, default=None, help="Range lo:hi.")
 @click.option("--s-param", "s_param", type=float, default=None)
 @click.pass_context
 def cover_cost_cmd(ctx, ifs_path, psi_spec, blocks, s_param):
@@ -412,9 +412,9 @@ def cover_cost_cmd(ctx, ifs_path, psi_spec, blocks, s_param):
     s_val = cfg.s if cfg.s is not None else sys_.delta
     if not s_val >= 0:
         raise UsageFailure("config field 's' must be >= 0")
-    k_min, k_max = cfg.blocks
+    lo, hi = cfg.blocks
     try:
-        tail = hs_upper_bound(sys_, psi, s_val, k_min, k_max, seed=cfg.seed)
+        tail = hs_upper_bound(sys_, psi, s_val, range(lo, hi + 1), seed=cfg.seed)
     except ValueError as e:  # the net, depth and enumeration refusals of a block
         raise UsageFailure(f"config field 'blocks': {e}")
     tails = dict(tail.tails)
@@ -465,14 +465,11 @@ def _sharded_samples(sys_, total: int, seed: int, jobs: int) -> np.ndarray:
 def _parse_blocks(text: str | None):
     if text is None:
         return None
-    for sep in (":", "-", ","):
-        if sep in text:
-            lo, _, hi = text.partition(sep)
-            try:
-                return (int(lo), int(hi))
-            except ValueError:
-                break
-    raise UsageFailure(f"cannot parse blocks range {text!r}; expected lo:hi")
+    lo, _, hi = text.partition(":")  # without a colon hi is empty and refused
+    try:
+        return (int(lo), int(hi))
+    except ValueError:
+        raise UsageFailure(f"config field 'blocks' must be a range lo:hi: {text!r}")
 
 
 def _parse_taus(text: str | None):
@@ -488,7 +485,7 @@ def _parse_taus(text: str | None):
 def _parse_psi(cfg: ExperimentConfig, d: int):
     try:
         return parse_psi_spec(cfg.psi_spec, d=d)
-    except (ValueError, KeyError, OSError) as e:
+    except (ValueError, OSError) as e:
         raise UsageFailure(f"config field 'psi_spec': {e}")
 
 

@@ -238,7 +238,7 @@ def test_criterion_7_cardinality_envelopes(cantor):
     d_ratio = max(d_quant) / min(d_quant)
 
     psi = PsiFunction.power(3.0)
-    tail = hs_upper_bound(cantor, psi, cantor.delta, 2, 6, seed=7)
+    tail = hs_upper_bound(cantor, psi, cantor.delta, range(2, 7), seed=7)
     c_quant = []
     for (n, _nd, _nc, _cost), cmax in zip(tail.rows, tail.c_max):
         x = 2.0 ** (2.0 * (n + 1)) * psi(2.0**n)

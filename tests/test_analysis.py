@@ -281,7 +281,7 @@ def test_cdn_cover_covers_its_samples(cantor):
 
 def test_hs_upper_bound_tails_decrease(cantor):
     psi = PsiFunction.power(3.0)
-    tail = hs_upper_bound(cantor, psi, cantor.delta, 2, 5, seed=0)
+    tail = hs_upper_bound(cantor, psi, cantor.delta, range(2, 6), seed=0)
     costs = [t for _, t in tail.tails]
     assert all(a > b for a, b in zip(costs, costs[1:]))
     assert costs[-1] < 0.5 * costs[0]
@@ -289,11 +289,22 @@ def test_hs_upper_bound_tails_decrease(cantor):
         assert n_dn > 0 and n_c >= 0 and cost >= 0.0
 
 
+@pytest.mark.parametrize("blocks", [range(3, 3), range(3, 1), [-1, 0], range(-2, 3)],
+                         ids=["empty", "reversed", "negative-first", "negative-range"])
+def test_hs_upper_bound_refuses_a_block_range_before_sampling(cantor, monkeypatch, blocks):
+    def no_samples(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(analysis, "sample_measure", no_samples)
+    with pytest.raises(ValueError, match="^blocks must be a nonempty range of blocks >= 0$"):
+        hs_upper_bound(cantor, PsiFunction.power(3.0), cantor.delta, blocks)
+
+
 @pytest.mark.parametrize("name", ["dust", "gasket", "koch"])
 def test_hs_upper_bound_d2_matches_full_scan(name, request):
     sys_ = request.getfixturevalue(name)
     psi = PsiFunction.power(6.0, d=2)  # psi(2^n) < r_n: many balls per D_n
-    got = hs_upper_bound(sys_, psi, sys_.delta, 1, 2, seed=3)
+    got = hs_upper_bound(sys_, psi, sys_.delta, range(1, 3), seed=3)
     want = reference_hs_upper_bound(sys_, psi, sys_.delta, 1, 2, seed=3)
     assert got.rows == want.rows
     assert got.tails == want.tails
@@ -307,7 +318,7 @@ def test_hs_upper_bound_d1_matches_full_scan(cantor, tau, seed):
     # tau 8: psi(2^n) << r_n from block 2 on.  In d = 1 the slab is an
     # interval of length 2 psi, so it holds one 2 psi-separated centre at most
     psi = PsiFunction.power(tau)
-    got = hs_upper_bound(cantor, psi, cantor.delta, 1, 6, seed=seed)
+    got = hs_upper_bound(cantor, psi, cantor.delta, range(1, 7), seed=seed)
     want = reference_hs_upper_bound(cantor, psi, cantor.delta, 1, 6, seed=seed)
     assert got.rows == want.rows
     assert got.tails == want.tails
@@ -324,8 +335,9 @@ def test_hs_upper_bound_matches_per_ball_loop(name, tau, blocks, seed, request):
     # per block ball; koch at tau 6 chooses up to 13 balls per D_n
     sys_ = request.getfixturevalue(name)
     psi = PsiFunction.power(tau, d=sys_.dim)
-    got = hs_upper_bound(sys_, psi, sys_.delta, *blocks, seed=seed)
-    want = cover_oracle.loop_hs_upper_bound(sys_, psi, sys_.delta, *blocks, seed=seed)
+    lo, hi = blocks
+    got = hs_upper_bound(sys_, psi, sys_.delta, range(lo, hi + 1), seed=seed)
+    want = cover_oracle.loop_hs_upper_bound(sys_, psi, sys_.delta, lo, hi, seed=seed)
     assert got == want
     assert [[type(v) for v in row] for row in got.rows] == \
         [[type(v) for v in row] for row in want.rows]
@@ -337,9 +349,9 @@ def test_hs_upper_bound_window_steps_are_seamless(name, budget, request):
     # a step gathers whole windows up to the row budget, or one window alone
     sys_ = request.getfixturevalue(name)
     psi = PsiFunction.power(6.0, d=sys_.dim)
-    want = hs_upper_bound(sys_, psi, sys_.delta, 1, 3, seed=1)
+    want = hs_upper_bound(sys_, psi, sys_.delta, range(1, 4), seed=1)
     with mock.patch.object(analysis, "_WINDOW_ROWS", budget):
-        assert hs_upper_bound(sys_, psi, sys_.delta, 1, 3, seed=1) == want
+        assert hs_upper_bound(sys_, psi, sys_.delta, range(1, 4), seed=1) == want
 
 
 @pytest.mark.parametrize("name", ["cantor", "dust", "koch"])

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -76,6 +77,32 @@ def test_table_validation():
         PsiFunction.from_table([(1.0, 0.5), (2.0, -0.1)])  # nonpositive
 
 
+@st.composite
+def _valid_table(draw):
+    """Rows (r, psi) with r finite, positive and strictly ascending and psi
+    finite, positive and non-increasing."""
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    r = sorted(draw(st.lists(positive, min_size=2, max_size=12, unique=True)))
+    v = sorted(draw(st.lists(positive, min_size=len(r), max_size=len(r))), reverse=True)
+    return list(zip(r, v))
+
+
+@settings(max_examples=200)
+@given(rows=_valid_table(), data=st.data())
+def test_table_accepts_exactly_finite_positive_samples(rows, data):
+    # every finite, positive, ascending, non-increasing table is accepted ...
+    psi = PsiFunction.from_table(rows)
+    assert psi.table_r.tolist() == [r for r, _ in rows]
+    # ... and one non-finite or non-positive r or psi anywhere is refused
+    bad = data.draw(st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+        st.floats(max_value=0.0, allow_nan=False)))
+    at, col = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, 1))
+    rows[at] = (bad, rows[at][1]) if col == 0 else (rows[at][0], bad)
+    with pytest.raises(ValueError):
+        PsiFunction.from_table(rows)
+
+
 def test_increasing_symbolic_family_rejected():
     with pytest.raises(ValueError):
         PsiFunction.generic_power_log(0.001, -5.0, d=1)
@@ -108,18 +135,32 @@ def test_parse_psi_specs(tmp_path):
         parse_psi_spec("mystery:tau=1")
 
 
+@pytest.mark.parametrize("spec, got", [
+    ("power:tau=2.5,beta=9", "['tau', 'beta']"),
+    ("powerlog:tau=9,beta=2", "['tau', 'beta']"),
+    ("power:tau=2.5,tau=9", "['tau', 'tau']"),
+    ("gpl:tau=2.0", "['tau']"),
+    ("power", "[]"),
+])
+def test_parse_psi_spec_takes_each_key_once(spec, got):
+    # a refusal names the family and the keys the spec gave
+    head = spec.partition(":")[0]
+    with pytest.raises(ValueError, match=rf"^{head} spec needs .*; got {re.escape(got)}$"):
+        parse_psi_spec(spec)
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
 
 
 def test_enumerate_block0_unit_interval():
-    pts = enumerate_rationals(1, 0, Box([0.0], [1.0]))
+    pts = enumerate_rationals(0, Box([0.0], [1.0]))
     assert sorted(p.fractions()[0] for p in pts) == [Fraction(0), Fraction(1)]
 
 
 def test_enumerate_block1_values_deduplicated():
-    pts = enumerate_rationals(1, 1, Box([0.0], [1.0]))
+    pts = enumerate_rationals(1, Box([0.0], [1.0]))
     got = sorted(p.fractions()[0] for p in pts)
     assert got == [
         Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1),
@@ -131,7 +172,7 @@ def test_enumerate_block1_values_deduplicated():
 
 
 def test_enumerate_d2_block0_corners():
-    pts = enumerate_rationals(2, 0, Box([0.0, 0.0], [1.0, 1.0]))
+    pts = enumerate_rationals(0, Box([0.0, 0.0], [1.0, 1.0]))
     assert len(pts) == 4
 
 
@@ -144,13 +185,13 @@ def test_enumerate_against_bruteforce_oracle():
             v = Fraction(p, q)
             if Fraction(1, 5) <= v <= Fraction(7, 10):
                 expected.add(v)
-    got = {p.fractions()[0] for p in enumerate_rationals(1, n, window)}
+    got = {p.fractions()[0] for p in enumerate_rationals(n, window)}
     assert got == expected
 
 
 def test_enumerate_size_guard():
     with pytest.raises(ValueError):
-        enumerate_rationals(2, 12, Box([0.0, 0.0], [1.0, 1.0]))
+        enumerate_rationals(12, Box([0.0, 0.0], [1.0, 1.0]))
 
 
 @st.composite
@@ -212,7 +253,7 @@ def test_enumerate_matches_reference(case, chunk):
     d, n, window = case
     try:
         with mock.patch.object(approx, "_CELL_BUDGET", chunk):
-            got = enumerate_rationals(d, n, window)
+            got = enumerate_rationals(n, window)
     except ValueError as e:
         assert _refusal_holds(e, n, window.lo, window.hi)
         return
@@ -233,7 +274,7 @@ def test_enumerate_windows_match_reference(data, d, n, budget):
     hi = np.array([w.hi for w in windows])
     try:
         with mock.patch.object(approx, "_CELL_BUDGET", budget):
-            nums, qs, owner = _enumerate_windows(d, n, lo, hi)
+            nums, qs, owner = _enumerate_windows(n, lo, hi)
     except ValueError as e:
         assert _refusal_holds(e, n, lo, hi)
         return
@@ -253,7 +294,7 @@ def test_enumerate_windows_against_exact_bounds(case):
     # returned, and none lies more than 2 slop / q outside it
     d, n, window = case
     try:
-        nums, qs, _ = _enumerate_windows(d, n, window.lo[None], window.hi[None])
+        nums, qs, _ = _enumerate_windows(n, window.lo[None], window.hi[None])
     except ValueError as e:
         assert _refusal_holds(e, n, window.lo, window.hi)
         return
@@ -281,9 +322,9 @@ def test_enumerate_windows_cap_refuses_before_any_cell():
     hi = np.array([small.hi, big.hi, small.hi])
     with mock.patch.object(np, "ceil", side_effect=AssertionError("cell computed")):
         with pytest.raises(ValueError) as got:
-            _enumerate_windows(2, 12, lo, hi)
+            _enumerate_windows(12, lo, hi)
         with pytest.raises(ValueError) as one:
-            enumerate_rationals(2, 12, big)
+            enumerate_rationals(12, big)
     assert str(got.value) == str(one.value) == str(want.value)
     assert str(got.value).startswith("enumeration of ~")
 
@@ -301,7 +342,7 @@ def test_enumerate_windows_refuses_inexact_blocks_before_any_cell(n, edge, reaso
     assert _refused(n, lo, hi)
     with mock.patch.object(np, "arange", side_effect=AssertionError("cell computed")):
         with pytest.raises(ValueError, match=f"^block {n} refused: .*{reason}"):
-            _enumerate_windows(1, n, lo, hi)
+            _enumerate_windows(n, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +449,7 @@ def test_layer_hit_mask_agrees_with_pointwise():
     for psi in (PsiFunction.power(2.0, d=2), PsiFunction.power(0.9, d=2)):
         pts = rng.random((300, 2))
         for n in (1, 2):
-            mask = layer_hit_mask(pts, n, psi, 2)
+            mask = layer_hit_mask(pts, n, psi)
             lay = ApproxLayer(n, 2, box, psi)
             singles = np.array([layer_membership(p, lay)[0] for p in pts])
             assert np.array_equal(mask, singles)
@@ -454,7 +495,7 @@ def _layer_case(draw, n):
 def test_layer_hit_mask_d1_matches_reference(data, n):
     # few points: at high n the per-q loop is cheaper and takes the block
     psi, pts = data.draw(_layer_case(n))
-    assert np.array_equal(layer_hit_mask(pts, n, psi, 1),
+    assert np.array_equal(layer_hit_mask(pts, n, psi),
                           reference_hit_mask(pts, n, psi, 1))
 
 
@@ -467,7 +508,7 @@ def test_layer_hit_mask_d1_sweep_matches_reference(data, n, size, seed):
     psi, extra = data.draw(_layer_case(n))
     rng = np.random.default_rng(seed)
     pts = np.concatenate([rng.random((size, 1)), extra])
-    assert np.array_equal(layer_hit_mask(pts, n, psi, 1),
+    assert np.array_equal(layer_hit_mask(pts, n, psi),
                           reference_hit_mask(pts, n, psi, 1))
 
 
@@ -481,7 +522,7 @@ def test_layer_hit_mask_non_finite_points_match_reference(d, n, tau, rows):
     # the per-q loop drops points with a non-finite coordinate up front
     psi = PsiFunction.power(tau, d=d)
     pts = np.array([r[:d] for r in rows], dtype=float).reshape(-1, d)
-    assert np.array_equal(layer_hit_mask(pts, n, psi, d),
+    assert np.array_equal(layer_hit_mask(pts, n, psi),
                           reference_hit_mask(pts, n, psi, d))
 
 
@@ -491,9 +532,16 @@ def _kernel(x, n, psi):
     with mock.patch.object(approx, "_sweep_hit_mask", wraps=approx._sweep_hit_mask) as sweep, \
             mock.patch.object(approx, "_convergent_hit_mask",
                               wraps=approx._convergent_hit_mask) as convergent:
-        layer_hit_mask(np.reshape(x, (-1, 1)), n, psi, 1)
+        layer_hit_mask(np.reshape(x, (-1, 1)), n, psi)
     assert sweep.call_count + convergent.call_count <= 1
     return "sweep" if sweep.called else "convergent" if convergent.called else "loop"
+
+
+def test_layer_hit_mask_reads_d_from_a_2d_points_array():
+    psi = PsiFunction.power(2.5)
+    for bad in (np.zeros(3), np.zeros((2, 2, 1)), np.zeros((3, 0))):
+        with pytest.raises(ValueError, match="expected points of shape"):
+            layer_hit_mask(bad, 2, psi)
 
 
 def test_layer_hit_mask_d1_float_tie_needs_numerator_window():
@@ -506,7 +554,7 @@ def test_layer_hit_mask_d1_float_tie_needs_numerator_window():
     pts = np.full((10, 1), x)
     assert not reference_hit_mask(pts, 1, psi, 1).any()
     assert _kernel(pts, 1, psi) == "sweep"
-    assert not layer_hit_mask(pts, 1, psi, 1).any()
+    assert not layer_hit_mask(pts, 1, psi).any()
 
 
 def test_layer_hit_mask_d1_underflowing_radius():
@@ -517,7 +565,7 @@ def test_layer_hit_mask_d1_underflowing_radius():
     ref = reference_hit_mask(pts, 3, psi, 1)
     assert ref[:2].all() and not ref[2]
     assert _kernel(pts, 3, psi) == "sweep"
-    assert np.array_equal(layer_hit_mask(pts, 3, psi, 1), ref)
+    assert np.array_equal(layer_hit_mask(pts, 3, psi), ref)
 
 
 _WIDE = 2**20
@@ -558,7 +606,7 @@ def test_layer_hit_mask_convergent_matches_reference(data, n):
         assert kernel == "convergent"
     elif legendre >= 1:
         assert kernel != "convergent"
-    assert np.array_equal(layer_hit_mask(pts, n, psi, 1), reference_hit_mask(pts, n, psi, 1))
+    assert np.array_equal(layer_hit_mask(pts, n, psi), reference_hit_mask(pts, n, psi, 1))
 
 
 def test_layer_hit_mask_legendre_boundary():
@@ -573,7 +621,7 @@ def test_layer_hit_mask_legendre_boundary():
         psi = PsiFunction.power(tau)
         assert _kernel(x, n, psi) == want
         pts = x.reshape(-1, 1)
-        assert np.array_equal(layer_hit_mask(pts, n, psi, 1), reference_hit_mask(pts, n, psi, 1))
+        assert np.array_equal(layer_hit_mask(pts, n, psi), reference_hit_mask(pts, n, psi, 1))
 
 
 def test_layer_hit_mask_d1_cost_rule():
@@ -600,7 +648,7 @@ def test_layer_hit_mask_d1_cost_rule():
         pts = x.reshape(-1, 1)
         with np.errstate(invalid="ignore"):  # the oracle's NaN and inf points
             want = reference_hit_mask(pts, n, f, 1)
-        assert np.array_equal(layer_hit_mask(pts, n, f, 1), want)
+        assert np.array_equal(layer_hit_mask(pts, n, f), want)
 
 
 @pytest.mark.parametrize("n, size, d, sweep", [(3, 4000, 1, True), (10, 3, 1, False),
@@ -616,7 +664,7 @@ def test_layer_hit_mask_evaluates_psi_once(n, size, d, sweep):
     with mock.patch.object(approx, "_sweep_hit_mask", wraps=approx._sweep_hit_mask) as spy, \
             mock.patch.object(approx, "_convergent_hit_mask",
                               wraps=approx._convergent_hit_mask) as convergent_spy:
-        mask = layer_hit_mask(pts, n, counted, d)
+        mask = layer_hit_mask(pts, n, counted)
     assert counted.call_count == 1 and spy.called == sweep
     assert convergent_spy.called == (kernel == "convergent")
     assert np.array_equal(mask, reference_hit_mask(pts, n, psi, d))
@@ -631,7 +679,7 @@ def test_layer_hit_mask_q_steps_match_reference(name, n, tau, size):
     if name == "cantor":
         pts = np.append(pts, [[math.nan]], axis=0)
     psi = PsiFunction.power(tau, d=pts.shape[1])
-    assert np.array_equal(layer_hit_mask(pts, n, psi, pts.shape[1]),
+    assert np.array_equal(layer_hit_mask(pts, n, psi),
                           reference_hit_mask(pts, n, psi, pts.shape[1]))
 
 

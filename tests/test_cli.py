@@ -1,9 +1,15 @@
+import importlib.util
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fracapprox.cli import ExperimentConfig, main, resolve_config
+from fracapprox.approx import parse_psi_spec
+from fracapprox.cli import ExperimentConfig, _parse_blocks, main, resolve_config
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(args):
@@ -117,13 +123,29 @@ _MAPS = ('"maps": [{"ratio": 0.3333333333333333, "rotation": [1.0], "translation
     ("kind", {}, ["sums", "--ifs", "cantor", "--kind", "bogus"]),
     ("s", {}, ["sums", "--ifs", "cantor", "--kind", "hausdorff", "--s-param", "5"]),
     ("s", {}, ["sums", "--ifs", "cantor", "--kind", "hausdorff", "--s-param", "-1"]),
+    *[("psi_spec", {"t.csv": f"{row}\n{last}\n"},
+       ["decay", "--ifs", "cantor", "--psi", "table:t.csv", "--blocks", "1:2",
+        "--samples", "100"])
+      for row, last in (("1,nan", "2,0.5"), ("1,inf", "2,0.5"), ("0,1", "2,0.5"),
+                        ("1,1", "1e400,0.5"))],
+    ("psi_spec", {"t.csv": "0,1\n2,0.5\n"},
+     ["sums", "--ifs", "cantor", "--psi", "table:t.csv"]),
+    *[("psi_spec", {}, ["sums", "--ifs", "cantor", "--psi", spec])
+      for spec in ("power:tau=2.5,beta=9", "powerlog:tau=9,beta=2", "power:tau=2.5,tau=9",
+                   "power")],
+    *[("blocks", {}, ["decay", "--ifs", "cantor", "--blocks", blocks])
+      for blocks in ("1-3", "2,3")],
 ], ids=["alpha-nan", "tolerance-nan", "trials-string", "maps-number",
         "seed-negative", "seed-negative-config", "psi-table-one-column",
         "ifs-directory", "dimension-fraction", "dimension-bool",
         "dimension-string", "blocks-70", "blocks-53", "blocks-52", "blocks-26",
         "blocks-13-rounding", "cover-cost-blocks-14", "blocks-50",
         "dust-blocks-700", "blocks-900", "cover-cost-s-negative", "decay-blocks-21",
-        "dim-report-taus-40", "sums-kind-bogus", "sums-s-above-delta", "sums-s-negative"])
+        "dim-report-taus-40", "sums-kind-bogus", "sums-s-above-delta", "sums-s-negative",
+        "decay-psi-table-nan", "decay-psi-table-inf", "decay-psi-table-r-zero",
+        "decay-psi-table-r-overflow", "sums-psi-table-r-zero", "psi-extra-key",
+        "psi-other-family-key", "psi-repeated-key", "psi-no-keys", "blocks-dash",
+        "blocks-comma"])
 def test_bad_input_is_one_error_line_naming_the_field(tmp_path, capsys, monkeypatch,
                                                        field, files, argv):
     monkeypatch.chdir(tmp_path)  # relative paths, as in a table: spec, are files here
@@ -230,6 +252,42 @@ def test_samples_above_the_cap_is_one_error_line(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: config field 'samples' must be <= {over - 1}"]
     assert not (tmp_path / "out").exists()
+
+
+def _documented_values() -> dict:
+    """The --psi specs and --blocks ranges the README documents and the
+    benchmark runs, by source: every --psi and --blocks value in the
+    README's shell blocks, every backticked power, powerlog or gpl spec and
+    the psi_spec of its config example, and the --psi and --blocks values of
+    bench/workloads.py's commands."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    shell = " ".join(part.split("```", 1)[0] for part in readme.split("```bash\n")[1:])
+    spec = importlib.util.spec_from_file_location("_bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    argv = [arg for workload in workloads.WORKLOADS.values()
+            for _label, args, _files in workload["commands"] for arg in args]
+    out = {source: {"--psi": [], "--blocks": []} for source in ("README", "bench")}
+    for flag, value in zip(argv, argv[1:]):
+        if flag in out["bench"]:
+            out["bench"][flag].append(value)
+    for flag, value in re.findall(r"(--psi|--blocks)\s+(\S+)", shell):
+        out["README"][flag].append(value)
+    out["README"]["--psi"] += re.findall(r"`((?:power|powerlog|gpl):[^`]*)`", readme)
+    out["README"]["--psi"] += re.findall(r'"psi_spec":\s*"([^"]+)"', readme)
+    return out
+
+
+def test_documented_psi_specs_and_block_ranges_parse():
+    # a stricter grammar must not silently break a documented or benchmarked command
+    for source, flags in _documented_values().items():
+        assert flags["--psi"] and flags["--blocks"], source
+        for spec in flags["--psi"]:
+            assert parse_psi_spec(spec).family in ("power", "power_log", "generic_power_log")
+        for text in flags["--blocks"]:
+            lo, hi = _parse_blocks(text)
+            assert 0 <= lo <= hi
 
 
 # ---------------------------------------------------------------------------

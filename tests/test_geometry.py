@@ -380,7 +380,7 @@ def _witness_case(draw):
     d, n = draw(st.integers(1, 3)), draw(st.integers(0, 4))
     scale = DyadicScale(n, d)
     centre = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)))
-    near = _point_lists(_block_rationals_in_six_dilate(d, scale, centre[None]), 1)[0]
+    near = _point_lists(_block_rationals_in_six_dilate(scale, centre[None]), 1)[0]
     pts = draw(st.lists(st.sampled_from(near), max_size=5)) if near else []
     q = scale.q_lo
     for flaw in draw(st.lists(st.sampled_from(["q", "far"]), max_size=2)):
@@ -401,7 +401,7 @@ def test_hyperplane_witness_matches_per_ball_oracle(case):
 def test_witness_block_matches_per_ball_oracle(d, n):
     scale = DyadicScale(n, d)
     centres = np.random.default_rng(1).random((300, d))
-    triple = _block_rationals_in_six_dilate(d, scale, centres)
+    triple = _block_rationals_in_six_dilate(scale, centres)
     point_lists = _point_lists(triple, len(centres))
     # at d = 2, blocks 4 and 5 hold balls with two rationals, which take the
     # exact rank path
@@ -497,7 +497,7 @@ def test_witness_d2_block3_always_hyperplane():
 
     scale = DyadicScale(3, 2)
     centres = np.random.default_rng(42).random((50, 2))
-    triple = _block_rationals_in_six_dilate(2, scale, centres)
+    triple = _block_rationals_in_six_dilate(scale, centres)
     point_lists = _point_lists(triple, len(centres))
     normals, offsets, simplices = _witness_block(*triple, centres, scale)
     assert simplices == {}
