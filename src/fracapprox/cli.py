@@ -33,11 +33,11 @@ from .analysis import (
 from .approx import parse_psi_spec, smallness_onset
 from .diagnostics import (
     CertificationError,
+    _check_alpha,
     _run_ordered,
     certificate_table,
     certify_all,
     decay_alpha_from_regularity,
-    default_r0,
 )
 from .geometry import unit_ball_volume
 from .ifs import (
@@ -175,8 +175,10 @@ def _resolve_system(cfg: ExperimentConfig):
 
 def _resolve_alpha(cfg: ExperimentConfig, sys_) -> float:
     if cfg.alpha is not None:
-        if cfg.alpha <= 0:
-            raise UsageFailure("config field 'alpha' must be positive")
+        try:
+            _check_alpha(sys_, cfg.alpha)
+        except ValueError as e:
+            raise UsageFailure(f"config field {e}")
         return cfg.alpha
     alpha = decay_alpha_from_regularity(sys_.delta, sys_.dim)
     if alpha is None:
@@ -253,9 +255,8 @@ def certify(ctx, ifs_path, trials, alpha):
     cfg = _cfg(ctx, ifs_path=ifs_path, trials=trials, alpha=alpha)
     sys_ = _resolve_system(cfg)
     a = _resolve_alpha(cfg, sys_)
-    r0 = default_r0(sys_)
     try:
-        dc, cc, rc = certify_all(sys_, a, cfg.trials, r0, cfg.seed, jobs=cfg.jobs)
+        dc, cc, rc = certify_all(sys_, a, cfg.trials, seed=cfg.seed, jobs=cfg.jobs)
     except CertificationError as e:
         raise ScientificFailure(f"certification failed: {e}")
     for cert, name in ((dc, "doubling.csv"), (cc, "decay.csv"),
@@ -476,10 +477,10 @@ def _parse_taus(text: str | None):
     if text is None:
         return None
     try:
-        vals = tuple(float(t) for t in text.split(",") if t.strip())
+        return tuple(float(t) for t in text.split(",") if t.strip())
     except ValueError:
-        raise UsageFailure(f"cannot parse taus {text!r}")
-    return vals
+        raise UsageFailure(
+            f"config field 'taus' must be a comma-separated list of numbers: {text!r}")
 
 
 def _parse_psi(cfg: ExperimentConfig, d: int):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Ball, Hyperplane, Slab
-from .ifs import _TOL_FLOOR, IFSystem, _draw_digits, _fold_digits, measure_many
+from .ifs import _MORAN_TOL, _TOL_FLOOR, IFSystem, _draw_digits, _fold_digits, measure_many
 
 __all__ = [
     "CertificationError",
@@ -55,57 +55,9 @@ def _ball_tol(sys: IFSystem, r: float) -> float:
     return max(_REL_TOL * expected, _TOL_FLOOR)
 
 
-def _trial_rng(seed: int, idx: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(idx)]))
-
-
 # ---------------------------------------------------------------------------
-# row kinds and the trial-block worker (module level: picklable for process
-# pools)
-#
-# A row kind is called as kind(sys, rng, center, radius, m, alpha) with a
-# kept trial's rng (after the centre and radius draws), centre x, radius r
-# and m = mu(B(x, r)).  It makes the trial's draws for its row and returns
-# the masses the row needs, as (query, tol) pairs for measure_many, and a
-# function building the row from those masses, in the same order.
+# the trial-block worker (module level: picklable for process pools)
 # ---------------------------------------------------------------------------
-
-
-def _doubling(sys, rng, center, radius, m, alpha) -> tuple:
-    queries = [(Ball(center, 2.0 * radius), _ball_tol(sys, 2.0 * radius))]
-    return queries, lambda m2: (tuple(center), radius, m2.lo / m.hi, m2.hi / m.lo)
-
-
-def _decay(sys, rng, center, radius, m, alpha) -> tuple:
-    normal = rng.normal(size=sys.dim)
-    normal /= np.linalg.norm(normal)
-    plane = Hyperplane(normal, float(normal @ center))
-    rel = math.exp(
-        math.log(1e-4) + (math.log(0.25) - math.log(1e-4)) * float(rng.random())
-    )
-    eps = rel * radius
-    envelope = rel**alpha
-    slab_tol = max(_REL_TOL * envelope * m.lo, _TOL_FLOOR)
-    queries = [((Ball(center, radius), Slab(plane, eps)), slab_tol),
-               (Ball(center, eps), _ball_tol(sys, eps))]
-    return queries, lambda m_slab, m_small: _decay_row(
-        center, radius, eps, envelope, m, m_slab, m_small)
-
-
-def _decay_row(center, radius, eps, envelope, m, m_slab, m_small) -> tuple:
-    return (
-        tuple(center),
-        radius,
-        eps,
-        m_slab.lo / (envelope * m.hi),
-        m_slab.hi / (envelope * m.lo),
-        m_small.hi / (envelope * m.lo),
-    )
-
-
-def _regularity(sys, rng, center, radius, m, alpha) -> tuple:
-    scale = radius**sys.delta
-    return [], lambda: (tuple(center), radius, m.lo / scale, m.hi / scale)
 
 
 def _trial_block(args) -> list:
@@ -114,12 +66,14 @@ def _trial_block(args) -> list:
     zero.
 
     Every trial draws from its own rng in the order a lone trial would: the
-    centre's digits and the radius, then, if kept, the draws of each row
-    kind.  The centres are folded in one call, all mu(B(x, r)) come from
-    one measure_many call, and all the masses the rows need from another.
+    centre's digits and the radius, then, if kept, the draws of each
+    certificate kind's row.  The centres are folded in one call, all
+    mu(B(x, r)) come from one measure_many call, and all the masses the rows
+    need from another.
     """
     kinds, sys, r0, seed, start, stop, alpha = args
-    rngs = [_trial_rng(seed, i) for i in range(start, stop)]
+    rngs = [np.random.default_rng(np.random.SeedSequence([int(seed), i]))
+            for i in range(start, stop)]
     digits, radii = [], []
     for rng in rngs:
         digits.append(_draw_digits(sys, 1, rng))
@@ -128,7 +82,7 @@ def _trial_block(args) -> list:
     masses = measure_many(sys, [Ball(c, r) for c, r in zip(centers, radii)],
                           [_ball_tol(sys, r) for r in radii])
     kept = [i for i, m in enumerate(masses) if m.lo > 0.0]
-    plans = [[kind(sys, rngs[i], centers[i], radii[i], masses[i], alpha)
+    plans = [[kind._row(sys, rngs[i], centers[i], radii[i], masses[i], alpha)
               for kind in kinds] for i in kept]
     queries = [q for plan in plans for qs, _ in plan for q in qs]
     found = iter(measure_many(sys, [q for q, _ in queries], [t for _, t in queries]))
@@ -166,6 +120,15 @@ def _tail_deflated_min(values) -> float:
     return vals[0] / _tail_factor(vals)
 
 
+def _check_alpha(sys: IFSystem, alpha: float) -> None:
+    """Refuse a decay exponent outside (0, delta].  No alpha-decaying
+    delta-regular measure has alpha > delta: L^eps cap B(x, r) contains
+    B(x, eps) for a hyperplane L through x in K.  delta is a bisection root,
+    so the bound is widened by its bracket width _MORAN_TOL."""
+    if not 0 < alpha <= sys.delta + _MORAN_TOL:
+        raise ValueError(f"'alpha' must be in (0, delta] = (0, {sys.delta!r}]")
+
+
 def _run_ordered(worker, payloads: list, jobs: int) -> list:
     """worker(p) for every payload, in order, serially or over a process
     pool of at most `jobs` workers, one per payload and one per CPU; the
@@ -191,17 +154,18 @@ def _finish(results: list, trials: int) -> list:
 
 def _collect(kinds: tuple, sys: IFSystem, trials: int, r0: float | None, seed: int,
              jobs: int, alpha: float | None = None) -> tuple:
-    """Run `trials` seeded trials, each building the given row kinds; return
-    one list of kept rows per kind and the fields every certificate records
-    (r0, trials, discarded, seed).
+    """Run `trials` seeded trials, each building the row of every given
+    certificate kind; return one list of kept rows per kind and the fields
+    every certificate records besides its samples (r0, trials, discarded,
+    seed).
 
     Shared by every certificate and re-validation.  Discarded trials (None)
     are dropped; more than 20% of them aborts.  That rule also covers an
     empty result: at least one trial is required, and losing all of them is
     a 100% discard.
     """
-    if alpha is not None and not 0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
+    if alpha is not None:
+        _check_alpha(sys, alpha)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:
@@ -226,100 +190,154 @@ def _collect(kinds: tuple, sys: IFSystem, trials: int, r0: float | None, seed: i
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DoublingCertificate:
-    """Empirical doubling constant: mu(2B) <= D mu(B) on all sampled balls."""
+@dataclass(frozen=True, kw_only=True)
+class _Certificate:
+    """The fields every certificate records, and its re-validation.
 
-    D: float
+    Each kind (subclass) owns its rules:
+    - _row(sys, rng, center, radius, m, alpha), called with a kept trial's
+      rng (after the centre and radius draws), centre x, radius r and
+      m = mu(B(x, r)).  It makes the trial's draws for the row and returns
+      the masses the row needs, as (query, tol) pairs for measure_many, and a
+      function building the row from those masses, in the same order;
+    - _fit(rows, common, sys, alpha), the certificate fitted on the kept rows;
+    - _breaks(row), whether a fresh row breaks the certified constants;
+    - _TRAILER, the fields written as name=value in the CSV's last line.
+    """
+
     r0: float
-    samples: tuple  # (center, radius, ratio_lo, ratio_hi)
+    samples: tuple
     trials: int
     discarded: int
     seed: int
 
     def validate(self, sys: IFSystem, trials: int, seed: int, jobs: int = 1) -> int:
-        """Count fresh trials whose optimistic ratio still exceeds D."""
-        (kept,), _ = _collect((_doubling,), sys, trials, self.r0, seed, jobs)
-        return sum(1 for _, _, opt, _ in kept if opt > self.D)
+        """Count fresh trials, drawn up to this r0, whose rows break the
+        certified constants."""
+        (kept,), _ = _collect((type(self),), sys, trials, self.r0, seed, jobs,
+                              getattr(self, "alpha", None))
+        return sum(1 for row in kept if self._breaks(row))
 
 
 @dataclass(frozen=True)
-class DecayCertificate:
+class DoublingCertificate(_Certificate):
+    """Empirical doubling constant: mu(2B) <= D mu(B) on all sampled balls.
+
+    Samples are (center, radius, ratio_lo, ratio_hi)."""
+
+    D: float
+    _TRAILER = ("D", "r0")
+
+    @staticmethod
+    def _row(sys, rng, center, radius, m, alpha) -> tuple:
+        queries = [(Ball(center, 2.0 * radius), _ball_tol(sys, 2.0 * radius))]
+        return queries, lambda m2: (tuple(center), radius, m2.lo / m.hi, m2.hi / m.lo)
+
+    @classmethod
+    def _fit(cls, rows, common, sys, alpha) -> DoublingCertificate:
+        return cls(D=_tail_inflated_max([hi for _, _, _, hi in rows]),
+                   samples=tuple(rows), **common)
+
+    def _breaks(self, row) -> bool:
+        return row[2] > self.D  # the optimistic ratio still exceeds D
+
+
+def _decay_row(center, radius, eps, envelope, m, m_slab, m_small) -> tuple:
+    return (
+        tuple(center),
+        radius,
+        eps,
+        m_slab.lo / (envelope * m.hi),
+        m_slab.hi / (envelope * m.lo),
+        m_small.hi / (envelope * m.lo),
+    )
+
+
+@dataclass(frozen=True)
+class DecayCertificate(_Certificate):
     """Empirical decay constant: mu(B cap L^eps) <= C (eps/r)^alpha mu(B).
 
     small_ball_C = C 2^alpha is the constant of the concentric-ball corollary,
-    checked on every sample with eps/r < 1/4."""
+    checked on every sample with eps/r < 1/4.  Samples are (center, radius,
+    epsilon, ratio_lo, ratio_hi)."""
 
     alpha: float
     C: float
-    r0: float
-    samples: tuple  # (center, radius, epsilon, ratio_lo, ratio_hi)
     small_ball_ratios: tuple
-    trials: int
-    discarded: int
-    seed: int
+    _TRAILER = ("C", "alpha", "small_ball_C", "r0")
 
     @property
     def small_ball_C(self) -> float:
         return self.C * 2.0**self.alpha
 
-    def validate(self, sys: IFSystem, trials: int, seed: int, jobs: int = 1) -> int:
-        (kept,), _ = _collect((_decay,), sys, trials, self.r0, seed, jobs,
-                              self.alpha)
-        return sum(1 for row in kept if row[3] > self.C)
+    @staticmethod
+    def _row(sys, rng, center, radius, m, alpha) -> tuple:
+        normal = rng.normal(size=sys.dim)
+        normal /= np.linalg.norm(normal)
+        plane = Hyperplane(normal, float(normal @ center))
+        rel = math.exp(
+            math.log(1e-4) + (math.log(0.25) - math.log(1e-4)) * float(rng.random())
+        )
+        eps = rel * radius
+        envelope = rel**alpha
+        slab_tol = max(_REL_TOL * envelope * m.lo, _TOL_FLOOR)
+        queries = [((Ball(center, radius), Slab(plane, eps)), slab_tol),
+                   (Ball(center, eps), _ball_tol(sys, eps))]
+        return queries, lambda m_slab, m_small: _decay_row(
+            center, radius, eps, envelope, m, m_slab, m_small)
+
+    @classmethod
+    def _fit(cls, rows, common, sys, alpha) -> DecayCertificate:
+        cert = cls(
+            alpha=alpha,
+            C=_tail_inflated_max([r[4] for r in rows]),
+            samples=tuple(r[:5] for r in rows),
+            small_ball_ratios=tuple(r[5] for r in rows),
+            **common,
+        )
+        bad = [x for x in cert.small_ball_ratios if x > cert.small_ball_C * (1 + 1e-12)]
+        if bad:
+            raise CertificationError(
+                f"{len(bad)} trials violate the concentric-ball corollary bound "
+                f"C 2^alpha = {cert.small_ball_C:.6g}"
+            )
+        return cert
+
+    def _breaks(self, row) -> bool:
+        return row[3] > self.C  # the optimistic ratio still exceeds C
 
 
 @dataclass(frozen=True)
-class RegularityCertificate:
-    """Empirical two-sided regularity a r^delta <= mu(B(x,r)) <= b r^delta."""
+class RegularityCertificate(_Certificate):
+    """Empirical two-sided regularity a r^delta <= mu(B(x,r)) <= b r^delta.
+
+    Samples are (center, radius, ratio_lo, ratio_hi)."""
 
     a: float
     b: float
     delta: float
-    r0: float
-    samples: tuple  # (center, radius, ratio_lo, ratio_hi)
-    trials: int
-    discarded: int
-    seed: int
+    _TRAILER = ("a", "b", "delta", "r0")
 
-    def validate(self, sys: IFSystem, trials: int, seed: int, jobs: int = 1) -> int:
-        (kept,), _ = _collect((_regularity,), sys, trials, self.r0, seed, jobs)
-        return sum(1 for _, _, lo, hi in kept if lo > self.b or hi < self.a)
+    @staticmethod
+    def _row(sys, rng, center, radius, m, alpha) -> tuple:
+        scale = radius**sys.delta
+        return [], lambda: (tuple(center), radius, m.lo / scale, m.hi / scale)
 
+    @classmethod
+    def _fit(cls, rows, common, sys, alpha) -> RegularityCertificate:
+        return cls(a=_tail_deflated_min([lo for _, _, lo, _ in rows]),
+                   b=_tail_inflated_max([hi for _, _, _, hi in rows]),
+                   delta=sys.delta, samples=tuple(rows), **common)
 
-def _doubling_certificate(kept: list, common: dict) -> DoublingCertificate:
-    return DoublingCertificate(
-        D=_tail_inflated_max([hi for _, _, _, hi in kept]),
-        samples=tuple(kept),
-        **common,
-    )
+    def _breaks(self, row) -> bool:
+        return row[2] > self.b or row[3] < self.a  # ratio_lo, ratio_hi
 
 
-def _decay_certificate(kept: list, common: dict, alpha: float) -> DecayCertificate:
-    cert = DecayCertificate(
-        alpha=alpha,
-        C=_tail_inflated_max([r[4] for r in kept]),
-        samples=tuple((r[0], r[1], r[2], r[3], r[4]) for r in kept),
-        small_ball_ratios=tuple(r[5] for r in kept),
-        **common,
-    )
-    bad = [x for x in cert.small_ball_ratios if x > cert.small_ball_C * (1 + 1e-12)]
-    if bad:
-        raise CertificationError(
-            f"{len(bad)} trials violate the concentric-ball corollary bound "
-            f"C 2^alpha = {cert.small_ball_C:.6g}"
-        )
-    return cert
-
-
-def _regularity_certificate(kept: list, common: dict, delta: float) -> RegularityCertificate:
-    return RegularityCertificate(
-        a=_tail_deflated_min([lo for _, _, lo, _ in kept]),
-        b=_tail_inflated_max([hi for _, _, _, hi in kept]),
-        delta=delta,
-        samples=tuple(kept),
-        **common,
-    )
+def _certify(kinds: tuple, sys: IFSystem, trials: int, r0: float | None, seed: int,
+             jobs: int, alpha: float | None = None) -> tuple:
+    """One certificate per kind, fitted in order on one pass of trials."""
+    rows, common = _collect(kinds, sys, trials, r0, seed, jobs, alpha)
+    return tuple(kind._fit(kept, common, sys, alpha) for kind, kept in zip(kinds, rows))
 
 
 def certify_doubling(
@@ -332,8 +350,7 @@ def certify_doubling(
     with the evidence.  Trials whose small-ball mass cannot be bounded away
     from zero are discarded; more than 20% discards aborts certification.
     """
-    (kept,), common = _collect((_doubling,), sys, trials, r0, seed, jobs)
-    return _doubling_certificate(kept, common)
+    return _certify((DoublingCertificate,), sys, trials, r0, seed, jobs)[0]
 
 
 def certify_decay(
@@ -351,16 +368,14 @@ def certify_decay(
     log-uniform in [r/10^4, r/4].  The concentric-ball ratio of each trial is
     recorded against the corollary constant C 2^alpha.
     """
-    (kept,), common = _collect((_decay,), sys, trials, r0, seed, jobs, alpha)
-    return _decay_certificate(kept, common, alpha)
+    return _certify((DecayCertificate,), sys, trials, r0, seed, jobs, alpha)[0]
 
 
 def certify_regularity(
     sys: IFSystem, trials: int, r0: float | None = None, seed: int = 0, jobs: int = 1
 ) -> RegularityCertificate:
     """Fit the two-sided envelope of mu(B(x,r)) / r^delta on random balls."""
-    (kept,), common = _collect((_regularity,), sys, trials, r0, seed, jobs)
-    return _regularity_certificate(kept, common, sys.delta)
+    return _certify((RegularityCertificate,), sys, trials, r0, seed, jobs)[0]
 
 
 def certify_all(
@@ -378,14 +393,8 @@ def certify_all(
     and discard the same trials.  The checks run in the same order (the
     discard rule, then decay's concentric-ball corollary).
     """
-    (dbl, dec, reg), common = _collect(
-        (_doubling, _decay, _regularity), sys, trials, r0, seed, jobs, alpha
-    )
-    return (
-        _doubling_certificate(dbl, common),
-        _decay_certificate(dec, common, alpha),
-        _regularity_certificate(reg, common, sys.delta),
-    )
+    return _certify((DoublingCertificate, DecayCertificate, RegularityCertificate),
+                    sys, trials, r0, seed, jobs, alpha)
 
 
 def decay_alpha_from_regularity(delta: float, d: int) -> float | None:
@@ -410,23 +419,8 @@ def certificate_table(cert) -> tuple:
     columns = [f"center_{i}" for i in range(d)] + [
         "radius", "epsilon", "ratio_lo", "ratio_hi",
     ]
-    rows = []
-    for row in cert.samples:
-        if isinstance(cert, DecayCertificate):
-            center, radius, eps, lo, hi = row
-            eps = float(eps)
-        else:
-            center, radius, lo, hi = row
-            eps = None
-        rows.append((*(float(c) for c in center), float(radius), eps,
-                     float(lo), float(hi)))
-    if isinstance(cert, DoublingCertificate):
-        tail = f"# D={cert.D!r} r0={cert.r0!r}"
-    elif isinstance(cert, DecayCertificate):
-        tail = (
-            f"# C={cert.C!r} alpha={cert.alpha!r} "
-            f"small_ball_C={cert.small_ball_C!r} r0={cert.r0!r}"
-        )
-    else:
-        tail = f"# a={cert.a!r} b={cert.b!r} delta={cert.delta!r} r0={cert.r0!r}"
-    return columns, rows, [tail]
+    rows = [(*(float(c) for c in center), float(radius),
+             float(eps[0]) if eps else None, float(lo), float(hi))
+            for center, radius, *eps, lo, hi in cert.samples]
+    tail = " ".join(f"{k}={getattr(cert, k)!r}" for k in cert._TRAILER)
+    return columns, rows, [f"# {tail}"]

@@ -42,6 +42,8 @@ _ORTHO_TOL = 1e-12
 MAX_SUBDIVISION_DEPTH = 64
 # Smallest tolerance measure_many certifies a mass to in float64.
 _TOL_FLOOR = 1e-9
+# The Moran-root bisection stops at this bracket width: delta is that close.
+_MORAN_TOL = 1e-13
 
 
 class OpenSetConditionError(ValueError):
@@ -176,7 +178,7 @@ def similarity_dimension(maps: list, ambient_dim: int) -> float:
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-13:
+        if hi - lo < _MORAN_TOL:
             break
         if moran(mid) > 0.0:
             lo = mid

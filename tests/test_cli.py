@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fracapprox.approx import parse_psi_spec
-from fracapprox.cli import ExperimentConfig, _parse_blocks, main, resolve_config
+from fracapprox.cli import ExperimentConfig, _parse_blocks, _parse_taus, main, resolve_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -84,6 +84,9 @@ _MAPS = ('"maps": [{"ratio": 0.3333333333333333, "rotation": [1.0], "translation
 
 @pytest.mark.parametrize("field, files, argv", [
     ("alpha", {}, ["certify", "--ifs", "cantor", "--alpha", "nan"]),
+    ("alpha", {}, ["certify", "--ifs", "cantor", "--alpha", "100"]),
+    ("alpha", {}, ["decay", "--ifs", "cantor", "--blocks", "1:10", "--alpha", "1000"]),
+    ("taus", {}, ["dim-report", "--ifs", "cantor", "--taus", "3,abc"]),
     ("tolerance", {"exp.json": '{"ifs_path": "cantor", "tolerance": NaN}'},
      ["--config", "exp.json", "certify"]),
     ("trials", {"exp.json": '{"ifs_path": "cantor", "trials": "5"}'},
@@ -135,7 +138,8 @@ _MAPS = ('"maps": [{"ratio": 0.3333333333333333, "rotation": [1.0], "translation
                    "power")],
     *[("blocks", {}, ["decay", "--ifs", "cantor", "--blocks", blocks])
       for blocks in ("1-3", "2,3")],
-], ids=["alpha-nan", "tolerance-nan", "trials-string", "maps-number",
+], ids=["alpha-nan", "certify-alpha-above-delta", "decay-alpha-above-delta",
+        "dim-report-taus-unparsable", "tolerance-nan", "trials-string", "maps-number",
         "seed-negative", "seed-negative-config", "psi-table-one-column",
         "ifs-directory", "dimension-fraction", "dimension-bool",
         "dimension-string", "blocks-70", "blocks-53", "blocks-52", "blocks-26",
@@ -255,11 +259,11 @@ def test_samples_above_the_cap_is_one_error_line(tmp_path, capsys, monkeypatch,
 
 
 def _documented_values() -> dict:
-    """The --psi specs and --blocks ranges the README documents and the
-    benchmark runs, by source: every --psi and --blocks value in the
-    README's shell blocks, every backticked power, powerlog or gpl spec and
-    the psi_spec of its config example, and the --psi and --blocks values of
-    bench/workloads.py's commands."""
+    """The --psi specs, --blocks ranges and --taus lists the README
+    documents and the benchmark runs, by source: every --psi, --blocks and
+    --taus value in the README's shell blocks, every backticked power,
+    powerlog or gpl spec and the psi_spec of its config example, and the
+    --psi, --blocks and --taus values of bench/workloads.py's commands."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     shell = " ".join(part.split("```", 1)[0] for part in readme.split("```bash\n")[1:])
     spec = importlib.util.spec_from_file_location("_bench_workloads",
@@ -268,11 +272,12 @@ def _documented_values() -> dict:
     spec.loader.exec_module(workloads)
     argv = [arg for workload in workloads.WORKLOADS.values()
             for _label, args, _files in workload["commands"] for arg in args]
-    out = {source: {"--psi": [], "--blocks": []} for source in ("README", "bench")}
+    out = {source: {"--psi": [], "--blocks": [], "--taus": []}
+           for source in ("README", "bench")}
     for flag, value in zip(argv, argv[1:]):
         if flag in out["bench"]:
             out["bench"][flag].append(value)
-    for flag, value in re.findall(r"(--psi|--blocks)\s+(\S+)", shell):
+    for flag, value in re.findall(r"(--psi|--blocks|--taus)\s+(\S+)", shell):
         out["README"][flag].append(value)
     out["README"]["--psi"] += re.findall(r"`((?:power|powerlog|gpl):[^`]*)`", readme)
     out["README"]["--psi"] += re.findall(r'"psi_spec":\s*"([^"]+)"', readme)
@@ -282,12 +287,14 @@ def _documented_values() -> dict:
 def test_documented_psi_specs_and_block_ranges_parse():
     # a stricter grammar must not silently break a documented or benchmarked command
     for source, flags in _documented_values().items():
-        assert flags["--psi"] and flags["--blocks"], source
+        assert flags["--psi"] and flags["--blocks"] and flags["--taus"], source
         for spec in flags["--psi"]:
             assert parse_psi_spec(spec).family in ("power", "power_log", "generic_power_log")
         for text in flags["--blocks"]:
             lo, hi = _parse_blocks(text)
             assert 0 <= lo <= hi
+        for text in flags["--taus"]:
+            assert _parse_taus(text)
 
 
 # ---------------------------------------------------------------------------

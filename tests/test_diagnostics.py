@@ -120,6 +120,26 @@ def test_decay_requires_positive_alpha(cantor):
             certify_decay(cantor, alpha, 10)
 
 
+def test_decay_refuses_alpha_above_delta(monkeypatch, cantor, gasket, dust):
+    # no alpha-decaying delta-regular measure has alpha > delta; the refusal
+    # comes before any trial is drawn
+    def no_trials(*args):
+        raise AssertionError("a trial block was run")
+
+    monkeypatch.setattr(diagnostics, "_trial_block", no_trials)
+    for sys_, alpha in ((cantor, 100.0), (cantor, 0.64), (gasket, 1.6)):
+        with pytest.raises(ValueError, match="'alpha' must be in"):
+            certify_decay(sys_, alpha, 20)
+        with pytest.raises(ValueError, match="'alpha' must be in"):
+            certify_all(sys_, alpha, 20)
+    monkeypatch.undo()
+    # delta is a bisection root: the exact dimensions log 2/log 3 and 1 sit
+    # a few ulps above cantor's and dust's delta and are still accepted
+    assert ALPHA_CANTOR > cantor.delta and 1.0 > dust.delta
+    assert certify_decay(cantor, ALPHA_CANTOR, 3).alpha == ALPHA_CANTOR
+    assert certify_decay(dust, 1.0, 3).alpha == 1.0
+
+
 # ---------------------------------------------------------------------------
 # regularity
 # ---------------------------------------------------------------------------
@@ -185,6 +205,15 @@ def test_parallel_trials_match_serial(cantor):
     parallel = certify_doubling(cantor, 60, seed=7, jobs=3)
     assert serial.D == parallel.D
     assert serial.samples == parallel.samples
+
+
+@pytest.mark.parametrize("name", ["cantor", "gasket", "koch", "dust"])
+def test_certificates_revalidate_on_their_own_trials(request, name):
+    # the fitted constants bound every row they were fitted on, for every kind
+    sys_ = request.getfixturevalue(name)
+    alpha = 0.5 if name == "dust" else decay_alpha_from_regularity(sys_.delta, sys_.dim)
+    for cert in certify_all(sys_, alpha, 30, seed=3):
+        assert cert.validate(sys_, cert.trials, seed=cert.seed) == 0, type(cert).__name__
 
 
 def test_default_r0(cantor):
