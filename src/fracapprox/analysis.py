@@ -24,7 +24,7 @@ from .geometry import (
     _reach,
     _witness_block,
 )
-from .ifs import IFSystem, _Frontier, sample_measure
+from .ifs import IFSystem, _check_alpha, _Frontier, sample_measure
 
 __all__ = [
     "SumSpec",
@@ -546,8 +546,9 @@ def layer_decay_experiment(
     seed: int = 0,
 ) -> LayerDecayResult:
     """Estimate the natural-measure mass of each block layer by sampling;
-    every block of the range is checked against the layer test's ceiling
-    before any sample is drawn."""
+    alpha, and every block of the range against the layer test's rules, are
+    checked before any sample is drawn."""
+    _check_alpha(sys, alpha)
     blocks = list(blocks)
     for n in blocks:
         _check_denominators(n)
@@ -563,12 +564,15 @@ def layer_decay_experiment(
     emp = np.array([r[1] for r in rows])
     env = np.array([r[2] for r in rows])
     fit_mask = emp > 0
-    emp_slope = _log2_slope(ns[fit_mask], emp[fit_mask]) if fit_mask.sum() >= 2 else math.nan
+    emp_slope = _log2_slope(ns[fit_mask], emp[fit_mask])
     pred_slope = _log2_slope(ns, env)
     return LayerDecayResult(tuple(rows), emp_slope, pred_slope, n_samples)
 
 
 def _log2_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of log2 y against x; nan below two points."""
+    if x.size < 2:
+        return math.nan
     design = np.column_stack([x, np.ones_like(x)])
     coef, *_ = np.linalg.lstsq(design, np.log2(y), rcond=None)
     return float(coef[0])
@@ -622,7 +626,9 @@ def dimension_report(
     spanning the ball radii of the ends of _APPROXIMANT_BLOCKS, the window
     where the layer union thins out the way the limsup set does.  A tau whose
     approximant keeps fewer than _MIN_POINTS points gets a None estimate, and
-    on_shortfall(tau, points kept), if given, is told."""
+    on_shortfall(tau, points kept), if given, is told.  An alpha outside
+    (0, delta] is refused first."""
+    _check_alpha(sys, alpha)
     d = sys.dim
     plans = []
     for tau in taus:

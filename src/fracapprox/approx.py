@@ -216,8 +216,10 @@ def enumerate_rationals(n: int, window: Box) -> list:
 
 
 def _check_denominators(n: int) -> None:
-    """The ceiling of every walk over the 2^n denominators of block n, the
-    enumeration's and the layer test's: 2^n <= _WINDOW_CELL_CAP."""
+    """The rules of every walk over the 2^n denominators of block n, the
+    enumeration's and the layer test's: n >= 0 and 2^n <= _WINDOW_CELL_CAP."""
+    if n < 0:
+        raise ValueError(f"block {n} refused: a block index must be >= 0")
     if 2**n > _WINDOW_CELL_CAP:
         raise ValueError(f"block {n} refused: its 2^{n} denominators per window "
                          f"exceed the ceiling of {_WINDOW_CELL_CAP} cells")

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import sys as _sys
+from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 
@@ -33,7 +34,6 @@ from .analysis import (
 from .approx import parse_psi_spec, smallness_onset
 from .diagnostics import (
     CertificationError,
-    _check_alpha,
     _run_ordered,
     certificate_table,
     certify_all,
@@ -44,6 +44,7 @@ from .ifs import (
     _SAMPLE_DIGIT_CAP,
     BUNDLED_SYSTEMS,
     SAMPLE_DEPTH,
+    _check_alpha,
     bundled_system,
     load_system,
     sample_measure,
@@ -175,10 +176,8 @@ def _resolve_system(cfg: ExperimentConfig):
 
 def _resolve_alpha(cfg: ExperimentConfig, sys_) -> float:
     if cfg.alpha is not None:
-        try:
+        with _refusal():
             _check_alpha(sys_, cfg.alpha)
-        except ValueError as e:
-            raise UsageFailure(f"config field {e}")
         return cfg.alpha
     alpha = decay_alpha_from_regularity(sys_.delta, sys_.dim)
     if alpha is None:
@@ -239,230 +238,6 @@ def cli(ctx, config_path, seed, output_dir, jobs):
     ctx.obj["overrides"] = {"seed": seed, "output_dir": output_dir, "jobs": jobs}
 
 
-def _cfg(ctx, **extra) -> ExperimentConfig:
-    overrides = dict(ctx.obj["overrides"])
-    overrides.update(extra)
-    return resolve_config(ctx.obj["config_path"], **overrides)
-
-
-@cli.command()
-@click.option("--ifs", "ifs_path", type=str, default=None)
-@click.option("--trials", type=int, default=None)
-@click.option("--alpha", type=float, default=None)
-@click.pass_context
-def certify(ctx, ifs_path, trials, alpha):
-    """Fit doubling, decay and regularity certificates; write three CSVs."""
-    cfg = _cfg(ctx, ifs_path=ifs_path, trials=trials, alpha=alpha)
-    sys_ = _resolve_system(cfg)
-    a = _resolve_alpha(cfg, sys_)
-    try:
-        dc, cc, rc = certify_all(sys_, a, cfg.trials, seed=cfg.seed, jobs=cfg.jobs)
-    except CertificationError as e:
-        raise ScientificFailure(f"certification failed: {e}")
-    for cert, name in ((dc, "doubling.csv"), (cc, "decay.csv"),
-                       (rc, "regularity.csv")):
-        _write_csv(cfg, name, *certificate_table(cert))
-
-
-@cli.command()
-@click.option("--ifs", "ifs_path", type=str, default=None)
-@click.option("--psi", "psi_spec", type=str, default=None)
-@click.option("--blocks", type=str, default=None, help="Range lo:hi.")
-@click.option("--samples", type=int, default=None)
-@click.option("--alpha", type=float, default=None)
-@click.pass_context
-def decay(ctx, ifs_path, psi_spec, blocks, samples, alpha):
-    """Per-block layer mass against the decay envelope."""
-    cfg = _cfg(ctx, ifs_path=ifs_path, psi_spec=psi_spec,
-               blocks=_parse_blocks(blocks), samples=samples, alpha=alpha)
-    sys_ = _resolve_system(cfg)
-    a = _resolve_alpha(cfg, sys_)
-    psi = _parse_psi(cfg, sys_.dim)
-    lo, hi = cfg.blocks
-    try:
-        res = layer_decay_experiment(sys_, psi, a, range(lo, hi + 1),
-                                     cfg.samples, cfg.seed)
-    except ValueError as e:  # the layer test's ceiling on a block
-        raise UsageFailure(f"config field 'blocks': {e}")
-    d = sys_.dim
-    c_audit = (
-        0.5 / math.sqrt(d)
-        * (1.0 / (unit_ball_volume(d) * math.factorial(d))) ** (1.0 / d)
-        * 2.0 ** (-(d + 1) / d)
-    )
-    onset = smallness_onset(psi, c_audit, d)
-    trailer = [
-        f"# empirical_slope={res.empirical_slope!r}",
-        f"# predicted_slope={res.predicted_slope!r}",
-        f"# smallness_onset(c={c_audit!r})={onset}",
-    ]
-    _write_csv(cfg, "decay_experiment.csv",
-               ["n", "empirical_mass", "envelope"], list(res.rows), trailer)
-
-
-@cli.command("lemma-audit")
-@click.option("--ifs", "ifs_path", type=str, default=None)
-@click.option("--blocks", type=str, default=None, help="Range lo:hi.")
-@click.option("--trials", type=int, default=None, help="Balls per block.")
-@click.pass_context
-def lemma_audit(ctx, ifs_path, blocks, trials):
-    """Exact-arithmetic audit: block rationals near a ball lie on a hyperplane."""
-    cfg = _cfg(ctx, ifs_path=ifs_path, blocks=_parse_blocks(blocks), trials=trials)
-    sys_ = _resolve_system(cfg)
-    lo, hi = cfg.blocks
-    try:
-        reports = audit_hyperplane_lemma(sys_.dim, range(lo, hi + 1), cfg.trials,
-                                         seed=cfg.seed)
-    except ValueError as e:  # the enumeration refusals of a block
-        raise UsageFailure(f"config field 'blocks': {e}")
-    bad_total = sum(rep.simplex_counterexamples for rep in reports)
-    _write_csv(cfg, "lemma_audit.csv",
-               ["d", "n", "balls", "max_rationals", "simplex_counterexamples"],
-               [astuple(rep) for rep in reports])
-    if bad_total:
-        raise ScientificFailure(
-            f"{bad_total} simplex counterexamples found; the volume obstruction "
-            "failed"
-        )
-
-
-@cli.command("dim-report")
-@click.option("--ifs", "ifs_path", type=str, default=None)
-@click.option("--taus", type=str, default=None, help="Comma-separated taus.")
-@click.option("--alpha", type=float, default=None)
-@click.option("--samples", type=int, default=None,
-              help="Batch size for approximant sampling.")
-@click.pass_context
-def dim_report(ctx, ifs_path, taus, alpha, samples):
-    """Dimension bound vs box-count estimate of the layer approximant."""
-    cfg = _cfg(ctx, ifs_path=ifs_path, taus=_parse_taus(taus), samples=samples,
-               alpha=alpha)
-    if not cfg.taus:
-        raise UsageFailure("config field 'taus' must be nonempty")
-    sys_ = _resolve_system(cfg)
-    a = _resolve_alpha(cfg, sys_)
-
-    def shortfall(tau, kept):
-        click.echo(
-            f"tau={tau}: only {kept} approximant points when the budget of "
-            f"{cfg.samples}-sample batches ran out, too few for box counting; "
-            "box_estimate left blank",
-            err=True,
-        )
-
-    try:
-        rows = dimension_report(sys_, a, cfg.taus, seed=cfg.seed, batch=cfg.samples,
-                                on_shortfall=shortfall)
-    except ValueError as e:  # a tau whose psi cannot be built
-        raise UsageFailure(f"config field 'taus': {e}")
-    d = sys_.dim
-    for tau, bound, _ in rows:
-        if bound is None:
-            click.echo(f"tau={tau} below the Dirichlet exponent {(d + 1) / d}; skipped",
-                       err=True)
-    _write_csv(cfg, "dim_report.csv", ["tau", "bound", "box_estimate"],
-               [row for row in rows if row[1] is not None])
-
-
-@cli.command()
-@click.option("--ifs", "ifs_path", type=str, default=None)
-@click.option("--psi", "psi_spec", type=str, default=None)
-@click.option("--kind", type=str, default=None)
-@click.option("--alpha", type=float, default=None)
-@click.option("--s-param", "s_param", type=float, default=None)
-@click.pass_context
-def sums(ctx, ifs_path, psi_spec, kind, alpha, s_param):
-    """Classify the configured convergence sum; write condensed terms."""
-    cfg = _cfg(ctx, ifs_path=ifs_path, psi_spec=psi_spec, kind=kind,
-               alpha=alpha, s=s_param)
-    sys_ = _resolve_system(cfg)
-    psi = _parse_psi(cfg, sys_.dim)
-    a = _resolve_alpha(cfg, sys_) if cfg.kind in ("measure_zero", "hausdorff") else None
-    s_val = cfg.s if cfg.s is not None else sys_.delta
-    try:
-        spec = SumSpec(cfg.kind, psi, sys_.dim, alpha=a,
-                       delta=sys_.delta if cfg.kind == "hausdorff" else None,
-                       s=s_val if cfg.kind == "hausdorff" else None)
-    except ValueError as e:  # each names its field: 'kind', 's', ...
-        raise UsageFailure(f"config field {e}")
-    verdict = classify_sum(spec)
-    rows = [
-        (n, term, ps)
-        for (n, term), (_, ps) in zip(verdict.condensed_terms, verdict.partial_sums)
-    ]
-    trailer = [
-        f"# converges={verdict.converges}",
-        f"# method={verdict.method}",
-        f"# criterion={verdict.criterion}",
-    ]
-    _write_csv(cfg, "sums.csv", ["n", "term", "partial_sum"], rows, trailer)
-
-
-@cli.command("cover-cost")
-@click.option("--ifs", "ifs_path", type=str, default=None)
-@click.option("--psi", "psi_spec", type=str, default=None)
-@click.option("--blocks", type=str, default=None, help="Range lo:hi.")
-@click.option("--s-param", "s_param", type=float, default=None)
-@click.pass_context
-def cover_cost_cmd(ctx, ifs_path, psi_spec, blocks, s_param):
-    """Block-cover cost tails of the well-approximable part."""
-    cfg = _cfg(ctx, ifs_path=ifs_path, psi_spec=psi_spec,
-               blocks=_parse_blocks(blocks), s=s_param)
-    sys_ = _resolve_system(cfg)
-    psi = _parse_psi(cfg, sys_.dim)
-    s_val = cfg.s if cfg.s is not None else sys_.delta
-    if not s_val >= 0:
-        raise UsageFailure("config field 's' must be >= 0")
-    lo, hi = cfg.blocks
-    try:
-        tail = hs_upper_bound(sys_, psi, s_val, range(lo, hi + 1), seed=cfg.seed)
-    except ValueError as e:  # the net, depth and enumeration refusals of a block
-        raise UsageFailure(f"config field 'blocks': {e}")
-    tails = dict(tail.tails)
-    rows = [
-        (n, nd, nc, tails[n]) for (n, nd, nc, _cost) in tail.rows
-    ]
-    _write_csv(cfg, "cover_cost.csv",
-               ["n", "n_Dn", "n_C_total", "cost_tail"], rows,
-               [f"# s={s_val!r}"])
-
-
-@cli.command()
-@click.option("--ifs", "ifs_path", type=str, default=None)
-@click.option("--samples", type=int, default=None)
-@click.pass_context
-def sample(ctx, ifs_path, samples):
-    """Draw natural-measure samples; sharded deterministically over workers."""
-    cfg = _cfg(ctx, ifs_path=ifs_path, samples=samples)
-    sys_ = _resolve_system(cfg)
-    pts = _sharded_samples(sys_, cfg.samples, cfg.seed, cfg.jobs)
-    cols = [f"x_{i}" for i in range(sys_.dim)]
-    rows = [tuple(float(v) for v in p) for p in pts]
-    _write_csv(cfg, "samples.csv", cols, rows)
-
-
-_SHARD = 10_000
-
-
-def _sample_chunk(args):
-    sys_, seed, idx, count = args
-    return sample_measure(sys_, count, np.random.SeedSequence([seed, idx]))
-
-
-def _sharded_samples(sys_, total: int, seed: int, jobs: int) -> np.ndarray:
-    """Fixed-size chunks with per-chunk derived seeds: the stream does not
-    depend on the worker count."""
-    idx = 0
-    remaining = total
-    payloads = []
-    while remaining > 0:
-        take = min(_SHARD, remaining)
-        payloads.append((sys_, seed, idx, take))
-        idx += 1
-        remaining -= take
-    return np.concatenate(_run_ordered(_sample_chunk, payloads, jobs))
-
-
 def _parse_blocks(text: str | None):
     if text is None:
         return None
@@ -483,11 +258,222 @@ def _parse_taus(text: str | None):
             f"config field 'taus' must be a comma-separated list of numbers: {text!r}")
 
 
-def _parse_psi(cfg: ExperimentConfig, d: int):
+# Subcommand flag -> (config field, click type, help, parser of the flag's
+# text or None).
+_FLAGS = {
+    "--ifs": ("ifs_path", str, None, None),
+    "--psi": ("psi_spec", str, None, None),
+    "--blocks": ("blocks", str, "Range lo:hi.", _parse_blocks),
+    "--taus": ("taus", str, "Comma-separated taus.", _parse_taus),
+    "--trials": ("trials", int, None, None),
+    "--samples": ("samples", int, None, None),
+    "--alpha": ("alpha", float, None, None),
+    "--kind": ("kind", str, None, None),
+    "--s-param": ("s", float, None, None),
+}
+
+
+def _subcommand(name: str, *flags: str):
+    """Register body(cfg) as subcommand `name` taking the given _FLAGS; the
+    flags given override the config file and the global flags, and body gets
+    the resolved ExperimentConfig."""
+    def register(body):
+        @click.pass_context
+        def command(ctx, **given):
+            for flag in flags:
+                field, _, _, parse = _FLAGS[flag]
+                if parse is not None:
+                    given[field] = parse(given[field])
+            body(resolve_config(ctx.obj["config_path"],
+                                **{**ctx.obj["overrides"], **given}))
+
+        for flag in reversed(flags):
+            field, kind, help_, _ = _FLAGS[flag]
+            command = click.option(flag, field, type=kind, default=None,
+                                   help=help_)(command)
+        return cli.command(name, help=body.__doc__)(command)
+    return register
+
+
+@contextmanager
+def _refusal(field: str | None = None, errors=ValueError):
+    """Turn a library refusal into `config field '<field>': <message>`; with
+    no field, the message names its own (`'kind' must be ...`)."""
     try:
+        yield
+    except errors as e:
+        raise UsageFailure(f"config field {field!r}: {e}" if field
+                           else f"config field {e}")
+
+
+def _block_range(cfg: ExperimentConfig) -> range:
+    lo, hi = cfg.blocks
+    return range(lo, hi + 1)
+
+
+def _s_value(cfg: ExperimentConfig, sys_) -> float:
+    return cfg.s if cfg.s is not None else sys_.delta
+
+
+@_subcommand("certify", "--ifs", "--trials", "--alpha")
+def certify(cfg):
+    """Fit doubling, decay and regularity certificates; write three CSVs."""
+    sys_ = _resolve_system(cfg)
+    a = _resolve_alpha(cfg, sys_)
+    try:
+        dc, cc, rc = certify_all(sys_, a, cfg.trials, seed=cfg.seed, jobs=cfg.jobs)
+    except CertificationError as e:
+        raise ScientificFailure(f"certification failed: {e}")
+    for cert, name in ((dc, "doubling.csv"), (cc, "decay.csv"),
+                       (rc, "regularity.csv")):
+        _write_csv(cfg, name, *certificate_table(cert))
+
+
+@_subcommand("decay", "--ifs", "--psi", "--blocks", "--samples", "--alpha")
+def decay(cfg):
+    """Per-block layer mass against the decay envelope."""
+    sys_ = _resolve_system(cfg)
+    a = _resolve_alpha(cfg, sys_)
+    psi = _parse_psi(cfg, sys_.dim)
+    with _refusal("blocks"):  # the layer test's rules on a block
+        res = layer_decay_experiment(sys_, psi, a, _block_range(cfg),
+                                     cfg.samples, cfg.seed)
+    d = sys_.dim
+    c_audit = (
+        0.5 / math.sqrt(d)
+        * (1.0 / (unit_ball_volume(d) * math.factorial(d))) ** (1.0 / d)
+        * 2.0 ** (-(d + 1) / d)
+    )
+    onset = smallness_onset(psi, c_audit, d)
+    trailer = [
+        f"# empirical_slope={res.empirical_slope!r}",
+        f"# predicted_slope={res.predicted_slope!r}",
+        f"# smallness_onset(c={c_audit!r})={onset}",
+    ]
+    _write_csv(cfg, "decay_experiment.csv",
+               ["n", "empirical_mass", "envelope"], list(res.rows), trailer)
+
+
+@_subcommand("lemma-audit", "--ifs", "--blocks", "--trials")
+def lemma_audit(cfg):
+    """Exact-arithmetic audit: block rationals near a ball lie on a hyperplane.
+    --trials is the number of balls per block."""
+    sys_ = _resolve_system(cfg)
+    with _refusal("blocks"):  # the enumeration refusals of a block
+        reports = audit_hyperplane_lemma(sys_.dim, _block_range(cfg), cfg.trials,
+                                         seed=cfg.seed)
+    bad_total = sum(rep.simplex_counterexamples for rep in reports)
+    _write_csv(cfg, "lemma_audit.csv",
+               ["d", "n", "balls", "max_rationals", "simplex_counterexamples"],
+               [astuple(rep) for rep in reports])
+    if bad_total:
+        raise ScientificFailure(
+            f"{bad_total} simplex counterexamples found; the volume obstruction "
+            "failed"
+        )
+
+
+@_subcommand("dim-report", "--ifs", "--taus", "--alpha", "--samples")
+def dim_report(cfg):
+    """Dimension bound vs box-count estimate of the layer approximant.
+    --samples is the batch size for approximant sampling."""
+    if not cfg.taus:
+        raise UsageFailure("config field 'taus' must be nonempty")
+    sys_ = _resolve_system(cfg)
+    a = _resolve_alpha(cfg, sys_)
+
+    def shortfall(tau, kept):
+        click.echo(
+            f"tau={tau}: only {kept} approximant points when the budget of "
+            f"{cfg.samples}-sample batches ran out, too few for box counting; "
+            "box_estimate left blank",
+            err=True,
+        )
+
+    with _refusal("taus"):  # a tau whose psi cannot be built
+        rows = dimension_report(sys_, a, cfg.taus, seed=cfg.seed, batch=cfg.samples,
+                                on_shortfall=shortfall)
+    d = sys_.dim
+    for tau, bound, _ in rows:
+        if bound is None:
+            click.echo(f"tau={tau} below the Dirichlet exponent {(d + 1) / d}; skipped",
+                       err=True)
+    _write_csv(cfg, "dim_report.csv", ["tau", "bound", "box_estimate"],
+               [row for row in rows if row[1] is not None])
+
+
+@_subcommand("sums", "--ifs", "--psi", "--kind", "--alpha", "--s-param")
+def sums(cfg):
+    """Classify the configured convergence sum; write condensed terms."""
+    sys_ = _resolve_system(cfg)
+    psi = _parse_psi(cfg, sys_.dim)
+    a = _resolve_alpha(cfg, sys_) if cfg.kind in ("measure_zero", "hausdorff") else None
+    hausdorff = cfg.kind == "hausdorff"
+    with _refusal():  # each names its field: 'kind', 's', ...
+        spec = SumSpec(cfg.kind, psi, sys_.dim, alpha=a,
+                       delta=sys_.delta if hausdorff else None,
+                       s=_s_value(cfg, sys_) if hausdorff else None)
+    verdict = classify_sum(spec)
+    rows = [
+        (n, term, ps)
+        for (n, term), (_, ps) in zip(verdict.condensed_terms, verdict.partial_sums)
+    ]
+    trailer = [
+        f"# converges={verdict.converges}",
+        f"# method={verdict.method}",
+        f"# criterion={verdict.criterion}",
+    ]
+    _write_csv(cfg, "sums.csv", ["n", "term", "partial_sum"], rows, trailer)
+
+
+@_subcommand("cover-cost", "--ifs", "--psi", "--blocks", "--s-param")
+def cover_cost_cmd(cfg):
+    """Block-cover cost tails of the well-approximable part."""
+    sys_ = _resolve_system(cfg)
+    psi = _parse_psi(cfg, sys_.dim)
+    s_val = _s_value(cfg, sys_)
+    if not s_val >= 0:
+        raise UsageFailure("config field 's' must be >= 0")
+    with _refusal("blocks"):  # the net, depth and enumeration refusals of a block
+        tail = hs_upper_bound(sys_, psi, s_val, _block_range(cfg), seed=cfg.seed)
+    tails = dict(tail.tails)
+    rows = [
+        (n, nd, nc, tails[n]) for (n, nd, nc, _cost) in tail.rows
+    ]
+    _write_csv(cfg, "cover_cost.csv",
+               ["n", "n_Dn", "n_C_total", "cost_tail"], rows,
+               [f"# s={s_val!r}"])
+
+
+@_subcommand("sample", "--ifs", "--samples")
+def sample(cfg):
+    """Draw natural-measure samples; sharded deterministically over workers."""
+    sys_ = _resolve_system(cfg)
+    pts = _sharded_samples(sys_, cfg.samples, cfg.seed, cfg.jobs)
+    cols = [f"x_{i}" for i in range(sys_.dim)]
+    rows = [tuple(float(v) for v in p) for p in pts]
+    _write_csv(cfg, "samples.csv", cols, rows)
+
+
+_SHARD = 10_000
+
+
+def _sample_chunk(args):
+    sys_, seed, idx, count = args
+    return sample_measure(sys_, count, np.random.SeedSequence([seed, idx]))
+
+
+def _sharded_samples(sys_, total: int, seed: int, jobs: int) -> np.ndarray:
+    """Fixed-size chunks with per-chunk derived seeds: the stream does not
+    depend on the worker count."""
+    payloads = [(sys_, seed, idx, min(_SHARD, total - start))
+                for idx, start in enumerate(range(0, total, _SHARD))]
+    return np.concatenate(_run_ordered(_sample_chunk, payloads, jobs))
+
+
+def _parse_psi(cfg: ExperimentConfig, d: int):
+    with _refusal("psi_spec", (ValueError, OSError)):
         return parse_psi_spec(cfg.psi_spec, d=d)
-    except (ValueError, OSError) as e:
-        raise UsageFailure(f"config field 'psi_spec': {e}")
 
 
 def main(argv=None) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Ball, Hyperplane, Slab
-from .ifs import _MORAN_TOL, _TOL_FLOOR, IFSystem, _draw_digits, _fold_digits, measure_many
+from .ifs import _TOL_FLOOR, IFSystem, _check_alpha, _draw_digits, _fold_digits, measure_many
 
 __all__ = [
     "CertificationError",
@@ -118,15 +118,6 @@ def _tail_inflated_max(values) -> float:
 def _tail_deflated_min(values) -> float:
     vals = sorted(values)
     return vals[0] / _tail_factor(vals)
-
-
-def _check_alpha(sys: IFSystem, alpha: float) -> None:
-    """Refuse a decay exponent outside (0, delta].  No alpha-decaying
-    delta-regular measure has alpha > delta: L^eps cap B(x, r) contains
-    B(x, eps) for a hyperplane L through x in K.  delta is a bisection root,
-    so the bound is widened by its bracket width _MORAN_TOL."""
-    if not 0 < alpha <= sys.delta + _MORAN_TOL:
-        raise ValueError(f"'alpha' must be in (0, delta] = (0, {sys.delta!r}]")
 
 
 def _run_ordered(worker, payloads: list, jobs: int) -> list:

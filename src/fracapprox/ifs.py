@@ -46,6 +46,15 @@ _TOL_FLOOR = 1e-9
 _MORAN_TOL = 1e-13
 
 
+def _check_alpha(sys: IFSystem, alpha: float) -> None:
+    """Refuse a decay exponent outside (0, delta].  No alpha-decaying
+    delta-regular measure has alpha > delta: L^eps cap B(x, r) contains
+    B(x, eps) for a hyperplane L through x in K.  delta is a bisection root,
+    so the bound is widened by its bracket width _MORAN_TOL."""
+    if not 0 < alpha <= sys.delta + _MORAN_TOL:
+        raise ValueError(f"'alpha' must be in (0, delta] = (0, {sys.delta!r}]")
+
+
 class OpenSetConditionError(ValueError):
     """The supplied open-set witness fails the OSC check."""
 

@@ -19,6 +19,7 @@ from fracapprox.analysis import (
     classify_sum,
     condensed_term_log,
     dimension_bound,
+    dimension_report,
     hs_upper_bound,
     layer_decay_experiment,
     predict_measure_zero,
@@ -489,3 +490,17 @@ def test_layer_decay_rows_and_envelope_bound(cantor):
         assert env > 0.0
         assert emp <= 10.0 * env
     assert res.predicted_slope == pytest.approx(-ALPHA_CANTOR * 0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [1000.0, 0.0], ids=["above-delta", "zero"])
+def test_layer_drivers_refuse_alpha_outside_zero_delta(cantor, monkeypatch, alpha):
+    # no alpha-decaying delta-regular measure has alpha > delta; the refusal
+    # comes before any sample is drawn
+    def no_samples(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(analysis, "sample_measure", no_samples)
+    with pytest.raises(ValueError, match="'alpha' must be in"):
+        layer_decay_experiment(cantor, PsiFunction.power(2.5), alpha, [1, 2], 100)
+    with pytest.raises(ValueError, match="'alpha' must be in"):
+        dimension_report(cantor, alpha, [3.0])

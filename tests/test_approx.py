@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from unittest import mock
 
 from fracapprox import approx
+from fracapprox.analysis import layer_decay_experiment
 from fracapprox.approx import (
     PsiFunction,
     _enumerate_windows,
@@ -343,6 +344,18 @@ def test_enumerate_windows_refuses_inexact_blocks_before_any_cell(n, edge, reaso
     with mock.patch.object(np, "arange", side_effect=AssertionError("cell computed")):
         with pytest.raises(ValueError, match=f"^block {n} refused: .*{reason}"):
             _enumerate_windows(n, lo, hi)
+
+
+@pytest.mark.parametrize("walk", [
+    lambda: layer_hit_mask(np.zeros((3, 1)), -1, PsiFunction.power(2.5)),
+    lambda: layer_decay_experiment(bundled_system("cantor"), PsiFunction.power(2.5),
+                                   0.5, [-1], 100),
+    lambda: enumerate_rationals(-1, Box([0.0], [1.0])),
+], ids=["layer_hit_mask", "layer_decay_experiment", "enumerate_rationals"])
+def test_negative_block_is_refused(walk):
+    # a block's denominators are 2^n..2^(n+1)-1, n >= 0: block -1 would test q = 0.5
+    with pytest.raises(ValueError, match=r"^block -1 refused: a block index must be >= 0$"):
+        walk()
 
 
 # ---------------------------------------------------------------------------

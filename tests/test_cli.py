@@ -258,6 +258,22 @@ def test_samples_above_the_cap_is_one_error_line(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "out").exists()
 
 
+def _readme_shell() -> str:
+    """The README's bash blocks, one after another."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return "\n".join(part.split("```", 1)[0] for part in readme.split("```bash\n")[1:])
+
+
+def _bench_commands() -> list:
+    """The argv of every command in bench/workloads.py, subcommand first."""
+    spec = importlib.util.spec_from_file_location("_bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [args for workload in workloads.WORKLOADS.values()
+            for _label, args, _files in workload["commands"]]
+
+
 def _documented_values() -> dict:
     """The --psi specs, --blocks ranges and --taus lists the README
     documents and the benchmark runs, by source: every --psi, --blocks and
@@ -265,13 +281,8 @@ def _documented_values() -> dict:
     powerlog or gpl spec and the psi_spec of its config example, and the
     --psi, --blocks and --taus values of bench/workloads.py's commands."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    shell = " ".join(part.split("```", 1)[0] for part in readme.split("```bash\n")[1:])
-    spec = importlib.util.spec_from_file_location("_bench_workloads",
-                                                  ROOT / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    argv = [arg for workload in workloads.WORKLOADS.values()
-            for _label, args, _files in workload["commands"] for arg in args]
+    shell = _readme_shell()
+    argv = [arg for args in _bench_commands() for arg in args]
     out = {source: {"--psi": [], "--blocks": [], "--taus": []}
            for source in ("README", "bench")}
     for flag, value in zip(argv, argv[1:]):
@@ -295,6 +306,29 @@ def test_documented_psi_specs_and_block_ranges_parse():
             assert 0 <= lo <= hi
         for text in flags["--taus"]:
             assert _parse_taus(text)
+
+
+def test_documented_commands_use_declared_flags():
+    # every subcommand the README or the benchmark runs exists and declares
+    # every flag given to it; the global flags come before it, each with a value
+    from fracapprox.cli import cli
+
+    commands = [line.split()[1:] for line in _readme_shell().splitlines()
+                if line.startswith("fracapprox ")] + _bench_commands()
+    global_flags = {opt for param in cli.params for opt in param.opts}
+    seen = set()
+    for argv in commands:
+        i = 0
+        while argv[i] in global_flags:
+            i += 2
+        name, rest = argv[i], argv[i + 1:]
+        if name == "<subcommand>":
+            continue
+        assert name in cli.commands, argv
+        declared = {opt for param in cli.commands[name].params for opt in param.opts}
+        assert {a for a in rest if a.startswith("-")} <= declared, argv
+        seen.add(name)
+    assert seen == set(cli.commands)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +385,15 @@ def test_decay_experiment_output(tmp_path):
     rows = [l for l in text.splitlines()
             if l and not l.startswith("#") and not l.startswith("n,")]
     assert len(rows) == 4
+
+
+def test_one_block_decay_has_no_slopes(tmp_path):
+    # a least-squares line through a single block's point has no slope
+    out = tmp_path / "run"
+    assert run(["--out", out, "decay", "--ifs", "cantor", "--blocks", "3:3",
+                "--samples", 1000]) == 0
+    lines = (out / "decay_experiment.csv").read_text().splitlines()
+    assert lines[-3:-1] == ["# empirical_slope=nan", "# predicted_slope=nan"]
 
 
 def test_lemma_audit_zero_counterexamples(tmp_path):
