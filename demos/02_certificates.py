@@ -10,7 +10,6 @@ import math
 from fracapprox.diagnostics import (
     certificate_table,
     certify_all,
-    certify_decay,
     decay_alpha_from_regularity,
 )
 from fracapprox.ifs import bundled_system
@@ -41,5 +40,6 @@ gasket = bundled_system("gasket")
 a2 = decay_alpha_from_regularity(gasket.delta, 2)
 print(f"\ngasket delta = {gasket.delta:.6f} -> implied decay exponent "
       f"alpha = {a2:.6f}")
-gd = certify_decay(gasket, a2, trials=150, seed=1)
+_, gd, gr = certify_all(gasket, a2, trials=150, seed=1)
+print(f"gasket regularity: {gr.a:.4f} <= mu(B)/r^delta <= {gr.b:.4f}")
 print(f"gasket decay constant C = {gd.C:.4f}")

@@ -1,8 +1,8 @@
 """Rationals in dyadic denominator blocks and the volume obstruction.
 
-Enumerates block rationals, scans approximability (Dirichlet floor, a badly
-approximable point), and audits the rationals-on-a-hyperplane lemma with
-exact arithmetic.
+Tests approximability block by block with the layer hit test (Dirichlet
+floor, a badly approximable point), and audits the rationals-on-a-hyperplane
+lemma with exact arithmetic.
 """
 
 import math
@@ -10,27 +10,22 @@ import math
 import numpy as np
 
 from fracapprox.analysis import audit_hyperplane_lemma
-from fracapprox.approx import PsiFunction, enumerate_rationals, is_psi_approximable
-from fracapprox.geometry import Box
+from fracapprox.approx import PsiFunction, layer_hit_mask
 
-# block rationals, de-duplicated by value
-for n in (0, 1, 2):
-    pts = enumerate_rationals(n, Box([0.0], [1.0]))
-    vals = sorted(float(p.fractions()[0]) for p in pts)
-    print(f"block {n} (q in [{2**n},{2**(n+1)})): {len(vals)} values")
-
-# every point obeys the Dirichlet floor at the critical exponent
+# the block-n layer: the balls B(p/q, psi(q)) over 2^n <= q < 2^(n+1).
+# Every point obeys the Dirichlet floor at the critical exponent, so blocks
+# 0-9 (q < 1024) hold each point in some layer
 psi_crit = PsiFunction.power(2.0)
-rng = np.random.default_rng(0)
-hits = [is_psi_approximable([x], psi_crit, 1000)[0] for x in rng.random(20)]
-print(f"\nDirichlet floor, psi(q)=q^-2, q<=1000: min hits over 20 random "
-      f"points = {min(hits)}")
+pts = np.random.default_rng(0).random((20, 1))
+hits = sum(layer_hit_mask(pts, n, psi_crit).astype(int) for n in range(10))
+print(f"Dirichlet floor, psi(q)=q^-2, blocks 0-9: min layers hit over 20 random "
+      f"points = {hits.min()}")
 
 # the golden ratio resists a steeper psi
-x = (math.sqrt(5) - 1) / 2
-count, wits = is_psi_approximable([x], PsiFunction.power(3.0), 10_000)
-print(f"golden ratio, psi(q)=q^-3, q<=10^4: {count} hits, "
-      f"witness denominators {[w.denominator for w in wits]}")
+x = np.array([[(math.sqrt(5) - 1) / 2]])
+held = [n for n in range(14) if layer_hit_mask(x, n, PsiFunction.power(3.0))[0]]
+print(f"golden ratio, psi(q)=q^-3, blocks 0-13 (q < 16384): in the layers of "
+      f"blocks {held}")
 
 # the simplex/determinant obstruction: all block rationals near a block ball
 # lie on one hyperplane, decided exactly; no counterexample exists

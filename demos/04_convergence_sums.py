@@ -1,15 +1,15 @@
 """Convergence sums and what they predict.
 
 Classifies the three sum families in closed form, cross-checks with the
-dyadic condensation heuristic on a tabulated psi, and turns convergent
-convergent sums into measure-zero predictions.
+dyadic condensation heuristic on a tabulated psi, and turns convergent sums
+into measure-zero predictions.
 """
 
 import math
 
 import numpy as np
 
-from fracapprox.analysis import SumSpec, classify_sum, predict_measure_zero
+from fracapprox.analysis import SumSpec, classify_sum
 from fracapprox.approx import PsiFunction
 
 alpha = math.log(2) / math.log(3)
@@ -38,7 +38,10 @@ vt = classify_sum(SumSpec("measure_zero", table, 1, alpha=alpha))
 print(f"\ntabulated tau=2.5 -> {vt.converges} ({vt.method})")
 print(f"  {vt.criterion}")
 
-# measure-zero predictions are trivalent and convergence-gated
+# a convergent measure_zero sum gives mu(W(psi) cap K) = 0; a divergent one
+# supports no conclusion either way
 for tau in (2.0, 2.5):
     spec = SumSpec("measure_zero", PsiFunction.power(tau), 1, alpha=alpha)
-    print(f"prediction for tau={tau}: {predict_measure_zero(spec)}")
+    converges = classify_sum(spec).converges == "yes"
+    print(f"prediction for tau={tau}: "
+          f"{'mu(W(psi) cap K) = 0' if converges else 'no conclusion'}")

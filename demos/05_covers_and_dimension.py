@@ -9,7 +9,6 @@ import math
 
 from fracapprox.analysis import (
     box_dimension,
-    build_dn_cover,
     dimension_bound,
     dimension_report,
     hs_upper_bound,
@@ -20,14 +19,14 @@ from fracapprox.ifs import bundled_system, sample_measure
 cantor = bundled_system("cantor")
 alpha = math.log(2) / math.log(3)
 
+# the cover-cost pass builds each block's cover D_n, and its rows report #D_n
+tail = hs_upper_bound(cantor, PsiFunction.power(3.0), cantor.delta, range(1, 7), seed=0)
 print("block covers (disjoint balls of radius r_n, centers on the attractor):")
-for n in range(1, 7):
-    dn = build_dn_cover(cantor, n)
-    quantity = len(dn) * 2.0 ** (-2 * (n + 1) * cantor.delta)
-    print(f"  n={n}: #D_n={len(dn):5d}   #D_n * 2^(-2(n+1)delta) = {quantity:.3f}")
+for n, n_dn, _, _ in tail.rows:
+    quantity = n_dn * 2.0 ** (-2 * (n + 1) * cantor.delta)
+    print(f"  n={n}: #D_n={n_dn:5d}   #D_n * 2^(-2(n+1)delta) = {quantity:.3f}")
 
 print("\ncover-cost tails at s = delta, psi(q) = q^-3 (convergent regime):")
-tail = hs_upper_bound(cantor, PsiFunction.power(3.0), cantor.delta, range(2, 7), seed=0)
 for (n, n_dn, n_c, _), (k, t) in zip(tail.rows, tail.tails):
     print(f"  n={n}: #D_n={n_dn:5d}  #C_total={n_c:4d}   tail from {k}: {t:.4f}")
 

@@ -17,7 +17,6 @@ import numpy as np
 from .approx import (PsiFunction, _check_denominators, _check_windows, _enumerate_windows,
                      layer_hit_mask)
 from .geometry import (
-    Ball,
     DyadicScale,
     _greedy_segments,
     _outside_six_dilate,
@@ -30,11 +29,9 @@ __all__ = [
     "SumSpec",
     "SumVerdict",
     "classify_sum",
-    "predict_measure_zero",
     "dimension_bound",
     "sum_term_log",
     "condensed_term_log",
-    "build_dn_cover",
     "hs_upper_bound",
     "HsTail",
     "box_dimension",
@@ -213,20 +210,6 @@ def classify_sum(spec: SumSpec) -> SumVerdict:
                       condensed, partials)
 
 
-def predict_measure_zero(spec: SumSpec, decay_certificate=None) -> str:
-    """"mu_null" when the measure_zero-kind sum converges, "no_conclusion"
-    otherwise (a divergent sum supports no conclusion either way).
-
-    The prediction is only meaningful for a measure certified doubling and
-    absolutely alpha-decaying; pass the DecayCertificate to source alpha.
-    """
-    if spec.kind != "measure_zero":
-        raise ValueError("measure-zero prediction expects a measure_zero-kind sum")
-    if decay_certificate is not None and abs(decay_certificate.alpha - spec.alpha) > 1e-9:
-        raise ValueError("certificate alpha does not match the sum spec")
-    return "mu_null" if classify_sum(spec).converges == "yes" else "no_conclusion"
-
-
 def dimension_bound(delta: float, alpha: float, d: int, lambda_or_tau: float) -> float:
     """Upper bound delta - alpha (1 - (d+1) / (lambda d)) for the dimension of
     the well-approximable part; requires lambda >= (d+1)/d."""
@@ -249,21 +232,14 @@ _AUDIT_BOX_SIDE = 1.0  # the audit draws its ball centres uniformly from [0, sid
 _POOL_SIZE = 20_000  # natural-measure samples hs_upper_bound draws per block
 
 
-def build_dn_cover(sys: IFSystem, n: int) -> list:
-    """Disjoint balls of block radius r_n with centres in K whose 3-dilates
-    cover the attractor.
+def _dn_centres(sys: IFSystem, n: int) -> np.ndarray:
+    """The centres, as rows, of disjoint balls of block radius r_n in K
+    whose 3-dilates cover the attractor.
 
     A cylinder net is refined until each cylinder has diameter <= r_n, so the
     cylinder anchor images form an r_n-net of K; the greedy cover then selects
     a 2 r_n-separated subset.  Every point of K is within r_n of a candidate
-    and within 3 r_n of a selected centre.
-    """
-    r_n = DyadicScale(n, sys.dim).r_n
-    return [Ball(c, r_n) for c in _dn_centres(sys, n)]
-
-
-def _dn_centres(sys: IFSystem, n: int) -> np.ndarray:
-    """build_dn_cover's centres, as rows.  Refuses a block whose r_n
+    and within 3 r_n of a selected centre.  Refuses a block whose r_n
     underflows to 0, and one whose cylinder net, k^depth anchors, exceeds
     _NET_BUDGET (compared in log space, as k^depth can overflow a float)."""
     r_n = DyadicScale(n, sys.dim).r_n

@@ -15,14 +15,11 @@ from itertools import product
 
 import numpy as np
 
-from .geometry import Box, RationalPoint, _first_of_each_value, _reach
+from .geometry import _first_of_each_value, _reach
 
 __all__ = [
     "PsiFunction",
     "parse_psi_spec",
-    "lower_order",
-    "enumerate_rationals",
-    "is_psi_approximable",
     "layer_hit_mask",
     "smallness_onset",
 ]
@@ -177,42 +174,9 @@ def parse_psi_spec(spec: str, d: int = 1) -> PsiFunction:
     return make(*(kv[key] for key in keys), d=d)
 
 
-def lower_order(psi: PsiFunction) -> float:
-    """liminf of -log psi(r) / log r as r grows.
-
-    tau for the symbolic families; for tables, the minimum of the pointwise
-    estimate over the last decade of the sampled range.
-    """
-    if psi.family != "table":
-        return psi.tau
-    if psi.table_r.size < 10:
-        raise ValueError("table needs >= 10 points to estimate the lower order")
-    tail = psi.table_r >= psi.table_r[-1] / 10.0
-    r = psi.table_r[tail]
-    v = psi.table_v[tail]
-    usable = r > 1.0
-    if not usable.any():
-        raise ValueError("table tail must contain radii > 1")
-    est = -np.log(v[usable]) / np.log(r[usable])
-    return max(float(est.min()), 0.0)
-
-
 # ---------------------------------------------------------------------------
 # rational enumeration
 # ---------------------------------------------------------------------------
-
-
-def enumerate_rationals(n: int, window: Box) -> list:
-    """All rational points p/q with 2^n <= q < 2^(n+1) inside the closed window.
-
-    Representations are not reduced, but coincident values within a block are
-    reported once (the representative with the smallest denominator).  Refuses
-    windows whose estimated candidate count exceeds 10^8, and the blocks that
-    _enumerate_windows refuses.  Points come in ascending q, and for each q in
-    the product order of the numerators.
-    """
-    nums, qs, _ = _enumerate_windows(n, window.lo[None], window.hi[None])
-    return [RationalPoint(p, q) for p, q in zip(nums.tolist(), qs.tolist())]
 
 
 def _check_denominators(n: int) -> None:
@@ -242,11 +206,14 @@ def _check_windows(n: int, lo: np.ndarray, hi: np.ndarray) -> None:
 
 
 def _enumerate_windows(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple:
-    """enumerate_rationals for the windows [lo[k], hi[k]] (rows of shape (K, d))
-    of one block, as int64 numerators (M, d), denominators (M,) and windows
-    k (M,), window by window, after the refusals of _check_windows.  Below
-    them no rational of a window is missed and none returned lies beyond
-    2 slop / q outside it."""
+    """All rational points p/q with 2^n <= q < 2^(n+1) inside the closed
+    windows [lo[k], hi[k]] (rows of shape (K, d)) of one block, as int64
+    numerators (M, d), denominators (M,) and windows k (M,), window by
+    window, after the refusals of _check_windows.  Within a window, points
+    come in ascending q, and for each q in the product order of the
+    numerators; coincident values are reported once, with the smallest
+    denominator.  Below the refusals no rational of a window is missed and
+    none returned lies beyond 2 slop / q outside it."""
     _check_windows(n, lo, hi)
     d = lo.shape[1]
     boxes = []
@@ -270,35 +237,6 @@ def _enumerate_windows(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple:
     # keep each value's first point, the one with the smallest denominator
     first = _first_of_each_value(nums, qs, owner)
     return nums[first], qs[first], owner[first]
-
-
-# ---------------------------------------------------------------------------
-# approximability scans
-# ---------------------------------------------------------------------------
-
-
-def is_psi_approximable(x, psi: PsiFunction, q_max: int) -> tuple:
-    """Scan q = 1..q_max for sup-norm approximations |x - p/q| <= psi(q).
-
-    The best candidate for each q is the per-coordinate rounding p_i =
-    round(x_i q) (it minimizes the sup-norm), so the scan is exact.  Returns
-    (hit_count, witnesses) where witnesses holds one nearest RationalPoint per
-    successful q.
-    """
-    if q_max < 1:
-        raise ValueError("q_max must be >= 1")
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    qs = np.arange(1, q_max + 1, dtype=float)
-    prods = xv[None, :] * qs[:, None]
-    ps = np.rint(prods)
-    sup_err = np.max(np.abs(prods - ps), axis=1) / qs
-    bound = psi(qs)
-    hits = sup_err <= bound
-    witnesses = [
-        RationalPoint(tuple(int(v) for v in ps[j]), int(qs[j]))
-        for j in np.nonzero(hits)[0]
-    ]
-    return int(hits.sum()), witnesses
 
 
 def layer_hit_mask(points: np.ndarray, n: int, psi: PsiFunction) -> np.ndarray:

@@ -24,9 +24,6 @@ __all__ = [
     "DoublingCertificate",
     "DecayCertificate",
     "RegularityCertificate",
-    "certify_doubling",
-    "certify_decay",
-    "certify_regularity",
     "certify_all",
     "decay_alpha_from_regularity",
     "default_r0",
@@ -331,44 +328,6 @@ def _certify(kinds: tuple, sys: IFSystem, trials: int, r0: float | None, seed: i
     return tuple(kind._fit(kept, common, sys, alpha) for kind, kept in zip(kinds, rows))
 
 
-def certify_doubling(
-    sys: IFSystem, trials: int, r0: float | None = None, seed: int = 0, jobs: int = 1
-) -> DoublingCertificate:
-    """Fit the doubling constant on random balls centred at measure samples.
-
-    Radii are log-uniform in [r0/100, r0); each ratio is inflated by the
-    interval widths of both masses, so D upper-bounds every ratio compatible
-    with the evidence.  Trials whose small-ball mass cannot be bounded away
-    from zero are discarded; more than 20% discards aborts certification.
-    """
-    return _certify((DoublingCertificate,), sys, trials, r0, seed, jobs)[0]
-
-
-def certify_decay(
-    sys: IFSystem,
-    alpha: float,
-    trials: int,
-    r0: float | None = None,
-    seed: int = 0,
-    jobs: int = 1,
-) -> DecayCertificate:
-    """Fit the absolute decay constant for the given exponent alpha.
-
-    Slabs are anchored at the ball centre (a measure sample, stressing planes
-    through mass) with a uniformly random unit normal, and half-widths
-    log-uniform in [r/10^4, r/4].  The concentric-ball ratio of each trial is
-    recorded against the corollary constant C 2^alpha.
-    """
-    return _certify((DecayCertificate,), sys, trials, r0, seed, jobs, alpha)[0]
-
-
-def certify_regularity(
-    sys: IFSystem, trials: int, r0: float | None = None, seed: int = 0, jobs: int = 1
-) -> RegularityCertificate:
-    """Fit the two-sided envelope of mu(B(x,r)) / r^delta on random balls."""
-    return _certify((RegularityCertificate,), sys, trials, r0, seed, jobs)[0]
-
-
 def certify_all(
     sys: IFSystem,
     alpha: float,
@@ -379,10 +338,14 @@ def certify_all(
 ) -> tuple:
     """(doubling, decay, regularity) certificates from one pass of trials.
 
-    Each certificate equals the one its own function fits with the same
-    arguments: the three share every trial's centre, radius and ball mass,
-    and discard the same trials.  The checks run in the same order (the
-    discard rule, then decay's concentric-ball corollary).
+    Each trial's ball is centred at a measure sample, with radius
+    log-uniform in [r0/100, r0); every ratio is inflated by the interval
+    widths of its masses, so each constant bounds every ratio compatible
+    with the evidence.  A trial whose ball mass cannot be bounded away from
+    zero is discarded; more than 20% discards aborts certification.  Decay
+    slabs are anchored at the ball centre (stressing planes through mass)
+    with a uniformly random unit normal and half-widths log-uniform in
+    [r/10^4, r/4].
     """
     return _certify((DoublingCertificate, DecayCertificate, RegularityCertificate),
                     sys, trials, r0, seed, jobs, alpha)

@@ -2,9 +2,9 @@
 dyadic scales, and the common-radius greedy covering construction.
 
 Everything here is immutable after construction and safe to use from
-concurrent workers.  Exact decisions (simplex volume, affine rank) are made
-over the rationals with arbitrary-precision integers; floating point is used
-only where a tolerance is part of the contract.
+concurrent workers.  Affine ranks are decided exactly, over the rationals
+with arbitrary-precision integers; floating point is used only where a
+tolerance is part of the contract.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ __all__ = [
     "Simplex",
     "DyadicScale",
     "unit_ball_volume",
-    "simplex_volume_times_dfact",
-    "affine_rank",
     "hyperplane_through",
 ]
 
@@ -356,51 +354,27 @@ def _segment_ends(seg: np.ndarray, x: np.ndarray, bound: np.ndarray) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _eliminate(rows: list) -> tuple:
-    """Bareiss fraction-free elimination of an integer matrix (a list of rows
-    of Python ints), with row swaps: (rank, signed last pivot).  For a square
-    matrix of full rank the signed last pivot is the determinant.
+def _eliminate(rows: list) -> int:
+    """The rank of an integer matrix (a list of rows of Python ints), by
+    Bareiss fraction-free elimination with row swaps.
 
     A point p/q enters as the homogeneous row (q, p_1, ..., p_d); points are
-    affinely independent iff their rows are linearly independent.
+    affinely independent iff their rows are linearly independent, and their
+    affine rank is the rank less one.
     """
     m = [list(row) for row in rows]
-    rank, sign, prev = 0, 1, 1
+    rank, prev = 0, 1
     for col in range(len(m[0]) if m else 0):
         pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
         if pivot is None:
             continue
-        if pivot != rank:
-            m[rank], m[pivot] = m[pivot], m[rank]
-            sign = -sign
+        m[rank], m[pivot] = m[pivot], m[rank]
         top = m[rank]
         for i in range(rank + 1, len(m)):
             m[i] = [(x * top[col] - m[i][col] * y) // prev for x, y in zip(m[i], top)]
         prev = top[col]
         rank += 1
-    return rank, sign * prev
-
-
-def simplex_volume_times_dfact(s: Simplex) -> Fraction:
-    """Exact d! * volume of a rational simplex.
-
-    Equals |det| of the (d+1)x(d+1) matrix with rows (1, p_i/q_i): the
-    determinant of the homogeneous rows (q_i, p_i), divided by the product
-    of the q_i.  Zero iff the vertices are affinely dependent.
-    """
-    rank, pivot = _eliminate([[v.denominator, *v.numerators] for v in s.vertices])
-    return Fraction(abs(pivot) if rank == len(s.vertices) else 0,
-                    math.prod(v.denominator for v in s.vertices))
-
-
-def affine_rank(points: list) -> int:
-    """Exact affine rank of a set of RationalPoints (0 for a single point):
-    the rank of their homogeneous rows, less one.  The points all lie on a
-    hyperplane of R^d iff the affine rank is <= d - 1.
-    """
-    if not points:
-        raise ValueError("affine_rank needs at least one point")
-    return _eliminate([[p.denominator, *p.numerators] for p in points])[0] - 1
+    return rank
 
 
 def _independent_subset(rows: list, size: int) -> list:
@@ -408,7 +382,7 @@ def _independent_subset(rows: list, size: int) -> list:
     kept iff it raises the rank of the rows kept before it."""
     keep = []
     for i, row in enumerate(rows):
-        if len(keep) < size and _eliminate([rows[j] for j in keep] + [row])[0] > len(keep):
+        if len(keep) < size and _eliminate([rows[j] for j in keep] + [row]) > len(keep):
             keep.append(i)
     return keep
 
@@ -498,7 +472,7 @@ def _witness_block(nums: np.ndarray, qs: np.ndarray, owner: np.ndarray,
     for rows in np.split(many, np.flatnonzero(np.diff(owner[many])) + 1) if many.size else []:
         k = int(owner[rows[0]])
         hom = np.column_stack((qs[rows], nums[rows])).tolist()
-        if _eliminate(hom)[0] <= d:  # affine rank <= d - 1
+        if _eliminate(hom) <= d:  # affine rank <= d - 1
             plane = hyperplane_through(values[rows])
             normals[k], offsets[k] = plane.normal, plane.offset
         else:

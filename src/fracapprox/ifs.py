@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .geometry import Ball, Box, Slab, _each
+from .geometry import Ball, Box, _each
 
 __all__ = [
     "SimilarityMap",
@@ -29,12 +29,9 @@ __all__ = [
     "IrreducibilityWarning",
     "similarity_dimension",
     "measure_many",
-    "measure_of_ball",
-    "measure_of_slab_in_ball",
     "sample_measure",
     "bundled_system",
     "load_system",
-    "dump_system",
     "BUNDLED_SYSTEMS",
 ]
 
@@ -511,7 +508,7 @@ def measure_many(sys: IFSystem, queries, tols) -> list:
     one its query gets alone, of width <= its tol when converged.
     """
     tols = np.asarray(tols, dtype=float)
-    if np.any(tols < _TOL_FLOOR):
+    if not np.all(tols >= _TOL_FLOOR):  # also refuses NaN
         raise ValueError(
             "tolerance below the float certification floor 1e-9"
         )
@@ -589,16 +586,6 @@ def measure_many(sys: IFSystem, queries, tols) -> list:
             return results
         cyl.expand(expandable & live[q])
         depth += 1
-
-
-def measure_of_ball(sys: IFSystem, b: Ball, tol: float) -> MassInterval:
-    """Interval enclosing mu(b intersect K), of width <= tol when converged."""
-    return measure_many(sys, [b], [tol])[0]
-
-
-def measure_of_slab_in_ball(sys: IFSystem, b: Ball, s: Slab, tol: float) -> MassInterval:
-    """Interval enclosing mu(b intersect slab intersect K)."""
-    return measure_many(sys, [(b, s)], [tol])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -736,17 +723,6 @@ def bundled_system(name: str) -> IFSystem:
     return _system_from_payload(payload)
 
 
-def _open_set_to_json(open_set) -> dict:
-    if isinstance(open_set, Box):
-        return {"type": "box", "min": open_set.lo.tolist(), "max": open_set.hi.tolist()}
-    if isinstance(open_set, Ball):
-        return {"type": "ball", "center": open_set.center.tolist(),
-                "radius": open_set.radius}
-    if isinstance(open_set, ConvexPolygon):
-        return {"type": "polygon", "vertices": open_set.vertices.tolist()}
-    raise ValueError(f"cannot serialize open set {type(open_set)!r}")
-
-
 def _open_set_from_json(obj: dict):
     kind = obj.get("type", "box")
     if kind == "box":
@@ -756,26 +732,6 @@ def _open_set_from_json(obj: dict):
     if kind == "polygon":
         return ConvexPolygon(np.asarray(obj["vertices"], dtype=float))
     raise ValueError(f"unknown open set type {kind!r}")
-
-
-def dump_system(sys: IFSystem, path) -> None:
-    """Write the definition file: dimension, per-map ratio / rotation
-    (row-major) / translation, and the open set witness."""
-    payload = {
-        "dimension": sys.dim,
-        "maps": [
-            {
-                "ratio": m.ratio,
-                "rotation": [float(x) for x in m.rotation.reshape(-1)],
-                "translation": m.translation.tolist(),
-            }
-            for m in sys.maps
-        ],
-        "open_set": _open_set_to_json(sys.open_set),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
 
 def load_system(path) -> IFSystem:

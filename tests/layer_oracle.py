@@ -3,8 +3,9 @@
 These are the slow paths that `fracapprox.approx.layer_hit_mask` must agree
 with bit for bit: `layer_membership` tests one point by walking every q of
 the block, and `reference_hit_mask` is the per-q loop over all points that
-served every dimension before the d = 1 sweep.  Tests import them as the
-oracle; nothing in the package uses them.
+served every dimension before the d = 1 sweep.  `sup_norm_scan` is the
+sup-norm q-scan the layers decompose.  Tests import them as the oracle;
+nothing in the package uses them.
 """
 
 from __future__ import annotations
@@ -114,3 +115,16 @@ def reference_hit_mask(points: np.ndarray, n: int, psi: PsiFunction, d: int) -> 
             found |= np.einsum("ij,ij->i", diff, diff) <= r2
         hits[todo] = found
     return hits
+
+
+def sup_norm_scan(x, psi, q_max: int) -> np.ndarray:
+    """The q = 1..q_max with a sup-norm approximation |x - p/q| <= psi(q).
+
+    The per-coordinate rounding p_i = rint(x_i q) minimizes the sup norm, so
+    the scan is exact.
+    """
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    qs = np.arange(1, q_max + 1, dtype=float)
+    prods = xv[None, :] * qs[:, None]
+    sup_err = np.max(np.abs(prods - np.rint(prods)), axis=1) / qs
+    return qs[sup_err <= psi(qs)].astype(np.int64)

@@ -1,8 +1,7 @@
 """Reference implementation of the psi family dispatch.
 
-This is the per-family code that `PsiFunction`, `lower_order`,
-`analysis.sum_term_log` and `analysis.classify_sum` must agree with bit for
-bit: each of them branches on the family and computes power_log's tau
+This is the per-family code that `PsiFunction`, `analysis.sum_term_log` and
+`analysis.classify_sum` must agree with bit for bit: each of them branches on the family and computes power_log's tau
 (d+1)/d itself, and the closed-form verdict walks a five-branch chain over
 the exponent pair (A, B) of the summand r^A (log r)^B.  Tests import it as
 the oracle; nothing in the package uses it.
@@ -27,14 +26,6 @@ def psi_value(psi, r):
             rr ** (-tau) * np.log(np.maximum(rr, 1.0 + 1e-300)) ** (-psi.beta),
             np.inf,
         )
-
-
-def lower_order(psi) -> float:
-    if psi.family == "power":
-        return psi.tau
-    if psi.family == "power_log":
-        return (psi.d + 1) / psi.d
-    return psi.tau
 
 
 def sum_term_log(spec: SumSpec, r) -> np.ndarray:

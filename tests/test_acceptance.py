@@ -16,8 +16,8 @@ import numpy as np
 
 from fracapprox.analysis import (
     SumSpec,
+    _dn_centres,
     audit_hyperplane_lemma,
-    build_dn_cover,
     classify_sum,
     dimension_bound,
     dimension_report,
@@ -26,7 +26,7 @@ from fracapprox.analysis import (
 )
 from fracapprox.approx import PsiFunction
 from fracapprox.geometry import Ball, _greedy_segments
-from fracapprox.ifs import measure_of_ball, sample_measure, similarity_dimension
+from fracapprox.ifs import measure_many, sample_measure, similarity_dimension
 
 ALPHA = math.log(2.0) / math.log(3.0)
 
@@ -122,7 +122,7 @@ def test_criterion_4_measure_oracle(cantor):
     inside = 0
     for c in centers:
         r = math.exp(rng.uniform(math.log(0.01), math.log(0.3)))
-        iv = measure_of_ball(cantor, Ball([c], r), tol)
+        iv = measure_many(cantor, [Ball([c], r)], [tol])[0]
         if not (iv.converged and iv.width <= tol):
             width_ok = False
         emp = float((np.abs(pool - c) <= r).mean())
@@ -233,7 +233,7 @@ def test_criterion_6_layer_mass_decay(cantor):
 def test_criterion_7_cardinality_envelopes(cantor):
     d_quant = []
     for n in range(1, 7):
-        dn = build_dn_cover(cantor, n)
+        dn = _dn_centres(cantor, n)
         d_quant.append(len(dn) * 2.0 ** (-2.0 * (n + 1) * cantor.delta))
     d_ratio = max(d_quant) / min(d_quant)
 

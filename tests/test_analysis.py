@@ -15,17 +15,15 @@ from fracapprox.analysis import (
     _dn_centres,
     audit_hyperplane_lemma,
     box_dimension,
-    build_dn_cover,
     classify_sum,
     condensed_term_log,
     dimension_bound,
     dimension_report,
     hs_upper_bound,
     layer_decay_experiment,
-    predict_measure_zero,
     sum_term_log,
 )
-from fracapprox.approx import PsiFunction, lower_order
+from fracapprox.approx import PsiFunction
 from fracapprox.geometry import Ball, DyadicScale
 from fracapprox.ifs import sample_measure
 
@@ -136,7 +134,6 @@ def test_symbolic_psi_rules_match_family_dispatch_oracle(case):
     # one stored (tau, beta) pair gives the bits of the per-family branches
     psi, specs, r = case
     assert _exactly(psi(r)) == _exactly(psi_oracle.psi_value(psi, r))
-    assert lower_order(psi) == psi_oracle.lower_order(psi)
     above = r[r > 1.0]  # the sums' domain, where the log families are finite
     for spec in specs:
         assert _exactly(sum_term_log(spec, above)) == _exactly(
@@ -182,14 +179,12 @@ def test_short_table_is_undetermined():
 def test_predictions_are_trivalent():
     conv = SumSpec("measure_zero", PsiFunction.power(2.5), 1, alpha=ALPHA_CANTOR)
     bound = SumSpec("measure_zero", PsiFunction.power(2.0), 1, alpha=ALPHA_CANTOR)
-    assert predict_measure_zero(conv) == "mu_null"
-    assert predict_measure_zero(bound) == "no_conclusion"
+    assert classify_sum(conv).converges == "yes"  # mu(W(psi) cap K) = 0
+    assert classify_sum(bound).converges == "no"  # no conclusion either way
     r = np.geomspace(2.0, 50.0, 20)
     tab = PsiFunction.from_table(list(zip(r, r**-3.0)))
     und = SumSpec("measure_zero", tab, 1, alpha=0.5)
-    assert predict_measure_zero(und) == "no_conclusion"
-    with pytest.raises(ValueError):
-        predict_measure_zero(SumSpec("lebesgue", PsiFunction.power(2.5), 1))
+    assert classify_sum(und).converges == "undetermined"
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +218,9 @@ def test_dimension_bound_decreasing_in_lambda():
 
 
 def test_dn_cover_block1_size_and_coverage(cantor):
-    dn = build_dn_cover(cantor, 1)
+    centers = _dn_centres(cantor, 1)
     scale = DyadicScale(1, 1)
-    assert len(dn) <= math.ceil(1.0 / (2.0 * scale.r_n))
-    centers = np.array([b.center for b in dn])
+    assert len(centers) <= math.ceil(1.0 / (2.0 * scale.r_n))
     gaps = np.abs(centers[:, None, 0] - centers[None, :, 0])
     np.fill_diagonal(gaps, np.inf)
     assert gaps.min() > 2 * scale.r_n
@@ -239,7 +233,7 @@ def test_dn_cover_cardinality_envelope(cantor):
     # #D_n 2^(-(d+1)(n+1) delta / d) stays within a small constant band
     vals = []
     for n in range(1, 7):
-        dn = build_dn_cover(cantor, n)
+        dn = _dn_centres(cantor, n)
         vals.append(len(dn) * 2.0 ** (-2 * (n + 1) * cantor.delta))
     assert max(vals) / min(vals) <= 10.0
 
@@ -248,7 +242,7 @@ def test_dn_cover_refuses_infeasible_block(cantor):
     # the net budget alone refuses every block from 14 on, deep ones included
     for n, depth in ((14, 22), (60, 80)):
         with pytest.raises(ValueError) as refused:
-            build_dn_cover(cantor, n)
+            _dn_centres(cantor, n)
         assert str(refused.value) == (f"block {n} refused: its cylinder net of 2^{depth} "
                                       "candidates exceeds the budget of 4000000")
 
@@ -361,15 +355,15 @@ def test_block_cover_balls_match_full_scan(name, request):
     n, d = 2, sys_.dim
     psi = PsiFunction.power(8.0, d=d)  # psi(2^n) < r_n: many balls per D_n
     r_n = DyadicScale(n, d).r_n
-    dn_balls = build_dn_cover(sys_, n)
+    dn = _dn_centres(sys_, n)
     want, _ = reference_greedy_cover([Ball(c, r_n) for c in _cylinder_net(sys_, r_n)])
-    assert [tuple(b.center) for b in dn_balls] == [tuple(b.center) for b in want]
+    assert [tuple(c) for c in dn] == [tuple(b.center) for b in want]
     pool = sample_measure(sys_, 5000, seed=4)
     r = psi(2.0**n)
     rng = np.random.default_rng(5)
     # the first 20 D_n, each with a random slab of half-width r_n through its
     # centre, all in one call
-    centres = np.array([b.center for b in dn_balls[:20]])
+    centres = dn[:20]
     normals = rng.normal(size=(20, d))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     offsets = np.array([float(u @ c) for u, c in zip(normals, centres)])

@@ -15,17 +15,14 @@ from fracapprox.analysis import layer_decay_experiment
 from fracapprox.approx import (
     PsiFunction,
     _enumerate_windows,
-    enumerate_rationals,
-    is_psi_approximable,
     layer_hit_mask,
-    lower_order,
     parse_psi_spec,
     smallness_onset,
 )
 from fracapprox.geometry import Box
 from fracapprox.ifs import bundled_system, sample_measure
 from cover_oracle import enumerate_rationals as reference_enumerate
-from layer_oracle import ApproxLayer, layer_membership, reference_hit_mask
+from layer_oracle import ApproxLayer, layer_membership, reference_hit_mask, sup_norm_scan
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +50,7 @@ def test_psi_scalar_has_the_bits_of_the_array(psi, rs, i):
 def test_power_family_basics():
     psi = PsiFunction.power(2.0)
     assert psi(2.0) == 0.25
-    assert lower_order(psi) == 2.0
+    assert psi.tau == 2.0  # the lower order
 
 
 def test_power_log_is_inf_below_one():
@@ -61,12 +58,12 @@ def test_power_log_is_inf_below_one():
     assert psi(1.0) == math.inf
     assert psi(0.5) == math.inf
     assert np.isfinite(psi(2.0))
-    assert lower_order(psi) == 2.0  # (d+1)/d with the log factor vanishing
+    assert psi.tau == 2.0  # the lower order (d+1)/d, with the log factor vanishing
 
 
 def test_generic_power_log_order():
     psi = PsiFunction.generic_power_log(2.5, 1.0, d=2)
-    assert lower_order(psi) == 2.5
+    assert psi.tau == 2.5
 
 
 def test_table_validation():
@@ -109,19 +106,6 @@ def test_increasing_symbolic_family_rejected():
         PsiFunction.generic_power_log(0.001, -5.0, d=1)
 
 
-def test_table_lower_order_matches_slope():
-    r = np.geomspace(10.0, 1e6, 40)
-    psi = PsiFunction.from_table(list(zip(r, r**-3.0)))
-    assert abs(lower_order(psi) - 3.0) <= 0.01
-
-
-def test_table_lower_order_needs_ten_points():
-    r = np.geomspace(10.0, 1e3, 5)
-    psi = PsiFunction.from_table(list(zip(r, r**-2.0)))
-    with pytest.raises(ValueError):
-        lower_order(psi)
-
-
 def test_parse_psi_specs(tmp_path):
     assert parse_psi_spec("power:tau=2.0").tau == 2.0
     assert parse_psi_spec("powerlog:beta=3.0", d=2).beta == 3.0
@@ -155,25 +139,32 @@ def test_parse_psi_spec_takes_each_key_once(spec, got):
 # ---------------------------------------------------------------------------
 
 
+def _enumerate(n, window):
+    """The block-n rationals of one window, as (numerators, denominator)
+    pairs in the enumeration's order."""
+    nums, qs, _ = _enumerate_windows(n, window.lo[None], window.hi[None])
+    return list(zip(map(tuple, nums.tolist()), qs.tolist()))
+
+
 def test_enumerate_block0_unit_interval():
-    pts = enumerate_rationals(0, Box([0.0], [1.0]))
-    assert sorted(p.fractions()[0] for p in pts) == [Fraction(0), Fraction(1)]
+    pts = _enumerate(0, Box([0.0], [1.0]))
+    assert sorted(Fraction(p, q) for (p,), q in pts) == [Fraction(0), Fraction(1)]
 
 
 def test_enumerate_block1_values_deduplicated():
-    pts = enumerate_rationals(1, Box([0.0], [1.0]))
-    got = sorted(p.fractions()[0] for p in pts)
+    pts = _enumerate(1, Box([0.0], [1.0]))
+    got = sorted(Fraction(p, q) for (p,), q in pts)
     assert got == [
         Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1),
     ]
     # representative carries the smallest block denominator
-    by_val = {p.fractions()[0]: p for p in pts}
-    assert by_val[Fraction(0)].denominator == 2
-    assert by_val[Fraction(1, 2)].denominator == 2
+    by_val = {Fraction(p, q): q for (p,), q in pts}
+    assert by_val[Fraction(0)] == 2
+    assert by_val[Fraction(1, 2)] == 2
 
 
 def test_enumerate_d2_block0_corners():
-    pts = enumerate_rationals(0, Box([0.0, 0.0], [1.0, 1.0]))
+    pts = _enumerate(0, Box([0.0, 0.0], [1.0, 1.0]))
     assert len(pts) == 4
 
 
@@ -186,13 +177,13 @@ def test_enumerate_against_bruteforce_oracle():
             v = Fraction(p, q)
             if Fraction(1, 5) <= v <= Fraction(7, 10):
                 expected.add(v)
-    got = {p.fractions()[0] for p in enumerate_rationals(n, window)}
+    got = {Fraction(p, q) for (p,), q in _enumerate(n, window)}
     assert got == expected
 
 
 def test_enumerate_size_guard():
     with pytest.raises(ValueError):
-        enumerate_rationals(12, Box([0.0, 0.0], [1.0, 1.0]))
+        _enumerate(12, Box([0.0, 0.0], [1.0, 1.0]))
 
 
 @st.composite
@@ -254,14 +245,12 @@ def test_enumerate_matches_reference(case, chunk):
     d, n, window = case
     try:
         with mock.patch.object(approx, "_CELL_BUDGET", chunk):
-            got = enumerate_rationals(n, window)
+            got = _enumerate(n, window)
     except ValueError as e:
         assert _refusal_holds(e, n, window.lo, window.hi)
         return
     assert not _refused(n, window.lo, window.hi)
-    want = reference_enumerate(d, n, window)
-    assert [(p.numerators, p.denominator) for p in got] == \
-        [(p.numerators, p.denominator) for p in want]
+    assert got == _as_pairs(reference_enumerate(d, n, window))
 
 
 @settings(max_examples=150)
@@ -325,7 +314,7 @@ def test_enumerate_windows_cap_refuses_before_any_cell():
         with pytest.raises(ValueError) as got:
             _enumerate_windows(12, lo, hi)
         with pytest.raises(ValueError) as one:
-            enumerate_rationals(12, big)
+            _enumerate(12, big)
     assert str(got.value) == str(one.value) == str(want.value)
     assert str(got.value).startswith("enumeration of ~")
 
@@ -350,8 +339,8 @@ def test_enumerate_windows_refuses_inexact_blocks_before_any_cell(n, edge, reaso
     lambda: layer_hit_mask(np.zeros((3, 1)), -1, PsiFunction.power(2.5)),
     lambda: layer_decay_experiment(bundled_system("cantor"), PsiFunction.power(2.5),
                                    0.5, [-1], 100),
-    lambda: enumerate_rationals(-1, Box([0.0], [1.0])),
-], ids=["layer_hit_mask", "layer_decay_experiment", "enumerate_rationals"])
+    lambda: _enumerate(-1, Box([0.0], [1.0])),
+], ids=["layer_hit_mask", "layer_decay_experiment", "enumerate_windows"])
 def test_negative_block_is_refused(walk):
     # a block's denominators are 2^n..2^(n+1)-1, n >= 0: block -1 would test q = 0.5
     with pytest.raises(ValueError, match=r"^block -1 refused: a block index must be >= 0$"):
@@ -364,28 +353,31 @@ def test_negative_block_is_refused(walk):
 
 
 def test_origin_hits_every_q():
-    hits, wits = is_psi_approximable([0.0], PsiFunction.power(2.0), 10)
-    assert hits == 10
-    assert all(w.numerators == (0,) for w in wits)
+    # 0/q is an approximation at every q: blocks 0-3 (q = 1..15) all hit
+    psi = PsiFunction.power(2.0)
+    assert all(layer_hit_mask(np.zeros((1, 1)), n, psi)[0] for n in range(4))
 
 
 def test_golden_ratio_badly_approximable():
     # convergent denominators of (sqrt5-1)/2 are Fibonacci and the error obeys
-    # |x - p/q| >= 1/(sqrt5 q^2 + q), which beats q^-3 for q >= 3
-    x = (math.sqrt(5.0) - 1.0) / 2.0
-    hits, wits = is_psi_approximable([x], PsiFunction.power(3.0), 10_000)
-    assert hits <= 3
-    assert all(w.denominator <= 10 for w in wits)
+    # |x - p/q| >= 1/(sqrt5 q^2 + q), which beats q^-3 for q >= 3: no block
+    # from 2 (q >= 4) through 13 (q up to 16383 > 10^4) hits
+    x = np.array([[(math.sqrt(5.0) - 1.0) / 2.0]])
+    psi = PsiFunction.power(3.0)
+    assert {n for n in range(14) if layer_hit_mask(x, n, psi)[0]} <= {0, 1}
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_dirichlet_floor(d):
+    # Dirichlet: some q <= 1000 approximates every x to q^-(d+1)/d in the sup
+    # norm, so the union of the layers of blocks 0-9 (q < 1024) holds every x
     rng = np.random.default_rng(5 + d)
     psi = PsiFunction.power((d + 1) / d, d=d)
-    for _ in range(100):
-        x = rng.random(d)
-        hits, _ = is_psi_approximable(x, psi, 1000)
-        assert hits >= 1
+    x = rng.random((100, d))  # the draws of 100 calls rng.random(d)
+    hit = np.zeros(100, dtype=bool)
+    for n in range(10):
+        hit |= layer_hit_mask(x, n, psi)
+    assert hit.all()
 
 
 def test_rounding_completeness_small_denominators():
@@ -712,26 +704,16 @@ def test_layer_decomposition_vs_sup_norm_scan():
     d = 2
     N = 4
     psi = PsiFunction.power(1.8, d=d)
-    infl = PsiFunction.power(1.8, d=d)  # same exponent, scaled evaluation
-    box = Box([0.0] * d, [1.0] * d)
     sq = math.sqrt(d)
+    q_max = 2 ** (N + 1) - 1
     for _ in range(120):
         x = rng.random(d)
-        hits, wits = is_psi_approximable(x, psi, 2 ** (N + 1) - 1)
-        blocks_hit = {int(math.floor(math.log2(w.denominator))) for w in wits}
-        member_any = any(
-            layer_membership(x, ApproxLayer(n, d, box, psi))[0]
-            for n in range(0, N + 1)
-        )
-        if blocks_hit:
-            assert member_any
-        if member_any:
+        blocks_hit = {q.bit_length() - 1 for q in sup_norm_scan(x, psi, q_max).tolist()}
+        member = [layer_hit_mask(x[None], n, psi)[0] for n in range(0, N + 1)]
+        assert all(member[n] for n in blocks_hit)
+        if any(member):
             # inflated scan must register a hit somewhere in range
-            qs = np.arange(1, 2 ** (N + 1))
-            prods = x[None, :] * qs[:, None]
-            ps = np.rint(prods)
-            sup_err = np.max(np.abs(prods - ps), axis=1) / qs
-            assert np.any(sup_err <= sq * psi(qs.astype(float)))
+            assert sup_norm_scan(x, lambda q: sq * psi(q), q_max).size
 
 
 def test_smallness_onset_power():

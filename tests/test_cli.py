@@ -483,10 +483,11 @@ def test_dim_report_names_short_approximants_on_stderr(tmp_path, capsys):
 
 
 def test_ifs_file_path_roundtrip(tmp_path):
-    from fracapprox.ifs import bundled_system, dump_system
+    from fracapprox.ifs import BUNDLED_SYSTEMS
 
     sys_file = tmp_path / "dust.json"
-    dump_system(bundled_system("dust"), sys_file)
+    with open(sys_file, "w", encoding="utf-8") as fh:
+        json.dump(BUNDLED_SYSTEMS["dust"], fh)
     out = tmp_path / "run"
     code = run(["--seed", 1, "--out", out, "sample", "--ifs", sys_file,
                 "--samples", 100])

@@ -1,8 +1,9 @@
 """Smoke test of the narrative scripts: each demo runs to exit 0.
 
-The demos call the public wrappers (`enumerate_rationals`, `build_dn_cover`,
-`measure_of_ball`, `measure_of_slab_in_ball`), so this also keeps those
-entry points working.  conftest.py puts src/ on the subprocesses' PYTHONPATH.
+The demos call only public functions that a subcommand reaches
+(`measure_many`, `certify_all`, `layer_hit_mask`, `hs_upper_bound`,
+`classify_sum`, ...), so they show the paths the CLI runs.  conftest.py puts
+src/ on the subprocesses' PYTHONPATH.
 pyproject.toml's `filterwarnings` does not reach a subprocess, so each demo
 runs with `-W error::RuntimeWarning`: a RuntimeWarning fails it.
 """

@@ -7,18 +7,19 @@ from fracapprox import diagnostics
 from fracapprox.cli import ExperimentConfig, _write_csv
 from fracapprox.diagnostics import (
     CertificationError,
+    DecayCertificate,
+    DoublingCertificate,
+    RegularityCertificate,
+    _certify,
     _finish,
     _run_ordered,
     certificate_table,
     certify_all,
-    certify_decay,
-    certify_doubling,
-    certify_regularity,
     decay_alpha_from_regularity,
     default_r0,
 )
 from fracapprox.geometry import Ball, Hyperplane, Slab
-from fracapprox.ifs import measure_of_ball, measure_of_slab_in_ball, sample_measure
+from fracapprox.ifs import measure_many, sample_measure
 
 ALPHA_CANTOR = math.log(2.0) / math.log(3.0)
 
@@ -29,7 +30,7 @@ ALPHA_CANTOR = math.log(2.0) / math.log(3.0)
 
 
 def test_doubling_certificate_fits_and_revalidates(cantor):
-    cert = certify_doubling(cantor, 500, seed=1)
+    cert = _certify((DoublingCertificate,), cantor, 500, None, 1, 1)[0]
     assert cert.D >= 1.0 and math.isfinite(cert.D)
     assert cert.discarded <= 0.2 * 500
     assert all(hi <= cert.D for *_, hi in cert.samples)
@@ -39,22 +40,22 @@ def test_doubling_certificate_fits_and_revalidates(cantor):
 
 def test_doubling_saturated_when_balls_swallow_attractor(cantor):
     # radii in [2 diam, 200 diam): every ball and its double hold all mass
-    cert = certify_doubling(cantor, 5, r0=200.0 * cantor.diameter, seed=3)
+    cert = _certify((DoublingCertificate,), cantor, 5, 200.0 * cantor.diameter, 3, 1)[0]
     assert cert.D == pytest.approx(1.0, abs=1e-6)
 
 
 def test_doubling_single_trial(cantor):
-    cert = certify_doubling(cantor, 1, r0=200.0 * cantor.diameter, seed=4)
+    cert = _certify((DoublingCertificate,), cantor, 1, 200.0 * cantor.diameter, 4, 1)[0]
     assert cert.D >= 1.0 - 1e-9
 
 
 def test_doubling_validation_errors(cantor):
     with pytest.raises(ValueError):
-        certify_doubling(cantor, 0)
+        _certify((DoublingCertificate,), cantor, 0, None, 0, 1)[0]
     with pytest.raises(ValueError):
-        certify_doubling(cantor, 10, r0=-1.0)
+        _certify((DoublingCertificate,), cantor, 10, -1.0, 0, 1)[0]
     with pytest.raises(ValueError, match="r0"):
-        certify_doubling(cantor, 3, r0=math.inf)
+        _certify((DoublingCertificate,), cantor, 3, math.inf, 0, 1)[0]
 
 
 def test_revalidation_failure_rate(cantor):
@@ -62,7 +63,7 @@ def test_revalidation_failure_rate(cantor):
     # one repetition may see any violation
     failures = 0
     for rep in range(20):
-        cert = certify_doubling(cantor, 500, seed=100 + rep)
+        cert = _certify((DoublingCertificate,), cantor, 500, None, 100 + rep, 1)[0]
         if cert.validate(cantor, 500, seed=101 + rep) > 0:
             failures += 1
     assert failures <= 1
@@ -74,7 +75,7 @@ def test_revalidation_failure_rate(cantor):
 
 
 def test_decay_certificate_fits_and_revalidates(cantor):
-    cert = certify_decay(cantor, ALPHA_CANTOR, 500, seed=1)
+    cert = _certify((DecayCertificate,), cantor, 500, None, 1, 1, ALPHA_CANTOR)[0]
     assert math.isfinite(cert.C) and cert.C > 0
     assert cert.small_ball_C == pytest.approx(cert.C * 2.0**ALPHA_CANTOR)
     assert all(hi <= cert.C for *_, hi in cert.samples)
@@ -87,7 +88,7 @@ def test_decay_certificate_fits_and_revalidates(cantor):
 def test_decay_slab_through_gap_has_tiny_ratio(cantor):
     ball = Ball([0.5], 0.3)
     slab = Slab(Hyperplane([1.0], 0.5), 1e-3)
-    m_slab = measure_of_slab_in_ball(cantor, ball, slab, 1e-6)
+    m_slab = measure_many(cantor, [(ball, slab)], [1e-6])[0]
     assert m_slab.hi <= 1e-6 + 1e-9
 
 
@@ -95,8 +96,8 @@ def test_decay_max_epsilon_ratio_finite(cantor):
     ball = Ball([1 / 3], 0.2)
     eps = ball.radius / 4.0
     slab = Slab(Hyperplane([1.0], 1 / 3), eps)
-    m_slab = measure_of_slab_in_ball(cantor, ball, slab, 1e-5)
-    m_ball = measure_of_ball(cantor, ball, 1e-5)
+    m_slab = measure_many(cantor, [(ball, slab)], [1e-5])[0]
+    m_ball = measure_many(cantor, [ball], [1e-5])[0]
     ratio = m_slab.hi / ((eps / ball.radius) ** ALPHA_CANTOR * m_ball.lo)
     assert math.isfinite(ratio) and ratio > 0
 
@@ -107,7 +108,7 @@ def test_decay_epsilon_monotonicity(cantor):
     tol = 1e-5
     prev = None
     for eps in (1e-4, 1e-3, 1e-2, 5e-2):
-        iv = measure_of_slab_in_ball(cantor, ball, Slab(plane, eps), tol)
+        iv = measure_many(cantor, [(ball, Slab(plane, eps))], [tol])[0]
         if prev is not None:
             assert prev.lo <= iv.lo + tol
             assert prev.hi <= iv.hi + tol
@@ -117,7 +118,7 @@ def test_decay_epsilon_monotonicity(cantor):
 def test_decay_requires_positive_alpha(cantor):
     for alpha in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="alpha"):
-            certify_decay(cantor, alpha, 10)
+            _certify((DecayCertificate,), cantor, 10, None, 0, 1, alpha)[0]
 
 
 def test_decay_refuses_alpha_above_delta(monkeypatch, cantor, gasket, dust):
@@ -129,15 +130,16 @@ def test_decay_refuses_alpha_above_delta(monkeypatch, cantor, gasket, dust):
     monkeypatch.setattr(diagnostics, "_trial_block", no_trials)
     for sys_, alpha in ((cantor, 100.0), (cantor, 0.64), (gasket, 1.6)):
         with pytest.raises(ValueError, match="'alpha' must be in"):
-            certify_decay(sys_, alpha, 20)
+            _certify((DecayCertificate,), sys_, 20, None, 0, 1, alpha)[0]
         with pytest.raises(ValueError, match="'alpha' must be in"):
             certify_all(sys_, alpha, 20)
     monkeypatch.undo()
     # delta is a bisection root: the exact dimensions log 2/log 3 and 1 sit
     # a few ulps above cantor's and dust's delta and are still accepted
     assert ALPHA_CANTOR > cantor.delta and 1.0 > dust.delta
-    assert certify_decay(cantor, ALPHA_CANTOR, 3).alpha == ALPHA_CANTOR
-    assert certify_decay(dust, 1.0, 3).alpha == 1.0
+    (cert,) = _certify((DecayCertificate,), cantor, 3, None, 0, 1, ALPHA_CANTOR)
+    assert cert.alpha == ALPHA_CANTOR
+    assert _certify((DecayCertificate,), dust, 3, None, 0, 1, 1.0)[0].alpha == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -146,17 +148,17 @@ def test_decay_refuses_alpha_above_delta(monkeypatch, cantor, gasket, dust):
 
 
 def test_regularity_certificate_envelope(cantor):
-    cert = certify_regularity(cantor, 500, r0=0.1, seed=1)
+    cert = _certify((RegularityCertificate,), cantor, 500, 0.1, 1, 1)[0]
     assert 0.0 < cert.a <= cert.b < math.inf
     assert math.log(cert.b / cert.a) < math.log(10.0)
     assert cert.validate(cantor, 500, seed=2) == 0
 
 
 def test_regularity_cylinder_radius_ratio_inside_envelope(cantor):
-    cert = certify_regularity(cantor, 500, r0=0.1, seed=5)
+    cert = _certify((RegularityCertificate,), cantor, 500, 0.1, 5, 1)[0]
     x = sample_measure(cantor, 1, seed=9)[0]
     r = 3.0**-8
-    m = measure_of_ball(cantor, Ball(x, r), 1e-9 * 2)
+    m = measure_many(cantor, [Ball(x, r)], [1e-9 * 2])[0]
     ratio_lo = m.lo / r**cantor.delta
     ratio_hi = m.hi / r**cantor.delta
     assert ratio_hi >= cert.a * 0.999
@@ -164,7 +166,7 @@ def test_regularity_cylinder_radius_ratio_inside_envelope(cantor):
 
 
 def test_regularity_gasket_exists(gasket):
-    cert = certify_regularity(gasket, 120, seed=1)
+    cert = _certify((RegularityCertificate,), gasket, 120, None, 1, 1)[0]
     assert 0.0 < cert.a <= cert.b < math.inf
 
 
@@ -172,7 +174,7 @@ def test_gasket_regularity_implies_decay(gasket):
     # delta > d-1 so the implied decay exponent is positive and certifiable
     alpha = decay_alpha_from_regularity(gasket.delta, 2)
     assert alpha == pytest.approx(math.log(3.0) / math.log(2.0) - 1.0)
-    cert = certify_decay(gasket, alpha, 120, seed=1)
+    cert = _certify((DecayCertificate,), gasket, 120, None, 1, 1, alpha)[0]
     assert math.isfinite(cert.C)
     assert cert.validate(gasket, 120, seed=2) == 0
 
@@ -201,8 +203,8 @@ def test_discard_threshold_enforced():
 
 
 def test_parallel_trials_match_serial(cantor):
-    serial = certify_doubling(cantor, 60, seed=7, jobs=1)
-    parallel = certify_doubling(cantor, 60, seed=7, jobs=3)
+    serial = _certify((DoublingCertificate,), cantor, 60, None, 7, 1)[0]
+    parallel = _certify((DoublingCertificate,), cantor, 60, None, 7, 3)[0]
     assert serial.D == parallel.D
     assert serial.samples == parallel.samples
 
@@ -221,11 +223,11 @@ def test_default_r0(cantor):
 
 
 def test_negative_seed_rejected(cantor):
-    cert = certify_doubling(cantor, 3, seed=0)
+    cert = _certify((DoublingCertificate,), cantor, 3, None, 0, 1)[0]
     calls = (
-        lambda: certify_doubling(cantor, 3, seed=-5),
-        lambda: certify_decay(cantor, ALPHA_CANTOR, 3, seed=-5),
-        lambda: certify_regularity(cantor, 3, seed=-1),
+        lambda: _certify((DoublingCertificate,), cantor, 3, None, -5, 1)[0],
+        lambda: _certify((DecayCertificate,), cantor, 3, None, -5, 1, ALPHA_CANTOR)[0],
+        lambda: _certify((RegularityCertificate,), cantor, 3, None, -1, 1)[0],
         lambda: certify_all(cantor, ALPHA_CANTOR, 3, seed=-5),
         lambda: cert.validate(cantor, 3, seed=-1),
     )
@@ -269,10 +271,10 @@ def test_pool_size_is_capped(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _separate(sys_, alpha, trials, **kw):
-    return (certify_doubling(sys_, trials, **kw),
-            certify_decay(sys_, alpha, trials, **kw),
-            certify_regularity(sys_, trials, **kw))
+def _separate(sys_, alpha, trials, r0, seed):
+    return (_certify((DoublingCertificate,), sys_, trials, r0, seed, 1)[0],
+            _certify((DecayCertificate,), sys_, trials, r0, seed, 1, alpha)[0],
+            _certify((RegularityCertificate,), sys_, trials, r0, seed, 1)[0])
 
 
 @pytest.mark.parametrize("name, trials, r0_diams, seed, jobs", [
@@ -349,12 +351,12 @@ def test_certify_all_ball_masses_per_trial(monkeypatch, gasket):
 def test_certify_all_errors_match_separate_calls(monkeypatch, gasket):
     alpha = decay_alpha_from_regularity(gasket.delta, 2)
 
-    def messages(trials, **kw):
+    def messages(trials, r0, seed):
         out = []
-        for call in (lambda: certify_all(gasket, alpha, trials, **kw),
-                     lambda: certify_doubling(gasket, trials, **kw),
-                     lambda: certify_decay(gasket, alpha, trials, **kw),
-                     lambda: certify_regularity(gasket, trials, **kw)):
+        for call in (lambda: certify_all(gasket, alpha, trials, r0=r0, seed=seed),
+                     lambda: _certify((DoublingCertificate,), gasket, trials, r0, seed, 1),
+                     lambda: _certify((DecayCertificate,), gasket, trials, r0, seed, 1, alpha),
+                     lambda: _certify((RegularityCertificate,), gasket, trials, r0, seed, 1)):
             with pytest.raises(CertificationError) as err:
                 call()
             out.append(str(err.value))
@@ -375,7 +377,7 @@ def test_certify_all_errors_match_separate_calls(monkeypatch, gasket):
     with pytest.raises(CertificationError) as joint:
         certify_all(gasket, alpha, 10, seed=1)
     with pytest.raises(CertificationError) as alone:
-        certify_decay(gasket, alpha, 10, seed=1)
+        _certify((DecayCertificate,), gasket, 10, None, 1, 1, alpha)[0]
     assert str(joint.value) == str(alone.value)
     assert str(joint.value).startswith("10 trials violate the concentric-ball corollary")
 
@@ -394,7 +396,7 @@ def _export(cert, path):
 
 
 def test_export_doubling_csv(tmp_path, cantor):
-    cert = certify_doubling(cantor, 20, seed=1)
+    cert = _certify((DoublingCertificate,), cantor, 20, None, 1, 1)[0]
     lines = _export(cert, tmp_path / "doubling.csv")
     assert lines[0] == "center_0,radius,epsilon,ratio_lo,ratio_hi"
     assert len(lines) == 1 + len(cert.samples) + 1
@@ -405,7 +407,7 @@ def test_export_doubling_csv(tmp_path, cantor):
 
 
 def test_export_decay_csv_has_epsilon(tmp_path, cantor):
-    cert = certify_decay(cantor, ALPHA_CANTOR, 20, seed=1)
+    cert = _certify((DecayCertificate,), cantor, 20, None, 1, 1, ALPHA_CANTOR)[0]
     lines = _export(cert, tmp_path / "decay.csv")
     row = lines[1].split(",")
     assert float(row[2]) > 0.0
@@ -413,7 +415,7 @@ def test_export_decay_csv_has_epsilon(tmp_path, cantor):
 
 
 def test_export_regularity_csv_constants(tmp_path, cantor):
-    cert = certify_regularity(cantor, 20, seed=1)
+    cert = _certify((RegularityCertificate,), cantor, 20, None, 1, 1)[0]
     tail = _export(cert, tmp_path / "reg.csv")[-1]
     assert tail.startswith("# a=") and "b=" in tail and "delta=" in tail
 

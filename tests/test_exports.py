@@ -1,8 +1,11 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
 _LAYERS = ["geometry", "ifs", "approx", "analysis", "diagnostics", "cli"]
+_SRC = Path(__file__).resolve().parents[1] / "src" / "fracapprox"
 
 
 @pytest.mark.parametrize("layer", _LAYERS)
@@ -11,3 +14,32 @@ def test_every_exported_name_resolves(layer):
     mod = importlib.import_module(f"fracapprox.{layer}")
     assert mod.__all__
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def _names_used(node) -> list:
+    """Every name `node` reads, as a bare name or as an attribute."""
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def test_every_exported_function_has_a_caller():
+    # a public function that nothing in the package uses is a second path to
+    # a result; only the CLI entry point has no caller
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(_SRC.glob("*.py"))}
+    readers = {}  # name -> the top-level statements that read it
+    for tree in trees.values():
+        for top in tree.body:
+            for name in _names_used(top):
+                readers.setdefault(name, []).append(top)
+    unused = []
+    for layer in _LAYERS:
+        mod = importlib.import_module(f"fracapprox.{layer}")
+        defs = {node.name: node for node in trees[layer].body
+                if isinstance(node, ast.FunctionDef)}
+        for name in mod.__all__:
+            if name not in defs or (layer, name) == ("cli", "main"):
+                continue
+            if not any(top is not defs[name] for top in readers.get(name, [])):
+                unused.append(f"{layer}.{name}")
+    assert unused == []

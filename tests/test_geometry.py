@@ -18,10 +18,9 @@ from fracapprox.geometry import (
     RationalPoint,
     Simplex,
     Slab,
-    affine_rank,
     hyperplane_through,
-    simplex_volume_times_dfact,
     unit_ball_volume,
+    _eliminate,
     _greedy_segments,
     _independent_subset,
     _witness_block,
@@ -78,28 +77,21 @@ def test_simplex_needs_d_plus_one_vertices():
 
 
 # ---------------------------------------------------------------------------
-# exact simplex volume
+# exact affine rank
 # ---------------------------------------------------------------------------
 
 
-def test_unit_right_triangle_volume():
-    s = Simplex(
-        (RationalPoint((0, 0), 1), RationalPoint((1, 0), 1), RationalPoint((0, 1), 1))
-    )
-    assert simplex_volume_times_dfact(s) == 1
+def _affine_rank(points) -> int:
+    """The exact affine rank of RationalPoints: the rank of their homogeneous
+    rows (q, p), less one."""
+    return _eliminate([[p.denominator, *p.numerators] for p in points]) - 1
 
 
 def test_collinear_simplex_is_degenerate():
     s = Simplex(
         (RationalPoint((0, 0), 1), RationalPoint((1, 1), 1), RationalPoint((2, 2), 1))
     )
-    assert simplex_volume_times_dfact(s) == 0
-
-
-def test_d1_simplex_is_exact_difference():
-    # oracle: plain Fraction subtraction
-    s = Simplex((RationalPoint((1,), 2), RationalPoint((1,), 3)))
-    assert simplex_volume_times_dfact(s) == Fraction(1, 2) - Fraction(1, 3)
+    assert _affine_rank(s.vertices) == 1 < s.dim
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -111,16 +103,15 @@ def test_determinant_matches_float_and_rank(d):
             q = int(rng.integers(1, 2**30))
             nums = tuple(int(v) for v in rng.integers(-(2**30), 2**30, size=d))
             pts.append(RationalPoint(nums, q))
-        s = Simplex(tuple(pts))
-        exact = simplex_volume_times_dfact(s)
+        rank = _affine_rank(pts)
         mat = np.array(
             [[1.0] + list(p.as_float()) for p in pts], dtype=float
         )
         approx = abs(np.linalg.det(mat))
-        if exact != 0:
-            assert abs(approx - float(exact)) <= 1e-6 * float(exact)
-        # exact zero iff the independent rank computation sees dependence
-        assert (exact == 0) == (cover_oracle.affine_rank(pts) < d)
+        if rank == d:  # independent: a nonzero volume
+            assert approx > 0.0
+        # the exact rank is the independent rank computation's
+        assert rank == cover_oracle.affine_rank(pts)
 
 
 def test_zero_volume_on_constructed_dependence():
@@ -130,7 +121,7 @@ def test_zero_volume_on_constructed_dependence():
         RationalPoint((5, 5), 11),
         RationalPoint((9, 9), 13),
     ]
-    assert simplex_volume_times_dfact(Simplex(tuple(pts))) == 0
+    assert _affine_rank(pts) == 1
     assert cover_oracle.affine_rank(pts) == 1
 
 
@@ -163,12 +154,7 @@ def _homogeneous_rows(draw):
 def test_elimination_matches_sympy(case):
     sympy = pytest.importorskip("sympy")
     d, rows = case
-    pts = [RationalPoint(row[1:], row[0]) for row in rows]
-    assert affine_rank(pts) == sympy.Matrix(rows).rank() - 1
-    if len(rows) == d + 1:
-        det = sympy.Matrix(rows).det(method="berkowitz")
-        assert simplex_volume_times_dfact(Simplex(tuple(pts))) == Fraction(
-            abs(int(det)), math.prod(row[0] for row in rows))
+    assert _eliminate(rows) == sympy.Matrix(rows).rank()
     # the first basis in row order: the rows that raise the rank of their prefix
     ranks = [sympy.Matrix(rows[:i]).rank() if i else 0 for i in range(len(rows) + 1)]
     basis = [i for i in range(len(rows)) if ranks[i + 1] > ranks[i]]
@@ -527,7 +513,7 @@ def test_simplex_branch_via_affine_rank_directly():
         RationalPoint((1, 0), 2),
         RationalPoint((0, 1), 2),
     ]
-    assert affine_rank(pts) == 2
+    assert _affine_rank(pts) == 2
     assert _exact_triple_independent(pts)
 
 
@@ -593,4 +579,4 @@ def test_slab_of_rejects_empty_and_independent():
         RationalPoint((1, 0), 1),
         RationalPoint((0, 1), 1),
     ]
-    assert affine_rank(pts) == 2
+    assert _affine_rank(pts) == 2

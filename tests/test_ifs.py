@@ -23,11 +23,8 @@ from fracapprox.ifs import (
     IrreducibilityWarning,
     OpenSetConditionError,
     SimilarityMap,
-    dump_system,
     load_system,
     measure_many,
-    measure_of_ball,
-    measure_of_slab_in_ball,
     sample_measure,
     similarity_dimension,
     _Frontier,
@@ -296,21 +293,21 @@ def test_cylinder_net_is_an_r_net(name, shrink):
 
 
 def test_first_level_cylinder_mass(cantor):
-    iv = measure_of_ball(cantor, Ball([1 / 6], 1 / 6), 1e-6)
+    iv = measure_many(cantor, [Ball([1 / 6], 1 / 6)], [1e-6])[0]
     assert iv.converged and iv.width <= 1e-6
     assert iv.contains(0.5)
 
 
 def test_total_mass_and_empty_mass(cantor):
-    full = measure_of_ball(cantor, Ball([0.5], 2.0), 1e-6)
+    full = measure_many(cantor, [Ball([0.5], 2.0)], [1e-6])[0]
     assert full.hi == 1.0 and full.lo >= 1.0 - 1e-6
-    empty = measure_of_ball(cantor, Ball([5.0], 0.5), 1e-6)
+    empty = measure_many(cantor, [Ball([5.0], 0.5)], [1e-6])[0]
     assert empty.lo == 0.0 and empty.hi == 0.0
 
 
 def test_tolerance_floor_rejected(cantor):
     with pytest.raises(ValueError):
-        measure_of_ball(cantor, Ball([0.5], 0.1), 1e-12)
+        measure_many(cantor, [Ball([0.5], 0.1)], [1e-12])[0]
 
 
 @pytest.mark.parametrize("fixture_name", ["cantor", "gasket"])
@@ -320,7 +317,7 @@ def test_interval_width_contract(fixture_name, request):
     centers = sample_measure(sys_, 50, seed=3)
     for c in centers:
         r = float(rng.uniform(0.02, 0.3)) * sys_.diameter
-        iv = measure_of_ball(sys_, Ball(c, r), 1e-4)
+        iv = measure_many(sys_, [Ball(c, r)], [1e-4])[0]
         assert iv.converged
         assert iv.width <= 1e-4
 
@@ -335,11 +332,11 @@ def test_first_level_additivity(fixture_name, request):
     w = sys_.weights
     for c in centers:
         r = float(rng.uniform(0.05, 0.4)) * sys_.diameter
-        direct = measure_of_ball(sys_, Ball(c, r), 1e-5)
+        direct = measure_many(sys_, [Ball(c, r)], [1e-5])[0]
         lo = hi = 0.0
         for i, m in enumerate(sys_.maps):
             pre_center = ((c - m.translation) @ m.rotation) / m.ratio
-            pre = measure_of_ball(sys_, Ball(pre_center, r / m.ratio), 1e-5)
+            pre = measure_many(sys_, [Ball(pre_center, r / m.ratio)], [1e-5])[0]
             lo += w[i] * pre.lo
             hi += w[i] * pre.hi
         assert lo <= direct.hi + 1e-9 and direct.lo <= hi + 1e-9
@@ -369,11 +366,9 @@ def test_first_level_scaling(fixture_name, request):
         if clearance <= 1e-3:
             continue
         r = 0.9 * clearance
-        base = measure_of_ball(sys_, Ball(c, r), 1e-5)
+        base = measure_many(sys_, [Ball(c, r)], [1e-5])[0]
         for i, m in enumerate(sys_.maps):
-            img = measure_of_ball(
-                sys_, Ball(m.apply(c), m.ratio * r), 1e-5
-            )
+            img = measure_many(sys_, [Ball(m.apply(c), m.ratio * r)], [1e-5])[0]
             w = sys_.weights[i]
             assert w * base.lo <= img.hi + 1e-9
             assert img.lo <= w * base.hi + 1e-9
@@ -385,25 +380,25 @@ def test_slab_swallows_ball(cantor):
     b = Ball([0.4], 0.2)
     plane = Hyperplane([1.0], 0.4)
     wide = Slab(plane, 1.0)
-    iv_ball = measure_of_ball(cantor, b, 1e-5)
-    iv_slab = measure_of_slab_in_ball(cantor, b, wide, 1e-5)
+    iv_ball = measure_many(cantor, [b], [1e-5])[0]
+    iv_slab = measure_many(cantor, [(b, wide)], [1e-5])[0]
     assert abs(iv_slab.mid - iv_ball.mid) <= 2e-5
 
 
 def test_gap_slab_has_no_mass(cantor):
     slab = Slab(Hyperplane([1.0], 0.5), 1 / 18)  # [4/9, 5/9], inside the gap
-    iv = measure_of_slab_in_ball(cantor, Ball([0.5], 1.0), slab, 1e-3)
+    iv = measure_many(cantor, [(Ball([0.5], 1.0), slab)], [1e-3])[0]
     assert iv.hi < 0.01
 
 
 def test_null_slab_through_gap(cantor):
     slab = Slab(Hyperplane([1.0], 0.5), 0.0)
-    iv = measure_of_slab_in_ball(cantor, Ball([0.5], 1.0), slab, 1e-3)
+    iv = measure_many(cantor, [(Ball([0.5], 1.0), slab)], [1e-3])[0]
     assert iv.lo == 0.0 and iv.hi <= 1e-3
 
 
 def test_koch_measure_eval_with_rotations(koch):
-    iv = measure_of_ball(koch, Ball([0.5, 0.1], 0.2), 1e-3)
+    iv = measure_many(koch, [Ball([0.5, 0.1], 0.2)], [1e-3])[0]
     assert iv.converged and iv.width <= 1e-3
     assert iv.hi > 0.0
 
@@ -520,6 +515,20 @@ def test_measure_many_rejects_low_tolerance_before_work(monkeypatch, cantor):
         with pytest.raises(ValueError) as err:
             measure_many(cantor, queries, tols)
         assert str(err.value) == str(want.value)
+
+
+def test_measure_many_refuses_nan_tolerance(monkeypatch, cantor, gasket):
+    # NaN passes no comparison with the floor; unrefused, it never converges
+    # and the frontier grows until memory runs out
+    def no_work(*args, **kwargs):
+        raise AssertionError("a frontier was built")
+
+    monkeypatch.setattr(ifs, "_Frontier", no_work)
+    for sys_, ball in ((gasket, Ball([0.5, 0.3], 0.2)), (cantor, Ball([0.5], 0.1))):
+        for tols in ([math.nan], [1e-3, math.nan]):
+            with pytest.raises(ValueError) as err:
+                measure_many(sys_, [ball] * len(tols), tols)
+            assert str(err.value) == "tolerance below the float certification floor 1e-9"
 
 
 _SEGMENT = st.one_of(st.integers(0, 9), st.integers(127, 129), st.integers(0, 2000))
@@ -640,7 +649,7 @@ def test_sample_mean_and_cylinder_mass(cantor):
     pts = sample_measure(cantor, 100_000, seed=13)[:, 0]
     assert abs(pts.mean() - 0.5) < 0.01
     emp = float((pts <= 1 / 3).mean())
-    oracle = measure_of_ball(cantor, Ball([1 / 6], 1 / 6), 1e-6)
+    oracle = measure_many(cantor, [Ball([1 / 6], 1 / 6)], [1e-6])[0]
     assert abs(emp - oracle.mid) < 0.01
 
 
@@ -650,7 +659,7 @@ def test_sampling_consistency_with_intervals(cantor):
     centers = sample_measure(cantor, 20, seed=37)[:, 0]
     for c in centers:
         r = float(rng.uniform(0.01, 0.3))
-        iv = measure_of_ball(cantor, Ball([c], r), 1e-4)
+        iv = measure_many(cantor, [Ball([c], r)], [1e-4])[0]
         emp = float((np.abs(pool - c) <= r).mean())
         sigma = math.sqrt(max(iv.mid * (1 - iv.mid), 1e-12) / pool.size)
         widened = iv.widen(3 * sigma)
@@ -729,24 +738,20 @@ def test_sample_measure_matches_oracle_on_bundled_systems(name):
 # ---------------------------------------------------------------------------
 
 
+def _write_payload(path, name):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(BUNDLED_SYSTEMS[name], fh)
+
+
 def test_dump_load_roundtrip(tmp_path, gasket):
     path = tmp_path / "gasket.json"
-    dump_system(gasket, path)
+    _write_payload(path, "gasket")
     loaded = load_system(path)
     assert loaded.dim == 2 and loaded.k == 3
     assert abs(loaded.delta - gasket.delta) < 1e-12
     for a, b in zip(loaded.maps, gasket.maps):
         assert a.ratio == b.ratio
         assert np.array_equal(a.translation, b.translation)
-
-
-def test_dump_writes_row_major_rotation(tmp_path, koch):
-    path = tmp_path / "koch.json"
-    dump_system(koch, path)
-    payload = json.loads(path.read_text())
-    rot = payload["maps"][1]["rotation"]
-    assert rot == [float(x) for x in koch.maps[1].rotation.reshape(-1)]
-    assert load_system(path).has_rotations
 
 
 def _system_arrays(sys_):
@@ -758,12 +763,11 @@ def _system_arrays(sys_):
 
 @pytest.mark.parametrize("name", sorted(BUNDLED_SYSTEMS))
 def test_bundled_system_is_its_definition_payload(tmp_path, name):
-    # dumping a bundled system writes its payload back, and loading that file
+    # the file of a bundled system is its payload, and loading that file
     # gives the bundled system's bits
     sys_ = ifs.bundled_system(name)
     path = tmp_path / f"{name}.json"
-    dump_system(sys_, path)
-    assert json.loads(path.read_text()) == json.loads(json.dumps(BUNDLED_SYSTEMS[name]))
+    _write_payload(path, name)
     loaded = load_system(path)
     assert type(loaded.open_set) is type(sys_.open_set)
     for got, want in zip(_system_arrays(loaded), _system_arrays(sys_), strict=True):
