@@ -436,8 +436,11 @@ def box_dimension(points: np.ndarray, scales) -> BoxDimensionEstimate:
         raise ValueError("box counting needs at least 4 scales")
     counts = []
     for g in scales:
+        # occupied boxes: the distinct rows of the cells, counted after one
+        # lexicographic sort of the rows
         cells = np.floor(pts / g).astype(np.int64)
-        counts.append(len(np.unique(cells, axis=0)))
+        cells = cells[np.lexsort(cells.T)]
+        counts.append(1 + int(np.count_nonzero((cells[1:] != cells[:-1]).any(axis=1))))
     x = np.log(1.0 / np.asarray(scales))
     y = np.log(np.asarray(counts, dtype=float))
     design = np.column_stack([x, np.ones_like(x)])
@@ -528,7 +531,7 @@ def layer_decay_experiment(
     blocks = list(blocks)
     for n in blocks:
         _check_denominators(n)
-    pts = sample_measure(sys, n_samples, seed)
+    pts = _sorted_sample(sys, n_samples, seed)
     d = sys.dim
     rows = []
     for n in blocks:
@@ -543,6 +546,14 @@ def layer_decay_experiment(
     emp_slope = _log2_slope(ns[fit_mask], emp[fit_mask])
     pred_slope = _log2_slope(ns, env)
     return LayerDecayResult(tuple(rows), emp_slope, pred_slope, n_samples)
+
+
+def _sorted_sample(sys: IFSystem, count: int, seed) -> np.ndarray:
+    """sample_measure's points in ascending order of the first coordinate,
+    so that layer_hit_mask's sweep finds them sorted on every block.  Layer
+    masks are per point, and layer masses and box counts ignore order."""
+    pts = sample_measure(sys, count, seed)
+    return pts[np.argsort(pts[:, 0])]
 
 
 def _log2_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -573,7 +584,7 @@ def approximant_points(
     survivors = []
     total = 0
     for b in range(_MAX_BATCHES):
-        pts = sample_measure(sys, batch, np.random.SeedSequence([seed, b]))
+        pts = _sorted_sample(sys, batch, np.random.SeedSequence([seed, b]))
         mask = np.zeros(batch, dtype=bool)
         for n in _APPROXIMANT_BLOCKS:
             todo = ~mask

@@ -35,6 +35,19 @@ _CELL_BUDGET = 2**16
 _SLOP = 1e-12
 # The last block smallness_onset checks.
 _ONSET_LAST = 60
+# Time per unit of work of each layer_hit_mask kernel, in ns, measured by
+# timing each kernel alone on the blocks of the decay and dim-report runs of
+# 40,000 sorted cantor samples (tau 2.5 and 3, blocks 1-10; and tau 1.5) on a
+# 2-core x86-64 box, numpy 2.4.6, medians of 7 calls:
+#   loop: 11-12 ns per test at blocks 9-10 (0.39-0.53 s for 4.1e7 tests);
+#   sweep: 80-100 ns per centre at blocks 9-10 (0.12-0.15 s for 1.6e6),
+#     and 60-130 ns per estimated candidate at blocks 1-2, where the
+#     candidates (2.7e4-4.4e4) outnumber the centres (15-42), 1.6-5.7 ms;
+#   convergent: 27-37 ns per Euclid step, 10-20 ms per call at blocks 3-10.
+_NS_LOOP_TEST = 12.0
+_NS_SWEEP_CENTRE = 85.0
+_NS_SWEEP_PAIR = 90.0
+_NS_EUCLID_STEP = 30.0
 
 
 @dataclass(frozen=True)
@@ -251,20 +264,25 @@ def layer_hit_mask(points: np.ndarray, n: int, psi: PsiFunction) -> np.ndarray:
     The block's table (per q: m, r^2 and, in one dimension, the float
     reach of r) is built once, from one psi call.  Three kernels read it and
     give the same mask bit for bit; among those whose preconditions hold,
-    the one with the least estimated work takes the block:
+    the one of least estimated time takes the block, each unit of work
+    weighed by its measured cost (_NS_LOOP_TEST and the others):
 
-      the q loop, N 2^n point-q tests, no precondition.  It takes the
+      the q loop, no precondition, 12 ns per point-q test.  It takes the
         table's q in steps that start at one q and double up to
         _CELL_BUDGET (q, point) pairs, and drops the points that hit after
-        each step;
-      the sweep of the block rationals over the sorted points
-        (`_sweep_hit_mask`), as many steps as centres it enumerates; for
-        d = 1 when psi(2^n) 2^n < 1/2 and every numerator stays below 2^52;
-      the continued-fraction kernel (`_convergent_hit_mask`), N times the
-        Euclid step bound ceil(log_phi 2^(n+1)) + 1; under the sweep's
-        numerator bound and the Legendre condition 2 q^2 (reach + ulp) < 1
-        for every q of the block, where ulp is the float spacing at the
-        sweep's bound max |x| + max reach + 2.
+        each step.  It makes N 2^n tests; where the sweep may run, it is
+        priced at the tests of N evenly spread points, each dropped at its
+        first hit, which at q has the chance 2 q reach;
+      the sweep of the block rationals over the points (`_sweep_hit_mask`),
+        sorted only when they are not sorted already, 85 ns per centre it
+        enumerates plus 90 ns per (centre, point) candidate, N 2 q reach of
+        them summed over the q; for d = 1 when psi(2^n) 2^n < 1/2 and every
+        numerator stays below 2^52;
+      the continued-fraction kernel (`_convergent_hit_mask`), 30 ns for
+        each of N times ceil(log_phi 2^(n+1)) + 1 Euclid steps; under the
+        sweep's numerator bound and the Legendre condition 2 q^2 (reach +
+        ulp) < 1 for every q of the block, where ulp is the float spacing at
+        the sweep's bound max |x| + max reach + 2.
 
     All three stay under the 2^n denominator ceiling of _check_denominators.
     """
@@ -282,7 +300,9 @@ def layer_hit_mask(points: np.ndarray, n: int, psi: PsiFunction) -> np.ndarray:
     r2 = radius * radius
     hits = np.zeros(pts.shape[0], dtype=bool)
     live = np.flatnonzero(np.isfinite(pts).all(axis=1))  # non-finite points never hit
-    work = {}  # estimated work of each kernel whose preconditions hold
+    # the estimated time in ns of each kernel whose preconditions hold; the
+    # loop tests each point at every q unless the d = 1 table tells more
+    work = {"loop": _NS_LOOP_TEST * live.size * q.size}
     if live.size and d == 1 and half[0] < 0.5:
         # reach: how far past each radius the float test accepts; first and
         # count: the numerators of the centres p/q it lets touch [lo, hi]
@@ -291,18 +311,25 @@ def layer_hit_mask(points: np.ndarray, n: int, psi: PsiFunction) -> np.ndarray:
         if top * q[-1] < 2.0**52:
             first = np.floor((lo - reach) * q) - 1.0
             count = np.ceil((hi + reach) * q) + 2.0 - first
-            work["sweep"] = count.sum()
+            # an evenly spread point lies within reach of 2 q reach centres of
+            # q: the sweep's candidates; the loop tests it until its first hit
+            meet = 2.0 * q * reach
+            stay = np.cumprod(np.maximum(1.0 - meet, 0.0))
+            work["loop"] = _NS_LOOP_TEST * live.size * (1.0 + stay[:-1].sum())
+            work["sweep"] = (_NS_SWEEP_CENTRE * count.sum()
+                             + _NS_SWEEP_PAIR * live.size * meet.sum())
             # the float centre of a hit p/q lies within reach of its point
             # and within one spacing at top of p/q: Legendre's condition
             # |x - p/q| < 1/(2 q^2) holds when this does
             if (2.0 * q * q * (reach + np.spacing(top)) < 1.0).all():
                 # denominators of the convergents grow at least like phi^k
                 steps = math.ceil((n + 1) / math.log2((1 + math.sqrt(5)) / 2)) + 1
-                work["convergent"] = pts.shape[0] * steps
-    work["loop"] = pts.shape[0] * q.size
+                work["convergent"] = _NS_EUCLID_STEP * live.size * steps
     kernel = min(work, key=work.get)
     if kernel == "sweep":
-        live = live[np.argsort(pts[live, 0])]
+        xs = pts[live, 0]
+        if (xs[1:] < xs[:-1]).any():  # callers may pass points sorted already
+            live = live[np.argsort(xs)]
         hits[live] = _sweep_hit_mask(pts[live, 0], (q, m, r2, reach), first, count)
         return hits
     if kernel == "convergent":

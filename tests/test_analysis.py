@@ -29,6 +29,7 @@ from fracapprox.ifs import sample_measure
 
 import cover_oracle
 import psi_oracle
+from box_oracle import occupied_boxes
 from cover_oracle import greedy_cover as reference_greedy_cover
 from cover_oracle import reference_audit_hyperplane_lemma, reference_hs_upper_bound
 
@@ -399,6 +400,19 @@ def test_box_dimension_plane_and_segment():
     segment = np.column_stack([t, 0.25 + 0.5 * t])
     est1 = box_dimension(segment, [2.0**-k for k in range(2, 7)])
     assert abs(est1.slope - 1.0) <= 0.05
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 3), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_box_counts_match_the_unique_rows_oracle(d, data, seed):
+    # 1,000 rows drawn from a small pool, so rows repeat and boxes are shared,
+    # with negative cells and a few scales coarse enough to merge them all
+    pool = data.draw(st.lists(st.lists(st.floats(-40.0, 40.0), min_size=d, max_size=d),
+                              min_size=1, max_size=50))
+    pts = np.array(pool)[np.random.default_rng(seed).integers(0, len(pool), 1000)]
+    scales = data.draw(st.lists(st.floats(0.01, 100.0), min_size=4, max_size=6, unique=True))
+    est = box_dimension(pts, scales)
+    assert est.counts == tuple((g, occupied_boxes(pts, g)) for g in sorted(scales))
 
 
 def test_box_dimension_validation():

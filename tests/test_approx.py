@@ -1,17 +1,18 @@
 import math
 import re
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from unittest import mock
 
-from fracapprox import approx
-from fracapprox.analysis import layer_decay_experiment
+from fracapprox import analysis, approx
+from fracapprox.analysis import approximant_points, layer_decay_experiment
 from fracapprox.approx import (
     PsiFunction,
     _enumerate_windows,
@@ -542,6 +543,22 @@ def _kernel(x, n, psi):
     return "sweep" if sweep.called else "convergent" if convergent.called else "loop"
 
 
+# the weights of each kernel's estimated time in layer_hit_mask
+_WEIGHTS = {"loop": ("_NS_LOOP_TEST",), "sweep": ("_NS_SWEEP_CENTRE", "_NS_SWEEP_PAIR"),
+            "convergent": ("_NS_EUCLID_STEP",)}
+
+
+@contextmanager
+def _pinned(kernel):
+    """layer_hit_mask with every kernel but `kernel` priced at infinity, so
+    that `kernel` runs on every block whose preconditions it meets."""
+    with ExitStack() as stack:
+        for other, names in _WEIGHTS.items():
+            for name in names if other != kernel else ():
+                stack.enter_context(mock.patch.object(approx, name, math.inf))
+        yield
+
+
 def test_layer_hit_mask_reads_d_from_a_2d_points_array():
     psi = PsiFunction.power(2.5)
     for bad in (np.zeros(3), np.zeros((2, 2, 1)), np.zeros((3, 0))):
@@ -556,17 +573,25 @@ def test_layer_hit_mask_d1_float_tie_needs_numerator_window():
     x = float(np.nextafter(1 / 6, 1))
     psi = PsiFunction.from_table([(2.0, 0.16666666666666663), (4.0, 0.16666666666666663)])
     assert (1 / 3 - x) ** 2 <= psi(3.0) ** 2 and psi(3.0) * 3 < 0.5
+    # Each copy of x costs the sweep 2 q reach = 5/3 estimated candidates
+    # against the loop's 2 tests, and a candidate costs more than a test
+    # (measured: 0.80 against 0.39 ms at 10,000 copies), so no number of
+    # copies routes this case to the sweep: the sweep is pinned.
     pts = np.full((10, 1), x)
     assert not reference_hit_mask(pts, 1, psi, 1).any()
-    assert _kernel(pts, 1, psi) == "sweep"
+    with _pinned("sweep"):
+        assert _kernel(pts, 1, psi) == "sweep"
+        assert not layer_hit_mask(pts, 1, psi).any()
+    assert _kernel(pts, 1, psi) == "loop"
     assert not layer_hit_mask(pts, 1, psi).any()
 
 
 def test_layer_hit_mask_d1_underflowing_radius():
     # psi^2 underflows to 0, and so does the squared distance from 0 to a
     # point near 1e-170: the float test accepts it far outside the radius
+    # 200 points: the loop's 8 tests each outweigh the sweep's 80 centres
     psi = PsiFunction.from_table([(1.0, 1e-200), (2048.0, 1e-200)])
-    pts = np.array([[1e-170], [-3e-165], [1e-140], [0.0], [0.5]] * 4)
+    pts = np.array([[1e-170], [-3e-165], [1e-140], [0.0], [0.5]] * 40)
     ref = reference_hit_mask(pts, 3, psi, 1)
     assert ref[:2].all() and not ref[2]
     assert _kernel(pts, 3, psi) == "sweep"
@@ -601,52 +626,70 @@ def _convergent_case(draw, n):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.integers(3, 12))
 def test_layer_hit_mask_convergent_matches_reference(data, n):
-    # the convergent kernel takes every block whose psi keeps 2 q^2 psi(q)
-    # clear of 1, refuses every block where it reaches 1, and keeps every bit
+    # pinned, the convergent kernel takes every block whose psi keeps 2 q^2
+    # psi(q) clear of 1, refuses every block where it reaches 1, and keeps
+    # every bit; unpinned, the rule may price the q loop lower below block 6
     psi, pts = data.draw(_convergent_case(n))
     q = np.arange(2**n, 2 ** (n + 1), dtype=float)
     legendre = (2 * q * q * psi(q)).max()
-    kernel = _kernel(pts, n, psi)
-    if legendre < 0.9:
-        assert kernel == "convergent"
-    elif legendre >= 1:
-        assert kernel != "convergent"
-    assert np.array_equal(layer_hit_mask(pts, n, psi), reference_hit_mask(pts, n, psi, 1))
+    want = reference_hit_mask(pts, n, psi, 1)
+    with _pinned("convergent"):
+        kernel = _kernel(pts, n, psi)
+        if legendre < 0.9:
+            assert kernel == "convergent"
+        elif legendre >= 1:
+            assert kernel != "convergent"
+        assert np.array_equal(layer_hit_mask(pts, n, psi), want)
+    assert np.array_equal(layer_hit_mask(pts, n, psi), want)
 
 
 def test_layer_hit_mask_legendre_boundary():
     # 2 q^2 psi(q) = 1 at q = 4 for tau = 2.5 (block 2), and is one ulp below
     # 1 at q = 8 for tau = 7/3 (block 3), where the float reach puts it past
     # 1: neither block is inside the Legendre condition.  Block 3 at tau =
-    # 2.5 is (2 q^2 psi(q) <= 0.71), and takes the convergent kernel.
+    # 2.5 is (2 q^2 psi(q) <= 0.71), and the pinned convergent kernel takes
+    # it; unpinned, the loop's 8 tests per point are priced lower there.
     rng = np.random.default_rng(16)
     x = np.concatenate([rng.uniform(-_WIDE, _WIDE, 200), rng.integers(-99, 99, 100) / 8,
                         rng.random(100), [1 / 4 + 4.0**-2.5, 3 / 8 - 8.0**-2.5]])
     for n, tau, want in ((2, 2.5, "loop"), (3, 7 / 3, "loop"), (3, 2.5, "convergent")):
         psi = PsiFunction.power(tau)
-        assert _kernel(x, n, psi) == want
         pts = x.reshape(-1, 1)
+        with _pinned("convergent"):
+            assert _kernel(x, n, psi) == want
+            assert np.array_equal(layer_hit_mask(pts, n, psi),
+                                  reference_hit_mask(pts, n, psi, 1))
+        assert _kernel(x, n, psi) == "loop"
         assert np.array_equal(layer_hit_mask(pts, n, psi), reference_hit_mask(pts, n, psi, 1))
 
 
 def test_layer_hit_mask_d1_cost_rule():
-    # of the kernels whose preconditions hold, the one with the least work
-    # runs: the loop's N 2^n point-q tests, the sweep's centres (when psi(2^n)
-    # 2^n < 1/2; past that the loop decides nearly every point at the first
-    # q) or the convergent kernel's N (ceil(log_phi 2^(n+1)) + 1) Euclid
-    # steps (under the Legendre condition); all agree with the loop
+    # of the kernels whose preconditions hold, the one of least estimated
+    # time runs: 12 ns per loop test, N tests at each q until an evenly
+    # spread point first hits, 2 q reach(q) the chance that it hits at q; 85
+    # ns per sweep centre plus 90 ns per candidate, N 2 q reach(q) of them
+    # summed over q (when psi(2^n) 2^n < 1/2; past that the loop decides
+    # nearly every point at the first q); 30 ns per Euclid step, N
+    # (ceil(log_phi 2^(n+1)) + 1) of them (under the Legendre condition).
+    # All agree with the loop.
     psi, fat = PsiFunction.power(2.5), PsiFunction.power(1.0)
     rng = np.random.default_rng(4)
     many, few = rng.random(4000), rng.random(3)
-    assert _kernel(many, 3, psi) == "sweep"  # ~120 centres, 28,000 steps
-    assert _kernel(few, 10, psi) == "convergent"  # 3 * 17 steps, 3 * 1024 tests
-    assert _kernel(many, 10, psi) == "convergent"  # ~1.6e6 centres, 68,000 steps
+    assert _kernel(many, 3, psi) == "sweep"  # 0.17 ms: 132 centres, 1,776 candidates
+    assert _kernel(few, 10, psi) == "convergent"  # 1.5 us: 3 * 17 steps
+    assert _kernel(many, 10, psi) == "convergent"  # 2 ms: ~1.6e6 centres, 68,000 steps
     assert _kernel(few, 2, psi) == "loop"  # outside the Legendre condition
     for n in (0, 3, 10):
         assert _kernel(many, n, fat) == "loop"
     assert _kernel(many, 3, PsiFunction.power(1.2)) == "loop"  # 8^-0.2 > 1/2
-    assert _kernel(many, 6, PsiFunction.power(1.2)) == "sweep"  # no Legendre: tau < 2
+    # tau = 1.2 at block 6: most points hit at the first q, so the loop
+    # makes ~4,600 tests where the sweep meets ~2e5 candidates (measured:
+    # 0.57 against 4.4 ms); tau = 2 is outside the Legendre condition too,
+    # and there the sweep's 1.0 ms beats the loop's 1.6 ms (1.9 against 3.3)
+    assert _kernel(many, 6, PsiFunction.power(1.2)) == "loop"
+    assert _kernel(many, 6, PsiFunction.power(2.0)) == "sweep"
     for x, n, f in ((many, 3, psi), (few, 10, psi), (many, 10, psi), (few, 2, psi),
+                    (many, 6, PsiFunction.power(2.0)),
                     (many[:0], 3, psi), (many, 3, fat), (many, 10, fat),
                     (np.append(many, [np.nan, np.inf]), 3, fat),
                     (np.append(many, [np.nan, -np.inf]), 10, psi)):
@@ -654,6 +697,79 @@ def test_layer_hit_mask_d1_cost_rule():
         with np.errstate(invalid="ignore"):  # the oracle's NaN and inf points
             want = reference_hit_mask(pts, n, f, 1)
         assert np.array_equal(layer_hit_mask(pts, n, f), want)
+
+
+def _picks(run):
+    """(block, kernel) of every layer_hit_mask call that run() makes through
+    the analysis drivers."""
+    picks, real = [], analysis.layer_hit_mask
+
+    def spy(points, n, psi):
+        picks.append((n, _kernel(points, n, psi)))
+        return real(points, n, psi)
+
+    with mock.patch.object(analysis, "layer_hit_mask", spy):
+        run()
+    return picks
+
+
+def test_layer_hit_mask_picks_the_faster_kernel_on_the_layers_runs():
+    # Each kernel timed alone on 40,000 sorted cantor samples (medians of 7
+    # calls, 2-core x86-64 box), the one picked first:
+    #   decay, seed 0, tau = 2.5: block 1 loop 1.1-1.5 ms, sweep 3.5-5.7;
+    #     block 2 loop 1.4-2.0, sweep 1.6-2.5; block 3 sweep 1.7-2.6, loop
+    #     2.1-3.2; block 8 sweep 8.5-14, convergent 9.8-17; block 9
+    #     convergent 12-18, sweep 27-44; block 10 convergent 18-22, sweep 127-154
+    #   the first dim-report batch, tau = 3: block 8 sweep 7.6-12, convergent
+    #     9.1-13; block 9 convergent 9.2-14, sweep 22-35
+    #   decay at tau = 1.5: the loop at every block 3-10 (1.5-29 ms against
+    #     the sweep's 6.2-97)
+    cantor = bundled_system("cantor")
+
+    def decay(tau, blocks):
+        return _picks(lambda: layer_decay_experiment(cantor, PsiFunction.power(tau),
+                                                     cantor.delta, blocks, 40000, 0))
+
+    assert decay(2.5, range(1, 11)) == [(1, "loop"), (2, "loop"),
+                                        *((n, "sweep") for n in range(3, 9)),
+                                        (9, "convergent"), (10, "convergent")]
+    dim = _picks(lambda: approximant_points(cantor, PsiFunction.power(3.0), 0, 40000))
+    assert dim == [*((n, "sweep") for n in range(5, 9)), (9, "convergent"),
+                   (10, "convergent")]
+    assert decay(1.5, range(3, 11)) == [(n, "loop") for n in range(3, 11)]
+
+
+@pytest.mark.parametrize("kernel", ["loop", "sweep", "convergent"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_layer_hit_mask_d1_is_order_invariant(kernel, data, seed):
+    # each point's bit depends on that point alone, whichever kernel decides
+    # it: callers may sort their points first (perm may be the sorting one)
+    rng = np.random.default_rng(seed)
+    if kernel == "convergent":
+        n = data.draw(st.integers(3, 10))
+        psi, pts = data.draw(_convergent_case(n))
+    else:
+        n = data.draw(st.integers(0, 6))
+        psi, extra = data.draw(_layer_case(n))
+        pts = np.concatenate([rng.random((data.draw(st.integers(0, 400)), 1)), extra])
+    perm = np.argsort(pts[:, 0]) if data.draw(st.booleans()) else rng.permutation(len(pts))
+    with _pinned(kernel):
+        assume(_kernel(pts, n, psi) == kernel)
+        assert np.array_equal(layer_hit_mask(pts[perm], n, psi),
+                              layer_hit_mask(pts, n, psi)[perm])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 4), tau=st.floats(1.0, 4.0), seed=st.integers(0, 2**32 - 1),
+       rows=st.lists(st.lists(st.one_of(st.floats(-1.5, 2.5), st.sampled_from(_SPECIAL)),
+                              min_size=2, max_size=2), min_size=1, max_size=40))
+def test_layer_hit_mask_d2_is_order_invariant(n, tau, seed, rows):
+    # in two dimensions the q loop decides every point, on its own
+    psi = PsiFunction.power(tau, d=2)
+    pts = np.array(rows, dtype=float)
+    perm = np.random.default_rng(seed).permutation(len(pts))
+    assert np.array_equal(layer_hit_mask(pts[perm], n, psi), layer_hit_mask(pts, n, psi)[perm])
 
 
 @pytest.mark.parametrize("n, size, d, sweep", [(3, 4000, 1, True), (10, 3, 1, False),
