@@ -39,11 +39,11 @@ _ONSET_LAST = 60
 # timing each kernel alone on the blocks of the decay and dim-report runs of
 # 40,000 sorted cantor samples (tau 2.5 and 3, blocks 1-10; and tau 1.5) on a
 # 2-core x86-64 box, numpy 2.4.6, medians of 7 calls:
-#   loop: 11-12 ns per test at blocks 9-10 (0.39-0.53 s for 4.1e7 tests);
-#   sweep: 80-100 ns per centre at blocks 9-10 (0.12-0.15 s for 1.6e6),
+#   loop: 9-14 ns per test at blocks 9-10 (0.39-0.53 s for 4.1e7 tests);
+#   sweep: 67-110 ns per centre at blocks 9-10 (0.13-0.15 s for 1.6e6),
 #     and 60-130 ns per estimated candidate at blocks 1-2, where the
 #     candidates (2.7e4-4.4e4) outnumber the centres (15-42), 1.6-5.7 ms;
-#   convergent: 27-37 ns per Euclid step, 10-20 ms per call at blocks 3-10.
+#   convergent: 19-38 ns per Euclid step, 7-22 ms per call at blocks 3-10.
 _NS_LOOP_TEST = 12.0
 _NS_SWEEP_CENTRE = 85.0
 _NS_SWEEP_PAIR = 90.0
@@ -273,11 +273,12 @@ def layer_hit_mask(points: np.ndarray, n: int, psi: PsiFunction) -> np.ndarray:
         each step.  It makes N 2^n tests; where the sweep may run, it is
         priced at the tests of N evenly spread points, each dropped at its
         first hit, which at q has the chance 2 q reach;
-      the sweep of the block rationals over the points (`_sweep_hit_mask`),
-        sorted only when they are not sorted already, 85 ns per centre it
-        enumerates plus 90 ns per (centre, point) candidate, N 2 q reach of
-        them summed over the q; for d = 1 when psi(2^n) 2^n < 1/2 and every
-        numerator stays below 2^52;
+      the sweep of the block rationals over the sorted points
+        (`_sweep_hit_mask`), 85 ns per centre it enumerates plus 90 ns per
+        (centre, point) candidate, N 2 q reach of them summed over the q;
+        for d = 1 when psi(2^n) 2^n < 1/2 and every numerator stays below
+        2^52.  The sort takes 0.17 ms for 40,000 points passed in ascending
+        order, against 1 ms for unsorted ones;
       the continued-fraction kernel (`_convergent_hit_mask`), 30 ns for
         each of N times ceil(log_phi 2^(n+1)) + 1 Euclid steps; under the
         sweep's numerator bound and the Legendre condition 2 q^2 (reach +
@@ -327,9 +328,7 @@ def layer_hit_mask(points: np.ndarray, n: int, psi: PsiFunction) -> np.ndarray:
                 work["convergent"] = _NS_EUCLID_STEP * live.size * steps
     kernel = min(work, key=work.get)
     if kernel == "sweep":
-        xs = pts[live, 0]
-        if (xs[1:] < xs[:-1]).any():  # callers may pass points sorted already
-            live = live[np.argsort(xs)]
+        live = live[np.argsort(pts[live, 0])]
         hits[live] = _sweep_hit_mask(pts[live, 0], (q, m, r2, reach), first, count)
         return hits
     if kernel == "convergent":
