@@ -574,7 +574,7 @@ def test_layer_hit_mask_d1_float_tie_needs_numerator_window():
     psi = PsiFunction.from_table([(2.0, 0.16666666666666663), (4.0, 0.16666666666666663)])
     assert (1 / 3 - x) ** 2 <= psi(3.0) ** 2 and psi(3.0) * 3 < 0.5
     # Each copy of x costs the sweep 2 q reach = 5/3 estimated candidates
-    # against the loop's 2 tests, and a candidate costs more than a test
+    # against at most 2 loop tests, and a candidate costs more than a test
     # (measured: 0.80 against 0.39 ms at 10,000 copies), so no number of
     # copies routes this case to the sweep: the sweep is pinned.
     pts = np.full((10, 1), x)
@@ -589,7 +589,8 @@ def test_layer_hit_mask_d1_float_tie_needs_numerator_window():
 def test_layer_hit_mask_d1_underflowing_radius():
     # psi^2 underflows to 0, and so does the squared distance from 0 to a
     # point near 1e-170: the float test accepts it far outside the radius
-    # 200 points: the loop's 8 tests each outweigh the sweep's 80 centres
+    # 200 points: their 1,600 loop tests (19 us) outweigh the sweep's 80
+    # centres (7 us), where 20 points did not
     psi = PsiFunction.from_table([(1.0, 1e-200), (2048.0, 1e-200)])
     pts = np.array([[1e-170], [-3e-165], [1e-140], [0.0], [0.5]] * 40)
     ref = reference_hit_mask(pts, 3, psi, 1)
@@ -685,7 +686,8 @@ def test_layer_hit_mask_d1_cost_rule():
     # tau = 1.2 at block 6: most points hit at the first q, so the loop
     # makes ~4,600 tests where the sweep meets ~2e5 candidates (measured:
     # 0.57 against 4.4 ms); tau = 2 is outside the Legendre condition too,
-    # and there the sweep's 1.0 ms beats the loop's 1.6 ms (1.9 against 3.3)
+    # and there the sweep's estimated 1.0 ms beats the loop's 1.5 ms
+    # (measured: 1.9 against 3.3)
     assert _kernel(many, 6, PsiFunction.power(1.2)) == "loop"
     assert _kernel(many, 6, PsiFunction.power(2.0)) == "sweep"
     for x, n, f in ((many, 3, psi), (few, 10, psi), (many, 10, psi), (few, 2, psi),
