@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +31,11 @@ __all__ = [
 
 _REL_TOL = 0.02
 MAX_DISCARD_FRACTION = 0.2
-# Trials whose phases share one batched mass evaluation; the frontier of a
-# block, and so the memory of a run, grows with this and not with --trials.
-_TRIAL_BLOCK = 32
+# Trials whose phases share one measure_many call.  This bounds the objects
+# a block holds per trial (each trial's Generator, about 1 KB, plus its
+# Balls and row plans), so their memory grows with this and not with
+# --trials; measure_many bounds the frontier rows itself.
+_TRIAL_BLOCK = 1024
 
 
 class CertificationError(RuntimeError):
@@ -124,6 +125,9 @@ def _run_ordered(worker, payloads: list, jobs: int) -> list:
     workers = min(jobs, len(payloads), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(p) for p in payloads]
+    # imported here: the pool's modules would add ~30 ms to every start-up
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, payloads,
                              chunksize=max(1, len(payloads) // (4 * workers))))

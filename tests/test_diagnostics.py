@@ -1,9 +1,12 @@
+import concurrent.futures
 import math
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
 
-from fracapprox import diagnostics
+from fracapprox import diagnostics, ifs
 from fracapprox.cli import ExperimentConfig, _write_csv
 from fracapprox.diagnostics import (
     CertificationError,
@@ -253,7 +256,7 @@ def test_pool_size_is_capped(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(diagnostics, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(diagnostics.os, "cpu_count", lambda: 4)
     assert _run_ordered(abs, [-1, 2, -3], 64) == [1, 2, 3]
     assert _run_ordered(abs, list(range(-9, 0)), 64) == list(range(9, 0, -1))
@@ -264,6 +267,16 @@ def test_pool_size_is_capped(monkeypatch):
     monkeypatch.setattr(diagnostics.os, "cpu_count", lambda: None)
     assert _run_ordered(abs, [-1, -2], 8) == [1, 2]
     assert sizes == [3, 4, 2]
+
+
+def test_cli_import_leaves_the_pool_unloaded():
+    # the pool's modules load only when _run_ordered starts a pool
+    code = ("import sys, fracapprox.cli; "
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -304,21 +317,53 @@ def _assert_same_certificates(got, want):
             assert getattr(a, f.name) == getattr(b, f.name), f.name
 
 
-@pytest.mark.parametrize("block", [1, 3])
+def _count_chunks(monkeypatch) -> list:
+    """The number of frontier chunks of each measure_many call the
+    certificates make, filled in as they run."""
+    per_call = []
+    real_many, real_chunk = diagnostics.measure_many, ifs._measure_chunk
+
+    def many(*args):
+        per_call.append(0)
+        return real_many(*args)
+
+    def chunk(*args):
+        per_call[-1] += 1
+        return real_chunk(*args)
+
+    monkeypatch.setattr(diagnostics, "measure_many", many)
+    monkeypatch.setattr(ifs, "_measure_chunk", chunk)
+    return per_call
+
+
+# a seam between trial blocks, or between frontier chunks: a one-row budget
+# gives every chunk after the first one query
+@pytest.mark.parametrize("module, attr, value", [
+    pytest.param(diagnostics, "_TRIAL_BLOCK", 1, id="1"),
+    pytest.param(diagnostics, "_TRIAL_BLOCK", 3, id="3"),
+    pytest.param(ifs, "_FRONTIER_ROWS", 1, id="rows1"),
+])
+# each call of more than 32 masses crosses chunk seams under the one-row
+# budget: the row masses everywhere (3 per kept trial), and koch's ball masses
 @pytest.mark.parametrize("name, trials, r0_diams, seed", [
     ("cantor", 20, None, 2),
-    ("koch", 10, None, 2),
+    ("koch", 34, None, 2),
     ("gasket", 20, 1e-5, 1),  # discarded trials on both sides of the seams
 ])
 def test_certify_all_trial_blocks_are_seamless(monkeypatch, request, name, trials,
-                                               r0_diams, seed, block):
+                                               r0_diams, seed, module, attr, value):
     sys_ = request.getfixturevalue(name)
     alpha = decay_alpha_from_regularity(sys_.delta, sys_.dim)
     r0 = None if r0_diams is None else r0_diams * sys_.diameter
     whole = certify_all(sys_, alpha, trials, r0=r0, seed=seed)
     assert (whole[0].discarded > 0) == (r0_diams is not None)
-    monkeypatch.setattr(diagnostics, "_TRIAL_BLOCK", block)
+    monkeypatch.setattr(module, attr, value)
+    chunks = _count_chunks(monkeypatch)
     _assert_same_certificates(certify_all(sys_, alpha, trials, r0=r0, seed=seed), whole)
+    if module is ifs:
+        # one trial block: one call for its ball masses, then one for its rows
+        assert len(chunks) == 2
+        assert chunks[0] == 1 + max(0, trials - ifs._FIRST_CHUNK) and chunks[1] > 1
 
 
 @pytest.mark.parametrize("trials", [7, 21])

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mass_oracle
@@ -465,17 +465,42 @@ def _oracle(sys_, query, tol):
     return mass_oracle.measure_of_slab_in_ball(sys_, *query, tol)
 
 
+# a batch of up to 8 queries fits in the first chunk; one of 33-40 crosses
+# at least two chunks
+_BATCH = st.one_of(st.lists(_QUERY, min_size=1, max_size=8),
+                   st.lists(_QUERY, min_size=ifs._FIRST_CHUNK + 1, max_size=40))
+
+
 @settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from(sorted(ORACLE_SYSTEMS)),
-       raw=st.lists(_QUERY, min_size=1, max_size=8))
+@given(name=st.sampled_from(sorted(ORACLE_SYSTEMS)), raw=_BATCH)
+# the rotation frontier across seams, which the drawn examples rarely reach
+@example(name="koch", raw=[("near", i, -3.0, -1.5, None if i % 3 else (0.4 * i, 0.2, -1.0),
+                            0.5) for i in range(36)])
 def test_measure_many_matches_single_query_oracle(name, raw):
     """Every interval of a mixed batch, each query with its own tolerance,
-    has the lo, hi, converged and depth of the single-query oracle."""
+    has the lo, hi, converged and depth of the single-query oracle.  A batch
+    longer than the first chunk runs under a one-row frontier budget, so
+    every later chunk holds one query and the batch has a seam at each."""
     sys_ = ORACLE_SYSTEMS[name]
     made = [_make_query(name, *q) for q in raw]
     queries, tols = [q for q, _ in made], [t for _, t in made]
-    got = measure_many(sys_, queries, tols)
+    chunks = []
+    real = ifs._measure_chunk
+
+    def counting(*args):
+        chunks.append(len(args[1]))
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ifs, "_measure_chunk", counting)
+        if len(raw) > ifs._FIRST_CHUNK:
+            mp.setattr(ifs, "_FRONTIER_ROWS", 1)
+        got = measure_many(sys_, queries, tols)
     assert got == [_oracle(sys_, q, t) for q, t in made]
+    if len(raw) > ifs._FIRST_CHUNK:
+        assert chunks == [ifs._FIRST_CHUNK] + [1] * (len(raw) - ifs._FIRST_CHUNK)
+    else:
+        assert chunks == [len(raw)]
 
 
 def test_measure_many_edge_cases_match_oracle(cantor, koch):
