@@ -125,7 +125,7 @@ def _run_ordered(worker, payloads: list, jobs: int) -> list:
     workers = min(jobs, len(payloads), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(p) for p in payloads]
-    # imported here: the pool's modules would add ~30 ms to every start-up
+    # imported here: the pool's modules would add 20-30 ms to every start-up
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:

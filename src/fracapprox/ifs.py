@@ -493,13 +493,13 @@ def _segment_sums(values: np.ndarray, segment: np.ndarray, n: int) -> tuple:
     return sums, counts
 
 
-# measure_many subdivides its queries in consecutive chunks: the first takes
-# _FIRST_CHUNK queries, and each later one as many as the previous chunk's
-# largest frontier says fit in _FRONTIER_ROWS rows.  Set on `certify --ifs
-# gasket --trials 1000` (2-CPU x86-64 Linux, numpy 2.4): at 2**14 it makes 65
-# chunks, the largest frontier has 32,622 rows and peak RSS is 51 MB, as with
-# 32-trial calls, in 2.6-3.1 s against their 2.9-3.2 s; 2**12 made 274
-# chunks in 3.9 s, and 2**16 took 2.6 s but 61 MB.
+# The queries of measure_many's first chunk, and the frontier rows each later
+# chunk is sized to.  The budget was set on `certify --ifs gasket --trials
+# 1000` (2-CPU x86-64 Linux, numpy 2.4): at 2**14 it makes 65 chunks, the
+# largest frontier has 32,622 rows and peak RSS is 50.4-50.7 MB against
+# 50.0-50.2 MB with 32-trial calls, in 3.20 s against 3.26 s (medians of 16
+# alternating pairs); 2**12 made 274 chunks (3.9 s in one run), and 2**16
+# took 61 MB.
 _FIRST_CHUNK = 32
 _FRONTIER_ROWS = 2**14
 

@@ -478,9 +478,9 @@ _BATCH = st.one_of(st.lists(_QUERY, min_size=1, max_size=8),
                             0.5) for i in range(36)])
 def test_measure_many_matches_single_query_oracle(name, raw):
     """Every interval of a mixed batch, each query with its own tolerance,
-    has the lo, hi, converged and depth of the single-query oracle.  A batch
-    longer than the first chunk runs under a one-row frontier budget, so
-    every later chunk holds one query and the batch has a seam at each."""
+    has the lo, hi, converged and depth of the single-query oracle.  The
+    frontier budget is one row, so every chunk after the first holds one
+    query and a batch longer than the first chunk has a seam at each."""
     sys_ = ORACLE_SYSTEMS[name]
     made = [_make_query(name, *q) for q in raw]
     queries, tols = [q for q, _ in made], [t for _, t in made]
@@ -493,14 +493,11 @@ def test_measure_many_matches_single_query_oracle(name, raw):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ifs, "_measure_chunk", counting)
-        if len(raw) > ifs._FIRST_CHUNK:
-            mp.setattr(ifs, "_FRONTIER_ROWS", 1)
+        mp.setattr(ifs, "_FRONTIER_ROWS", 1)
         got = measure_many(sys_, queries, tols)
     assert got == [_oracle(sys_, q, t) for q, t in made]
-    if len(raw) > ifs._FIRST_CHUNK:
-        assert chunks == [ifs._FIRST_CHUNK] + [1] * (len(raw) - ifs._FIRST_CHUNK)
-    else:
-        assert chunks == [len(raw)]
+    first = ifs._FIRST_CHUNK
+    assert chunks == [min(len(raw), first)] + [1] * max(0, len(raw) - first)
 
 
 def test_measure_many_edge_cases_match_oracle(cantor, koch):
