@@ -43,11 +43,11 @@ _ONSET_LAST = 60
 #   sweep: 67-110 ns per centre at blocks 9-10 (0.13-0.15 s for 1.6e6),
 #     and 60-130 ns per estimated candidate at blocks 1-2, where the
 #     candidates (2.7e4-4.4e4) outnumber the centres (15-42), 1.6-5.7 ms;
-#   convergent: 19-38 ns per Euclid step, 7-22 ms per call at blocks 3-10.
+#   convergent: 17-26 ns per Euclid step, 5.4-16 ms per call at blocks 3-10.
 _NS_LOOP_TEST = 12.0
 _NS_SWEEP_CENTRE = 85.0
 _NS_SWEEP_PAIR = 90.0
-_NS_EUCLID_STEP = 30.0
+_NS_EUCLID_STEP = 21.0
 
 
 @dataclass(frozen=True)
@@ -279,11 +279,16 @@ def layer_hit_mask(points: np.ndarray, n: int, psi: PsiFunction) -> np.ndarray:
         for d = 1 when psi(2^n) 2^n < 1/2 and every numerator stays below
         2^52.  The sort takes 0.17 ms for 40,000 points passed in ascending
         order, against 1 ms for unsorted ones;
-      the continued-fraction kernel (`_convergent_hit_mask`), 30 ns for
+      the continued-fraction kernel (`_convergent_hit_mask`), 21 ns for
         each of N times ceil(log_phi 2^(n+1)) + 1 Euclid steps; under the
-        sweep's numerator bound and the Legendre condition 2 q^2 (reach +
-        ulp) < 1 for every q of the block, where ulp is the float spacing at
-        the sweep's bound max |x| + max reach + 2.
+        sweep's numerator bound, the Legendre condition 2 q^2 (reach + ulp)
+        < 1 for every q of the block, where ulp is the float spacing at the
+        sweep's bound max |x| + max reach + 2, and r^2 non-increasing over
+        the block.  It decides each convergent a/b of a point by one float
+        test at its smallest block multiple: a float hit p/q is then a
+        convergent, each block multiple of a/b has the float of a/b, the
+        smallest has the largest r^2, and the q loop's numerator test never
+        rejects a float hit (rint(fl(x q)) = p and m = 0).
 
     All three stay under the 2^n denominator ceiling of _check_denominators.
     """
@@ -321,8 +326,10 @@ def layer_hit_mask(points: np.ndarray, n: int, psi: PsiFunction) -> np.ndarray:
                              + _NS_SWEEP_PAIR * live.size * meet.sum())
             # the float centre of a hit p/q lies within reach of its point
             # and within one spacing at top of p/q: Legendre's condition
-            # |x - p/q| < 1/(2 q^2) holds when this does
-            if (2.0 * q * q * (reach + np.spacing(top)) < 1.0).all():
+            # |x - p/q| < 1/(2 q^2) holds when this does; with r^2
+            # non-increasing, a convergent's smallest block multiple decides it
+            if ((2.0 * q * q * (reach + np.spacing(top)) < 1.0).all()
+                    and (r2[1:] <= r2[:-1]).all()):
                 # denominators of the convergents grow at least like phi^k
                 steps = math.ceil((n + 1) / math.log2((1 + math.sqrt(5)) / 2)) + 1
                 work["convergent"] = _NS_EUCLID_STEP * live.size * steps
@@ -332,7 +339,7 @@ def layer_hit_mask(points: np.ndarray, n: int, psi: PsiFunction) -> np.ndarray:
         hits[live] = _sweep_hit_mask(pts[live, 0], (q, m, r2, reach), first, count)
         return hits
     if kernel == "convergent":
-        hits[live] = _convergent_hit_mask(pts[live, 0], n, (q, m, r2))
+        hits[live] = _convergent_hit_mask(pts[live, 0], n, r2)
         return hits
     j, size = 0, 1
     while j < q.size and live.size:
@@ -343,16 +350,29 @@ def layer_hit_mask(points: np.ndarray, n: int, psi: PsiFunction) -> np.ndarray:
         p0 = np.rint(sub * qs)
         top = int(m[j:k].max())
         bound = np.where(m[j:k] >= np.arange(top + 1)[:, None], r2[j:k], -1.0)[..., None]
-        offs = np.array(list(product(range(-top, top + 1), repeat=d)), dtype=float)
         found = np.zeros((k - j, live.size), dtype=bool)
-        for off, s in zip(offs, np.abs(offs).max(axis=1).astype(int).tolist()):
-            diff = (p0 + off) / qs - sub
-            found |= np.einsum("qij,qij->qi", diff, diff) <= bound[s]
+        # the offsets shell by shell, by sup norm s, until every point has hit
+        for s in range(top + 1):
+            for off in _shell(s, d):
+                diff = (p0 + off) / qs - sub
+                found |= np.einsum("qij,qij->qi", diff, diff) <= bound[s]
+            if found.any(axis=0).all():
+                break
         got = found.any(axis=0)
         hits[live[got]] = True
         live = live[~got]
         j, size = k, min(2 * size, max(1, _CELL_BUDGET // max(live.size, 1)))
     return hits
+
+
+def _shell(s: int, d: int) -> np.ndarray:
+    """The integer offsets of sup norm s in d dimensions, as float rows:
+    coordinate i at -s or s, those before it in (-s, s), those after it in
+    [-s, s]."""
+    rows = [(*head, end, *tail) for i in range(d) for end in {-s, s}
+            for head in product(range(1 - s, s), repeat=i)
+            for tail in product(range(-s, s + 1), repeat=d - 1 - i)]
+    return np.array(rows, dtype=float)
 
 
 def _float_hits(p: np.ndarray, x: np.ndarray, j: np.ndarray, table: tuple) -> np.ndarray:
@@ -423,90 +443,60 @@ def _sweep_hit_mask(xs: np.ndarray, table: tuple, first: np.ndarray,
 _EXPAND_SLICE = 2**13
 
 
-def _convergent_hit_mask(x: np.ndarray, n: int, table: tuple) -> np.ndarray:
-    """layer_hit_mask for d = 1 on the finite points x and the block's table
-    (q, m, r^2), under the Legendre condition that every float hit p/q lies
-    within 1/(2 q^2) of its point.
+def _convergent_hit_mask(x: np.ndarray, n: int, r2: np.ndarray) -> np.ndarray:
+    """layer_hit_mask for d = 1 on the finite points x and the block's r^2
+    per q, under three conditions: every float hit p/q lies within 1/(2 q^2)
+    of its point (the Legendre condition), |x| q < 2^52 (the sweep's bound)
+    and r^2 is non-increasing over the block.
 
-    By Legendre's theorem such a p/q, in lowest terms a/b, is a convergent
-    of x, and -a/b one of -x.  IEEE division rounds every multiple (t a)/(t b)
-    to the float of a/b, so the float test (p/q - x)^2 <= r^2 can pass only
-    for the multiples of the convergents that `_close_convergents` keeps.
-    The candidates are their multiples with 2^n <= t b < 2^(n+1), decided by
-    exactly the q loop's two tests (`_float_hits`).  Points are expanded
-    _EXPAND_SLICE at a time; each round takes the next multiples of every
-    pair whose point has not hit, one at first and doubling up to
-    _CELL_BUDGET candidates a round.
-    """
-    hits, r2_max = np.zeros(x.size, dtype=bool), table[2].max()
-    for s in range(0, x.size, _EXPAND_SLICE):
-        xs = x[s:s + _EXPAND_SLICE]
-        pt, num, den = _close_convergents(xs, n, r2_max)
-        num = np.where(xs[pt] < 0, -num, num)
-        t, stop = -(-(2**n) // den), (2 ** (n + 1) - 1) // den + 1
-        got, size = hits[s:s + _EXPAND_SLICE], 1
-        while pt.size:
-            take = np.minimum(stop - t, size)
-            c = np.repeat(np.arange(pt.size), take)
-            tc = t[c] + np.arange(c.size) - np.repeat(np.cumsum(take) - take, take)
-            p, j = (tc * num[c]).astype(float), tc * den[c] - 2**n
-            ok = _float_hits(p, xs[pt[c]], j, table)
-            got[pt[c[ok]]] = True
-            t = t + take
-            left = (t < stop) & ~got[pt]
-            pt, num, den, t, stop = pt[left], num[left], den[left], t[left], stop[left]
-            size = min(2 * size, max(1, _CELL_BUDGET // max(pt.size, 1)))
-    return hits
-
-
-def _close_convergents(x: np.ndarray, n: int, r2_max: float) -> tuple:
-    """The convergents a/b of the points |x| with b < 2^(n+1) and float gap
-    (a/b - |x|)^2 <= r2_max, as int64 arrays (point index, a, b).
+    A point hits iff, for one of its convergents a/b, the float test
+    (a/b - |x|)^2 <= r^2 passes at the smallest block multiple q0 of b.
+    By Legendre's theorem a float hit p/q, in lowest terms a/b, is a
+    convergent of x (-a/b one of -x, the same gap with the other sign), and
+    IEEE division rounds every multiple (t a)/(t b) to the float of a/b, so
+    each block multiple compares one gap with its own r^2: the smallest,
+    with the largest r^2, passes if any does.  Under the conditions the q
+    loop's numerator test never rejects a float hit: |x q - p| < 1/(2 q),
+    fl(x q) is within 1/4 of x q, so rint(fl(x q)) = p, and m = 0.
 
     |x| = F + M/2^E with F = floor(|x|) and 2^52 <= M < 2^53 is expanded by
-    one Euclid run over all points, and every quotient is exact.  When
-    2^E/M > 2^(n+2) the first quotient puts the next denominator past the
-    block, and F/1 is the only convergent.  Otherwise E <= n + 54: the first
-    remainder is the exact IEEE fmod(2^E, M), the first quotient an integer
-    of at most 2^(n+2) that float division gets to far less than 1/2, and
-    the later steps divide int64 values below 2^53.  Denominators grow, so a
-    point stops at its first convergent whose denominator reaches 2^(n+1).
+    one Euclid run, _EXPAND_SLICE points at a time, and every quotient is
+    exact.  When 2^E/M > 2^(n+2) the first quotient puts the next
+    denominator past the block, and F/1 is the only convergent.  Otherwise
+    E <= n + 54: the first remainder is the exact IEEE fmod(2^E, M), the
+    first quotient an integer of at most 2^(n+2) that float division gets
+    to far less than 1/2, and the later steps divide int64 values below
+    2^53.  A point leaves at its first hit, or at its first denominator of
+    2^(n+1) or more; a quotient of 2^(n+1) stands for the end of the run.
     """
-    y = np.abs(x)
-    whole = np.floor(y)
-    frac = y - whole  # exact: whole <= y < 2 whole, or whole = 0
-    lim = 2 ** (n + 1)
-    found = []
-
-    def keep(at, a, b, ok=True):
-        gap = a / b - y[at]
-        close = ok & (gap * gap <= r2_max)
-        if close.any():
-            found.append((at[close], a[close], b[close]))
-
-    keep(np.arange(y.size), whole.astype(np.int64), np.ones(y.size, dtype=np.int64))
-    at = np.flatnonzero(frac >= 2.0 ** -(n + 2))
-    mant, exp = np.frexp(frac[at])
-    big, low = np.ldexp(mant, 53), np.ldexp(1.0, 53 - exp)  # frac = big / low
-    rem = np.fmod(low, big)
-    quot = np.rint((low - rem) / big)
-    # per point: the next quotient, the remainder pair (u, v) it leaves and
-    # the last two convergents a0/b0, a1/b1
-    one = np.ones(at.size, dtype=np.int64)
-    state = (at, *(col.astype(np.int64) for col in (quot, big, rem)), one,
-             whole[at].astype(np.int64), np.zeros_like(one), one)
-    while state[0].size:
-        at, quot, u, v, a0, a1, b0, b1 = state
-        b2 = np.minimum(quot, lim) * b1 + b0
-        ok = b2 < lim
-        a2 = np.where(ok, quot, 0) * a1 + a0
-        keep(at, a2, b2, ok)
-        quot, rem = np.divmod(u, np.maximum(v, 1))
-        go = ok & (v > 0)
-        state = tuple(col[go] for col in (at, quot, v, rem, a1, a2, b1, b2))
-    if not found:
-        return np.zeros((3, 0), dtype=np.int64)
-    return tuple(np.concatenate(col) for col in zip(*found))
+    hits, lo, lim = np.zeros(x.size, dtype=bool), 2**n, 2 ** (n + 1)
+    for s in range(0, x.size, _EXPAND_SLICE):
+        y = np.abs(x[s:s + _EXPAND_SLICE])
+        got = hits[s:s + _EXPAND_SLICE]
+        whole = np.floor(y)
+        frac = y - whole  # exact: whole <= y < 2 whole, or whole = 0
+        # a far point's run ends at F/1; for the rest, frac = big / low
+        far = frac < 2.0 ** -(n + 2)
+        mant, exp = np.frexp(np.where(far, 0.5, frac))
+        big, low = np.ldexp(mant, 53), np.ldexp(1.0, 53 - exp)
+        rem = np.fmod(low, big)
+        quot = np.where(far, lim, np.rint((low - rem) / big))
+        # per point: the convergent a1/b1 to test, the one before it a0/b0,
+        # the next quotient and the remainder pair (u, v) it leaves
+        one = np.ones(y.size, dtype=np.int64)
+        state = (np.arange(y.size), whole.astype(np.int64), one, one, np.zeros_like(one),
+                 *(col.astype(np.int64) for col in (quot, big, rem)))
+        while state[0].size:
+            at, a1, b1, a0, b0, quot, u, v = state
+            gap = a1 / b1 - y[at]
+            hit = gap * gap <= r2[-(-lo // b1) * b1 - lo]
+            got[at[hit]] = True
+            go = ~hit & (np.minimum(quot, lim) * b1 + b0 < lim)
+            at, a1, b1, a0, b0, quot, u, v = (col[go] for col in state)
+            nxt, rem = np.divmod(u, np.maximum(v, 1))
+            state = (at, quot * a1 + a0, quot * b1 + b0, a1, b1,
+                     np.where(v > 0, nxt, lim), v, rem)
+    return hits
 
 
 def smallness_onset(psi: PsiFunction, c: float, d: int) -> int | None:

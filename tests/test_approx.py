@@ -607,8 +607,10 @@ def _convergent_case(draw, n):
     """A psi and points for block n spread over [-2^20, 2^20], so that the
     sweep would enumerate far more centres than the convergent kernel takes
     Euclid steps: the points of _layer_case, integers, dyadics k/2^j, the
-    floats nearest a/b with b <= 2^(n+1), and integers plus or minus 2^-k
-    for k = 9..1074, down to the subnormal 5e-324."""
+    floats nearest a/b with b <= 2^(n+1), integers plus or minus 2^-k for
+    k = 9..1074, down to the subnormal 5e-324, and points on or a few ulps
+    off a/b +- psi(q) for b <= 2^(n-2) and q its smallest or largest block
+    multiple."""
     psi, pts = draw(_layer_case(n))
     whole = st.integers(-_WIDE, _WIDE)
     xs = [-float(_WIDE), float(_WIDE)]
@@ -620,6 +622,16 @@ def _convergent_case(draw, n):
     xs += [i + s * math.ldexp(1.0, -k) for i, s, k in draw(st.lists(
         st.tuples(st.integers(-3, 3), st.sampled_from([-1, 1]), st.integers(9, 1074)),
         max_size=12))]
+    # a/b +- psi(q), within 2 ulps, at the smallest or the largest block
+    # multiple q of a small b: the kernel tests only the smallest
+    for a, b, last, side, ulps in draw(st.lists(st.tuples(
+            st.integers(-_WIDE, _WIDE), st.integers(1, 2 ** (n - 2)), st.booleans(),
+            st.sampled_from([-1.0, 1.0]), st.integers(-2, 2)), max_size=12)):
+        q = (2 ** (n + 1) - 1) // b * b if last else -(-(2**n) // b) * b
+        x = a / b + side * psi(float(q))
+        for _ in range(abs(ulps)):
+            x = float(np.nextafter(x, math.copysign(math.inf, ulps)))
+        xs.append(x)
     return psi, np.concatenate([pts, np.array(xs).reshape(-1, 1)])
 
 
@@ -664,21 +676,43 @@ def test_layer_hit_mask_legendre_boundary():
         assert np.array_equal(layer_hit_mask(pts, n, psi), reference_hit_mask(pts, n, psi, 1))
 
 
+def _bumped(q):
+    """q^-3, except that psi(100) = 2 psi(75): a psi that rises inside block 6."""
+    q = np.asarray(q, dtype=float)
+    out = np.where(q == 100.0, 2 * 75.0**-3, q**-3.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def test_layer_hit_mask_convergent_needs_non_increasing_r2():
+    # 1/25 and 4/25 have the block multiples 75, 100 and 125; these points
+    # lie within psi(100) of them but not within psi(75), so they hit only
+    # at q = 100, which one test at the smallest multiple would miss: a
+    # rising r^2 keeps the block from the convergent kernel
+    x = np.array([1 / 25 + 1.5 * _bumped(75), 4 / 25 - 1.9 * _bumped(75)])
+    pts = x.reshape(-1, 1)
+    want = reference_hit_mask(pts, 6, _bumped, 1)
+    assert want.all()
+    with _pinned("convergent"):
+        assert _kernel(x, 6, _bumped) != "convergent"
+        assert np.array_equal(layer_hit_mask(pts, 6, _bumped), want)
+
+
 def test_layer_hit_mask_d1_cost_rule():
     # of the kernels whose preconditions hold, the one of least estimated
     # time runs: 12 ns per loop test, N tests at each q until an evenly
     # spread point first hits, 2 q reach(q) the chance that it hits at q; 85
     # ns per sweep centre plus 90 ns per candidate, N 2 q reach(q) of them
     # summed over q (when psi(2^n) 2^n < 1/2; past that the loop decides
-    # nearly every point at the first q); 30 ns per Euclid step, N
-    # (ceil(log_phi 2^(n+1)) + 1) of them (under the Legendre condition).
+    # nearly every point at the first q); 21 ns per Euclid step, N
+    # (ceil(log_phi 2^(n+1)) + 1) of them (under the Legendre condition and
+    # with r^2 non-increasing over the block).
     # All agree with the loop.
     psi, fat = PsiFunction.power(2.5), PsiFunction.power(1.0)
     rng = np.random.default_rng(4)
     many, few = rng.random(4000), rng.random(3)
     assert _kernel(many, 3, psi) == "sweep"  # 0.17 ms: 132 centres, 1,776 candidates
-    assert _kernel(few, 10, psi) == "convergent"  # 1.5 us: 3 * 17 steps
-    assert _kernel(many, 10, psi) == "convergent"  # 2 ms: ~1.6e6 centres, 68,000 steps
+    assert _kernel(few, 10, psi) == "convergent"  # 1.1 us: 3 * 17 steps
+    assert _kernel(many, 10, psi) == "convergent"  # 1.4 ms: ~1.6e6 centres, 68,000 steps
     assert _kernel(few, 2, psi) == "loop"  # outside the Legendre condition
     for n in (0, 3, 10):
         assert _kernel(many, n, fat) == "loop"
@@ -795,7 +829,7 @@ def test_layer_hit_mask_evaluates_psi_once(n, size, d, sweep):
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning:layer_oracle")
 @pytest.mark.parametrize("name, n, tau, size", [("cantor", 12, 2.5, 8), ("cantor", 12, 0.9, 8),
-                                                ("gasket", 7, 1.5, 6)])
+                                                ("gasket", 7, 1.5, 6), ("gasket", 5, 0.1, 6)])
 def test_layer_hit_mask_q_steps_match_reference(name, n, tau, size):
     # few points at a high block: the q loop takes steps of many q at once
     pts = sample_measure(bundled_system(name), size, 3)
@@ -813,6 +847,14 @@ def test_layer_fallback_enumeration_catches_offset_candidates():
     lay = ApproxLayer(1, 1, Box([0.0], [1.0]), psi)
     member, wit = layer_membership([0.25], lay)
     assert member
+
+
+def test_layer_hit_mask_fat_psi_d2_ends_at_the_first_shell():
+    # at the first q of block 12, m = floor(sqrt 2 psi(q) q + 1/2) = 2,521
+    # and the whole offset box would hold 2.5e7 rows; every point hits at
+    # offset 0, so the q loop's walk ends after the first shell
+    pts = sample_measure(bundled_system("gasket"), 1000, 3)
+    assert layer_hit_mask(pts, 12, PsiFunction.power(0.1, d=2)).all()
 
 
 def test_layer_decomposition_vs_sup_norm_scan():
