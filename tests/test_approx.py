@@ -676,25 +676,23 @@ def test_layer_hit_mask_legendre_boundary():
         assert np.array_equal(layer_hit_mask(pts, n, psi), reference_hit_mask(pts, n, psi, 1))
 
 
-def _bumped(q):
-    """q^-3, except that psi(100) = 2 psi(75): a psi that rises inside block 6."""
-    q = np.asarray(q, dtype=float)
-    out = np.where(q == 100.0, 2 * 75.0**-3, q**-3.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def test_layer_hit_mask_convergent_needs_non_increasing_r2():
-    # 1/25 and 4/25 have the block multiples 75, 100 and 125; these points
-    # lie within psi(100) of them but not within psi(75), so they hit only
-    # at q = 100, which one test at the smallest multiple would miss: a
+    # a duck-typed psi, q^-3 except psi(100) = 2 psi(75), rises inside block
+    # 6.  1/25 and 4/25 have the block multiples 75, 100 and 125; these
+    # points lie within psi(100) of them but not within psi(75), so they hit
+    # only at q = 100, which one test at the smallest multiple would miss: a
     # rising r^2 keeps the block from the convergent kernel
-    x = np.array([1 / 25 + 1.5 * _bumped(75), 4 / 25 - 1.9 * _bumped(75)])
+    def bumped(q):
+        out = np.where(np.asarray(q) == 100.0, 2 * 75.0**-3, np.asarray(q, dtype=float)**-3)
+        return float(out) if out.ndim == 0 else out
+
+    x = np.array([1 / 25 + 1.5 * bumped(75), 4 / 25 - 1.9 * bumped(75)])
     pts = x.reshape(-1, 1)
-    want = reference_hit_mask(pts, 6, _bumped, 1)
+    want = reference_hit_mask(pts, 6, bumped, 1)
     assert want.all()
     with _pinned("convergent"):
-        assert _kernel(x, 6, _bumped) != "convergent"
-        assert np.array_equal(layer_hit_mask(pts, 6, _bumped), want)
+        assert _kernel(x, 6, bumped) != "convergent"
+        assert np.array_equal(layer_hit_mask(pts, 6, bumped), want)
 
 
 def test_layer_hit_mask_d1_cost_rule():
