@@ -226,17 +226,27 @@ def _enumerate_windows(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple:
     come in ascending q, and for each q in the product order of the
     numerators; coincident values are reported once, with the smallest
     denominator.  Below the refusals no rational of a window is missed and
-    none returned lies beyond 2 slop / q outside it."""
+    none returned lies beyond 2 slop / q outside it.
+
+    A numpy step holds at most _CELL_BUDGET (window, q) cells: _CELL_BUDGET
+    >> n whole windows, or a slice of one window's q.  It tests the first
+    coordinate alone on the (windows x q) grid, ceil(lo q - slop) <= hi q +
+    slop (for a whole left side, ceil <= floor), and gives only the cells
+    that pass the bounds of all d coordinates, by the same float operations."""
     _check_windows(n, lo, hi)
     d = lo.shape[1]
+    q = np.arange(2**n, 2 ** (n + 1))
+    rows, span = max(1, _CELL_BUDGET >> n), min(_CELL_BUDGET, 2**n)
     boxes = []
-    for start in range(0, len(lo) << n, _CELL_BUDGET):
-        # a step's cells (w, q) run window by window, each in ascending q
-        cell = np.arange(start, min(start + _CELL_BUDGET, len(lo) << n))
-        w, q = cell >> n, (cell & (2**n - 1)) + 2**n
-        p_lo, p_hi = np.ceil(lo[w] * q[:, None] - _SLOP), np.floor(hi[w] * q[:, None] + _SLOP)
-        hit = np.flatnonzero((p_lo <= p_hi).all(axis=1))
-        boxes.append(np.column_stack((w[hit], q[hit], p_lo[hit], p_hi[hit])))
+    for k in range(0, len(lo), rows):
+        for j in range(0, 2**n, span):
+            # nonzero's row-major order runs window by window, each in ascending q
+            a, b, qj = lo[k:k + rows, :1], hi[k:k + rows, :1], q[j:j + span]
+            w, i = np.nonzero(np.ceil(a * qj - _SLOP) <= b * qj + _SLOP)
+            w, qi = w + k, qj[i]
+            p_lo, p_hi = np.ceil(lo[w] * qi[:, None] - _SLOP), np.floor(hi[w] * qi[:, None] + _SLOP)
+            hit = np.flatnonzero((p_lo <= p_hi).all(axis=1))
+            boxes.append(np.column_stack((w[hit], qi[hit], p_lo[hit], p_hi[hit])))
     w, q, p_lo, p_hi = np.hsplit(np.concatenate(boxes).astype(np.int64), [1, 2, 2 + d])
     # every point of each hit cell's box, the last numerator fastest
     sides = p_hi - p_lo + 1

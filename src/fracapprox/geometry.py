@@ -390,10 +390,14 @@ def _independent_subset(rows: list, size: int) -> list:
 def _first_of_each_value(nums: np.ndarray, qs: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """Ascending indices of the first point nums[i] / qs[i] (qs > 0) of each
     distinct value within each owner: equal values share the key of their
-    reduced representation."""
+    reduced representation.  The lexsort is stable, so each run of equal
+    keys starts at its smallest index."""
     g = np.gcd.reduce(np.column_stack((nums, qs)), axis=1)
     key = np.column_stack((owner, nums // g[:, None], qs // g))
-    return np.sort(np.unique(key, axis=0, return_index=True)[1])
+    order = np.lexsort(key.T[::-1])
+    key, first = key[order], np.ones(len(order), dtype=bool)
+    first[1:] = (key[1:] != key[:-1]).any(axis=1)
+    return np.sort(order[first])
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 These are the slow paths that the covers path of `fracapprox` must agree
 with bit for bit: `enumerate_rationals` visits every denominator of the
 block with scalar ceil/floor calls and de-duplicates on Fraction tuples,
+`first_of_each_value` dedupes with `np.unique` over the reduced keys,
 `greedy_cover` tests every centre against each selected one,
 `reference_hs_upper_bound` assembles `analysis.hs_upper_bound` from them,
 scanning the whole sample pool for every block ball, and
@@ -74,6 +75,15 @@ def enumerate_rationals(d: int, n: int, window: Box) -> list:
             if key not in seen:
                 seen[key] = RationalPoint(nums, q)
     return list(seen.values())
+
+
+def first_of_each_value(nums: np.ndarray, qs: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first point nums[i] / qs[i] of each distinct
+    value within each owner, by `np.unique` over the rows (owner, reduced
+    numerators, reduced denominator)."""
+    g = np.gcd.reduce(np.column_stack((nums, qs)), axis=1)
+    key = np.column_stack((owner, nums // g[:, None], qs // g))
+    return np.sort(np.unique(key, axis=0, return_index=True)[1])
 
 
 def greedy_cover(balls: list) -> tuple:

@@ -225,6 +225,13 @@ def _as_pairs(points):
     return [(p.numerators, p.denominator) for p in points]
 
 
+def _per_window(nums, qs, owner, count):
+    """The (numerators, denominator) pairs of each of count windows, in the
+    enumeration's order."""
+    return [list(zip(map(tuple, nums[owner == k].tolist()), qs[owner == k].tolist()))
+            for k in range(count)]
+
+
 _SLOP = 1e-12  # the enumeration's slop on the numerator bounds
 
 
@@ -255,26 +262,29 @@ def test_enumerate_matches_reference(case, chunk):
 
 
 @settings(max_examples=150)
-@given(st.data(), st.integers(1, 3), st.integers(0, 12),
-       st.sampled_from([1, 3, approx._CELL_BUDGET]))
-def test_enumerate_windows_match_reference(data, d, n, budget):
-    # several windows of one block in one batch: every step boundary, in
-    # windows or in q, must leave each window's list as its own enumeration
+@given(st.data(), st.integers(1, 3), st.integers(0, 12))
+def test_enumerate_windows_match_reference(data, d, n):
+    # several windows of one block in one batch, under every step budget:
+    # each step boundary, in windows or in q, must leave each window's list
+    # as its own enumeration (budget 8 at block 1 takes 4 windows a step,
+    # so 6 windows split 4 + 2)
     windows = data.draw(st.lists(_block_window(d, n), min_size=1, max_size=6))
     lo = np.array([w.lo for w in windows])
     hi = np.array([w.hi for w in windows])
-    try:
-        with mock.patch.object(approx, "_CELL_BUDGET", budget):
-            nums, qs, owner = _enumerate_windows(n, lo, hi)
-    except ValueError as e:
-        assert _refusal_holds(e, n, lo, hi)
-        return
-    assert not _refused(n, lo, hi)
-    assert nums.dtype == qs.dtype == owner.dtype == np.int64
-    assert nums.shape == (len(qs), d) and np.all(np.diff(owner) >= 0)
-    got = [list(zip(map(tuple, nums[owner == k].tolist()), qs[owner == k].tolist()))
-           for k in range(len(windows))]
-    assert got == [_as_pairs(reference_enumerate(d, n, w)) for w in windows]
+    want = None
+    for budget in [1, 3, 8, approx._CELL_BUDGET]:
+        try:
+            with mock.patch.object(approx, "_CELL_BUDGET", budget):
+                nums, qs, owner = _enumerate_windows(n, lo, hi)
+        except ValueError as e:
+            assert _refusal_holds(e, n, lo, hi)
+            return
+        assert not _refused(n, lo, hi)
+        assert nums.dtype == qs.dtype == owner.dtype == np.int64
+        assert nums.shape == (len(qs), d) and np.all(np.diff(owner) >= 0)
+        got = _per_window(nums, qs, owner, len(windows))
+        want = want or [_as_pairs(reference_enumerate(d, n, w)) for w in windows]
+        assert got == want
 
 
 @settings(max_examples=300)
@@ -303,6 +313,26 @@ def test_enumerate_windows_against_exact_bounds(case):
         assert all(a - reach <= v <= b + reach for v, a, b in zip(value, lo, hi))
         got.add(value)
     assert exact <= got
+
+
+@pytest.mark.parametrize("n, count", [(8, 1), (2, 50)], ids=["q-slices", "window-rows"])
+def test_enumerate_windows_steps_hold_at_most_the_budget(n, count):
+    # block 8 walks one window's 256 q in slices of 16, and block 2 takes
+    # 50 windows 4 at a time: no array a step rounds exceeds 16 cells of d
+    d, rng = 2, np.random.default_rng(n)
+    lo = rng.uniform(0.0, 1.0, (count, d))
+    hi = lo + (0.01 if n == 8 else 0.2)
+    sizes, ceil = [], np.ceil
+
+    def recorded(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return ceil(x, *args, **kwargs)
+
+    with mock.patch.object(approx, "_CELL_BUDGET", 16), mock.patch.object(np, "ceil", recorded):
+        nums, qs, owner = _enumerate_windows(n, lo, hi)
+    assert sizes and max(sizes) <= 16 * d and 16 in sizes
+    got = _per_window(nums, qs, owner, count)
+    assert got == [_as_pairs(reference_enumerate(d, n, Box(a, b))) for a, b in zip(lo, hi)]
 
 
 def test_enumerate_windows_cap_refuses_before_any_cell():

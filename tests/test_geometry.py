@@ -21,6 +21,7 @@ from fracapprox.geometry import (
     hyperplane_through,
     unit_ball_volume,
     _eliminate,
+    _first_of_each_value,
     _greedy_segments,
     _independent_subset,
     _witness_block,
@@ -318,6 +319,29 @@ def test_greedy_segments_match_per_segment_oracle(case, segments, data):
 def test_greedy_segments_of_nothing():
     got, seg = _greedy_segments(np.zeros((0, 2)), np.zeros(0, dtype=int), 0.5)
     assert got.shape == (0, 2) and seg.shape == (0,)
+
+
+@st.composite
+def _valued_points(draw):
+    """(nums, qs, owner) as int64 arrays: multiples c (p, q) of a few base
+    points with negative numerators, so one owner holds equal values under
+    several denominators and several owners hold the same value."""
+    d = draw(st.integers(1, 3))
+    base = draw(st.lists(st.tuples(st.lists(st.integers(-6, 6), min_size=d, max_size=d),
+                                   st.integers(1, 8)), min_size=1, max_size=5))
+    rows = draw(st.lists(st.tuples(st.sampled_from(base), st.integers(1, 3),
+                                   st.integers(0, 2)), max_size=30))
+    nums = np.array([[c * p for p in ps] for (ps, _), c, _ in rows], dtype=np.int64)
+    qs = np.array([c * q for (_, q), c, _ in rows], dtype=np.int64)
+    owner = np.array([k for _, _, k in rows], dtype=np.int64)
+    return nums.reshape(len(rows), d), qs, owner
+
+
+@settings(max_examples=300)
+@given(_valued_points())
+def test_first_of_each_value_matches_unique_oracle(case):
+    got = _first_of_each_value(*case)
+    assert got.tolist() == cover_oracle.first_of_each_value(*case).tolist()
 
 
 def _as_triple(point_lists, d):
