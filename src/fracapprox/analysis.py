@@ -16,13 +16,7 @@ import numpy as np
 
 from .approx import (PsiFunction, _check_denominators, _check_windows, _enumerate_windows,
                      layer_hit_mask)
-from .geometry import (
-    DyadicScale,
-    _greedy_segments,
-    _outside_six_dilate,
-    _reach,
-    _witness_block,
-)
+from .geometry import DyadicScale, _greedy_segments, _reach, _witness_block
 from .ifs import IFSystem, _check_alpha, _Frontier, sample_measure
 
 __all__ = [
@@ -366,32 +360,30 @@ def hs_upper_bound(sys: IFSystem, psi: PsiFunction, s: float, blocks, seed: int 
     """
     if not 0 <= s:
         raise ValueError("s must be >= 0")
-    blocks = list(blocks)
-    if not blocks or min(blocks) < 0:
+    if not blocks or blocks[0] < 0:
         raise ValueError("blocks must be a nonempty range of blocks >= 0")
     d = sys.dim
     sq = math.sqrt(d)
     plans = []
     for n in blocks:  # every refusal before any block is covered
         scale, centres = DyadicScale(n, d), _dn_centres(sys, n)
-        _check_windows(n, centres - 6.0 * scale.r_n, centres + 6.0 * scale.r_n)
+        _check_windows(n, *_six_dilates(scale, centres)[:2])
         plans.append((n, scale, centres))
     rows = []
     c_maxes = []
     for n, scale, centres in plans:
         pool = sample_measure(sys, _POOL_SIZE, np.random.SeedSequence([seed, n]))
         r = float(psi(2.0**n))
-        nums, qs, owner = _block_rationals_in_six_dilate(scale, centres)
-        held, owner = np.unique(owner, return_inverse=True)  # the balls with points
-        normals, offsets, simplices = _witness_block(nums, qs, owner, centres[held], scale)
-        if simplices:
+        found, normals, offsets = _block_witness(scale, centres)
+        if np.isnan(offsets).any():
             raise RuntimeError(
                 "volume obstruction failed inside hs_upper_bound; "
                 "this contradicts the block geometry"
             )
-        _, ball = _cdn_centres(pool, centres[held], 3.0 * scale.r_n, normals, offsets,
-                               sq * r, r)
-        counts = np.bincount(ball, minlength=len(held))
+        held = found > 0  # the balls with points
+        _, ball = _cdn_centres(pool, centres[held], 3.0 * scale.r_n, normals[held],
+                               offsets[held], sq * r, r)
+        counts = np.bincount(ball, minlength=int(held.sum()))
         c_total = int(counts.sum())
         cost_n = c_total * (3.0 * r) ** s
         rows.append((n, len(centres), c_total, cost_n))
@@ -401,13 +393,23 @@ def hs_upper_bound(sys: IFSystem, psi: PsiFunction, s: float, blocks, seed: int 
     return HsTail(s=s, rows=tuple(rows), tails=tails, c_max=tuple(c_maxes))
 
 
-def _block_rationals_in_six_dilate(scale: DyadicScale, centres) -> tuple:
-    """The block rationals in the closed 6-dilates of the balls B(c, r_n), c the
-    rows of centres, from one enumeration: (nums, qs, owner), owner the row."""
+def _six_dilates(scale: DyadicScale, centres: np.ndarray) -> tuple:
+    """The 6-dilates of the block balls B(c, r_n), c the rows of centres: the
+    corners lo, hi of their windows [c - 6 r_n, c + 6 r_n], and 6 r_n."""
     radius = 6.0 * scale.r_n
-    nums, qs, owner = _enumerate_windows(scale.n, centres - radius, centres + radius)
-    inside = ~_outside_six_dilate(nums / qs[:, None], centres[owner], scale.r_n)
-    return nums[inside], qs[inside], owner[inside]
+    return centres - radius, centres + radius, radius
+
+
+def _block_witness(scale: DyadicScale, centres: np.ndarray) -> tuple:
+    """The simplex lemma on the block balls B(c, r_n), c the rows of centres:
+    (counts, normals, offsets) of _witness_block on the block rationals in
+    each closed 6-dilate (relative slack 1e-9), from one enumeration of their
+    windows.  A row of NaN is a ball whose rationals span a simplex."""
+    lo, hi, radius = _six_dilates(scale, centres)
+    nums, qs, owner = _enumerate_windows(scale.n, lo, hi)
+    values = nums / qs[:, None]
+    inside = np.linalg.norm(values - centres[owner], axis=1) <= radius * (1.0 + 1e-9)
+    return _witness_block(nums[inside], qs[inside], owner[inside], values[inside], centres)
 
 
 # ---------------------------------------------------------------------------
@@ -476,19 +478,18 @@ def audit_hyperplane_lemma(d: int, blocks, n_balls: int, seed: int = 0) -> list:
     6-dilate must always sit on a single hyperplane.  Exact arithmetic decides;
     counterexamples are counted (zero is expected at every block).  Every
     block's enumeration refusal is raised before any block is enumerated."""
-    blocks = list(blocks)
     for n in blocks:
-        radius = 6.0 * DyadicScale(n, d).r_n
+        scale = DyadicScale(n, d)
         for centres in _audit_centres(d, n, n_balls, seed):
-            _check_windows(n, centres - radius, centres + radius)
+            _check_windows(n, *_six_dilates(scale, centres)[:2])
     reports = []
     for n in blocks:
         scale = DyadicScale(n, d)
         max_pts = bad = 0
         for centres in _audit_centres(d, n, n_balls, seed):
-            nums, qs, owner = _block_rationals_in_six_dilate(scale, centres)
-            max_pts = max(max_pts, int(np.bincount(owner).max(initial=0)))
-            bad += len(_witness_block(nums, qs, owner, centres, scale)[2])
+            counts, _, offsets = _block_witness(scale, centres)
+            max_pts = max(max_pts, int(counts.max(initial=0)))
+            bad += int(np.isnan(offsets).sum())
         reports.append(LemmaAuditReport(d=d, n=n, balls=n_balls, max_rationals=max_pts,
                                         simplex_counterexamples=bad))
     return reports
@@ -528,7 +529,6 @@ def layer_decay_experiment(
     alpha, and every block of the range against the layer test's rules, are
     checked before any sample is drawn."""
     _check_alpha(sys, alpha)
-    blocks = list(blocks)
     for n in blocks:
         _check_denominators(n)
     pts = _sorted_sample(sys, n_samples, seed)

@@ -1,17 +1,18 @@
-"""Euclidean primitives: balls, slabs, exact rational points and simplices,
-dyadic scales, and the common-radius greedy covering construction.
+"""Euclidean primitives: balls, boxes, hyperplanes, slabs, dyadic scales, the
+common-radius greedy covering construction, and the hyperplane witnesses of
+the simplex lemma.
 
 Everything here is immutable after construction and safe to use from
-concurrent workers.  Affine ranks are decided exactly, over the rationals
-with arbitrary-precision integers; floating point is used only where a
-tolerance is part of the contract.
+concurrent workers.  Block rationals are int64 arrays (numerators,
+denominators, ball of each point); their affine ranks are decided exactly,
+over the integers with arbitrary-precision Python ints; floating point is
+used only where a tolerance is part of the contract.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -20,8 +21,6 @@ __all__ = [
     "Box",
     "Hyperplane",
     "Slab",
-    "RationalPoint",
-    "Simplex",
     "DyadicScale",
     "unit_ball_volume",
     "hyperplane_through",
@@ -160,71 +159,6 @@ class Slab:
         return Slab(self.plane, k * self.epsilon)
 
 
-@dataclass(frozen=True)
-class RationalPoint:
-    """Point p/q in Q^d: integer numerators and one shared positive denominator.
-
-    Arithmetic comparisons are exact (cross-multiplication); no floating point
-    is involved in equality or hashing.
-    """
-
-    numerators: tuple
-    denominator: int
-
-    def __post_init__(self):
-        nums = tuple(int(p) for p in self.numerators)
-        object.__setattr__(self, "numerators", nums)
-        object.__setattr__(self, "denominator", int(self.denominator))
-        if self.denominator < 1:
-            raise ValueError("denominator must be a positive integer")
-
-    @property
-    def dim(self) -> int:
-        return len(self.numerators)
-
-    def fractions(self) -> tuple:
-        return tuple(Fraction(p, self.denominator) for p in self.numerators)
-
-    def as_float(self) -> np.ndarray:
-        return np.array([p / self.denominator for p in self.numerators], dtype=float)
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalPoint):
-            return NotImplemented
-        if self.dim != other.dim:
-            return False
-        # cross-multiplication, exact over the integers
-        return all(
-            p * other.denominator == r * self.denominator
-            for p, r in zip(self.numerators, other.numerators)
-        )
-
-    def __hash__(self):
-        return hash(self.fractions())
-
-
-@dataclass(frozen=True)
-class Simplex:
-    """(d+1) rational vertices spanning (at most) a d-simplex in R^d."""
-
-    vertices: tuple
-
-    def __post_init__(self):
-        verts = tuple(self.vertices)
-        object.__setattr__(self, "vertices", verts)
-        if not verts:
-            raise ValueError("simplex needs vertices")
-        d = verts[0].dim
-        if any(v.dim != d for v in verts):
-            raise ValueError("simplex vertices must share a dimension")
-        if len(verts) != d + 1:
-            raise ValueError(f"simplex in R^{d} needs {d + 1} vertices, got {len(verts)}")
-
-    @property
-    def dim(self) -> int:
-        return self.vertices[0].dim
-
-
 def unit_ball_volume(d: int) -> float:
     """Lebesgue volume of the unit ball in R^d (2, pi, 4pi/3, ...)."""
     if d < 1:
@@ -259,16 +193,6 @@ class DyadicScale:
         )
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "r_n", r)
-
-    @property
-    def q_lo(self) -> int:
-        """Smallest denominator of the dyadic block, 2^n."""
-        return 2 ** self.n
-
-    @property
-    def q_hi(self) -> int:
-        """One past the largest denominator, 2^(n+1)."""
-        return 2 ** (self.n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -377,16 +301,6 @@ def _eliminate(rows: list) -> int:
     return rank
 
 
-def _independent_subset(rows: list, size: int) -> list:
-    """Indices of the first `size` linearly independent integer rows, each
-    kept iff it raises the rank of the rows kept before it."""
-    keep = []
-    for i, row in enumerate(rows):
-        if len(keep) < size and _eliminate([rows[j] for j in keep] + [row]) > len(keep):
-            keep.append(i)
-    return keep
-
-
 def _first_of_each_value(nums: np.ndarray, qs: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """Ascending indices of the first point nums[i] / qs[i] (qs > 0) of each
     distinct value within each owner: equal values share the key of their
@@ -430,45 +344,32 @@ def hyperplane_through(values: np.ndarray) -> Hyperplane:
 
 
 def _witness_block(nums: np.ndarray, qs: np.ndarray, owner: np.ndarray,
-                   centres: np.ndarray, block: DyadicScale) -> tuple:
-    """Find the hyperplane carrying the block-n rationals nums[i] / qs[i]
-    (int64) near each ball D_n = B(centres[owner[i]], r_n) of one block:
-    (normals (K, d), offsets (K,), {k: Simplex} for the balls whose points
-    span a simplex; their rows hold NaN).
+                   values: np.ndarray, centres: np.ndarray) -> tuple:
+    """The hyperplanes carrying the block rationals nums[i] / qs[i] (int64,
+    float values values[i]) of each ball k = owner[i], the row centres[k]:
+    (counts (K,), normals (K, d), offsets (K,)), counts[k] the points of
+    ball k.
 
-    Preconditions: every point has denominator in [2^n, 2^(n+1)) and lies in
-    the 6-dilate of its ball.  Then d+1 affinely independent points would
-    span a simplex of volume > |6 D_n|, which is impossible; the affine rank
-    is decided exactly, and if the impossible configuration nevertheless
-    occurs the offending Simplex is returned as the counterexample.
+    The points of a ball are meant to be the block-n rationals in the
+    6-dilate of a D_n ball, as analysis._block_witness gives them (nothing
+    here checks that again).  There d+1 affinely independent ones would span
+    a simplex of volume > |6 D_n|, which is impossible (the simplex lemma).
+    The affine rank is decided exactly, and a ball whose points nevertheless
+    span a simplex is the counterexample: its row holds NaN.
 
-    The preconditions are checked on arrays, and the first point that breaks
-    one raises ValueError.  A ball with no points gets the hyperplane
-    x_d = c_d through its centre, and a single point p/q the hyperplane
-    x_d = p_d/q; in d = 1 a ball that holds a block rational holds just one.
-    Larger sets keep the first point of each value and take the exact rank
-    of their homogeneous integer rows (q, p); RationalPoints are built only
-    for a counterexample.
+    A ball with no points gets the hyperplane x_d = c_d through its centre,
+    and a single point p/q the hyperplane x_d = p_d/q; in d = 1 a ball that
+    holds a block rational holds just one.  Larger sets keep the first point
+    of each value and take the exact rank of their homogeneous integer rows
+    (q, p).
     """
     d = centres.shape[1]
-    q_lo, q_hi = block.q_lo, block.q_hi
-    values = nums / qs[:, None]
-    wrong_q = (qs < q_lo) | (qs >= q_hi)
-    far = _outside_six_dilate(values, centres[owner], block.r_n)
-    faults = np.flatnonzero(wrong_q | far)
-    if faults.size and wrong_q[faults[0]]:
-        raise ValueError(f"denominator {qs[faults[0]]} outside dyadic block "
-                         f"[{q_lo}, {q_hi})")
-    if faults.size:
-        raise ValueError("point lies outside the 6-dilate of the container")
-
     normals = np.zeros((len(centres), d))
     normals[:, -1] = 1.0
     offsets = centres[:, -1].copy()
     counts = np.bincount(owner, minlength=len(centres))
     lone = counts[owner] == 1
     offsets[owner[lone]] = values[lone, -1]
-    simplices = {}
     many = np.flatnonzero(~lone)
     if many.size:  # each ball's first point of each value, by ball in point order
         many = many[_first_of_each_value(nums[many], qs[many], owner[many])]
@@ -480,14 +381,5 @@ def _witness_block(nums: np.ndarray, qs: np.ndarray, owner: np.ndarray,
             plane = hyperplane_through(values[rows])
             normals[k], offsets[k] = plane.normal, plane.offset
         else:
-            simplices[k] = Simplex(tuple(RationalPoint(hom[i][1:], hom[i][0])
-                                         for i in _independent_subset(hom, d + 1)))
             normals[k], offsets[k] = np.nan, np.nan
-    return normals, offsets, simplices
-
-
-def _outside_six_dilate(values: np.ndarray, centres: np.ndarray, r_n: float) -> np.ndarray:
-    """Which rows of values lie outside the closed 6-dilate of B(centres, r_n),
-    with a relative slack of 1e-9: the one test both the block-rational
-    filter and the witness preconditions decide by."""
-    return np.linalg.norm(values - centres, axis=1) > 6.0 * r_n * (1.0 + 1e-9)
+    return counts, normals, offsets

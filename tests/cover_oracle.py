@@ -10,13 +10,16 @@ scanning the whole sample pool for every block ball, and
 `reference_audit_hyperplane_lemma` draws and enumerates one trial at a time.
 `hyperplane_through` always takes the QR, also for a single point, and
 `affine_rank` and `_independent_subset` decide ranks by Gauss-Jordan
-elimination over Fractions.  Tests import them as the oracle; nothing in
-the package uses them.
+elimination over Fractions.  Points are the oracle's own exact types:
+`RationalPoint` (p/q with exact equality and hashing) and `Simplex` (the
+d+1 vertices a counterexample returns).  Tests import them as the oracle;
+nothing in the package uses them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -29,18 +32,76 @@ from fracapprox.analysis import (
     _cylinder_net,
     _net_depth,
 )
-from fracapprox.approx import _ENUMERATION_CAP, PsiFunction
-from fracapprox.geometry import (
-    Ball,
-    Box,
-    DyadicScale,
-    Hyperplane,
-    RationalPoint,
-    Simplex,
-    Slab,
-    _reach,
-)
+from fracapprox.approx import PsiFunction
+from fracapprox.geometry import Ball, Box, DyadicScale, Hyperplane, Slab, _reach
 from fracapprox.ifs import IFSystem, sample_measure
+
+_ENUMERATION_CAP = 10**8
+
+
+@dataclass(frozen=True)
+class RationalPoint:
+    """Point p/q in Q^d: integer numerators and one shared positive denominator.
+
+    Arithmetic comparisons are exact (cross-multiplication); no floating point
+    is involved in equality or hashing.
+    """
+
+    numerators: tuple
+    denominator: int
+
+    def __post_init__(self):
+        nums = tuple(int(p) for p in self.numerators)
+        object.__setattr__(self, "numerators", nums)
+        object.__setattr__(self, "denominator", int(self.denominator))
+        if self.denominator < 1:
+            raise ValueError("denominator must be a positive integer")
+
+    @property
+    def dim(self) -> int:
+        return len(self.numerators)
+
+    def fractions(self) -> tuple:
+        return tuple(Fraction(p, self.denominator) for p in self.numerators)
+
+    def as_float(self) -> np.ndarray:
+        return np.array([p / self.denominator for p in self.numerators], dtype=float)
+
+    def __eq__(self, other):
+        if not isinstance(other, RationalPoint):
+            return NotImplemented
+        if self.dim != other.dim:
+            return False
+        # cross-multiplication, exact over the integers
+        return all(
+            p * other.denominator == r * self.denominator
+            for p, r in zip(self.numerators, other.numerators)
+        )
+
+    def __hash__(self):
+        return hash(self.fractions())
+
+
+@dataclass(frozen=True)
+class Simplex:
+    """(d+1) rational vertices spanning (at most) a d-simplex in R^d."""
+
+    vertices: tuple
+
+    def __post_init__(self):
+        verts = tuple(self.vertices)
+        object.__setattr__(self, "vertices", verts)
+        if not verts:
+            raise ValueError("simplex needs vertices")
+        d = verts[0].dim
+        if any(v.dim != d for v in verts):
+            raise ValueError("simplex vertices must share a dimension")
+        if len(verts) != d + 1:
+            raise ValueError(f"simplex in R^{d} needs {d + 1} vertices, got {len(verts)}")
+
+    @property
+    def dim(self) -> int:
+        return self.vertices[0].dim
 
 
 def enumerate_rationals(d: int, n: int, window: Box) -> list:
@@ -413,13 +474,13 @@ def hyperplane_witness(points: list, container: Ball, block: DyadicScale) -> tup
             f"container radius {container.radius} does not match block radius {block.r_n}"
         )
     six = container.dilate(6.0)
+    q_lo, q_hi = 2**block.n, 2 ** (block.n + 1)
     for p in points:
         if p.dim != d:
             raise ValueError("point dimension does not match container")
-        if not (block.q_lo <= p.denominator < block.q_hi):
+        if not (q_lo <= p.denominator < q_hi):
             raise ValueError(
-                f"denominator {p.denominator} outside dyadic block "
-                f"[{block.q_lo}, {block.q_hi})"
+                f"denominator {p.denominator} outside dyadic block [{q_lo}, {q_hi})"
             )
         if np.linalg.norm(p.as_float() - six.center) > six.radius * (1.0 + 1e-9):
             raise ValueError("point lies outside the 6-dilate of the container")

@@ -16,8 +16,11 @@ from itertools import product
 
 import numpy as np
 
-from fracapprox.approx import _ENUMERATION_CAP, PsiFunction
-from fracapprox.geometry import Ball, Box, RationalPoint
+from cover_oracle import RationalPoint
+from fracapprox.approx import PsiFunction
+from fracapprox.geometry import Ball, Box
+
+_ENUMERATION_CAP = 10**8
 
 
 @dataclass(frozen=True)

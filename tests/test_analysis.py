@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from unittest import mock
 
-from fracapprox import analysis
+from fracapprox import analysis, geometry
 from fracapprox.analysis import (
     SumSpec,
+    _block_witness,
     _cdn_centres,
     _cylinder_net,
     _dn_centres,
@@ -449,11 +450,11 @@ def _audit_with_witness_calls(module, audit, *args):
     if module is analysis:
         name, block = "_witness_block", module._witness_block
 
-        def record(nums, qs, owner, centres, scale):
+        def record(nums, qs, owner, values, centres):
             calls.extend((c.tobytes(), list(zip(map(tuple, nums[owner == k].tolist()),
                                                 qs[owner == k].tolist())))
                          for k, c in enumerate(centres))
-            return block(nums, qs, owner, centres, scale)
+            return block(nums, qs, owner, values, centres)
     else:
         name, witness = "hyperplane_witness", module.hyperplane_witness
 
@@ -481,6 +482,34 @@ def test_lemma_audit_trial_blocks_match_per_trial_oracle(d, n, trials, block):
         got = _audit_with_witness_calls(analysis, audit_hyperplane_lemma,
                                         d, blocks, trials, 2)
     assert got == want
+
+
+def _full_rank(rows) -> int:
+    """_eliminate with two or more points read as spanning a simplex: the
+    rank of their homogeneous rows is the number of columns."""
+    return len(rows[0]) if len(rows) > 1 else len(rows)
+
+
+def test_a_counterexample_is_a_nan_row_that_the_audit_counts():
+    # block 4 in d = 2: two of the 300 seed-0 audit balls hold two rationals
+    scale = DyadicScale(4, 2)
+    centres = next(analysis._audit_centres(2, 4, 300, 0))
+    many = _block_witness(scale, centres)[0] > 1
+    assert many.sum() == 2
+    with mock.patch.object(geometry, "_eliminate", _full_rank):
+        counts, normals, offsets = _block_witness(scale, centres)
+        [rep] = audit_hyperplane_lemma(2, [4], 300, seed=0)
+    assert np.isnan(offsets).tolist() == many.tolist()
+    assert np.isnan(normals[many]).all() and not np.isnan(normals[~many]).any()
+    assert rep.simplex_counterexamples == 2 and rep.max_rationals == counts.max() == 2
+
+
+def test_hs_upper_bound_raises_on_a_counterexample(gasket):
+    # gasket blocks 1-2 hold D_n balls with two or more rationals
+    with mock.patch.object(geometry, "_eliminate", _full_rank):
+        with pytest.raises(RuntimeError, match="^volume obstruction failed inside "
+                                               "hs_upper_bound"):
+            hs_upper_bound(gasket, PsiFunction.power(3.0, d=2), gasket.delta, range(1, 3))
 
 
 def test_lemma_audit_rejects_negative_seed():

@@ -222,6 +222,58 @@ def test_decay_refuses_a_block_range_before_sampling(tmp_path, capsys, monkeypat
                    "denominators per window exceed the ceiling of 1048576 cells"]
 
 
+_DENOMINATORS = "its 2^21 denominators per window exceed the ceiling"
+_HUGE = f"block {2**62} refused: "
+
+
+@pytest.mark.parametrize("command, blocks, reason", [
+    ("decay", f"0:{2**70}", f"block 21 refused: {_DENOMINATORS}"),
+    ("decay", f"0:{2**62}", f"block 21 refused: {_DENOMINATORS}"),
+    ("decay", f"{2**62}:{2**70}", f"{_HUGE}its 2^{2**62} denominators per window"),
+    ("lemma-audit", f"0:{2**70}", "block 13 refused: float64 numerator bounds"),
+    ("lemma-audit", f"0:{2**62}", "block 13 refused: float64 numerator bounds"),
+    ("lemma-audit", f"{2**62}:{2**70}", f"{_HUGE}its 2^{2**62} denominators per window"),
+    ("cover-cost", f"0:{2**70}", "block 12 refused: float64 numerator bounds"),
+    ("cover-cost", f"0:{2**62}", "block 12 refused: float64 numerator bounds"),
+    ("cover-cost", f"{2**62}:{2**70}", f"{_HUGE}its radius r_n underflows to 0"),
+], ids=[f"{command}-{ends}" for command in ("decay", "lemma-audit", "cover-cost")
+        for ends in ("0-2^70", "0-2^62", "2^62-2^70")])
+def test_a_huge_block_range_is_refused_at_its_first_refused_block(
+        tmp_path, capsys, monkeypatch, command, blocks, reason):
+    # the range is walked lazily, so its length costs nothing, and no 2^n is
+    # built for a block index n = 2^62
+    from fracapprox import analysis
+
+    def no_work(*args):
+        raise AssertionError("a block was sampled or enumerated")
+
+    monkeypatch.setattr(analysis, "sample_measure", no_work)
+    monkeypatch.setattr(analysis, "_enumerate_windows", no_work)
+    assert run(["--out", tmp_path / "out", command, "--ifs", "cantor",
+                "--blocks", blocks]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config field 'blocks': {reason}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_lemma_audit_counterexample_exits_2_with_one_failure_line(tmp_path, capsys,
+                                                                  monkeypatch):
+    # with two or more points read as spanning a simplex, the balls of gasket
+    # blocks 4-5 that hold two rationals are counterexamples
+    from fracapprox import geometry
+
+    monkeypatch.setattr(geometry, "_eliminate",
+                        lambda rows: len(rows[0]) if len(rows) > 1 else len(rows))
+    assert run(["--out", tmp_path / "out", "lemma-audit", "--ifs", "gasket",
+                "--blocks", "4:5", "--trials", "300"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    csv = (tmp_path / "out" / "lemma_audit.csv").read_text().splitlines()
+    bad = sum(int(line.split(",")[-1]) for line in csv if line[:1].isdigit())
+    assert bad > 0
+    assert err == [f"FAILURE: {bad} simplex counterexamples found; the volume "
+                   "obstruction failed"]
+
+
 def test_dim_report_refuses_a_tau_before_sampling(tmp_path, capsys, monkeypatch):
     # tau = 3 is fine; psi(r) = r^-40 underflows to 0 on its domain
     from fracapprox import analysis

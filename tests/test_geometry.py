@@ -8,22 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cover_oracle
+from cover_oracle import RationalPoint, Simplex
 from cover_oracle import greedy_cover as reference_greedy_cover
 from cover_oracle import hyperplane_through as reference_hyperplane_through
-from fracapprox.analysis import _block_rationals_in_six_dilate
+from fracapprox.analysis import _block_witness
 from fracapprox.geometry import (
     Ball,
     DyadicScale,
     Hyperplane,
-    RationalPoint,
-    Simplex,
     Slab,
     hyperplane_through,
     unit_ball_volume,
     _eliminate,
     _first_of_each_value,
     _greedy_segments,
-    _independent_subset,
     _witness_block,
 )
 
@@ -154,12 +152,10 @@ def _homogeneous_rows(draw):
 @given(_homogeneous_rows())
 def test_elimination_matches_sympy(case):
     sympy = pytest.importorskip("sympy")
-    d, rows = case
-    assert _eliminate(rows) == sympy.Matrix(rows).rank()
-    # the first basis in row order: the rows that raise the rank of their prefix
-    ranks = [sympy.Matrix(rows[:i]).rank() if i else 0 for i in range(len(rows) + 1)]
-    basis = [i for i in range(len(rows)) if ranks[i + 1] > ranks[i]]
-    assert _independent_subset(rows, d + 1) == basis[:d + 1]
+    _, rows = case
+    # every prefix, so each rank step the rows take is checked
+    assert [_eliminate(rows[:i]) for i in range(1, len(rows) + 1)] == [
+        sympy.Matrix(rows[:i]).rank() for i in range(1, len(rows) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +190,6 @@ def test_volume_ceiling_identity_symbolic(d):
     lhs = kappa * (6 * r_n) ** d
     rhs = 2 ** (-(d + 1) * (n + 1)) / sympy.factorial(d)
     assert sympy.simplify(lhs - rhs) == 0
-
-
-def test_dyadic_block_bounds():
-    scale = DyadicScale(3, 1)
-    assert scale.q_lo == 8 and scale.q_hi == 16
 
 
 # ---------------------------------------------------------------------------
@@ -344,59 +335,50 @@ def test_first_of_each_value_matches_unique_oracle(case):
     assert got.tolist() == cover_oracle.first_of_each_value(*case).tolist()
 
 
-def _as_triple(point_lists, d):
-    """The (nums, qs, owner) int64 arrays of lists of RationalPoints, list k
-    owning its points."""
+def _witness(point_lists, centres):
+    """_witness_block on lists of RationalPoints, list k the points of the
+    ball centred at centres[k]."""
     pts = [p for ps in point_lists for p in ps]
+    d = centres.shape[1]
     nums = np.array([p.numerators for p in pts], dtype=np.int64).reshape(-1, d)
     qs = np.array([p.denominator for p in pts], dtype=np.int64)
     owner = np.repeat(np.arange(len(point_lists)), [len(ps) for ps in point_lists])
-    return nums, qs, owner
+    return _witness_block(nums, qs, owner, nums / qs[:, None], centres)
 
 
-def _point_lists(triple, balls):
-    """The points of each of `balls` balls of a (nums, qs, owner) triple, as
-    RationalPoints in triple order."""
-    nums, qs, owner = triple
-    return [[RationalPoint(p, q) for p, q in zip(nums[owner == k].tolist(),
-                                                 qs[owner == k].tolist())]
-            for k in range(balls)]
+def _six_dilate_points(scale, centres):
+    """The block rationals in the closed 6-dilate of each ball B(c, r_n), c
+    the rows of centres, from the oracle's full-scan enumeration."""
+    return [cover_oracle._block_rationals_in_six_dilate(scale.d, scale, Ball(c, scale.r_n))
+            for c in centres]
 
 
 def _witness_outcome(pts, ball, scale, oracle=False):
-    """What the witness of one ball gives: an error, a plane or a simplex,
-    from _witness_block or from the per-ball oracle."""
-    try:
-        if oracle:
-            plane, simplex = cover_oracle.hyperplane_witness(pts, ball, scale)
-            if plane is not None:
-                plane = plane.normal, plane.offset
-        else:
-            normals, offsets, simplices = _witness_block(*_as_triple([pts], ball.dim),
-                                                         ball.center[None], scale)
-            plane, simplex = (normals[0], offsets[0]), simplices.get(0)
-    except ValueError as e:
-        return "error", str(e)
-    if simplex is None:
-        return "plane", plane[0].tobytes(), plane[1]
-    return "simplex", [(v.numerators, v.denominator) for v in simplex.vertices]
+    """What the witness of one ball gives, a plane or a simplex, from
+    _witness_block or from the per-ball oracle."""
+    if oracle:
+        plane, simplex = cover_oracle.hyperplane_witness(pts, ball, scale)
+        if simplex is not None:
+            return ("simplex",)
+        normal, offset = plane.normal, plane.offset
+    else:
+        counts, normals, offsets = _witness([pts], ball.center[None])
+        assert counts.tolist() == [len(pts)]
+        if np.isnan(offsets[0]):
+            return ("simplex",)
+        normal, offset = normals[0], offsets[0]
+    return "plane", normal.tobytes(), offset
 
 
 @st.composite
 def _witness_case(draw):
-    """(points, ball, scale): block rationals near a block ball, drawn with
-    repeats, and now and then a point that breaks a precondition (its
-    denominator or its distance) at any position."""
+    """(points, ball, scale): block rationals in the 6-dilate of a block
+    ball, drawn with repeats, in any order."""
     d, n = draw(st.integers(1, 3)), draw(st.integers(0, 4))
     scale = DyadicScale(n, d)
     centre = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)))
-    near = _point_lists(_block_rationals_in_six_dilate(scale, centre[None]), 1)[0]
+    near = _six_dilate_points(scale, centre[None])[0]
     pts = draw(st.lists(st.sampled_from(near), max_size=5)) if near else []
-    q = scale.q_lo
-    for flaw in draw(st.lists(st.sampled_from(["q", "far"]), max_size=2)):
-        bad = {"q": RationalPoint((0,) * d, scale.q_hi),
-               "far": RationalPoint((5 * q,) * d, q)}[flaw]
-        pts.insert(draw(st.integers(0, len(pts))), bad)
     return pts, Ball(centre, scale.r_n), scale
 
 
@@ -411,13 +393,12 @@ def test_hyperplane_witness_matches_per_ball_oracle(case):
 def test_witness_block_matches_per_ball_oracle(d, n):
     scale = DyadicScale(n, d)
     centres = np.random.default_rng(1).random((300, d))
-    triple = _block_rationals_in_six_dilate(scale, centres)
-    point_lists = _point_lists(triple, len(centres))
+    point_lists = _six_dilate_points(scale, centres)
     # at d = 2, blocks 4 and 5 hold balls with two rationals, which take the
     # exact rank path
     assert any(len(pts) > 1 for pts in point_lists) == ((d, n) in [(2, 4), (2, 5)])
-    normals, offsets, simplices = _witness_block(*triple, centres, scale)
-    assert simplices == {}
+    counts, normals, offsets = _block_witness(scale, centres)
+    assert counts.tolist() == [len(pts) for pts in point_lists]
     for c, pts, normal, offset in zip(centres, point_lists, normals, offsets):
         want, _ = cover_oracle.hyperplane_witness(pts, Ball(c, scale.r_n), scale)
         assert normal.tobytes() == want.normal.tobytes() and offset == want.offset
@@ -429,23 +410,9 @@ def test_witness_block_matches_per_ball_oracle(d, n):
 
 
 def test_witness_single_point_d1():
-    scale = DyadicScale(1, 1)
-    normals, offsets, simplices = _witness_block(*_as_triple([[RationalPoint((1,), 2)]], 1),
-                                                 np.array([[0.5]]), scale)
-    assert simplices == {}
+    counts, normals, offsets = _witness([[RationalPoint((1,), 2)]], np.array([[0.5]]))
+    assert counts.tolist() == [1] and not np.isnan(offsets).any()
     assert Hyperplane(normals[0], offsets[0]).distance([0.5]) < 1e-12
-
-
-def test_witness_rejects_wrong_block_denominator():
-    scale = DyadicScale(1, 1)
-    with pytest.raises(ValueError, match="outside dyadic block"):
-        _witness_block(*_as_triple([[RationalPoint((1,), 5)]], 1), np.array([[0.2]]), scale)
-
-
-def test_witness_rejects_far_points():
-    scale = DyadicScale(1, 1)
-    with pytest.raises(ValueError, match="6-dilate"):
-        _witness_block(*_as_triple([[RationalPoint((1,), 2)]], 1), np.array([[0.9]]), scale)
 
 
 def test_block1_interval_of_length_one_sixteenth_holds_one_rational():
@@ -503,14 +470,12 @@ def _exact_triple_independent(points) -> bool:
 
 
 def test_witness_d2_block3_always_hyperplane():
-    from fracapprox.analysis import _block_rationals_in_six_dilate
-
     scale = DyadicScale(3, 2)
     centres = np.random.default_rng(42).random((50, 2))
-    triple = _block_rationals_in_six_dilate(scale, centres)
-    point_lists = _point_lists(triple, len(centres))
-    normals, offsets, simplices = _witness_block(*triple, centres, scale)
-    assert simplices == {}
+    point_lists = _six_dilate_points(scale, centres)
+    counts, normals, offsets = _block_witness(scale, centres)
+    assert counts.tolist() == [len(pts) for pts in point_lists]
+    assert not np.isnan(offsets).any()
     for pts, normal, offset in zip(point_lists, normals, offsets):
         # independent oracle: cofactor determinants over all triples
         assert not _exact_triple_independent(pts)
@@ -519,16 +484,18 @@ def test_witness_d2_block3_always_hyperplane():
 
 
 def test_witness_returns_simplex_when_preconditions_broken():
-    # an oversized container admits genuinely independent triples; the result
-    # must expose one as the counterexample
-    scale = DyadicScale(1, 2)
+    # points far outside the 6-dilate of a block ball can be genuinely
+    # independent; the exact rank finds them, and the ball's row is the NaN
+    # counterexample while a lone point's ball keeps its plane
     pts = [
         RationalPoint((0, 0), 2),
         RationalPoint((1, 0), 2),
         RationalPoint((0, 1), 2),
     ]
-    with pytest.raises(ValueError, match="6-dilate"):  # they are outside it
-        _witness_block(*_as_triple([pts], 2), np.array([[0.5, 0.5]]), scale)
+    counts, normals, offsets = _witness([pts, pts[:1]], np.array([[0.5, 0.5], [0.0, 0.0]]))
+    assert counts.tolist() == [3, 1]
+    assert np.isnan(normals[0]).all() and np.isnan(offsets[0])
+    assert normals[1].tolist() == [0.0, 1.0] and offsets[1] == 0.0
 
 
 def test_simplex_branch_via_affine_rank_directly():
@@ -595,7 +562,7 @@ def test_slab_of_contains_all_inputs():
 
 def test_slab_of_rejects_empty_and_independent():
     # no hyperplane through no points; d+1 independent points lie on none,
-    # which the exact rank decides (_witness_block then gives a simplex)
+    # which the exact rank decides (_witness_block then gives a NaN row)
     with pytest.raises(ValueError):
         hyperplane_through(np.zeros((0, 2)))
     pts = [

@@ -1,4 +1,5 @@
-"""Pinned digests of `sums` and `dim-report` outputs that no golden covers.
+"""Pinned digests of `sums`, `dim-report` and `cover-cost` outputs that no
+golden covers.
 
 `sums` is run for every symbolic psi family and for two tables (one spanning
 many dyadic blocks, one too short for the condensation fit), with each of
@@ -8,6 +9,11 @@ stays short.  The digests were captured before the closed-form exponents,
 the Dirichlet cut-off and the sweep reach moved to their single homes; each
 CSV is hashed without its `# config_hash=` line (a table's path is part of
 the config).
+
+`cover-cost` is run on the d = 2 systems, where some D_n balls hold two or
+more block rationals and take the exact-rank witness path (the goldens pin
+only cantor, where every ball holds one).  Those digests were captured
+before the witness built its own block points.
 """
 
 import hashlib
@@ -103,6 +109,15 @@ SUMS_DIGESTS = {
 
 DIM_REPORT_DIGEST = "1ee58ad8649fd6ba3f8d065d44e99aaf72d58a7f02866d5db8f9cf35dd951608"
 
+COVER_COST_DIGESTS = {
+    ("gasket", "power:tau=3.0", "1:2"):
+        "983f7eadf0434412b494f8913634b2878b6bf134820808f8cb9f2eea82479cf9",
+    ("koch", "power:tau=3.0", "1:3"):
+        "4796f15f22f0d6e3d2eee6ac24c894c9415ce47fa93fa23311812ba3645cc959",
+    ("dust", "power:tau=2.5", "1:4"):
+        "26cc26c75500f9dd1a47d5eb18bae94879681b271a4da7dc884f35be2bd615de",
+}
+
 
 def _digest(path) -> str:
     lines = [line for line in path.read_bytes().split(b"\n")
@@ -135,3 +150,11 @@ def test_dim_report_output_digest(tmp_path, monkeypatch, capsys):
     assert _digest(out / "dim_report.csv") == DIM_REPORT_DIGEST
     err = capsys.readouterr().err.splitlines()
     assert sorted(line.split(" ")[0] for line in err) == ["tau=1.5", "tau=8.0:"]
+
+
+@pytest.mark.parametrize("ifs, psi, blocks", sorted(COVER_COST_DIGESTS),
+                         ids=[ifs for ifs, _, _ in sorted(COVER_COST_DIGESTS)])
+def test_cover_cost_d2_output_digest(tmp_path, monkeypatch, ifs, psi, blocks):
+    out = _run(tmp_path, monkeypatch, ["cover-cost", "--ifs", ifs, "--psi", psi,
+                                       "--blocks", blocks])
+    assert _digest(out / "cover_cost.csv") == COVER_COST_DIGESTS[ifs, psi, blocks]
