@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import (PsiFunction, _check_denominators, _check_windows, _enumerate_windows,
-                     layer_hit_mask)
+                     layer_hit_masks)
 from .geometry import DyadicScale, _greedy_segments, _reach, _witness_block
 from .ifs import IFSystem, _check_alpha, _Frontier, sample_measure
 
@@ -534,8 +534,7 @@ def layer_decay_experiment(
     pts = _sorted_sample(sys, n_samples, seed)
     d = sys.dim
     rows = []
-    for n in blocks:
-        mask = layer_hit_mask(pts, n, psi)
+    for n, mask in zip(blocks, layer_hit_masks(pts, blocks, psi)):
         emp = float(mask.mean())
         env = float((2.0 ** (n * (d + 1) / d) * psi(2.0**n)) ** alpha)
         rows.append((n, emp, env))
@@ -550,8 +549,11 @@ def layer_decay_experiment(
 
 def _sorted_sample(sys: IFSystem, count: int, seed) -> np.ndarray:
     """sample_measure's points in ascending order of the first coordinate,
-    so that layer_hit_mask's sweep finds them sorted on every block.  Layer
-    masks are per point, and layer masses and box counts ignore order."""
+    so that the layer test's sweep, where it takes a block, sorts them in
+    one pass.  On the runs of the benchmark (cantor decay at tau 2.5, and
+    dim-report at tau 3) the sweep takes no block: the q loop and the shared
+    continued-fraction run take them all.  Layer masks are per point, and
+    layer masses and box counts ignore order."""
     pts = sample_measure(sys, count, seed)
     return pts[np.argsort(pts[:, 0])]
 
@@ -585,12 +587,7 @@ def approximant_points(
     total = 0
     for b in range(_MAX_BATCHES):
         pts = _sorted_sample(sys, batch, np.random.SeedSequence([seed, b]))
-        mask = np.zeros(batch, dtype=bool)
-        for n in _APPROXIMANT_BLOCKS:
-            todo = ~mask
-            if not todo.any():
-                break
-            mask[todo] |= layer_hit_mask(pts[todo], n, psi)
+        mask = layer_hit_masks(pts, _APPROXIMANT_BLOCKS, psi).any(axis=0)
         survivors.append(pts[mask])
         total += int(mask.sum())
         if total >= _MIN_POINTS:

@@ -20,7 +20,7 @@ from .geometry import _first_of_each_value, _reach
 __all__ = [
     "PsiFunction",
     "parse_psi_spec",
-    "layer_hit_mask",
+    "layer_hit_masks",
     "smallness_onset",
 ]
 
@@ -34,7 +34,7 @@ _CELL_BUDGET = 2**16
 _SLOP = 1e-12
 # The last block smallness_onset checks.
 _ONSET_LAST = 60
-# Time per unit of work of each layer_hit_mask kernel, in ns, measured by
+# Time per unit of work of each layer kernel, in ns, measured by
 # timing each kernel alone on the blocks of the decay and dim-report runs of
 # 40,000 sorted cantor samples (tau 2.5 and 3, blocks 1-10; and tau 1.5) on a
 # 2-core x86-64 box, numpy 2.4.6, medians of 7 calls:
@@ -258,27 +258,28 @@ def _enumerate_windows(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple:
     return nums[first], qs[first], owner[first]
 
 
-def layer_hit_mask(points: np.ndarray, n: int, psi: PsiFunction) -> np.ndarray:
-    """Which points lie in the block-n layer, for many points at once.
+def layer_hit_masks(points: np.ndarray, blocks, psi: PsiFunction) -> np.ndarray:
+    """Which points lie in the layer of each block of `blocks`, for many
+    points at once: row i of the (len(blocks), N) bool result is block
+    blocks[i].  Every block is checked against _check_denominators before
+    any work.
 
-    points has shape (N, d).  A point x hits when some q in the block and
-    some p within m of the rounded numerator rint(x q) give |p/q - x|^2 <=
-    r^2, r = sqrt(d) psi(q), where m = 0 while r q is below 1/2 and
+    points has shape (N, d).  A point x hits block n when some q in the block
+    and some p within m of the rounded numerator rint(x q) give |p/q - x|^2
+    <= r^2, r = sqrt(d) psi(q), where m = 0 while r q is below 1/2 and
     floor(r q + 1/2) beyond.  Non-finite points never hit; a non-finite
-    radius anywhere in the block makes every point hit.
+    radius anywhere in a block makes every point hit it.
 
-    The block's table (per q: m, r^2 and, in one dimension, the float
-    reach of r) is built once, from one psi call.  Three kernels read it and
-    give the same mask bit for bit; among those whose preconditions hold,
-    the one of least estimated time takes the block, each unit of work
-    weighed by its measured cost (_NS_LOOP_TEST and the others):
+    Each block's table (per q: m, r^2 and, in one dimension, the float reach
+    of r) is built once, from one psi call.  Three kernels read it and give
+    the same mask bit for bit; among those whose preconditions hold, the one
+    of least estimated time takes the block, each unit of work weighed by its
+    measured cost (_NS_LOOP_TEST and the others):
 
-      the q loop, no precondition, 12 ns per point-q test.  It takes the
-        table's q in steps that start at one q and double up to
-        _CELL_BUDGET (q, point) pairs, and drops the points that hit after
-        each step.  It makes N 2^n tests; where the sweep may run, it is
-        priced at the tests of N evenly spread points, each dropped at its
-        first hit, which at q has the chance 2 q reach;
+      the q loop (`_loop_hit_mask`), no precondition, 12 ns per point-q
+        test.  It makes N 2^n tests; where the sweep may run, it is priced
+        at the tests of N evenly spread points, each dropped at its first
+        hit, which at q has the chance 2 q reach;
       the sweep of the block rationals over the sorted points
         (`_sweep_hit_mask`), 85 ns per centre it enumerates plus 90 ns per
         (centre, point) candidate, N 2 q reach of them summed over the q;
@@ -296,57 +297,113 @@ def layer_hit_mask(points: np.ndarray, n: int, psi: PsiFunction) -> np.ndarray:
         smallest has the largest r^2, and the q loop's numerator test never
         rejects a float hit (rint(fl(x q)) = p and m = 0).
 
+    The blocks that meet the continued-fraction kernel's preconditions form
+    one group, priced once: the Euclid steps of its largest block against
+    the sum of its members' cheapest other kernels, so a one-block call
+    picks as that block's prices say.  If the group wins, one Euclid run per
+    point decides all of its blocks, since the convergents below 2^(n+1) are
+    a prefix of the run up to the largest block; otherwise each member takes
+    its cheapest other kernel, on a table rebuilt from its radii.  Until
+    then a member keeps only its radii, not its table.
+
     All three stay under the 2^n denominator ceiling of _check_denominators.
     """
-    _check_denominators(n)
+    for n in blocks:
+        _check_denominators(n)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] < 1:
         raise ValueError("expected points of shape (N, d), d >= 1")
     d = pts.shape[1]
+    masks = np.zeros((len(blocks), pts.shape[0]), dtype=bool)
+    live = np.flatnonzero(np.isfinite(pts).all(axis=1))  # non-finite points never hit
+    fin = pts[live]
+    group = []  # (row, n, radius, estimated ns of its cheapest other kernel)
+    for row, n in enumerate(blocks):
+        radius = math.sqrt(d) * psi(np.arange(2**n, 2 ** (n + 1), dtype=float))
+        if not np.isfinite(radius).all():
+            masks[row] = True
+            continue
+        table, work, legendre = _block_table(fin, n, radius)
+        kernel = min(work, key=work.get)
+        if legendre:
+            group.append((row, n, radius, work[kernel]))
+        else:
+            masks[row, live] = _run_kernel(kernel, fin, table)
+        del table  # a member of the group keeps only its radii
+    if not group:
+        return masks
+    rows, ns, radii, costs = zip(*sorted(group, key=lambda member: member[1]))
+    # denominators of the convergents grow at least like phi^k
+    steps = math.ceil((ns[-1] + 1) / math.log2((1 + math.sqrt(5)) / 2)) + 1
+    if _NS_EUCLID_STEP * live.size * steps < sum(costs):
+        r2s = np.concatenate(radii)
+        r2s *= r2s
+        masks[np.array(rows)[:, None], live] = _convergent_hit_mask(fin[:, 0], ns, r2s)
+        return masks
+    for row, n, radius in zip(rows, ns, radii):
+        table, work, _ = _block_table(fin, n, radius)
+        masks[row, live] = _run_kernel(min(work, key=work.get), fin, table)
+    return masks
+
+
+def _block_table(pts: np.ndarray, n: int, radius: np.ndarray) -> tuple:
+    """Block n's table from its finite radii sqrt(d) psi(q), for the finite
+    points pts: (q, m, r^2), and in one dimension where the sweep may run also
+    (reach, first, count); the estimated time in ns of the q loop and, where
+    it may run, the sweep; and whether the continued-fraction kernel's
+    preconditions hold."""
     q = np.arange(2**n, 2 ** (n + 1), dtype=float)
-    radius = math.sqrt(d) * psi(q)
-    if not np.isfinite(radius).all():
-        return np.ones(pts.shape[0], dtype=bool)
     half = radius * q
     m = np.where(half < 0.5, 0.0, np.floor(half + 0.5))
     r2 = radius * radius
-    hits = np.zeros(pts.shape[0], dtype=bool)
-    live = np.flatnonzero(np.isfinite(pts).all(axis=1))  # non-finite points never hit
-    # the estimated time in ns of each kernel whose preconditions hold; the
-    # loop tests each point at every q unless the d = 1 table tells more
-    work = {"loop": _NS_LOOP_TEST * live.size * q.size}
-    if live.size and d == 1 and half[0] < 0.5:
+    table, legendre = (q, m, r2), False
+    # the loop tests each point at every q unless the d = 1 table tells more
+    work = {"loop": _NS_LOOP_TEST * pts.shape[0] * q.size}
+    if pts.size and pts.shape[1] == 1 and half[0] < 0.5:
         # reach: how far past each radius the float test accepts; first and
         # count: the numerators of the centres p/q it lets touch [lo, hi]
-        lo, hi, reach = pts[live, 0].min(), pts[live, 0].max(), _reach(radius)
+        lo, hi, reach = pts[:, 0].min(), pts[:, 0].max(), _reach(radius)
         top = max(-lo, hi) + reach.max() + 2.0
         if top * q[-1] < 2.0**52:
             first = np.floor((lo - reach) * q) - 1.0
             count = np.ceil((hi + reach) * q) + 2.0 - first
+            table = (q, m, r2, reach, first, count)
             # an evenly spread point lies within reach of 2 q reach centres of
             # q: the sweep's candidates; the loop tests it until its first hit
             meet = 2.0 * q * reach
             stay = np.cumprod(np.maximum(1.0 - meet, 0.0))
-            work["loop"] = _NS_LOOP_TEST * live.size * (1.0 + stay[:-1].sum())
+            work["loop"] = _NS_LOOP_TEST * pts.shape[0] * (1.0 + stay[:-1].sum())
             work["sweep"] = (_NS_SWEEP_CENTRE * count.sum()
-                             + _NS_SWEEP_PAIR * live.size * meet.sum())
+                             + _NS_SWEEP_PAIR * pts.shape[0] * meet.sum())
             # the float centre of a hit p/q lies within reach of its point
             # and within one spacing at top of p/q: Legendre's condition
             # |x - p/q| < 1/(2 q^2) holds when this does; with r^2
             # non-increasing, a convergent's smallest block multiple decides it
-            if ((2.0 * q * q * (reach + np.spacing(top)) < 1.0).all()
-                    and (r2[1:] <= r2[:-1]).all()):
-                # denominators of the convergents grow at least like phi^k
-                steps = math.ceil((n + 1) / math.log2((1 + math.sqrt(5)) / 2)) + 1
-                work["convergent"] = _NS_EUCLID_STEP * live.size * steps
-    kernel = min(work, key=work.get)
-    if kernel == "sweep":
-        live = live[np.argsort(pts[live, 0])]
-        hits[live] = _sweep_hit_mask(pts[live, 0], (q, m, r2, reach), first, count)
-        return hits
-    if kernel == "convergent":
-        hits[live] = _convergent_hit_mask(pts[live, 0], n, r2)
-        return hits
+            legendre = bool((2.0 * q * q * (reach + np.spacing(top)) < 1.0).all()
+                            and (r2[1:] <= r2[:-1]).all())
+    return table, work, legendre
+
+
+def _run_kernel(kernel: str, pts: np.ndarray, table: tuple) -> np.ndarray:
+    """The mask of the finite points pts under the q loop or, on the points
+    sorted by their one coordinate, the sweep."""
+    if kernel == "loop":
+        return _loop_hit_mask(pts, table)
+    order = np.argsort(pts[:, 0])
+    hits = np.empty(order.size, dtype=bool)
+    hits[order] = _sweep_hit_mask(pts[order, 0], table)
+    return hits
+
+
+def _loop_hit_mask(pts: np.ndarray, table: tuple) -> np.ndarray:
+    """The q loop on the finite points pts (N, d) and the block's table (q,
+    m, r^2, ...).  It takes the table's q in steps that start at one q and
+    double up to _CELL_BUDGET (q, point) pairs, and drops the points that hit
+    after each step."""
+    q, m, r2 = table[:3]
+    d = pts.shape[1]
+    hits = np.zeros(pts.shape[0], dtype=bool)
+    live = np.arange(pts.shape[0])
     j, size = 0, 1
     while j < q.size and live.size:
         # the q j..k-1 on a (q, point, coordinate) array; bound[s] is r^2 at
@@ -396,17 +453,16 @@ _SWEEP_CHUNK = 2**14
 _SWEEP_FIRST = 2**10
 
 
-def _sweep_hit_mask(xs: np.ndarray, table: tuple, first: np.ndarray,
-                    count: np.ndarray) -> np.ndarray:
-    """layer_hit_mask for d = 1 on the sorted finite points xs and the block's
-    table (q, m, r^2, reach), deciding each (point, p, q) candidate.
+def _sweep_hit_mask(xs: np.ndarray, table: tuple) -> np.ndarray:
+    """The d = 1 sweep on the sorted finite points xs and the block's table
+    (q, m, r^2, reach, first, count), deciding each (point, p, q) candidate.
 
     Walks the centres p/q of the block in ascending q, then p, the j-th q's
     count[j] numerators from first[j], and finds each centre's points by
     `searchsorted` in xs.  A candidate hits under exactly the q loop's two
     tests (`_float_hits`).  Points that hit are dropped after each step.
     """
-    qf, reach = table[0], table[3]
+    qf, reach, first, count = table[0], *table[3:]
     hits = np.zeros(xs.shape[0], dtype=bool)
     live = np.arange(xs.shape[0])
     first = first.astype(np.int64)
@@ -449,59 +505,115 @@ def _sweep_hit_mask(xs: np.ndarray, table: tuple, first: np.ndarray,
 _EXPAND_SLICE = 2**13
 
 
-def _convergent_hit_mask(x: np.ndarray, n: int, r2: np.ndarray) -> np.ndarray:
-    """layer_hit_mask for d = 1 on the finite points x and the block's r^2
-    per q, under three conditions: every float hit p/q lies within 1/(2 q^2)
-    of its point (the Legendre condition), |x| q < 2^52 (the sweep's bound)
-    and r^2 is non-increasing over the block.
+def _convergent_hit_mask(x: np.ndarray, ns, r2s: np.ndarray) -> np.ndarray:
+    """The layer masks, (len(ns), x.size), of the d = 1 blocks ns, in
+    ascending order, on the finite points x, from the blocks' r^2 per q one
+    block after another in r2s, under three conditions per block: every
+    float hit p/q lies within 1/(2 q^2) of its point (the Legendre
+    condition), |x| q < 2^52 (the sweep's bound) and r^2 is non-increasing
+    over the block.  A one-block call is the kernel of that block alone.
 
-    A point hits iff, for one of its convergents a/b, the float test
-    (a/b - |x|)^2 <= r^2 passes at the smallest block multiple q0 of b.
-    By Legendre's theorem a float hit p/q, in lowest terms a/b, is a
-    convergent of x (-a/b one of -x, the same gap with the other sign), and
-    IEEE division rounds every multiple (t a)/(t b) to the float of a/b, so
-    each block multiple compares one gap with its own r^2: the smallest,
-    with the largest r^2, passes if any does.  Under the conditions the q
-    loop's numerator test never rejects a float hit: |x q - p| < 1/(2 q),
-    fl(x q) is within 1/4 of x q, so rint(fl(x q)) = p, and m = 0.
+    A point hits block n iff, for one of its convergents a/b with b <
+    2^(n+1), the float test (a/b - |x|)^2 <= r^2 passes at the smallest
+    block multiple q0 of b.  By Legendre's theorem a float hit p/q, in lowest
+    terms a/b, is a convergent of x (-a/b one of -x, the same gap with the
+    other sign), and IEEE division rounds every multiple (t a)/(t b) to the
+    float of a/b, so each block multiple compares one gap with its own r^2:
+    the smallest, with the largest r^2, passes if any does.  Under the
+    conditions the q loop's numerator test never rejects a float hit: |x q -
+    p| < 1/(2 q), fl(x q) is within 1/4 of x q, so rint(fl(x q)) = p, and m
+    = 0.
 
-    |x| = F + M/2^E with F = floor(|x|) and 2^52 <= M < 2^53 is expanded by
-    one Euclid run, _EXPAND_SLICE points at a time, and every quotient is
-    exact.  When 2^E/M > 2^(n+2) the first quotient puts the next
-    denominator past the block, and F/1 is the only convergent.  Otherwise
-    E <= n + 54: the first remainder is the exact IEEE fmod(2^E, M), the
-    first quotient an integer of at most 2^(n+2) that float division gets
-    to far less than 1/2, and the later steps divide int64 values below
-    2^53.  A point leaves at its first hit, or at its first denominator of
-    2^(n+1) or more; a quotient of 2^(n+1) stands for the end of the run.
+    One Euclid run per point, up to 2^(N+1) for the largest block N, decides
+    every block: the convergents below 2^(n+1) are a prefix of it.  |x| = F +
+    M/2^E with F = floor(|x|) and 2^52 <= M < 2^53 is expanded _EXPAND_SLICE
+    points at a time, and every quotient is exact.  When 2^E/M > 2^(N+2) the
+    first quotient puts the next denominator past every block, and F/1 is
+    the only convergent.  Otherwise E <= N + 54: the first remainder is the
+    exact IEEE fmod(2^E, M), the first quotient an integer of at most
+    2^(N+2) that float division gets to far less than 1/2, and the later
+    steps divide int64 values below 2^53.  A quotient of 2^(N+1) stands for
+    the end of the run.
+
+    At each convergent a/b the run first compares the squared gap with the
+    largest r^2 (a block's first) of the open blocks, those with b <
+    2^(n+1); only a point within it is tested against each open block that
+    it has not hit and whose first r^2 the gap meets, at that block's
+    smallest multiple of b, against that block's own r^2.  A point leaves
+    once its next denominator reaches its stop: 2^(n+1) of the largest open
+    block it has not hit, 0 once there is none.  A point that left is
+    parked, a1/b1 = a0/b0 with quotient 0, which the step keeps fixed, and
+    the state columns are compacted only when fewer than half of their rows
+    are live.
     """
-    hits, lo, lim = np.zeros(x.size, dtype=bool), 2**n, 2 ** (n + 1)
+    lims = np.array([2 ** (n + 1) for n in ns], dtype=np.int64)
+    los, lim, every = lims // 2, int(lims[-1]), (1 << len(ns)) - 1
+    # block k's r^2 at q is r2s[q + start[k]]
+    start = np.cumsum(los) - 2 * los
+    # cap[k]: the largest r^2 (a block's first) of the blocks k, k + 1, ...,
+    # and -1 past the last
+    firsts = r2s[start + los]
+    cap = np.append(np.maximum.accumulate(firsts[::-1])[::-1], -1.0)
+    hits = np.zeros((len(ns), x.size), dtype=bool)
     for s in range(0, x.size, _EXPAND_SLICE):
         y = np.abs(x[s:s + _EXPAND_SLICE])
-        got = hits[s:s + _EXPAND_SLICE]
+        got = hits[:, s:s + _EXPAND_SLICE]
         whole = np.floor(y)
         frac = y - whole  # exact: whole <= y < 2 whole, or whole = 0
         # a far point's run ends at F/1; for the rest, frac = big / low
-        far = frac < 2.0 ** -(n + 2)
+        far = frac < 2.0 ** -(ns[-1] + 2)
         mant, exp = np.frexp(np.where(far, 0.5, frac))
         big, low = np.ldexp(mant, 53), np.ldexp(1.0, 53 - exp)
         rem = np.fmod(low, big)
         quot = np.where(far, lim, np.rint((low - rem) / big))
-        # per point: the convergent a1/b1 to test, the one before it a0/b0,
-        # the next quotient and the remainder pair (u, v) it leaves
+        # per point: its index and |x|, the convergent a1/b1 to test, the one
+        # before it a0/b0, the next quotient, the remainder pair (u, v) it
+        # leaves, its stop and the bit set of the blocks it has hit
         one = np.ones(y.size, dtype=np.int64)
-        state = (np.arange(y.size), whole.astype(np.int64), one, one, np.zeros_like(one),
-                 *(col.astype(np.int64) for col in (quot, big, rem)))
+        state = [np.arange(y.size), y, whole.astype(np.int64), one, one.copy(),
+                 np.zeros_like(one), *(col.astype(np.int64) for col in (quot, big, rem)),
+                 np.full(y.size, lim), np.zeros_like(one)]
+        live = np.ones(y.size, dtype=bool)
         while state[0].size:
-            at, a1, b1, a0, b0, quot, u, v = state
-            gap = a1 / b1 - y[at]
-            hit = gap * gap <= r2[-(-lo // b1) * b1 - lo]
-            got[at[hit]] = True
-            go = ~hit & (np.minimum(quot, lim) * b1 + b0 < lim)
-            at, a1, b1, a0, b0, quot, u, v = (col[go] for col in state)
+            at, yv, a1, b1, a0, b0, quot, u, v, stop, held = state
+            gap = a1 / b1 - yv
+            g2 = gap * gap
+            # the blocks from opened on are open (b1 < 2^(n+1)): the prefilter
+            opened = np.searchsorted(lims, b1, side="right")
+            near = np.flatnonzero(live & (g2 <= cap[opened]))
+            if near.size:
+                b, g, have, lo = b1[near], g2[near], held[near], opened[near]
+                # the open blocks with a cap of at least g2: list those pairs
+                count = np.searchsorted(-cap, -g, side="right") - lo
+                c = np.repeat(np.arange(near.size), count)
+                k = np.arange(c.size) + np.repeat(lo - np.cumsum(count) + count, count)
+                # each pair not yet hit and within its block's largest r^2 is
+                # decided by the float test at the smallest multiple of b1
+                keep = ((have[c] >> k) & 1 == 0) & (g[c] <= firsts[k])
+                c, k = c[keep], k[keep]
+                q0 = -(-los[k] // b[c]) * b[c]
+                hit = g[c] <= r2s[q0 + start[k]]
+                c, k = c[hit], k[hit]
+                got[k, at[near[c]]] = True
+                np.bitwise_or.at(have, c, 1 << k)
+                held[near] = have
+                # stop: 2^(n+1) of the largest block still needed (open and
+                # not hit), 0 if none
+                need = every & ~have & ~((1 << lo) - 1)
+                stop[near] = np.where(need > 0, lims[np.frexp(need)[1] - 1], 0)
+            go = live & (np.minimum(quot, lim) * b1 + b0 < stop)
+            if 2 * np.count_nonzero(go) < go.size:
+                state = [col[go] for col in state]
+                live = np.ones(state[0].size, dtype=bool)
+            else:
+                left = np.flatnonzero(live & ~go)
+                a0[left], b0[left] = a1[left], b1[left]
+                live = go
+            at, yv, a1, b1, a0, b0, quot, u, v, stop, held = state
+            step = quot * live  # 0 keeps a parked a1/b1
             nxt, rem = np.divmod(u, np.maximum(v, 1))
-            state = (at, quot * a1 + a0, quot * b1 + b0, a1, b1,
-                     np.where(v > 0, nxt, lim), v, rem)
+            state = [at, yv, step * a1 + a0, step * b1 + b0, a1, b1,
+                     np.where(v > 0, nxt, lim), v, rem, stop, held]
     return hits
 
 

@@ -6,7 +6,9 @@ version, a hash of the resolved config, and the seed.  Outputs are
 byte-identical for identical (config, seed) regardless of --jobs.
 
 Exit codes: 0 success, 1 usage or config error, 2 scientific failure
-(a certification or audit found a violation).
+(a certification or audit found a violation).  Warnings are held until the
+run ends: a run that exits 1 prints only its one error line, and any other
+run prints each warning as one `warning: <message>` line when it ends.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import hashlib
 import json
 import math
 import sys as _sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
@@ -119,6 +122,9 @@ def resolve_config(config_path: str | None, **overrides) -> ExperimentConfig:
 
 
 _INT_FIELDS = ("seed", "trials", "samples", "jobs")
+# The most trials a run takes, the 10^6 that samples allows: certify draws one
+# ball per trial, lemma-audit one per trial and block, each run in Python.
+_TRIALS_CAP = 10**6
 _REAL_FIELDS = ("tolerance", "alpha", "s")
 _STR_FIELDS = ("ifs_path", "psi_spec", "output_dir", "kind")
 _UNSET_OK = ("ifs_path", "alpha", "s")  # None means "not given"
@@ -148,10 +154,9 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise UsageFailure(f"config field {name!r} must be >= 1")
     if cfg.seed < 0:
         raise UsageFailure("config field 'seed' must be >= 0")
-    if cfg.samples > _SAMPLE_DIGIT_CAP // SAMPLE_DEPTH:
-        raise UsageFailure(
-            f"config field 'samples' must be <= {_SAMPLE_DIGIT_CAP // SAMPLE_DEPTH}"
-        )
+    for name, cap in (("samples", _SAMPLE_DIGIT_CAP // SAMPLE_DEPTH), ("trials", _TRIALS_CAP)):
+        if getattr(cfg, name) > cap:
+            raise UsageFailure(f"config field {name!r} must be <= {cap}")
     if (not isinstance(cfg.blocks, tuple) or len(cfg.blocks) != 2
             or not all(_is_int(b) for b in cfg.blocks)
             or cfg.blocks[0] > cfg.blocks[1] or cfg.blocks[0] < 0):
@@ -477,6 +482,15 @@ def _parse_psi(cfg: ExperimentConfig, d: int):
 
 
 def main(argv=None) -> int:
+    with warnings.catch_warnings(record=True) as held:
+        code = _run(argv)
+    if code != 1:
+        for w in held:
+            click.echo(f"warning: {w.message}", err=True)
+    return code
+
+
+def _run(argv) -> int:
     try:
         cli.main(args=argv, standalone_mode=False, obj={})
     except UsageFailure as e:

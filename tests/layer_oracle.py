@@ -1,6 +1,6 @@
 """Scalar and per-q reference implementations of the block-layer hit test.
 
-These are the slow paths that `fracapprox.approx.layer_hit_mask` must agree
+These are the slow paths that `fracapprox.approx.layer_hit_masks` must agree
 with bit for bit: `layer_membership` tests one point by walking every q of
 the block, and `reference_hit_mask` is the per-q loop over all points that
 served every dimension before the d = 1 sweep.  `sup_norm_scan` is the

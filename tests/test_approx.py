@@ -16,7 +16,7 @@ from fracapprox.analysis import approximant_points, layer_decay_experiment
 from fracapprox.approx import (
     PsiFunction,
     _enumerate_windows,
-    layer_hit_mask,
+    layer_hit_masks,
     parse_psi_spec,
     smallness_onset,
 )
@@ -25,6 +25,11 @@ from fracapprox.ifs import bundled_system, sample_measure
 from cover_oracle import RationalPoint
 from cover_oracle import enumerate_rationals as reference_enumerate
 from layer_oracle import ApproxLayer, layer_membership, reference_hit_mask, sup_norm_scan
+
+
+def layer_hit_mask(points, n, psi):
+    """The mask of block n alone: the one row of a one-block range."""
+    return layer_hit_masks(points, [n], psi)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -749,30 +754,38 @@ def test_layer_hit_mask_d1_cost_rule():
 
 
 def _picks(run):
-    """(block, kernel) of every layer_hit_mask call that run() makes through
-    the analysis drivers."""
-    picks, real = [], analysis.layer_hit_mask
+    """(blocks, kernel) of every layer kernel call that run() makes, in call
+    order: a q loop or sweep call decides the one block of its table (read
+    from its first q), a continued-fraction call the tuple of its group."""
+    picks = []
 
-    def spy(points, n, psi):
-        picks.append((n, _kernel(points, n, psi)))
-        return real(points, n, psi)
+    def spy(kernel, real):
+        def call(points, table, *rest):
+            blocks = tuple(table) if kernel == "convergent" else int(table[0][0]).bit_length() - 1
+            picks.append((blocks, kernel))
+            return real(points, table, *rest)
+        return call
 
-    with mock.patch.object(analysis, "layer_hit_mask", spy):
+    with ExitStack() as stack:
+        for kernel in ("loop", "sweep", "convergent"):
+            name = f"_{kernel}_hit_mask"
+            stack.enter_context(mock.patch.object(approx, name, spy(kernel, getattr(approx, name))))
         run()
     return picks
 
 
 def test_layer_hit_mask_picks_the_faster_kernel_on_the_layers_runs():
-    # Each kernel timed alone on 40,000 sorted cantor samples (medians of 7
-    # calls, 2-core x86-64 box), the one picked first:
-    #   decay, seed 0, tau = 2.5: block 1 loop 1.1-1.5 ms, sweep 3.5-5.7;
-    #     block 2 loop 1.4-2.0, sweep 1.6-2.5; block 3 sweep 1.7-2.6, loop
-    #     2.1-3.2; block 8 sweep 8.5-14, convergent 9.8-17; block 9
-    #     convergent 12-18, sweep 27-44; block 10 convergent 18-22, sweep 127-154
-    #   the first dim-report batch, tau = 3: block 8 sweep 7.6-12, convergent
-    #     9.1-13; block 9 convergent 9.2-14, sweep 22-35
-    #   decay at tau = 1.5: the loop at every block 3-10 (1.5-29 ms against
-    #     the sweep's 6.2-97)
+    # On 40,000 sorted cantor samples (2-core x86-64 box):
+    #   decay, seed 0, tau = 2.5: blocks 1-2 take the loop (block 1 1.1-1.5
+    #     ms against the sweep's 3.5-5.7, block 2 1.4-2.0 against 1.6-2.5,
+    #     medians of 7 calls); blocks 3-10 meet the Legendre condition and
+    #     form one group: the whole range takes 29.5 ms against 47.4 ms when
+    #     each block takes its own kernel (the sweep at blocks 3-8, the
+    #     single-block continued-fraction kernel at 9-10; medians of 9)
+    #   the first dim-report batch, tau = 3: blocks 5-10 form one group,
+    #     20.1 ms against 41.7 ms block by block
+    #   decay at tau = 1.5: outside the Legendre condition, the loop at every
+    #     block 3-10 (1.5-29 ms against the sweep's 6.2-97)
     cantor = bundled_system("cantor")
 
     def decay(tau, blocks):
@@ -780,12 +793,87 @@ def test_layer_hit_mask_picks_the_faster_kernel_on_the_layers_runs():
                                                      cantor.delta, blocks, 40000, 0))
 
     assert decay(2.5, range(1, 11)) == [(1, "loop"), (2, "loop"),
-                                        *((n, "sweep") for n in range(3, 9)),
-                                        (9, "convergent"), (10, "convergent")]
+                                        (tuple(range(3, 11)), "convergent")]
     dim = _picks(lambda: approximant_points(cantor, PsiFunction.power(3.0), 0, 40000))
-    assert dim == [*((n, "sweep") for n in range(5, 9)), (9, "convergent"),
-                   (10, "convergent")]
+    assert dim == [(tuple(range(5, 11)), "convergent")]
     assert decay(1.5, range(3, 11)) == [(n, "loop") for n in range(3, 11)]
+
+
+def _rising(tau, q_up):
+    """A duck-typed psi, q^-tau except 2 (q_up - 1)^-tau at q_up: r^2 rises
+    at q_up inside its block."""
+    def psi(q):
+        q = np.asarray(q, dtype=float)
+        out = np.where(q == q_up, 2.0 * (q_up - 1.0) ** -tau, q ** -tau)
+        return float(out) if out.ndim == 0 else out
+    return psi
+
+
+@st.composite
+def _range_case(draw):
+    """A block range within 0..12, a psi of every family (the symbolic three,
+    a table, and a psi that rises inside one block of the range), and points
+    for it: free floats, the special values (NaN, +-inf), negative and far
+    points, and points within 2 ulps of a/b +- psi(q) at several blocks of
+    the range, for q in the block or the smallest block multiple of a small
+    b."""
+    lo = draw(st.integers(0, 12))
+    blocks = range(lo, draw(st.integers(lo, min(lo + 4, 12))) + 1)
+    kind = draw(st.sampled_from(["any", "steep", "rising"]))
+    if kind == "any":
+        psi = draw(_PSIS)
+    elif kind == "steep":  # tau > 2: the Legendre condition holds from a low block on
+        psi = draw(st.one_of(
+            st.floats(2.2, 5.0).map(PsiFunction.power),
+            st.tuples(st.floats(2.2, 4.0), st.floats(0.0, 3.0)).map(
+                lambda a: PsiFunction.generic_power_log(*a)),
+            st.floats(2.2, 4.0).map(_table_psi)))
+    else:
+        up = draw(st.sampled_from([n for n in blocks if n > 0] or [1]))
+        psi = _rising(draw(st.floats(2.2, 4.0)), draw(st.integers(2**up + 1, 2 ** (up + 1) - 1)))
+    xs = draw(st.lists(st.floats(-2.5, 2.5), max_size=20))
+    xs += draw(st.lists(st.sampled_from(_SPECIAL + [-0.0, -1 / 3]), max_size=6))
+    xs += [i + s * math.ldexp(1.0, -k) for i, s, k in draw(st.lists(
+        st.tuples(st.integers(-_WIDE, _WIDE), st.sampled_from([-1, 1]), st.integers(9, 60)),
+        max_size=6))]
+    # i +- 1/q for q in the last block: far from i at every lower block, yet
+    # within 1/q of (i q +- 1)/q
+    top = blocks[-1]
+    xs += [i + s / q for i, s, q in draw(st.lists(st.tuples(
+        st.integers(-_WIDE, _WIDE), st.sampled_from([-1, 1]),
+        st.integers(2**top, 2 ** (top + 1) - 1)), max_size=4))]
+    for n, a, b, small, side, ulps in draw(st.lists(st.tuples(
+            st.sampled_from(blocks), st.integers(-2**10, 2**10), st.integers(1, 2**13),
+            st.booleans(), st.sampled_from([-1.0, 1.0]), st.integers(-2, 2)), max_size=16)):
+        b = b % 2**n + 2**n if not small else b % 2 ** max(n - 1, 0) + 1
+        q = -(-(2**n) // b) * b
+        x = a / b + side * float(psi(float(q)))
+        for _ in range(abs(ulps)):
+            x = float(np.nextafter(x, math.copysign(math.inf, ulps)))
+        xs.append(x)
+    return blocks, psi, np.array(xs, dtype=float).reshape(-1, 1)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning:layer_oracle")
+@settings(max_examples=40, deadline=None)
+@given(case=_range_case())
+def test_layer_hit_masks_match_reference_block_by_block(case):
+    # row i of the range entry is block blocks[i] alone, whether the blocks
+    # that meet the continued-fraction kernel's preconditions share one run
+    # (pinned) or each take their cheapest kernel (unpinned)
+    blocks, psi, pts = case
+    want = np.array([reference_hit_mask(pts, n, psi, 1) for n in blocks])
+    with _pinned("convergent"):
+        assert np.array_equal(layer_hit_masks(pts, blocks, psi), want)
+    assert np.array_equal(layer_hit_masks(pts, blocks, psi), want)
+
+
+def test_layer_hit_masks_refuse_the_range_before_any_psi_call():
+    # every block is checked first, lazily: a range to 2^70 stops at block
+    # 21, and psi is never evaluated
+    psi = mock.Mock(side_effect=AssertionError("psi called"))
+    with pytest.raises(ValueError, match="^block 21 refused: .*ceiling"):
+        layer_hit_masks(np.zeros((3, 1)), range(0, 2**70), psi)
 
 
 @pytest.mark.parametrize("kernel", ["loop", "sweep", "convergent"])

@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -308,6 +310,62 @@ def test_samples_above_the_cap_is_one_error_line(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: config field 'samples' must be <= {over - 1}"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["certify", "--ifs", "cantor", "--trials", "100000000000"], {}),
+    (["certify", "--ifs", "cantor", "--trials", "1000001"], {}),
+    (["--config", "exp.json", "lemma-audit", "--ifs", "cantor"],
+     {"exp.json": json.dumps({"trials": 2**70})}),
+], ids=["certify-1e11", "certify-cap-plus-1", "lemma-audit-2^70-config"])
+def test_trials_above_the_cap_is_one_error_line(tmp_path, capsys, monkeypatch, argv, files):
+    # refused before any trial: the heavy work fails the test if it is reached
+    from fracapprox import cli
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials were run")
+
+    monkeypatch.setattr(cli, "certify_all", no_trials)
+    monkeypatch.setattr(cli, "audit_hyperplane_lemma", no_trials)
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert run(["--out", tmp_path / "out", *argv]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: config field 'trials' must be <= {cli._TRIALS_CAP}"]
+    assert cli._TRIALS_CAP == 10**6
+    assert not (tmp_path / "out").exists()
+
+
+def _collinear_system(tmp_path) -> Path:
+    """A planar two-map system whose fixed points lie on a line: loading it
+    warns (IrreducibilityWarning), and delta - (d - 1) < 0 leaves no default
+    alpha."""
+    maps = [{"ratio": 1 / 3, "rotation": [[1.0, 0.0], [0.0, 1.0]], "translation": t}
+            for t in ([0.0, 0.0], [2 / 3, 0.0])]
+    path = tmp_path / "red.json"
+    path.write_text(json.dumps({"dimension": 2, "maps": maps, "open_set": {
+        "type": "box", "min": [0.0, 0.0], "max": [1.0, 1.0]}}))
+    return path
+
+
+@pytest.mark.parametrize("argv, code, stderr", [
+    (["certify", "--trials", "5"], 1,
+     "error: config field 'alpha' is required: delta - (d-1) is not positive for this system"),
+    (["sums", "--alpha", "0.5"], 0,
+     "warning: map fixed points do not affinely span R^d; the sufficient irreducibility "
+     "check failed"),
+], ids=["refused", "succeeds"])
+def test_warnings_print_as_one_line_and_only_if_the_run_is_not_refused(tmp_path, argv,
+                                                                      code, stderr):
+    # the system warns while it loads; a run in its own interpreter shows what
+    # Python's own warning display would add (two lines per warning)
+    red = _collinear_system(tmp_path)
+    done = subprocess.run([sys.executable, "-m", "fracapprox", "--out", str(tmp_path / "out"),
+                           argv[0], "--ifs", str(red), *argv[1:]],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == code
+    assert done.stderr.splitlines() == [stderr]
 
 
 def _readme_shell() -> str:

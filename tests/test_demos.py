@@ -1,7 +1,7 @@
 """Smoke test of the narrative scripts: each demo runs to exit 0.
 
 The demos call only public functions that a subcommand reaches
-(`measure_many`, `certify_all`, `layer_hit_mask`, `hs_upper_bound`,
+(`measure_many`, `certify_all`, `layer_hit_masks`, `hs_upper_bound`,
 `classify_sum`, ...), so they show the paths the CLI runs.  conftest.py puts
 src/ on the subprocesses' PYTHONPATH.
 pyproject.toml's `filterwarnings` does not reach a subprocess, so each demo
