@@ -15,8 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Ball, Hyperplane, Slab
-from .ifs import _TOL_FLOOR, IFSystem, _check_alpha, _draw_digits, _fold_digits, measure_many
+from .ifs import (
+    _TOL_FLOOR,
+    SAMPLE_DEPTH,
+    IFSystem,
+    _check_alpha,
+    _fold_digits,
+    _Queries,
+    _uniform_digits,
+    measure_many,
+)
 
 __all__ = [
     "CertificationError",
@@ -31,10 +39,10 @@ __all__ = [
 
 _REL_TOL = 0.02
 MAX_DISCARD_FRACTION = 0.2
-# Trials whose phases share one measure_many call.  This bounds the objects
-# a block holds per trial (each trial's Generator, about 1 KB, plus its
-# Balls and row plans), so their memory grows with this and not with
-# --trials; measure_many bounds the frontier rows itself.
+# Trials whose phases share one mass-oracle call.  This bounds the objects
+# a block holds per trial (each trial's Generator, about 1 KB, plus its row
+# plans and query tuples), so their memory grows with this and not with
+# --trials; the oracle bounds the frontier rows itself.
 _TRIAL_BLOCK = 1024
 
 
@@ -63,27 +71,27 @@ def _trial_block(args) -> list:
     None (a discarded trial) when mu(B(x, r)) cannot be bounded away from
     zero.
 
-    Every trial draws from its own rng in the order a lone trial would: the
-    centre's digits and the radius, then, if kept, the draws of each
-    certificate kind's row.  The centres are folded in one call, all
-    mu(B(x, r)) come from one measure_many call, and all the masses the rows
-    need from another.
+    Every trial draws from its own rng in the order a lone trial would: one
+    rng.random(SAMPLE_DEPTH + 1) call gives the centre's digits and the
+    radius, then, if kept, the draws of each certificate kind's row.  The
+    centres are folded in one call, all mu(B(x, r)) come from one
+    measure_many call on arrays, and all the masses the rows need from
+    another.
     """
     kinds, sys, r0, seed, start, stop, alpha = args
     rngs = [np.random.default_rng(np.random.SeedSequence([int(seed), i]))
             for i in range(start, stop)]
-    digits, radii = [], []
-    for rng in rngs:
-        digits.append(_draw_digits(sys, 1, rng))
-        radii.append(r0 * math.exp(-math.log(100.0) * float(rng.random())))
-    centers = _fold_digits(sys, np.concatenate(digits))
-    masses = measure_many(sys, [Ball(c, r) for c, r in zip(centers, radii)],
+    draws = np.array([rng.random(SAMPLE_DEPTH + 1) for rng in rngs])
+    centers = _fold_digits(sys, _uniform_digits(sys, draws[:, :SAMPLE_DEPTH]))
+    radii = [r0 * math.exp(-math.log(100.0) * u) for u in draws[:, SAMPLE_DEPTH].tolist()]
+    masses = measure_many(sys, _Queries(centers, np.array(radii)),
                           [_ball_tol(sys, r) for r in radii])
     kept = [i for i, m in enumerate(masses) if m.lo > 0.0]
     plans = [[kind._row(sys, rngs[i], centers[i], radii[i], masses[i], alpha)
               for kind in kinds] for i in kept]
-    queries = [q for plan in plans for qs, _ in plan for q in qs]
-    found = iter(measure_many(sys, [q for q, _ in queries], [t for _, t in queries]))
+    queries = [(i, *q) for i, plan in zip(kept, plans) for qs, _ in plan for q in qs]
+    trial, radius, tol, slab = zip(*queries) if queries else ((),) * 4
+    found = iter(measure_many(sys, _Queries.of(centers[list(trial)], radius, slab), tol))
     results = [None] * (stop - start)
     for i, plan in zip(kept, plans):
         results[i] = tuple(row(*[next(found) for _ in qs]) for qs, row in plan)
@@ -190,8 +198,9 @@ class _Certificate:
     - _row(sys, rng, center, radius, m, alpha), called with a kept trial's
       rng (after the centre and radius draws), centre x, radius r and
       m = mu(B(x, r)).  It makes the trial's draws for the row and returns
-      the masses the row needs, as (query, tol) pairs for measure_many, and a
-      function building the row from those masses, in the same order;
+      the masses the row needs, each a (radius, tol, slab) query about x
+      (slab None, or (unit normal, offset, half-width)), and a function
+      building the row from those masses, in the same order;
     - _fit(rows, common, sys, alpha), the certificate fitted on the kept rows;
     - _breaks(row), whether a fresh row breaks the certified constants;
     - _TRAILER, the fields written as name=value in the CSV's last line.
@@ -222,7 +231,7 @@ class DoublingCertificate(_Certificate):
 
     @staticmethod
     def _row(sys, rng, center, radius, m, alpha) -> tuple:
-        queries = [(Ball(center, 2.0 * radius), _ball_tol(sys, 2.0 * radius))]
+        queries = [(2.0 * radius, _ball_tol(sys, 2.0 * radius), None)]
         return queries, lambda m2: (tuple(center), radius, m2.lo / m.hi, m2.hi / m.lo)
 
     @classmethod
@@ -266,15 +275,15 @@ class DecayCertificate(_Certificate):
     def _row(sys, rng, center, radius, m, alpha) -> tuple:
         normal = rng.normal(size=sys.dim)
         normal /= np.linalg.norm(normal)
-        plane = Hyperplane(normal, float(normal @ center))
+        offset = float(normal @ center)
         rel = math.exp(
             math.log(1e-4) + (math.log(0.25) - math.log(1e-4)) * float(rng.random())
         )
         eps = rel * radius
         envelope = rel**alpha
         slab_tol = max(_REL_TOL * envelope * m.lo, _TOL_FLOOR)
-        queries = [((Ball(center, radius), Slab(plane, eps)), slab_tol),
-                   (Ball(center, eps), _ball_tol(sys, eps))]
+        queries = [(radius, slab_tol, (normal, offset, eps)),
+                   (eps, _ball_tol(sys, eps), None)]
         return queries, lambda m_slab, m_small: _decay_row(
             center, radius, eps, envelope, m, m_slab, m_small)
 

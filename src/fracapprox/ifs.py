@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -444,34 +445,81 @@ class _Frontier:
     def image(self, point: np.ndarray) -> np.ndarray:
         """Images of `point` under every cylinder map, one row each."""
         if self.rot is None:
-            return self.scale[:, None] * point + self.trans
-        return self.scale[:, None] * np.einsum("nij,j->ni", self.rot, point) + self.trans
+            out = _scaled(self.scale, point)
+        else:
+            out = _scaled(self.scale, np.einsum("nij,j->ni", self.rot, point))
+        out += self.trans
+        return out
 
     def expand(self, mask: np.ndarray) -> None:
         """Replace the frontier by the children of the cylinders in `mask`,
         grouped by query and, within a query, by the map applied last: the
-        order a frontier of that query alone would have."""
+        order a frontier of that query alone would have.  Rows are gathered
+        with np.take: fancy indexing copies a short row about 10x slower."""
         sys = self.sys
-        trans, scale, weight = self.trans[mask], self.scale[mask], self.weight[mask]
-        query = self.query[mask]
+        rows = np.flatnonzero(mask)
+        trans, scale = np.take(self.trans, rows, axis=0), self.scale[rows]
+        weight, query = self.weight[rows], self.query[rows]
         if self.rot is None:
-            steps = [scale[:, None] * t for t in sys.translations]
+            steps = [_scaled(scale, t) for t in sys.translations]
         else:
-            rot = self.rot[mask]
-            steps = [scale[:, None] * np.einsum("nij,j->ni", rot, t)
+            rot = np.take(self.rot, rows, axis=0)
+            steps = [_scaled(scale, np.einsum("nij,j->ni", rot, t))
                      for t in sys.translations]
-            self.rot = np.concatenate(
-                [np.einsum("nij,jk->nik", rot, r) for r in sys.rotations])
-        self.trans = np.concatenate([trans + step for step in steps])
+            self.rot = np.concatenate([_compose(rot, r) for r in sys.rotations])
+        for step in steps:
+            step += trans
+        self.trans = np.concatenate(steps)
         self.scale = np.concatenate([scale * r for r in sys.ratios])
         self.weight = np.concatenate([weight * w for w in sys.weights])
         self.query = np.tile(query, sys.k)
         if query.size and query[0] != query[-1]:
             order = np.argsort(self.query, kind="stable")
-            self.trans, self.scale = self.trans[order], self.scale[order]
-            self.weight, self.query = self.weight[order], self.query[order]
+            self.trans = np.take(self.trans, order, axis=0)
+            self.scale, self.weight = self.scale[order], self.weight[order]
+            self.query = self.query[order]
             if self.rot is not None:
-                self.rot = self.rot[order]
+                self.rot = np.take(self.rot, order, axis=0)
+
+
+def _scaled(scale: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """scale[:, None] * v, bit for bit, for a vector or one row per scale.
+    Column by column it is about 4x faster: numpy runs a broadcast along a
+    short last axis as one inner loop per row."""
+    out = np.empty((scale.size, v.shape[-1]))
+    for j in range(v.shape[-1]):
+        np.multiply(scale, v[..., j], out=out[:, j])
+    return out
+
+
+def _compose(rot: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """rot[i] @ r for every matrix of the stack, with the bits of
+    np.einsum("nij,jk->nik", rot, r): each entry sums its products over j in
+    order from 0.0 (so a sum of -0.0 products is +0.0).  Column by column it
+    took 2.2 ms in place of einsum's 3.7 ms for koch's four maps on 16,384
+    rows; np.matmul rounds differently."""
+    d = r.shape[0]
+    out = np.empty(rot.shape)
+    for i in range(d):
+        for k in range(d):
+            acc = 0.0 + rot[:, i, 0] * r[0, k]
+            for j in range(1, d):
+                acc += rot[:, i, j] * r[j, k]
+            out[:, i, k] = acc
+    return out
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v, axis=1), bit for bit.  numpy adds fewer than 8
+    squares per row left to right, so those are summed column by column,
+    about 6x faster on (16384, 2) rows than norm's reduction along the
+    short axis."""
+    if v.shape[1] >= 8:
+        return np.linalg.norm(v, axis=1)
+    total = v[:, 0] * v[:, 0]
+    for col in v.T[1:]:
+        total += col * col
+    return np.sqrt(total)
 
 
 def _segment_sums(values: np.ndarray, segment: np.ndarray, n: int) -> tuple:
@@ -487,21 +535,52 @@ def _segment_sums(values: np.ndarray, segment: np.ndarray, n: int) -> tuple:
     counts = np.bincount(segment, minlength=n)
     # without values bincount gives int64 zeros
     sums = np.bincount(segment, weights=values, minlength=n).astype(float, copy=False)
-    starts = np.cumsum(counts) - counts
-    for j in np.flatnonzero(counts >= 8):
-        sums[j] = values[starts[j]:starts[j] + counts[j]].sum()
+    long = np.flatnonzero(counts >= 8)
+    stops = np.cumsum(counts)[long]
+    for j, start, stop in zip(long.tolist(), (stops - counts[long]).tolist(), stops.tolist()):
+        # ndarray.sum is this reduction behind a Python wrapper
+        sums[j] = np.add.reduce(values[start:stop])
     return sums, counts
 
 
-# The queries of measure_many's first chunk, and the frontier rows each later
-# chunk is sized to.  The budget was set on `certify --ifs gasket --trials
-# 1000` (2-CPU x86-64 Linux, numpy 2.4): at 2**14 it makes 65 chunks, the
-# largest frontier has 32,622 rows and peak RSS is 50.4-50.7 MB against
-# 50.0-50.2 MB with 32-trial calls, in 3.20 s against 3.26 s (medians of 16
-# alternating pairs); 2**12 made 274 chunks (3.9 s in one run), and 2**16
-# took 61 MB.
-_FIRST_CHUNK = 32
+# The frontier rows a chunk of measure_many may expand to while more than one
+# of its queries is live.  The budget was set on `certify --ifs gasket
+# --trials 1000` (2-CPU x86-64 Linux, numpy 2.4), when chunks were sized
+# from the previous chunk's peak alone: at 2**14 peak RSS was 50.4-50.7 MB
+# against 50.0-50.2 MB with 32-trial calls, 2**12 made 274 chunks (3.9 s in
+# one run), and 2**16 took 61 MB.  With the cut, that run's largest frontier
+# is 17,547 rows, one query alone, where it was 32,622.
 _FRONTIER_ROWS = 2**14
+
+
+class _Queries(NamedTuple):
+    """Mass queries as arrays: ball centres (n, d) and radii (n,), and the
+    slabs as (on_slab, unit normals, offsets, half-widths), with zeros where
+    a query has none, or None when no query has one."""
+
+    centers: np.ndarray
+    radii: np.ndarray
+    slabs: tuple | None = None
+
+    @classmethod
+    def of(cls, centers: np.ndarray, radii, slabs: list) -> "_Queries":
+        """The balls B(centers[i], radii[i]), each cut by slabs[i]: None or
+        (unit normal, offset, half-width)."""
+        radii = np.asarray(radii, dtype=float)
+        on = [j for j, s in enumerate(slabs) if s is not None]
+        if not on:
+            return cls(centers, radii)
+        n, d = centers.shape
+        on_slab = np.zeros(n, dtype=bool)
+        normals, offsets, widths = np.zeros((n, d)), np.zeros(n), np.zeros(n)
+        on_slab[on] = True
+        normal, offset, width = zip(*(slabs[j] for j in on))
+        normals[on], offsets[on], widths[on] = normal, offset, width
+        return cls(centers, radii, (on_slab, normals, offsets, widths))
+
+    def take(self, rows: np.ndarray) -> "_Queries":
+        slabs = None if self.slabs is None else tuple(a[rows] for a in self.slabs)
+        return _Queries(self.centers[rows], self.radii[rows], slabs)
 
 
 def measure_many(sys: IFSystem, queries, tols) -> list:
@@ -509,34 +588,51 @@ def measure_many(sys: IFSystem, queries, tols) -> list:
 
     A query is a Ball b, for mu(b intersect K), or a pair (b, slab), for
     mu(b intersect slab intersect K); tols[i] is query i's tolerance.  The
-    queries are subdivided in consecutive chunks, each in one frontier
-    (see _measure_chunk); a chunk after the first takes
-    size * _FRONTIER_ROWS // peak queries, where size and peak are the
-    previous chunk's query count and largest frontier, so the frontier
-    stays near _FRONTIER_ROWS rows whatever the batch.  Each interval is
-    bit for bit the one its query gets alone, so the chunking changes none.
+    list is read once into a _Queries, which the certify trials pass in its
+    place.
+
+    The queries are subdivided in consecutive chunks, each in one frontier
+    (see _measure_chunk).  A chunk takes the pending queries in order, at
+    first all of them, and then as many as the previous chunk showed fit:
+    the queries it kept when it had to leave some undecided to stay within
+    _FRONTIER_ROWS rows (those are pending again, ahead of the rest), or
+    else size * _FRONTIER_ROWS // peak, where size and peak are its query
+    count and largest frontier.  Each interval is bit for bit the one its
+    query gets alone, so the chunking changes none.
     """
+    if not isinstance(queries, _Queries):
+        balls = [q if isinstance(q, Ball) else q[0] for q in queries]
+        centers = np.array([b.center for b in balls], dtype=float)
+        queries = _Queries.of(centers.reshape(len(balls), sys.dim),
+                              [b.radius for b in balls],
+                              [None if isinstance(q, Ball) else
+                               (q[1].plane.normal, q[1].plane.offset, q[1].epsilon)
+                               for q in queries])
     tols = np.asarray(tols, dtype=float)
     if not np.all(tols >= _TOL_FLOOR):  # also refuses NaN
         raise ValueError(
             "tolerance below the float certification floor 1e-9"
         )
-    n = len(queries)
+    n = queries.radii.size
     if tols.shape != (n,):
         raise ValueError(f"{n} queries need {n} tolerances, got shape {tols.shape}")
-    results, start, size = [], 0, _FIRST_CHUNK
-    while start < n:
-        stop = min(start + size, n)
-        got, peak = _measure_chunk(sys, queries[start:stop], tols[start:stop])
-        results += got
-        size = max(1, (stop - start) * _FRONTIER_ROWS // peak)
-        start = stop
+    results = [None] * n
+    pending, size = np.arange(n), n
+    while pending.size:
+        chunk = pending[:size]
+        got, size = _measure_chunk(sys, queries.take(chunk), tols[chunk])
+        deferred = []
+        for j, interval in zip(chunk.tolist(), got):
+            if interval is None:
+                deferred.append(j)
+            else:
+                results[j] = interval
+        pending = np.concatenate([np.array(deferred, dtype=int), pending[chunk.size:]])
     return results
 
 
-def _measure_chunk(sys: IFSystem, queries: list, tols: np.ndarray) -> tuple:
-    """(intervals, largest frontier in rows) of queries subdivided in one
-    frontier.
+def _measure_chunk(sys: IFSystem, queries: _Queries, tols: np.ndarray) -> tuple:
+    """(intervals, queries that fit) of queries subdivided in one frontier.
 
     The frontier holds the cylinders of every undecided query, with a query
     column, and each round classifies them against their own query's
@@ -547,19 +643,21 @@ def _measure_chunk(sys: IFSystem, queries: list, tols: np.ndarray) -> tuple:
     tol/4, so the pruning can never cost the width contract.  Each query
     starts at depth 0, as it would alone, and its interval is of width
     <= its tol when converged.
+
+    When an expansion would take more than one live query past
+    _FRONTIER_ROWS rows, the live queries after the longest prefix whose
+    children fit (at least one query) leave undecided: their intervals are
+    None, and the queries that fit are that prefix's length at the last
+    such cut.  Without a cut they are n * _FRONTIER_ROWS // peak (at least
+    one) for n queries and a largest frontier of peak rows.
     """
-    n = len(queries)
+    bc, br, slabs = queries
+    n = br.size
     results = [None] * n
     d = sys.dim
-    balls = [q if isinstance(q, Ball) else q[0] for q in queries]
-    slabs = [None if isinstance(q, Ball) else q[1] for q in queries]
-    bc = np.array([b.center for b in balls])
-    br = np.array([b.radius for b in balls])
-    has_slab = np.array([s is not None for s in slabs])
-    normals = [s.plane.normal if s is not None else np.zeros(d) for s in slabs]
-    offset = np.array([s.plane.offset if s is not None else 0.0 for s in slabs])
-    eps = np.array([s.epsilon if s is not None else 0.0 for s in slabs])
-    normal_1d = np.array([v[0] for v in normals]) if d == 1 else None
+    if slabs is not None:
+        has_slab, normals, offset, eps = slabs
+        normal_1d = normals[:, 0] if d == 1 else None
 
     c0 = sys.bounding_ball.center
     r0 = sys.bounding_ball.radius
@@ -568,16 +666,17 @@ def _measure_chunk(sys: IFSystem, queries: list, tols: np.ndarray) -> tuple:
     live = np.ones(n, dtype=bool)
     lo = np.zeros(n)
     frozen = np.zeros(n)
-    depth = peak = 0
+    depth, fit, peak = 0, None, 0
     while True:
         weight, q = cyl.weight, cyl.query
         peak = max(peak, q.size)
         centers, radii = cyl.image(c0), cyl.scale * r0
-        dist = np.linalg.norm(centers - bc[q], axis=1)
-        inside = dist + radii <= br[q]
-        outside = dist >= br[q] + radii
-        on_slab = has_slab[q]
-        if on_slab.any():
+        dist = _row_norms(centers - np.take(bc, q, axis=0))
+        reach = br[q]
+        inside = dist + radii <= reach
+        outside = dist >= reach + radii
+        if slabs is not None:
+            on_slab = has_slab[q]
             if d == 1:
                 proj = centers[:, 0] * normal_1d[q]
             else:
@@ -590,8 +689,9 @@ def _measure_chunk(sys: IFSystem, queries: list, tols: np.ndarray) -> tuple:
                     rows = slice(starts[j], starts[j] + counts[j])
                     proj[rows] = centers[rows] @ normals[j]
             pdist = np.abs(proj - offset[q])
-            inside &= ~on_slab | (pdist + radii <= eps[q])
-            outside |= on_slab & (pdist >= eps[q] + radii)
+            width = eps[q]
+            inside &= ~on_slab | (pdist + radii <= width)
+            outside |= on_slab & (pdist >= width + radii)
         lo += _segment_sums(weight[inside], q[inside], n)[0]
         keep = ~inside & ~outside
         tiny = keep & (weight < floor[q])
@@ -615,8 +715,13 @@ def _measure_chunk(sys: IFSystem, queries: list, tols: np.ndarray) -> tuple:
             results[j] = MassInterval(float(plo[j]), float(phi[j]),
                                       bool(converged[j]), depth)
         live &= ~decided
-        if not live.any():
-            return results, peak
+        ids = np.flatnonzero(live)
+        if not ids.size:
+            return results, fit or max(1, n * _FRONTIER_ROWS // peak)
+        children = np.cumsum(expandable_count[ids]) * sys.k
+        if ids.size > 1 and children[-1] > _FRONTIER_ROWS:
+            fit = max(1, int(np.searchsorted(children, _FRONTIER_ROWS, side="right")))
+            live[ids[fit:]] = False
         cyl.expand(expandable & live[q])
         depth += 1
 
@@ -651,47 +756,58 @@ def sample_measure(sys: IFSystem, count: int, seed, depth: int = SAMPLE_DEPTH) -
 
 
 def _draw_digits(sys: IFSystem, count: int, rng, depth: int = SAMPLE_DEPTH) -> np.ndarray:
-    """count x depth i.i.d. digits, digit i with probability ratio_i^delta, in
-    the smallest unsigned dtype that holds k - 1.
-
-    These are the bits of rng.choice(k, (count, depth), p=weights / sum),
-    which draws rng.random((count, depth)) and takes
-    cdf.searchsorted(u, "right"): the number of cdf entries <= u.  As
-    cdf[-1] = 1 > u, k - 1 comparisons count it.  The uniforms are drawn in
-    row chunks of about _DRAW_CHUNK values, which continue one stream.
-    """
-    cdf = (sys.weights / sys.weights.sum()).cumsum()
-    cdf /= cdf[-1]
+    """count x depth i.i.d. digits, digit i with probability ratio_i^delta
+    (see _uniform_digits).  The uniforms are drawn in row chunks of about
+    _DRAW_CHUNK values, which continue one stream."""
     digits = np.zeros((count, depth), dtype=np.min_scalar_type(sys.k - 1))
     rows = max(1, _DRAW_CHUNK // max(depth, 1))
     for start in range(0, count, rows):
-        u = rng.random((min(rows, count - start), depth))
-        chunk = digits[start:start + rows]
-        for edge in cdf[:-1]:
-            chunk += edge <= u
+        _uniform_digits(sys, rng.random((min(rows, count - start), depth)),
+                        digits[start:start + rows])
     return digits
+
+
+def _uniform_digits(sys: IFSystem, u: np.ndarray, out=None) -> np.ndarray:
+    """The digits of uniforms u, added into `out` (zeros in the smallest
+    unsigned dtype that holds k - 1 when not given).
+
+    These are the bits of rng.choice(k, u.shape, p=weights / sum), which
+    draws rng.random(u.shape) and takes cdf.searchsorted(u, "right"): the
+    number of cdf entries <= u.  As cdf[-1] = 1 > u, k - 1 comparisons
+    count it.
+    """
+    if out is None:
+        out = np.zeros(u.shape, dtype=np.min_scalar_type(sys.k - 1))
+    cdf = (sys.weights / sys.weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    for edge in cdf[:-1]:
+        out += edge <= u
+    return out
 
 
 def _fold_digits(sys: IFSystem, digits: np.ndarray) -> np.ndarray:
     """The images of the anchor under the digit words, one row per word:
-    the maps of the last column act first.  Without rotations the points
-    are held one coordinate per row, where each element takes the same
-    multiply and add as in the (count, d) layout."""
+    the maps of the last column act first.  Without rotations each step
+    scales the points in place, by the scalar ratio when every map has it
+    (the float each gathered ratio would be), and adds the translations
+    gathered into one buffer."""
     columns = np.ascontiguousarray(digits.T)[::-1]
     rho, trs = sys.ratios, sys.translations
+    pts = np.broadcast_to(sys.anchor, (digits.shape[0], sys.dim)).copy()
     if sys.has_rotations:
         rots = sys.rotations
-        pts = np.broadcast_to(sys.anchor, (digits.shape[0], sys.dim)).copy()
         for dig in columns:
             pts = rho[dig, None] * np.einsum("nij,nj->ni", rots[dig], pts) + trs[dig]
         return pts
-    shifts = np.ascontiguousarray(trs.T)
-    pts = np.repeat(sys.anchor[:, None], digits.shape[0], axis=1)
+    shift = np.empty_like(pts)
+    if np.all(rho == rho[0]):
+        scale, rho = rho[0], None
+    else:
+        scale, rho = np.empty_like(pts), np.repeat(rho[:, None], sys.dim, axis=1)
     for dig in columns:
-        pts *= rho.take(dig)
-        for coord, shift in zip(pts, shifts):
-            coord += shift.take(dig)
-    return np.ascontiguousarray(pts.T)
+        pts *= scale if rho is None else np.take(rho, dig, axis=0, out=scale)
+        pts += np.take(trs, dig, axis=0, out=shift)
+    return pts
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ import subprocess
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
+import trial_oracle
 from fracapprox import diagnostics, ifs
 from fracapprox.cli import ExperimentConfig, _write_csv
 from fracapprox.diagnostics import (
@@ -317,34 +319,37 @@ def _assert_same_certificates(got, want):
             assert getattr(a, f.name) == getattr(b, f.name), f.name
 
 
-def _count_chunks(monkeypatch) -> list:
-    """The number of frontier chunks of each measure_many call the
-    certificates make, filled in as they run."""
-    per_call = []
-    real_many, real_chunk = diagnostics.measure_many, ifs._measure_chunk
+def _spy_frontiers(monkeypatch) -> tuple:
+    """(frontiers, chunks), filled in as the mass oracle runs: after each
+    expansion, (rows, whether the rows belong to one query alone), and each
+    chunk's query count."""
+    seen, chunks = [], []
+    real_chunk = ifs._measure_chunk
 
-    def many(*args):
-        per_call.append(0)
-        return real_many(*args)
+    class Frontier(ifs._Frontier):
+        def expand(self, mask):
+            super().expand(mask)
+            q = self.query
+            seen.append((q.size, q.size > 0 and q[0] == q[-1]))
 
-    def chunk(*args):
-        per_call[-1] += 1
-        return real_chunk(*args)
+    def chunk(sys_, queries, tols):
+        chunks.append(queries.radii.size)
+        return real_chunk(sys_, queries, tols)
 
-    monkeypatch.setattr(diagnostics, "measure_many", many)
+    monkeypatch.setattr(ifs, "_Frontier", Frontier)
     monkeypatch.setattr(ifs, "_measure_chunk", chunk)
-    return per_call
+    return seen, chunks
 
 
-# a seam between trial blocks, or between frontier chunks: a one-row budget
-# gives every chunk after the first one query
+# a seam between trial blocks, or between frontier chunks: under a one-row
+# budget every query that reaches an expansion beside another is left for a
+# chunk of its own, and under 64 rows most chunks are cut part way
 @pytest.mark.parametrize("module, attr, value", [
     pytest.param(diagnostics, "_TRIAL_BLOCK", 1, id="1"),
     pytest.param(diagnostics, "_TRIAL_BLOCK", 3, id="3"),
     pytest.param(ifs, "_FRONTIER_ROWS", 1, id="rows1"),
+    pytest.param(ifs, "_FRONTIER_ROWS", 64, id="rows64"),
 ])
-# each call of more than 32 masses crosses chunk seams under the one-row
-# budget: the row masses everywhere (3 per kept trial), and koch's ball masses
 @pytest.mark.parametrize("name, trials, r0_diams, seed", [
     ("cantor", 20, None, 2),
     ("koch", 34, None, 2),
@@ -352,18 +357,44 @@ def _count_chunks(monkeypatch) -> list:
 ])
 def test_certify_all_trial_blocks_are_seamless(monkeypatch, request, name, trials,
                                                r0_diams, seed, module, attr, value):
+    """The certificates do not move with the trial block or the frontier
+    budget, and no frontier goes past the budget unless it holds one query
+    alone."""
     sys_ = request.getfixturevalue(name)
     alpha = decay_alpha_from_regularity(sys_.delta, sys_.dim)
     r0 = None if r0_diams is None else r0_diams * sys_.diameter
     whole = certify_all(sys_, alpha, trials, r0=r0, seed=seed)
     assert (whole[0].discarded > 0) == (r0_diams is not None)
     monkeypatch.setattr(module, attr, value)
-    chunks = _count_chunks(monkeypatch)
+    frontiers, chunks = _spy_frontiers(monkeypatch)
     _assert_same_certificates(certify_all(sys_, alpha, trials, r0=r0, seed=seed), whole)
+    assert frontiers
+    assert all(rows <= ifs._FRONTIER_ROWS or alone for rows, alone in frontiers)
     if module is ifs:
-        # one trial block: one call for its ball masses, then one for its rows
-        assert len(chunks) == 2
-        assert chunks[0] == 1 + max(0, trials - ifs._FIRST_CHUNK) and chunks[1] > 1
+        # one trial block, so two oracle calls; the budget cut some chunks
+        assert len(chunks) > 2
+
+
+@pytest.mark.parametrize("name, trials, r0_diams, seed", [
+    ("cantor", 30, None, 0),
+    ("gasket", 12, None, 3),
+    ("gasket", 20, 1e-5, 1),  # discarded trials
+    ("dust", 12, None, 1),
+    ("koch", 10, None, 2),
+])
+def test_certify_all_matches_trial_oracle(monkeypatch, request, name, trials, r0_diams,
+                                          seed):
+    """Certificates from the array trial phase equal, field for field,
+    those of the per-trial oracle: one rng draw for the centre and another
+    for the radius, Ball and Slab queries, and one subdivision per mass."""
+    sys_ = request.getfixturevalue(name)
+    # dust's delta - (d - 1) is not positive, so its exponent is given
+    alpha = decay_alpha_from_regularity(sys_.delta, sys_.dim) or 0.5
+    r0 = None if r0_diams is None else r0_diams * sys_.diameter
+    got = certify_all(sys_, alpha, trials, r0=r0, seed=seed)
+    assert (got[0].discarded > 0) == (r0_diams is not None)
+    monkeypatch.setattr(diagnostics, "_trial_block", trial_oracle._trial_block)
+    _assert_same_certificates(got, certify_all(sys_, alpha, trials, r0=r0, seed=seed))
 
 
 @pytest.mark.parametrize("trials", [7, 21])
@@ -376,13 +407,17 @@ def test_certify_all_jobs_with_uneven_blocks(koch, trials):
 
 def test_certify_all_ball_masses_per_trial(monkeypatch, gasket):
     # 3 ball masses per kept trial (r, 2r, eps) and 1 per discarded trial,
-    # counted as the ball queries (not the (ball, slab) pairs) handed to
-    # the batched mass oracle
-    calls = []
+    # counted as the queries without a slab in the arrays handed to the
+    # mass oracle; one slab query per kept trial
+    balls, slabs = [], []
     real = diagnostics.measure_many
 
     def counting(sys_, queries, tols):
-        calls.extend(q for q in queries if isinstance(q, Ball))
+        assert isinstance(queries, ifs._Queries)  # no Ball is built per trial
+        on = (np.zeros(queries.radii.size, dtype=bool) if queries.slabs is None
+              else queries.slabs[0])
+        balls.append(int((~on).sum()))
+        slabs.append(int(on.sum()))
         return real(sys_, queries, tols)
 
     monkeypatch.setattr(diagnostics, "measure_many", counting)
@@ -390,7 +425,8 @@ def test_certify_all_ball_masses_per_trial(monkeypatch, gasket):
     dbl, dec, reg = certify_all(gasket, alpha, 20, r0=1e-5 * gasket.diameter, seed=1)
     assert dbl.discarded > 0
     assert len(dbl.samples) == len(dec.samples) == len(reg.samples) == 20 - dbl.discarded
-    assert len(calls) == 3 * len(dbl.samples) + dbl.discarded
+    assert sum(balls) == 3 * len(dbl.samples) + dbl.discarded
+    assert sum(slabs) == len(dbl.samples)
 
 
 def test_certify_all_errors_match_separate_calls(monkeypatch, gasket):

@@ -465,39 +465,59 @@ def _oracle(sys_, query, tol):
     return mass_oracle.measure_of_slab_in_ball(sys_, *query, tol)
 
 
-# a batch of up to 8 queries fits in the first chunk; one of 33-40 crosses
-# at least two chunks
+# short batches, and long ones that cross many chunk seams under a small
+# frontier budget
 _BATCH = st.one_of(st.lists(_QUERY, min_size=1, max_size=8),
-                   st.lists(_QUERY, min_size=ifs._FIRST_CHUNK + 1, max_size=40))
+                   st.lists(_QUERY, min_size=33, max_size=40))
+
+
+class _BudgetSpy:
+    """Wraps ifs._Frontier and ifs._measure_chunk: records each chunk's
+    query count and checks, after every expansion, that a frontier above
+    the budget holds one query alone (rows are grouped by query)."""
+
+    def __init__(self, mp):
+        self.chunks = []
+        real_frontier, real_chunk = ifs._Frontier, ifs._measure_chunk
+
+        class Frontier(real_frontier):
+            def expand(frontier, mask):
+                super().expand(mask)
+                q = frontier.query
+                assert q.size <= ifs._FRONTIER_ROWS or q[0] == q[-1]
+
+        def chunk(sys_, queries, tols):
+            self.chunks.append(queries.radii.size)
+            return real_chunk(sys_, queries, tols)
+
+        mp.setattr(ifs, "_Frontier", Frontier)
+        mp.setattr(ifs, "_measure_chunk", chunk)
 
 
 @settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from(sorted(ORACLE_SYSTEMS)), raw=_BATCH)
+@given(name=st.sampled_from(sorted(ORACLE_SYSTEMS)), raw=_BATCH,
+       rows=st.sampled_from([1, 40, ifs._FRONTIER_ROWS]))
 # the rotation frontier across seams, which the drawn examples rarely reach
 @example(name="koch", raw=[("near", i, -3.0, -1.5, None if i % 3 else (0.4 * i, 0.2, -1.0),
-                            0.5) for i in range(36)])
-def test_measure_many_matches_single_query_oracle(name, raw):
+                            0.5) for i in range(36)], rows=1)
+def test_measure_many_matches_single_query_oracle(name, raw, rows):
     """Every interval of a mixed batch, each query with its own tolerance,
-    has the lo, hi, converged and depth of the single-query oracle.  The
-    frontier budget is one row, so every chunk after the first holds one
-    query and a batch longer than the first chunk has a seam at each."""
+    has the lo, hi, converged and depth of the single-query oracle, under a
+    frontier budget of 1 row, 40 rows and the default.  No frontier goes
+    past the budget unless it holds one query alone.  The first chunk takes
+    every query; under the one-row budget each one that reaches an
+    expansion beside another is left for a later chunk of its own."""
     sys_ = ORACLE_SYSTEMS[name]
     made = [_make_query(name, *q) for q in raw]
     queries, tols = [q for q, _ in made], [t for _, t in made]
-    chunks = []
-    real = ifs._measure_chunk
-
-    def counting(*args):
-        chunks.append(len(args[1]))
-        return real(*args)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ifs, "_measure_chunk", counting)
-        mp.setattr(ifs, "_FRONTIER_ROWS", 1)
+        mp.setattr(ifs, "_FRONTIER_ROWS", rows)
+        spy = _BudgetSpy(mp)
         got = measure_many(sys_, queries, tols)
     assert got == [_oracle(sys_, q, t) for q, t in made]
-    first = ifs._FIRST_CHUNK
-    assert chunks == [min(len(raw), first)] + [1] * max(0, len(raw) - first)
+    assert spy.chunks[0] == len(raw)
+    if rows == 1:
+        assert all(size == 1 for size in spy.chunks[1:])
 
 
 def test_measure_many_edge_cases_match_oracle(cantor, koch):
@@ -551,6 +571,37 @@ def test_measure_many_refuses_nan_tolerance(monkeypatch, cantor, gasket):
             with pytest.raises(ValueError) as err:
                 measure_many(sys_, [ball] * len(tols), tols)
             assert str(err.value) == "tolerance below the float certification floor 1e-9"
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), n=st.integers(0, 30), seed=st.integers(0, 2**32 - 1),
+       zeros=st.floats(0.0, 0.8))
+def test_compose_matches_einsum(d, n, seed, zeros):
+    # signed zeros in both factors: einsum sums from +0.0, so a sum of
+    # -0.0 products is +0.0, and _compose must give the same bits
+    rng = np.random.default_rng(seed)
+    rot, r = rng.normal(size=(n, d, d)), rng.normal(size=(d, d))
+    for a in (rot, r):
+        a[rng.random(a.shape) < zeros] = 0.0
+        a *= np.where(rng.random(a.shape) < 0.5, -1.0, 1.0)
+    want = np.einsum("nij,jk->nik", rot, r)
+    assert ifs._compose(rot, r).tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 10), n=st.integers(0, 300), seed=st.integers(0, 2**32 - 1),
+       spread=st.sampled_from([1, 100]))
+def test_row_helpers_match_numpy(d, n, seed, spread):
+    # the frontier's column-by-column forms of a broadcast product and of
+    # np.linalg.norm along rows; d >= 8 takes norm's own pairwise order,
+    # which terms of one scale tell apart from left to right
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-spread, spread, (n, d))
+    scale = rng.random(n) * 10.0 ** rng.integers(-spread, spread, n)
+    t = rng.normal(size=d)
+    assert ifs._row_norms(v).tobytes() == np.linalg.norm(v, axis=1).tobytes()
+    assert ifs._scaled(scale, v).tobytes() == (scale[:, None] * v).tobytes()
+    assert ifs._scaled(scale, t).tobytes() == (scale[:, None] * t).tobytes()
 
 
 _SEGMENT = st.one_of(st.integers(0, 9), st.integers(127, 129), st.integers(0, 2000))
