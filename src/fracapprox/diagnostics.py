@@ -21,7 +21,6 @@ from .ifs import (
     IFSystem,
     _check_alpha,
     _fold_digits,
-    _Queries,
     _uniform_digits,
     measure_many,
 )
@@ -84,14 +83,14 @@ def _trial_block(args) -> list:
     draws = np.array([rng.random(SAMPLE_DEPTH + 1) for rng in rngs])
     centers = _fold_digits(sys, _uniform_digits(sys, draws[:, :SAMPLE_DEPTH]))
     radii = [r0 * math.exp(-math.log(100.0) * u) for u in draws[:, SAMPLE_DEPTH].tolist()]
-    masses = measure_many(sys, _Queries(centers, np.array(radii)),
-                          [_ball_tol(sys, r) for r in radii])
+    masses = measure_many(sys, centers, radii, [_ball_tol(sys, r) for r in radii])
     kept = [i for i, m in enumerate(masses) if m.lo > 0.0]
     plans = [[kind._row(sys, rngs[i], centers[i], radii[i], masses[i], alpha)
               for kind in kinds] for i in kept]
     queries = [(i, *q) for i, plan in zip(kept, plans) for qs, _ in plan for q in qs]
-    trial, radius, tol, slab = zip(*queries) if queries else ((),) * 4
-    found = iter(measure_many(sys, _Queries.of(centers[list(trial)], radius, slab), tol))
+    trial, radius, tol, normal, offset, width = zip(*queries) if queries else ((),) * 6
+    found = iter(measure_many(sys, centers[list(trial)], radius, tol,
+                              (np.reshape(normal, (-1, sys.dim)), offset, width)))
     results = [None] * (stop - start)
     for i, plan in zip(kept, plans):
         results[i] = tuple(row(*[next(found) for _ in qs]) for qs, row in plan)
@@ -198,9 +197,9 @@ class _Certificate:
     - _row(sys, rng, center, radius, m, alpha), called with a kept trial's
       rng (after the centre and radius draws), centre x, radius r and
       m = mu(B(x, r)).  It makes the trial's draws for the row and returns
-      the masses the row needs, each a (radius, tol, slab) query about x
-      (slab None, or (unit normal, offset, half-width)), and a function
-      building the row from those masses, in the same order;
+      the masses the row needs, each a (radius, tol, unit normal, offset,
+      half-width) query about x (half-width inf for a plain ball), and a
+      function building the row from those masses, in the same order;
     - _fit(rows, common, sys, alpha), the certificate fitted on the kept rows;
     - _breaks(row), whether a fresh row breaks the certified constants;
     - _TRAILER, the fields written as name=value in the CSV's last line.
@@ -231,7 +230,7 @@ class DoublingCertificate(_Certificate):
 
     @staticmethod
     def _row(sys, rng, center, radius, m, alpha) -> tuple:
-        queries = [(2.0 * radius, _ball_tol(sys, 2.0 * radius), None)]
+        queries = [(2.0 * radius, _ball_tol(sys, 2.0 * radius), np.zeros(sys.dim), 0.0, math.inf)]
         return queries, lambda m2: (tuple(center), radius, m2.lo / m.hi, m2.hi / m.lo)
 
     @classmethod
@@ -282,8 +281,8 @@ class DecayCertificate(_Certificate):
         eps = rel * radius
         envelope = rel**alpha
         slab_tol = max(_REL_TOL * envelope * m.lo, _TOL_FLOOR)
-        queries = [(radius, slab_tol, (normal, offset, eps)),
-                   (eps, _ball_tol(sys, eps), None)]
+        queries = [(radius, slab_tol, normal, offset, eps),
+                   (eps, _ball_tol(sys, eps), np.zeros(sys.dim), 0.0, math.inf)]
         return queries, lambda m_slab, m_small: _decay_row(
             center, radius, eps, envelope, m, m_slab, m_small)
 

@@ -1,6 +1,7 @@
-"""Euclidean primitives: balls, boxes, hyperplanes, slabs, dyadic scales, the
-common-radius greedy covering construction, and the hyperplane witnesses of
-the simplex lemma.
+"""Euclidean primitives: balls, boxes, dyadic scales, the common-radius
+greedy covering construction, and the hyperplane witnesses of the simplex
+lemma.  A hyperplane {x : normal . x = offset} is the pair (unit normal,
+offset); the mass oracle takes slabs as arrays of such pairs and half-widths.
 
 Everything here is immutable after construction and safe to use from
 concurrent workers.  Block rationals are int64 arrays (numerators,
@@ -19,14 +20,10 @@ import numpy as np
 __all__ = [
     "Ball",
     "Box",
-    "Hyperplane",
-    "Slab",
     "DyadicScale",
     "unit_ball_volume",
     "hyperplane_through",
 ]
-
-_UNIT_TOL = 1e-12
 
 
 def _as_vector(x) -> np.ndarray:
@@ -60,12 +57,6 @@ class Ball:
     def dim(self) -> int:
         return self.center.shape[0]
 
-    def dilate(self, k: float) -> "Ball":
-        """Concentric dilation: same centre, radius multiplied by k >= 1."""
-        if k < 1:
-            raise ValueError(f"dilation factor must be >= 1, got {k}")
-        return Ball(self.center, k * self.radius)
-
     def contains(self, x, tol: float = 0.0):
         v = np.asarray(x, dtype=float)
         return _each(v, np.linalg.norm(v - self.center, axis=-1) <= self.radius + tol)
@@ -94,9 +85,6 @@ class Box:
     def sides(self) -> np.ndarray:
         return self.hi - self.lo
 
-    def volume(self) -> float:
-        return float(np.prod(self.sides))
-
     def contains(self, x, tol: float = 0.0):
         v = np.asarray(x, dtype=float)
         return _each(v, np.all((v >= self.lo - tol) & (v <= self.hi + tol), axis=-1))
@@ -105,58 +93,6 @@ class Box:
         c = 0.5 * (self.lo + self.hi)
         r = 0.5 * float(np.linalg.norm(self.sides))
         return Ball(c, max(r, np.finfo(float).tiny))
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """Affine hyperplane {x : normal . x = offset} with a unit normal.
-
-    For d = 1 this degenerates to a single point a, stored as normal = +-1
-    and offset = +-a.
-    """
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "normal", _as_vector(self.normal))
-        object.__setattr__(self, "offset", float(self.offset))
-        n = float(np.linalg.norm(self.normal))
-        if abs(n - 1.0) > _UNIT_TOL:
-            raise ValueError(f"hyperplane normal must be a unit vector, |n| = {n}")
-
-    @property
-    def dim(self) -> int:
-        return self.normal.shape[0]
-
-    def signed_distance(self, x) -> float:
-        return float(np.dot(self.normal, _as_vector(x)) - self.offset)
-
-    def distance(self, x) -> float:
-        return abs(self.signed_distance(x))
-
-
-@dataclass(frozen=True)
-class Slab:
-    """epsilon-neighborhood of a hyperplane: {x : |normal . x - offset| <= epsilon}."""
-
-    plane: Hyperplane
-    epsilon: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        if self.epsilon < 0:
-            raise ValueError("slab epsilon must be nonnegative")
-
-    @property
-    def dim(self) -> int:
-        return self.plane.dim
-
-    def contains(self, x) -> bool:
-        return self.plane.distance(x) <= self.epsilon
-
-    def widen(self, k: float) -> "Slab":
-        return Slab(self.plane, k * self.epsilon)
 
 
 def unit_ball_volume(d: int) -> float:
@@ -319,9 +255,9 @@ def _first_of_each_value(nums: np.ndarray, qs: np.ndarray, owner: np.ndarray) ->
 # ---------------------------------------------------------------------------
 
 
-def hyperplane_through(values: np.ndarray) -> Hyperplane:
-    """Deterministic hyperplane containing the affinely dependent points that
-    are the rows of the (m, d) float array `values`.
+def hyperplane_through(values: np.ndarray) -> tuple:
+    """Deterministic hyperplane (unit normal, offset) containing the affinely
+    dependent points that are the rows of the (m, d) float array `values`.
 
     The normal is the last column of the complete QR factorization of the
     matrix of difference vectors v_i - v_0, with the sign fixed so that the
@@ -340,7 +276,7 @@ def hyperplane_through(values: np.ndarray) -> Hyperplane:
                 normal = -normal
             break
     normal = normal / np.linalg.norm(normal)
-    return Hyperplane(normal, float(np.dot(normal, base)))
+    return normal, float(np.dot(normal, base))
 
 
 def _witness_block(nums: np.ndarray, qs: np.ndarray, owner: np.ndarray,
@@ -378,8 +314,7 @@ def _witness_block(nums: np.ndarray, qs: np.ndarray, owner: np.ndarray,
         k = int(owner[rows[0]])
         hom = np.column_stack((qs[rows], nums[rows])).tolist()
         if _eliminate(hom) <= d:  # affine rank <= d - 1
-            plane = hyperplane_through(values[rows])
-            normals[k], offsets[k] = plane.normal, plane.offset
+            normals[k], offsets[k] = hyperplane_through(values[rows])
         else:
             normals[k], offsets[k] = np.nan, np.nan
     return counts, normals, offsets

@@ -4,7 +4,8 @@ delta-dimensional Hausdorff measure).
 
 Ball and slab masses are evaluated by recursive cylinder subdivision with a
 certified enclosure per cylinder, so every evaluation returns an interval
-guaranteed to contain the true mass.
+guaranteed to contain the true mass.  The mass oracle, measure_many, takes
+its balls and slabs as arrays; a slab of half-width inf leaves a ball uncut.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 
@@ -160,14 +160,13 @@ def _signed_area2(v: np.ndarray) -> float:
     return float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def similarity_dimension(maps: list, ambient_dim: int) -> float:
+def similarity_dimension(ratios: list, ambient_dim: int) -> float:
     """Unique root of sum(ratio_i^s) = 1, by bisection on [0, d].
 
-    `maps` may hold SimilarityMap objects or bare ratios.  Rejects systems
-    with fewer than two maps and systems whose root would exceed the ambient
-    dimension (they cannot satisfy the open set condition in R^d).
+    Rejects systems with fewer than two maps and systems whose root would
+    exceed the ambient dimension (they cannot satisfy the open set condition
+    in R^d).
     """
-    ratios = [m.ratio if isinstance(m, SimilarityMap) else float(m) for m in maps]
     if len(ratios) < 2:
         raise ValueError("need at least two maps (k >= 2)")
     if any(not (0.0 < r < 1.0) for r in ratios):
@@ -218,7 +217,7 @@ class IFSystem:
             raise ValueError("all maps must act on the same R^d")
         if open_set.dim != d:
             raise ValueError("open set dimension does not match the maps")
-        delta = similarity_dimension(list(maps), d)
+        delta = similarity_dimension([m.ratio for m in maps], d)
         _check_open_set_condition(maps, open_set)
         bball = open_set.bounding_ball() if not isinstance(open_set, Ball) else open_set
         anchor = maps[0].fixed_point()
@@ -553,43 +552,15 @@ def _segment_sums(values: np.ndarray, segment: np.ndarray, n: int) -> tuple:
 _FRONTIER_ROWS = 2**14
 
 
-class _Queries(NamedTuple):
-    """Mass queries as arrays: ball centres (n, d) and radii (n,), and the
-    slabs as (on_slab, unit normals, offsets, half-widths), with zeros where
-    a query has none, or None when no query has one."""
+def measure_many(sys: IFSystem, centers, radii, tols, slabs=None) -> list:
+    """Intervals enclosing the masses of many regions, one per row.
 
-    centers: np.ndarray
-    radii: np.ndarray
-    slabs: tuple | None = None
-
-    @classmethod
-    def of(cls, centers: np.ndarray, radii, slabs: list) -> "_Queries":
-        """The balls B(centers[i], radii[i]), each cut by slabs[i]: None or
-        (unit normal, offset, half-width)."""
-        radii = np.asarray(radii, dtype=float)
-        on = [j for j, s in enumerate(slabs) if s is not None]
-        if not on:
-            return cls(centers, radii)
-        n, d = centers.shape
-        on_slab = np.zeros(n, dtype=bool)
-        normals, offsets, widths = np.zeros((n, d)), np.zeros(n), np.zeros(n)
-        on_slab[on] = True
-        normal, offset, width = zip(*(slabs[j] for j in on))
-        normals[on], offsets[on], widths[on] = normal, offset, width
-        return cls(centers, radii, (on_slab, normals, offsets, widths))
-
-    def take(self, rows: np.ndarray) -> "_Queries":
-        slabs = None if self.slabs is None else tuple(a[rows] for a in self.slabs)
-        return _Queries(self.centers[rows], self.radii[rows], slabs)
-
-
-def measure_many(sys: IFSystem, queries, tols) -> list:
-    """Intervals enclosing the masses of many regions.
-
-    A query is a Ball b, for mu(b intersect K), or a pair (b, slab), for
-    mu(b intersect slab intersect K); tols[i] is query i's tolerance.  The
-    list is read once into a _Queries, which the certify trials pass in its
-    place.
+    Query i is the ball B(centers[i], radii[i]), cut, when `slabs` = (unit
+    normals (n, d), offsets (n,), half-widths (n,)) is given, by the slab
+    |normals[i] . x - offsets[i]| <= half-widths[i]; its interval is of width
+    <= tols[i] when converged.  At half-width inf the slab is all of R^d:
+    the row's normal and offset go unused, and it gets its ball's bits.  A
+    bad array is refused before any work by a ValueError that names it.
 
     The queries are subdivided in consecutive chunks, each in one frontier
     (see _measure_chunk).  A chunk takes the pending queries in order, at
@@ -600,27 +571,35 @@ def measure_many(sys: IFSystem, queries, tols) -> list:
     count and largest frontier.  Each interval is bit for bit the one its
     query gets alone, so the chunking changes none.
     """
-    if not isinstance(queries, _Queries):
-        balls = [q if isinstance(q, Ball) else q[0] for q in queries]
-        centers = np.array([b.center for b in balls], dtype=float)
-        queries = _Queries.of(centers.reshape(len(balls), sys.dim),
-                              [b.radius for b in balls],
-                              [None if isinstance(q, Ball) else
-                               (q[1].plane.normal, q[1].plane.offset, q[1].epsilon)
-                               for q in queries])
-    tols = np.asarray(tols, dtype=float)
+    arrays = [np.asarray(a, dtype=float) for a in (centers, radii, tols, *(slabs or ()))]
+    centers, radii, tols, *slabs = arrays
+    n, d = radii.size, sys.dim
     if not np.all(tols >= _TOL_FLOOR):  # also refuses NaN
-        raise ValueError(
-            "tolerance below the float certification floor 1e-9"
-        )
-    n = queries.radii.size
-    if tols.shape != (n,):
-        raise ValueError(f"{n} queries need {n} tolerances, got shape {tols.shape}")
+        raise ValueError("tolerance below the float certification floor 1e-9")
+    if [a.shape for a in arrays] != [(n, d), (n,), (n,)] * (2 if slabs else 1):
+        raise ValueError(f"{n} queries in R^{d} need shapes (n, d), (n,), (n,) and slabs "
+                         f"(n, d), (n,), (n,), got {[a.shape for a in arrays]}")
+    if not np.all(radii > 0):  # also refuses NaN
+        raise ValueError("ball radius must be positive")
+    if not np.all(np.isfinite(centers)):
+        raise ValueError("ball centre must be finite")
+    if slabs:
+        normals, offsets, widths = slabs
+        if not np.all(widths >= 0):  # also refuses NaN
+            raise ValueError("slab half-width must be nonnegative")
+        cut = widths < math.inf
+        if not np.all(np.abs(np.linalg.norm(normals[cut], axis=1) - 1.0) <= 1e-12):
+            raise ValueError("slab normal must be a unit vector within 1e-12")
+        if not np.all(np.isfinite(offsets[cut])):
+            raise ValueError("slab offset must be finite")
+        # an uncut row's normal and offset are read as zeros: it projects to 0
+        slabs = [np.where(cut[:, None], normals, 0.0), np.where(cut, offsets, 0.0), widths]
     results = [None] * n
     pending, size = np.arange(n), n
     while pending.size:
         chunk = pending[:size]
-        got, size = _measure_chunk(sys, queries.take(chunk), tols[chunk])
+        got, size = _measure_chunk(sys, centers[chunk], radii[chunk], tols[chunk],
+                                   [a[chunk] for a in slabs])
         deferred = []
         for j, interval in zip(chunk.tolist(), got):
             if interval is None:
@@ -631,8 +610,9 @@ def measure_many(sys: IFSystem, queries, tols) -> list:
     return results
 
 
-def _measure_chunk(sys: IFSystem, queries: _Queries, tols: np.ndarray) -> tuple:
-    """(intervals, queries that fit) of queries subdivided in one frontier.
+def _measure_chunk(sys: IFSystem, bc, br, tols, slabs) -> tuple:
+    """(intervals, queries that fit) of the queries subdivided in one
+    frontier: measure_many's arrays, with [] for slabs when there are none.
 
     The frontier holds the cylinders of every undecided query, with a query
     column, and each round classifies them against their own query's
@@ -651,13 +631,13 @@ def _measure_chunk(sys: IFSystem, queries: _Queries, tols: np.ndarray) -> tuple:
     such cut.  Without a cut they are n * _FRONTIER_ROWS // peak (at least
     one) for n queries and a largest frontier of peak rows.
     """
-    bc, br, slabs = queries
     n = br.size
     results = [None] * n
     d = sys.dim
-    if slabs is not None:
-        has_slab, normals, offset, eps = slabs
+    if slabs:
+        normals, offset, eps = slabs
         normal_1d = normals[:, 0] if d == 1 else None
+        cut = eps < math.inf
 
     c0 = sys.bounding_ball.center
     r0 = sys.bounding_ball.radius
@@ -675,23 +655,23 @@ def _measure_chunk(sys: IFSystem, queries: _Queries, tols: np.ndarray) -> tuple:
         reach = br[q]
         inside = dist + radii <= reach
         outside = dist >= reach + radii
-        if slabs is not None:
-            on_slab = has_slab[q]
+        if slabs:
             if d == 1:
                 proj = centers[:, 0] * normal_1d[q]
             else:
                 # BLAS may round a row differently in a different array, so
-                # each query projects exactly the rows it would hold alone
+                # each query projects exactly the rows it would hold alone;
+                # an uncut query (half-width inf) keeps projections of 0
                 proj = np.zeros(q.size)
                 counts = np.bincount(q, minlength=n)
                 starts = np.cumsum(counts) - counts
-                for j in np.flatnonzero(has_slab & (counts > 0)):
+                for j in np.flatnonzero(cut & (counts > 0)):
                     rows = slice(starts[j], starts[j] + counts[j])
                     proj[rows] = centers[rows] @ normals[j]
             pdist = np.abs(proj - offset[q])
             width = eps[q]
-            inside &= ~on_slab | (pdist + radii <= width)
-            outside |= on_slab & (pdist >= width + radii)
+            inside &= pdist + radii <= width
+            outside |= pdist >= width + radii
         lo += _segment_sums(weight[inside], q[inside], n)[0]
         keep = ~inside & ~outside
         tiny = keep & (weight < floor[q])

@@ -10,10 +10,11 @@ scanning the whole sample pool for every block ball, and
 `reference_audit_hyperplane_lemma` draws and enumerates one trial at a time.
 `hyperplane_through` always takes the QR, also for a single point, and
 `affine_rank` and `_independent_subset` decide ranks by Gauss-Jordan
-elimination over Fractions.  Points are the oracle's own exact types:
-`RationalPoint` (p/q with exact equality and hashing) and `Simplex` (the
-d+1 vertices a counterexample returns).  Tests import them as the oracle;
-nothing in the package uses them.
+elimination over Fractions.  Points and planes are the oracle's own types:
+`RationalPoint` (p/q with exact equality and hashing), `Simplex` (the d+1
+vertices a counterexample returns) and `Hyperplane` (a unit normal and an
+offset).  Tests import them as the oracle; nothing in the package uses
+them.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from fracapprox.analysis import (
     _net_depth,
 )
 from fracapprox.approx import PsiFunction
-from fracapprox.geometry import Ball, Box, DyadicScale, Hyperplane, Slab, _reach
+from fracapprox.geometry import Ball, Box, DyadicScale, _reach
 from fracapprox.ifs import IFSystem, sample_measure
 
 _ENUMERATION_CAP = 10**8
@@ -83,6 +84,17 @@ class RationalPoint:
 
 
 @dataclass(frozen=True)
+class Hyperplane:
+    """The hyperplane {x : normal . x = offset}, with a unit normal."""
+
+    normal: np.ndarray
+    offset: float
+
+    def distance(self, x) -> float:
+        return abs(float(np.dot(self.normal, np.asarray(x, dtype=float)) - self.offset))
+
+
+@dataclass(frozen=True)
 class Simplex:
     """(d+1) rational vertices spanning (at most) a d-simplex in R^d."""
 
@@ -113,7 +125,7 @@ def enumerate_rationals(d: int, n: int, window: Box) -> list:
     """
     if window.dim != d:
         raise ValueError("window dimension mismatch")
-    est = window.volume() * 2.0 ** ((d + 1) * (n + 1))
+    est = float(np.prod(window.sides)) * 2.0 ** ((d + 1) * (n + 1))
     if est > _ENUMERATION_CAP:
         raise ValueError(
             f"enumeration of ~{est:.2e} candidates refused; shrink the window"
@@ -204,11 +216,9 @@ def reference_hs_upper_bound(sys, psi, s, k_min, k_max, seed=0, pool_size=20_000
                 continue
             plane, simplex = hyperplane_witness(pts, dn, scale)
             assert simplex is None
-            slab = Slab(plane, sq * r)
-            three = dn.dilate(3.0)
-            dist = np.linalg.norm(pool - three.center, axis=1)
-            pdist = np.abs(pool @ slab.plane.normal - slab.plane.offset)
-            sel = pool[(dist <= three.radius) & (pdist <= slab.epsilon)]
+            dist = np.linalg.norm(pool - dn.center, axis=1)
+            pdist = np.abs(pool @ plane.normal - plane.offset)
+            sel = pool[(dist <= 3.0 * dn.radius) & (pdist <= sq * r)]
             count = len(greedy_cover([Ball(p, r) for p in sel])[0])
             c_total += count
             c_max = max(c_max, count)
@@ -220,12 +230,12 @@ def reference_hs_upper_bound(sys, psi, s, k_min, k_max, seed=0, pool_size=20_000
 
 
 def _block_rationals_in_six_dilate(d: int, scale: DyadicScale, dn: Ball) -> list:
-    six = dn.dilate(6.0)
-    window = Box(six.center - six.radius, six.center + six.radius)
+    radius = 6.0 * dn.radius
+    window = Box(dn.center - radius, dn.center + radius)
     pts = enumerate_rationals(d, scale.n, window)
     keep = []
     for p in pts:
-        if np.linalg.norm(p.as_float() - six.center) <= six.radius * (1 + 1e-9):
+        if np.linalg.norm(p.as_float() - dn.center) <= radius * (1 + 1e-9):
             keep.append(p)
     return keep
 
@@ -388,8 +398,7 @@ def loop_hs_upper_bound(
                     "volume obstruction failed inside hs_upper_bound; "
                     "this contradicts the block geometry"
                 )
-            slab = Slab(plane, sq * r)
-            count = len(_cdn_centres(pool, order, x0, dn, slab, r))
+            count = len(_cdn_centres(pool, order, x0, dn, plane, sq * r, r))
             c_total += count
             c_max = max(c_max, count)
         cost_n = c_total * (3.0 * r) ** s
@@ -423,18 +432,20 @@ def _dn_centres(sys: IFSystem, n: int) -> np.ndarray:
     return _greedy_centres(_cylinder_net(sys, r_n), r_n)
 
 
-def _cdn_centres(pool, order, x0, dn: Ball, slab: Slab, r: float) -> np.ndarray:
-    """The centres of C(D_n) for the one ball dn, as rows.  `order` sorts the
-    pool by its first coordinate, x0 = pool[order, 0], and only the rows
-    within reach of 3 D_n in x0 are tested.  For d >= 2 slab distances come from the whole pool's
+def _cdn_centres(pool, order, x0, dn: Ball, plane: Hyperplane, eps: float,
+                 r: float) -> np.ndarray:
+    """The centres of C(D_n) for the one ball dn and the slab of half-width
+    eps about `plane`, as rows.  `order` sorts the pool by its first
+    coordinate, x0 = pool[order, 0], and only the rows within reach of 3 D_n
+    in x0 are tested.  For d >= 2 slab distances come from the whole pool's
     product, as BLAS may round the rows of a slice's product differently."""
     c, radius = dn.center, 3.0 * dn.radius
     w = _reach(radius)
     rows = order[np.searchsorted(x0, c[0] - w):np.searchsorted(x0, c[0] + w, "right")]
-    sub, normal = pool[rows], slab.plane.normal
+    sub, normal = pool[rows], plane.normal
     proj = sub @ normal if normal.size == 1 else (pool @ normal)[rows]
     keep = ((np.linalg.norm(sub - c, axis=1) <= radius)
-            & (np.abs(proj - slab.plane.offset) <= slab.epsilon))
+            & (np.abs(proj - plane.offset) <= eps))
     return _greedy_centres(sub[keep], r)
 
 
@@ -473,7 +484,7 @@ def hyperplane_witness(points: list, container: Ball, block: DyadicScale) -> tup
         raise ValueError(
             f"container radius {container.radius} does not match block radius {block.r_n}"
         )
-    six = container.dilate(6.0)
+    six = Ball(container.center, 6.0 * container.radius)
     q_lo, q_hi = 2**block.n, 2 ** (block.n + 1)
     for p in points:
         if p.dim != d:

@@ -3,16 +3,51 @@
 This is the slow path that `fracapprox.ifs.measure_many` must agree with bit
 for bit: `_subdivide` runs one cylinder subdivision per ball or slab, with
 the one-query frontier of `_Frontier`, and `measure_of_ball` and
-`measure_of_slab_in_ball` classify its cylinders against one region.  Tests
-import them as the oracle; nothing in the package uses them.
+`measure_of_slab_in_ball` classify its cylinders against one region.  A
+query is the oracle's own region: a `Ball`, or a pair of a `Ball` and this
+module's `Slab`; `as_arrays` gives the arrays `measure_many` takes for a
+list of them.  Tests import them as the oracle; nothing in the package uses
+them.
 """
 
 from __future__ import annotations
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 
-from fracapprox.geometry import Ball, Slab
+from fracapprox.geometry import Ball
 from fracapprox.ifs import MAX_SUBDIVISION_DEPTH, IFSystem, MassInterval
+
+
+class Slab(NamedTuple):
+    """The epsilon-neighbourhood {x : |normal . x - offset| <= epsilon} of a
+    hyperplane with a unit normal."""
+
+    normal: np.ndarray
+    offset: float
+    epsilon: float
+
+
+def as_arrays(queries: list, d: int) -> tuple:
+    """(centers, radii, slabs) for measure_many: one row per query, a plain
+    ball as an uncut row (zero normal, offset 0, half-width inf)."""
+    balls = [q if isinstance(q, Ball) else q[0] for q in queries]
+    cuts = [Slab(np.zeros(d), 0.0, math.inf) if isinstance(q, Ball) else q[1]
+            for q in queries]
+    centers = np.array([b.center for b in balls], dtype=float).reshape(len(balls), d)
+    normals = np.array([s.normal for s in cuts], dtype=float).reshape(len(cuts), d)
+    return (centers, np.array([b.radius for b in balls], dtype=float),
+            (normals, np.array([s.offset for s in cuts], dtype=float),
+             np.array([s.epsilon for s in cuts], dtype=float)))
+
+
+def measure(sys: IFSystem, query, tol: float) -> MassInterval:
+    """The interval of one query, a Ball or a (Ball, Slab) pair."""
+    if isinstance(query, Ball):
+        return measure_of_ball(sys, query, tol)
+    return measure_of_slab_in_ball(sys, *query, tol)
 
 
 class _Frontier:
@@ -123,9 +158,7 @@ def measure_of_slab_in_ball(sys: IFSystem, b: Ball, s: Slab, tol: float) -> Mass
     """Interval enclosing mu(b intersect slab intersect K)."""
     bc = np.asarray(b.center, dtype=float)
     br = float(b.radius)
-    normal = s.plane.normal
-    offset = s.plane.offset
-    eps = s.epsilon
+    normal, offset, eps = s
 
     def classify(centers, radii):
         dist = np.linalg.norm(centers - bc, axis=1)

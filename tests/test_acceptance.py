@@ -25,7 +25,7 @@ from fracapprox.analysis import (
     layer_decay_experiment,
 )
 from fracapprox.approx import PsiFunction
-from fracapprox.geometry import Ball, _greedy_segments
+from fracapprox.geometry import _greedy_segments
 from fracapprox.ifs import measure_many, sample_measure, similarity_dimension
 
 ALPHA = math.log(2.0) / math.log(3.0)
@@ -122,7 +122,7 @@ def test_criterion_4_measure_oracle(cantor):
     inside = 0
     for c in centers:
         r = math.exp(rng.uniform(math.log(0.01), math.log(0.3)))
-        iv = measure_many(cantor, [Ball([c], r)], [tol])[0]
+        iv = measure_many(cantor, [[c]], [r], [tol])[0]
         if not (iv.converged and iv.width <= tol):
             width_ok = False
         emp = float((np.abs(pool - c) <= r).mean())

@@ -1,4 +1,8 @@
+import contextlib
+import functools
 import importlib.util
+import io
+import itertools
 import json
 import re
 import subprocess
@@ -7,8 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fracapprox.approx import parse_psi_spec
+from fracapprox import cli as cli_module
+from fracapprox.analysis import HsTail, LayerDecayResult, LemmaAuditReport, SumVerdict
+from fracapprox.approx import _PSI_SPECS, parse_psi_spec
 from fracapprox.cli import ExperimentConfig, _parse_blocks, _parse_taus, main, resolve_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -335,6 +343,106 @@ def test_trials_above_the_cap_is_one_error_line(tmp_path, capsys, monkeypatch, a
     assert err == [f"error: config field 'trials' must be <= {cli._TRIALS_CAP}"]
     assert cli._TRIALS_CAP == 10**6
     assert not (tmp_path / "out").exists()
+
+
+# the values each kind of flag draws, as argv text: ints at the edges of
+# int64 and past it, floats that are not finite or are subnormal, ranges
+# with huge ends, and psi specs of every symbolic family with missing,
+# repeated or non-numeric keys
+_INT_TEXT = st.sampled_from(["0", "-1", "1", "3", str(2**63), str(2**70)])
+_FLOAT_TEXT = st.sampled_from(["nan", "inf", "-inf", "5e-324", "2.2250738585072014e-308",
+                               "-0.0", "0.5", "2.5", "1e308"])
+_BLOCK_END = st.sampled_from(["0", "1", "3", "-1", str(2**62), str(2**63), str(2**70),
+                              "9" * 400])
+_PSI_VALUE = st.sampled_from(["2.5", "3", "0", "-1", "nan", "inf", "5e-324", "1e400",
+                              "abc", ""])
+
+
+@st.composite
+def _psi_text(draw):
+    """A symbolic head with its own keys, one of them dropped or repeated
+    or a foreign key added now and then, each key with a drawn value."""
+    head = draw(st.sampled_from(sorted(_PSI_SPECS)))
+    keys = list(_PSI_SPECS[head][1])
+    change = draw(st.sampled_from(["none", "none", "missing", "repeated", "foreign"]))
+    if change == "missing":
+        keys.pop(draw(st.integers(0, len(keys) - 1)))
+    elif change == "repeated":
+        keys.append(draw(st.sampled_from(keys)))
+    elif change == "foreign":
+        keys.append("x")
+    return f"{head}:" + ",".join(f"{k}={draw(_PSI_VALUE)}" for k in keys)
+
+
+_FLAG_TEXT = {
+    "ifs_path": st.sampled_from(["cantor", "gasket", "dust", "koch", "nosuch"]),
+    "psi_spec": _psi_text(),
+    "blocks": st.builds(lambda lo, hi: f"{lo}:{hi}", _BLOCK_END, _BLOCK_END),
+    "taus": st.lists(_FLOAT_TEXT, max_size=3).map(",".join),
+    "kind": st.sampled_from(["lebesgue", "measure_zero", "hausdorff", "bogus", ""]),
+    int: _INT_TEXT,
+    float: _FLOAT_TEXT,
+}
+
+
+@functools.cache
+def _certificates() -> tuple:
+    from fracapprox.diagnostics import certify_all
+    from fracapprox.ifs import bundled_system
+
+    cantor = bundled_system("cantor")
+    return certify_all(cantor, cantor.delta, 3)
+
+
+_STAND_INS = {
+    # each driver a subcommand calls, with a result of the real shape; blocks
+    # past the third of a range are never reached
+    "certify_all": lambda *args, **kwargs: _certificates(),
+    "layer_decay_experiment": lambda sys_, psi, a, blocks, *rest: LayerDecayResult(
+        tuple((n, 0.25, 0.5) for n in itertools.islice(blocks, 3)), -1.0, -1.0, 10),
+    "audit_hyperplane_lemma": lambda d, blocks, trials, seed: [
+        LemmaAuditReport(d, n, trials, 1, 0) for n in itertools.islice(blocks, 3)],
+    "dimension_report": lambda sys_, a, taus, **kwargs: [
+        (tau, 0.5 if tau >= 2.0 else None, 0.25) for tau in taus],
+    "classify_sum": lambda spec: SumVerdict("yes", "closed_form", "A < -1", 1.0,
+                                            ((1, 0.5),), ((1, 0.5),)),
+    "hs_upper_bound": lambda sys_, psi, s, blocks, seed: HsTail(
+        s, tuple((n, 1, 1, 0.5) for n in itertools.islice(blocks, 3)),
+        tuple((n, 0.5) for n in itertools.islice(blocks, 3)), (1,)),
+    "_sharded_samples": lambda sys_, total, seed, jobs: np.zeros((min(total, 3), sys_.dim)),
+}
+
+
+@st.composite
+def _command_lines(draw):
+    """A subcommand and, for each of its _FLAGS, a value of its kind or
+    now and then none (the flag left out)."""
+    name = draw(st.sampled_from(sorted(cli_module.cli.commands)))
+    argv = [name]
+    for param in cli_module.cli.commands[name].params:
+        flag = param.opts[0]
+        field, kind, _, _ = cli_module._FLAGS[flag]
+        values = _FLAG_TEXT[field] if field in _FLAG_TEXT else _FLAG_TEXT[kind]
+        text = draw(st.one_of(st.none(), values))
+        argv += [] if text is None else [flag, text]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_command_lines())
+def test_generated_flag_values_exit_cleanly(tmp_path_factory, argv):
+    """Any value of a flag's kind ends the run with exit 0, 1 or 2, and an
+    exit 1 prints exactly one stderr line.  The drivers are stand-ins, so a
+    value that passes validation costs nothing."""
+    out = tmp_path_factory.mktemp("out")
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        for name, stand_in in _STAND_INS.items():
+            mp.setattr(cli_module, name, stand_in)
+        code = run(["--out", out, *argv])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
 def _collinear_system(tmp_path) -> Path:

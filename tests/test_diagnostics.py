@@ -23,7 +23,6 @@ from fracapprox.diagnostics import (
     decay_alpha_from_regularity,
     default_r0,
 )
-from fracapprox.geometry import Ball, Hyperplane, Slab
 from fracapprox.ifs import measure_many, sample_measure
 
 ALPHA_CANTOR = math.log(2.0) / math.log(3.0)
@@ -91,29 +90,26 @@ def test_decay_certificate_fits_and_revalidates(cantor):
 
 
 def test_decay_slab_through_gap_has_tiny_ratio(cantor):
-    ball = Ball([0.5], 0.3)
-    slab = Slab(Hyperplane([1.0], 0.5), 1e-3)
-    m_slab = measure_many(cantor, [(ball, slab)], [1e-6])[0]
+    # B(1/2, 0.3) cut by |x - 1/2| <= 1e-3
+    m_slab = measure_many(cantor, [[0.5]], [0.3], [1e-6], ([[1.0]], [0.5], [1e-3]))[0]
     assert m_slab.hi <= 1e-6 + 1e-9
 
 
 def test_decay_max_epsilon_ratio_finite(cantor):
-    ball = Ball([1 / 3], 0.2)
-    eps = ball.radius / 4.0
-    slab = Slab(Hyperplane([1.0], 1 / 3), eps)
-    m_slab = measure_many(cantor, [(ball, slab)], [1e-5])[0]
-    m_ball = measure_many(cantor, [ball], [1e-5])[0]
-    ratio = m_slab.hi / ((eps / ball.radius) ** ALPHA_CANTOR * m_ball.lo)
+    radius = 0.2
+    eps = radius / 4.0
+    m_slab, m_ball = measure_many(cantor, [[1 / 3]] * 2, [radius] * 2, [1e-5] * 2,
+                                  ([[1.0], [0.0]], [1 / 3, 0.0], [eps, math.inf]))
+    ratio = m_slab.hi / ((eps / radius) ** ALPHA_CANTOR * m_ball.lo)
     assert math.isfinite(ratio) and ratio > 0
 
 
 def test_decay_epsilon_monotonicity(cantor):
-    ball = Ball([0.25], 0.2)
-    plane = Hyperplane([1.0], 0.25)
     tol = 1e-5
     prev = None
     for eps in (1e-4, 1e-3, 1e-2, 5e-2):
-        iv = measure_many(cantor, [(ball, Slab(plane, eps))], [tol])[0]
+        # B(1/4, 0.2) cut by |x - 1/4| <= eps
+        iv = measure_many(cantor, [[0.25]], [0.2], [tol], ([[1.0]], [0.25], [eps]))[0]
         if prev is not None:
             assert prev.lo <= iv.lo + tol
             assert prev.hi <= iv.hi + tol
@@ -163,7 +159,7 @@ def test_regularity_cylinder_radius_ratio_inside_envelope(cantor):
     cert = _certify((RegularityCertificate,), cantor, 500, 0.1, 5, 1)[0]
     x = sample_measure(cantor, 1, seed=9)[0]
     r = 3.0**-8
-    m = measure_many(cantor, [Ball(x, r)], [1e-9 * 2])[0]
+    m = measure_many(cantor, [x], [r], [1e-9 * 2])[0]
     ratio_lo = m.lo / r**cantor.delta
     ratio_hi = m.hi / r**cantor.delta
     assert ratio_hi >= cert.a * 0.999
@@ -332,9 +328,9 @@ def _spy_frontiers(monkeypatch) -> tuple:
             q = self.query
             seen.append((q.size, q.size > 0 and q[0] == q[-1]))
 
-    def chunk(sys_, queries, tols):
-        chunks.append(queries.radii.size)
-        return real_chunk(sys_, queries, tols)
+    def chunk(sys_, centers, radii, tols, slabs):
+        chunks.append(radii.size)
+        return real_chunk(sys_, centers, radii, tols, slabs)
 
     monkeypatch.setattr(ifs, "_Frontier", Frontier)
     monkeypatch.setattr(ifs, "_measure_chunk", chunk)
@@ -386,7 +382,8 @@ def test_certify_all_matches_trial_oracle(monkeypatch, request, name, trials, r0
                                           seed):
     """Certificates from the array trial phase equal, field for field,
     those of the per-trial oracle: one rng draw for the centre and another
-    for the radius, Ball and Slab queries, and one subdivision per mass."""
+    for the radius, Ball and (Ball, Slab) queries, and one subdivision per
+    mass."""
     sys_ = request.getfixturevalue(name)
     # dust's delta - (d - 1) is not positive, so its exponent is given
     alpha = decay_alpha_from_regularity(sys_.delta, sys_.dim) or 0.5
@@ -407,18 +404,17 @@ def test_certify_all_jobs_with_uneven_blocks(koch, trials):
 
 def test_certify_all_ball_masses_per_trial(monkeypatch, gasket):
     # 3 ball masses per kept trial (r, 2r, eps) and 1 per discarded trial,
-    # counted as the queries without a slab in the arrays handed to the
-    # mass oracle; one slab query per kept trial
+    # counted as the uncut rows (no slabs, or half-width inf) of the arrays
+    # handed to the mass oracle; one slab query per kept trial
     balls, slabs = [], []
     real = diagnostics.measure_many
 
-    def counting(sys_, queries, tols):
-        assert isinstance(queries, ifs._Queries)  # no Ball is built per trial
-        on = (np.zeros(queries.radii.size, dtype=bool) if queries.slabs is None
-              else queries.slabs[0])
+    def counting(sys_, centers, radii, tols, cuts=None):
+        assert isinstance(centers, np.ndarray)  # no Ball is built per trial
+        on = np.zeros(len(radii), dtype=bool) if cuts is None else np.less(cuts[2], math.inf)
         balls.append(int((~on).sum()))
         slabs.append(int(on.sum()))
-        return real(sys_, queries, tols)
+        return real(sys_, centers, radii, tols, cuts)
 
     monkeypatch.setattr(diagnostics, "measure_many", counting)
     alpha = decay_alpha_from_regularity(gasket.delta, 2)

@@ -8,15 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cover_oracle
-from cover_oracle import RationalPoint, Simplex
+from cover_oracle import Hyperplane, RationalPoint, Simplex
 from cover_oracle import greedy_cover as reference_greedy_cover
 from cover_oracle import hyperplane_through as reference_hyperplane_through
 from fracapprox.analysis import _block_witness
 from fracapprox.geometry import (
     Ball,
     DyadicScale,
-    Hyperplane,
-    Slab,
     hyperplane_through,
     unit_ball_volume,
     _eliminate,
@@ -36,29 +34,6 @@ def test_ball_requires_positive_radius():
         Ball([0.0], 0.0)
     with pytest.raises(ValueError):
         Ball([0.0], -1.0)
-
-
-def test_ball_dilation_preserves_center():
-    b = Ball([1.0, 2.0], 0.5)
-    d = b.dilate(3.0)
-    assert np.array_equal(d.center, b.center)
-    assert d.radius == 1.5
-    with pytest.raises(ValueError):
-        b.dilate(0.5)
-
-
-def test_hyperplane_unit_normal_enforced():
-    with pytest.raises(ValueError):
-        Hyperplane([2.0, 0.0], 1.0)
-    h = Hyperplane([1.0], 0.5)  # d = 1: the point 1/2
-    assert h.distance([0.5]) == 0.0
-    assert h.distance([0.75]) == pytest.approx(0.25)
-
-
-def test_slab_membership():
-    s = Slab(Hyperplane([0.0, 1.0], 0.0), 0.1)
-    assert s.contains([5.0, 0.1])
-    assert not s.contains([0.0, 0.11])
 
 
 def test_rational_point_validation_and_equality():
@@ -207,7 +182,7 @@ def test_greedy_cover_trace_012():
     chosen = _greedy([[0.0], [1.0], [2.0]], 1.0)
     assert chosen.tolist() == [[0.0]]
     # the 3-dilate [-3, 3] covers the union [-1, 3]
-    assert Ball(chosen[0], 1.0).dilate(3).contains([3.0])
+    assert Ball(chosen[0], 3.0).contains([3.0])
 
 
 def test_greedy_cover_single_ball():
@@ -515,10 +490,10 @@ def test_simplex_branch_via_affine_rank_directly():
 
 def test_hyperplane_through_is_deterministic_and_signed():
     pts = np.array([[0.0, 0.0], [1.0, 0.0]])
-    h1 = hyperplane_through(pts)
-    h2 = hyperplane_through(pts)
-    assert np.array_equal(h1.normal, h2.normal)
-    first_nonzero = h1.normal[np.nonzero(np.abs(h1.normal) > 1e-9)[0][0]]
+    n1, _ = hyperplane_through(pts)
+    n2, _ = hyperplane_through(pts)
+    assert np.array_equal(n1, n2)
+    first_nonzero = n1[np.nonzero(np.abs(n1) > 1e-9)[0][0]]
     assert first_nonzero > 0
 
 
@@ -528,25 +503,31 @@ def test_hyperplane_through_is_deterministic_and_signed():
     min_size=1, max_size=3)))
 def test_hyperplane_through_matches_qr_path(points):
     # one point skips the QR, whose (d, 0) factor is the identity
-    got = hyperplane_through(np.array([p.as_float() for p in points]))
+    normal, offset = hyperplane_through(np.array([p.as_float() for p in points]))
     want = reference_hyperplane_through(points)
-    assert got.normal.tobytes() == want.normal.tobytes()
-    assert np.float64(got.offset).tobytes() == np.float64(want.offset).tobytes()
+    assert normal.tobytes() == want.normal.tobytes()
+    assert np.float64(offset).tobytes() == np.float64(want.offset).tobytes()
+
+
+def _slab_distances(points: np.ndarray, x) -> np.ndarray:
+    """|normal . x - offset| for the hyperplane through the rows of points."""
+    normal, offset = hyperplane_through(points)
+    return np.abs(np.asarray(x, dtype=float) @ normal - offset)
 
 
 def test_slab_of_point_d1():
-    s = Slab(hyperplane_through(np.array([[0.5]])), 0.01)
-    assert s.contains([0.4901]) and s.contains([0.5099])
-    assert not s.contains([0.489]) and not s.contains([0.5111])
+    dist = _slab_distances(np.array([[0.5]]), [[0.4901], [0.5099], [0.489], [0.5111]])
+    assert (dist <= 0.01).tolist() == [True, True, False, False]
     # boundary exact where floats permit: epsilon an exact dyadic
-    s2 = Slab(hyperplane_through(np.array([[0.5]])), 0.015625)
-    assert s2.contains([0.5 - 0.015625]) and s2.contains([0.5 + 0.015625])
+    edges = _slab_distances(np.array([[0.5]]), [[0.5 - 0.015625], [0.5 + 0.015625]])
+    assert (edges <= 0.015625).all()
 
 
 def test_slab_of_x_axis_d2():
-    s = Slab(hyperplane_through(np.array([[0.0, 0.0], [1.0, 0.0]])), 0.1)
-    assert abs(abs(s.plane.normal[1]) - 1.0) < 1e-12
-    assert s.contains([7.0, 0.09]) and not s.contains([0.0, 0.11])
+    points = np.array([[0.0, 0.0], [1.0, 0.0]])
+    assert abs(abs(hyperplane_through(points)[0][1]) - 1.0) < 1e-12
+    dist = _slab_distances(points, [[7.0, 0.09], [0.0, 0.11]])
+    assert (dist <= 0.1).tolist() == [True, False]
 
 
 def test_slab_of_contains_all_inputs():
@@ -555,9 +536,8 @@ def test_slab_of_contains_all_inputs():
         q = int(rng.integers(2, 50))
         a = RationalPoint((int(rng.integers(0, q)), int(rng.integers(0, q))), q)
         b = RationalPoint((int(rng.integers(0, q)), int(rng.integers(0, q))), q)
-        s = Slab(hyperplane_through(np.array([a.as_float(), b.as_float()])), 1e-6)
-        assert s.plane.distance(a.as_float()) <= 1e-6
-        assert s.plane.distance(b.as_float()) <= 1e-6
+        points = np.array([a.as_float(), b.as_float()])
+        assert (_slab_distances(points, points) <= 1e-6).all()
 
 
 def test_slab_of_rejects_empty_and_independent():

@@ -14,7 +14,7 @@ import osc_oracle
 import sample_oracle
 from fracapprox import ifs
 from fracapprox.analysis import _cylinder_net
-from fracapprox.geometry import Ball, Box, Hyperplane, Slab
+from fracapprox.geometry import Ball, Box
 from fracapprox.ifs import (
     BUNDLED_SYSTEMS,
     ConvexPolygon,
@@ -30,6 +30,7 @@ from fracapprox.ifs import (
     _Frontier,
     _segment_sums,
 )
+from mass_oracle import Slab
 
 I1 = np.eye(1)
 I2 = np.eye(2)
@@ -129,7 +130,7 @@ _OSC_WITNESSES = {
     "rotated-box": lambda d: Box(np.zeros(2), np.ones(2)),
     "polygon": lambda d: ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
     "triangle": lambda d: _TRIANGLE,
-    "unsupported": lambda d: Hyperplane(np.ones(d) / math.sqrt(d), 0.5),
+    "unsupported": lambda d: Slab(np.ones(d) / math.sqrt(d), 0.5, 0.1),
 }
 
 
@@ -293,21 +294,21 @@ def test_cylinder_net_is_an_r_net(name, shrink):
 
 
 def test_first_level_cylinder_mass(cantor):
-    iv = measure_many(cantor, [Ball([1 / 6], 1 / 6)], [1e-6])[0]
+    iv = measure_many(cantor, [[1 / 6]], [1 / 6], [1e-6])[0]
     assert iv.converged and iv.width <= 1e-6
     assert iv.contains(0.5)
 
 
 def test_total_mass_and_empty_mass(cantor):
-    full = measure_many(cantor, [Ball([0.5], 2.0)], [1e-6])[0]
+    full = measure_many(cantor, [[0.5]], [2.0], [1e-6])[0]
     assert full.hi == 1.0 and full.lo >= 1.0 - 1e-6
-    empty = measure_many(cantor, [Ball([5.0], 0.5)], [1e-6])[0]
+    empty = measure_many(cantor, [[5.0]], [0.5], [1e-6])[0]
     assert empty.lo == 0.0 and empty.hi == 0.0
 
 
 def test_tolerance_floor_rejected(cantor):
     with pytest.raises(ValueError):
-        measure_many(cantor, [Ball([0.5], 0.1)], [1e-12])[0]
+        measure_many(cantor, [[0.5]], [0.1], [1e-12])[0]
 
 
 @pytest.mark.parametrize("fixture_name", ["cantor", "gasket"])
@@ -317,7 +318,7 @@ def test_interval_width_contract(fixture_name, request):
     centers = sample_measure(sys_, 50, seed=3)
     for c in centers:
         r = float(rng.uniform(0.02, 0.3)) * sys_.diameter
-        iv = measure_many(sys_, [Ball(c, r)], [1e-4])[0]
+        iv = measure_many(sys_, [c], [r], [1e-4])[0]
         assert iv.converged
         assert iv.width <= 1e-4
 
@@ -332,11 +333,11 @@ def test_first_level_additivity(fixture_name, request):
     w = sys_.weights
     for c in centers:
         r = float(rng.uniform(0.05, 0.4)) * sys_.diameter
-        direct = measure_many(sys_, [Ball(c, r)], [1e-5])[0]
+        direct = measure_many(sys_, [c], [r], [1e-5])[0]
         lo = hi = 0.0
         for i, m in enumerate(sys_.maps):
             pre_center = ((c - m.translation) @ m.rotation) / m.ratio
-            pre = measure_many(sys_, [Ball(pre_center, r / m.ratio)], [1e-5])[0]
+            pre = measure_many(sys_, [pre_center], [r / m.ratio], [1e-5])[0]
             lo += w[i] * pre.lo
             hi += w[i] * pre.hi
         assert lo <= direct.hi + 1e-9 and direct.lo <= hi + 1e-9
@@ -366,9 +367,9 @@ def test_first_level_scaling(fixture_name, request):
         if clearance <= 1e-3:
             continue
         r = 0.9 * clearance
-        base = measure_many(sys_, [Ball(c, r)], [1e-5])[0]
+        base = measure_many(sys_, [c], [r], [1e-5])[0]
         for i, m in enumerate(sys_.maps):
-            img = measure_many(sys_, [Ball(m.apply(c), m.ratio * r)], [1e-5])[0]
+            img = measure_many(sys_, [m.apply(c)], [m.ratio * r], [1e-5])[0]
             w = sys_.weights[i]
             assert w * base.lo <= img.hi + 1e-9
             assert img.lo <= w * base.hi + 1e-9
@@ -377,28 +378,25 @@ def test_first_level_scaling(fixture_name, request):
 
 
 def test_slab_swallows_ball(cantor):
-    b = Ball([0.4], 0.2)
-    plane = Hyperplane([1.0], 0.4)
-    wide = Slab(plane, 1.0)
-    iv_ball = measure_many(cantor, [b], [1e-5])[0]
-    iv_slab = measure_many(cantor, [(b, wide)], [1e-5])[0]
+    # B(0.4, 0.2) uncut and cut by |x - 0.4| <= 1
+    iv_ball, iv_slab = measure_many(cantor, [[0.4]] * 2, [0.2] * 2, [1e-5] * 2,
+                                    ([[0.0], [1.0]], [0.0, 0.4], [math.inf, 1.0]))
     assert abs(iv_slab.mid - iv_ball.mid) <= 2e-5
 
 
 def test_gap_slab_has_no_mass(cantor):
-    slab = Slab(Hyperplane([1.0], 0.5), 1 / 18)  # [4/9, 5/9], inside the gap
-    iv = measure_many(cantor, [(Ball([0.5], 1.0), slab)], [1e-3])[0]
+    # |x - 1/2| <= 1/18 is [4/9, 5/9], inside the gap
+    iv = measure_many(cantor, [[0.5]], [1.0], [1e-3], ([[1.0]], [0.5], [1 / 18]))[0]
     assert iv.hi < 0.01
 
 
 def test_null_slab_through_gap(cantor):
-    slab = Slab(Hyperplane([1.0], 0.5), 0.0)
-    iv = measure_many(cantor, [(Ball([0.5], 1.0), slab)], [1e-3])[0]
+    iv = measure_many(cantor, [[0.5]], [1.0], [1e-3], ([[1.0]], [0.5], [0.0]))[0]
     assert iv.lo == 0.0 and iv.hi <= 1e-3
 
 
 def test_koch_measure_eval_with_rotations(koch):
-    iv = measure_many(koch, [Ball([0.5, 0.1], 0.2)], [1e-3])[0]
+    iv = measure_many(koch, [[0.5, 0.1]], [0.2], [1e-3])[0]
     assert iv.converged and iv.width <= 1e-3
     assert iv.hi > 0.0
 
@@ -455,14 +453,16 @@ def _make_query(name, placement, idx, shift, log_r, slab, tol_u):
     angle, offset_shift, log_eps = slab
     normal = (np.array([math.copysign(1.0, math.cos(angle))]) if sys_.dim == 1
               else np.array([math.cos(angle), math.sin(angle)]))
-    plane = Hyperplane(normal, float(normal @ c) + offset_shift * r)
-    return (ball, Slab(plane, r * 10.0**log_eps)), tol
+    return (ball, Slab(normal, float(normal @ c) + offset_shift * r, r * 10.0**log_eps)), tol
 
 
-def _oracle(sys_, query, tol):
-    if isinstance(query, Ball):
-        return mass_oracle.measure_of_ball(sys_, query, tol)
-    return mass_oracle.measure_of_slab_in_ball(sys_, *query, tol)
+def _measure(sys_, queries, tols, uncut_as_none=False):
+    """measure_many on the arrays of a list of oracle queries; a batch of
+    plain balls passes no slabs at all when uncut_as_none."""
+    centers, radii, slabs = mass_oracle.as_arrays(queries, sys_.dim)
+    if uncut_as_none and all(isinstance(q, Ball) for q in queries):
+        slabs = None
+    return measure_many(sys_, centers, radii, tols, slabs)
 
 
 # short batches, and long ones that cross many chunk seams under a small
@@ -486,9 +486,9 @@ class _BudgetSpy:
                 q = frontier.query
                 assert q.size <= ifs._FRONTIER_ROWS or q[0] == q[-1]
 
-        def chunk(sys_, queries, tols):
-            self.chunks.append(queries.radii.size)
-            return real_chunk(sys_, queries, tols)
+        def chunk(sys_, centers, radii, tols, slabs):
+            self.chunks.append(radii.size)
+            return real_chunk(sys_, centers, radii, tols, slabs)
 
         mp.setattr(ifs, "_Frontier", Frontier)
         mp.setattr(ifs, "_measure_chunk", chunk)
@@ -496,25 +496,27 @@ class _BudgetSpy:
 
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(ORACLE_SYSTEMS)), raw=_BATCH,
-       rows=st.sampled_from([1, 40, ifs._FRONTIER_ROWS]))
+       rows=st.sampled_from([1, 40, ifs._FRONTIER_ROWS]), uncut_as_none=st.booleans())
 # the rotation frontier across seams, which the drawn examples rarely reach
 @example(name="koch", raw=[("near", i, -3.0, -1.5, None if i % 3 else (0.4 * i, 0.2, -1.0),
-                            0.5) for i in range(36)], rows=1)
-def test_measure_many_matches_single_query_oracle(name, raw, rows):
+                            0.5) for i in range(36)], rows=1, uncut_as_none=False)
+def test_measure_many_matches_single_query_oracle(name, raw, rows, uncut_as_none):
     """Every interval of a mixed batch, each query with its own tolerance,
     has the lo, hi, converged and depth of the single-query oracle, under a
-    frontier budget of 1 row, 40 rows and the default.  No frontier goes
-    past the budget unless it holds one query alone.  The first chunk takes
-    every query; under the one-row budget each one that reaches an
-    expansion beside another is left for a later chunk of its own."""
+    frontier budget of 1 row, 40 rows and the default.  A plain ball is an
+    uncut row (half-width inf), or, in a batch of plain balls, a row of a
+    call with no slabs.  No frontier goes past the budget unless it holds
+    one query alone.  The first chunk takes every query; under the one-row
+    budget each one that reaches an expansion beside another is left for a
+    later chunk of its own."""
     sys_ = ORACLE_SYSTEMS[name]
     made = [_make_query(name, *q) for q in raw]
     queries, tols = [q for q, _ in made], [t for _, t in made]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ifs, "_FRONTIER_ROWS", rows)
         spy = _BudgetSpy(mp)
-        got = measure_many(sys_, queries, tols)
-    assert got == [_oracle(sys_, q, t) for q, t in made]
+        got = _measure(sys_, queries, tols, uncut_as_none)
+    assert got == [mass_oracle.measure(sys_, q, t) for q, t in made]
     assert spy.chunks[0] == len(raw)
     if rows == 1:
         assert all(size == 1 for size in spy.chunks[1:])
@@ -527,22 +529,22 @@ def test_measure_many_edge_cases_match_oracle(cantor, koch):
     deep = Ball([-0.5], 0.5 + 1e-12)
     cases = [
         (chain, [deep, Ball([0.5], 2.0), Ball([3.0], 0.5),
-                 (Ball([0.5], 1.0), Slab(Hyperplane([1.0], 0.0), 1e-12))],
+                 (Ball([0.5], 1.0), Slab(np.array([1.0]), 0.0, 1e-12))],
          [1e-3, 1e-9, 1e-9, 1e-3]),
         # the edge 1/4 is a point of K: straddlers there are frozen
         (cantor, [Ball([0.0], 0.25), Ball([0.5], 2.0), Ball([5.0], 0.5),
                   Ball([1 / 6], 1 / 6), Ball([0.25], 1e-6)],
          [1e-9, 1e-9, 1e-9, 1e-9, 1e-6]),
         (koch, [Ball([0.5, 0.1], 0.2), Ball([0.5, 0.0], 5.0), Ball([9.0, 9.0], 1.0),
-                (Ball([0.5, 0.1], 0.2), Slab(Hyperplane([0.6, 0.8], 0.3), 0.01))],
+                (Ball([0.5, 0.1], 0.2), Slab(np.array([0.6, 0.8]), 0.3, 0.01))],
          [1e-5, 1e-9, 1e-9, 1e-4]),
     ]
     for sys_, queries, tols in cases:
-        got = measure_many(sys_, queries, tols)
-        assert got == [_oracle(sys_, q, t) for q, t in zip(queries, tols)]
-    first = measure_many(chain, [deep], [1e-3])[0]
+        got = _measure(sys_, queries, tols)
+        assert got == [mass_oracle.measure(sys_, q, t) for q, t in zip(queries, tols)]
+    first = _measure(chain, [deep], [1e-3])[0]
     assert not first.converged and first.depth == MAX_SUBDIVISION_DEPTH
-    assert measure_many(cantor, [], []) == []
+    assert measure_many(cantor, np.zeros((0, 1)), [], []) == []
 
 
 def test_measure_many_rejects_low_tolerance_before_work(monkeypatch, cantor):
@@ -553,9 +555,8 @@ def test_measure_many_rejects_low_tolerance_before_work(monkeypatch, cantor):
     with pytest.raises(ValueError) as want:
         mass_oracle.measure_of_ball(cantor, Ball([0.5], 0.1), 1e-12)
     for tols in ([1e-12], [1e-3, 1e-12], [1e-12, 1e-3, 1e-3]):
-        queries = [Ball([0.5], 0.1)] * len(tols)
         with pytest.raises(ValueError) as err:
-            measure_many(cantor, queries, tols)
+            measure_many(cantor, [[0.5]] * len(tols), [0.1] * len(tols), tols)
         assert str(err.value) == str(want.value)
 
 
@@ -566,11 +567,92 @@ def test_measure_many_refuses_nan_tolerance(monkeypatch, cantor, gasket):
         raise AssertionError("a frontier was built")
 
     monkeypatch.setattr(ifs, "_Frontier", no_work)
-    for sys_, ball in ((gasket, Ball([0.5, 0.3], 0.2)), (cantor, Ball([0.5], 0.1))):
+    for sys_, centre, radius in ((gasket, [0.5, 0.3], 0.2), (cantor, [0.5], 0.1)):
         for tols in ([math.nan], [1e-3, math.nan]):
             with pytest.raises(ValueError) as err:
-                measure_many(sys_, [ball] * len(tols), tols)
+                measure_many(sys_, [centre] * len(tols), [radius] * len(tols), tols)
             assert str(err.value) == "tolerance below the float certification floor 1e-9"
+
+
+# (centres, radii, tols, slabs) of one ball of gasket, each with one value
+# spoiled, and the word the refusal names
+_BAD_QUERIES = {
+    "radius-0": ([[0.5, 0.3]], [0.0], [1e-3], None, "radius"),
+    "radius-negative": ([[0.5, 0.3]], [-1.0], [1e-3], None, "radius"),
+    "radius-NaN": ([[0.5, 0.3]], [math.nan], [1e-3], None, "radius"),
+    "centre-NaN": ([[0.5, math.nan]], [0.2], [1e-3], None, "centre"),
+    "centre-shape": ([[0.5]], [0.2], [1e-3], None, "shapes"),
+    "radii-shape": ([[0.5, 0.3]], [[0.2]], [1e-3], None, "shapes"),
+    "tols-shape": ([[0.5, 0.3]], [0.2], [1e-3, 1e-3], None, "shapes"),
+    "tol-low": ([[0.5, 0.3]], [0.2], [1e-10], None, "tolerance"),
+    "normal-long": ([[0.5, 0.3]], [0.2], [1e-3], ([[0.6, 0.8 + 1e-11]], [0.3], [0.1]),
+                    "unit"),
+    "normal-zero": ([[0.5, 0.3]], [0.2], [1e-3], ([[0.0, 0.0]], [0.3], [0.1]), "unit"),
+    "normal-NaN": ([[0.5, 0.3]], [0.2], [1e-3], ([[math.nan, 1.0]], [0.3], [0.1]), "unit"),
+    "offset-NaN": ([[0.5, 0.3]], [0.2], [1e-3], ([[0.6, 0.8]], [math.nan], [0.1]), "offset"),
+    "width-negative": ([[0.5, 0.3]], [0.2], [1e-3], ([[0.6, 0.8]], [0.3], [-1.0]), "half-width"),
+    "width-NaN": ([[0.5, 0.3]], [0.2], [1e-3], ([[0.6, 0.8]], [0.3], [math.nan]),
+                  "half-width"),
+    "normals-shape": ([[0.5, 0.3]], [0.2], [1e-3], ([[1.0]], [0.3], [0.1]), "shapes"),
+    "widths-shape": ([[0.5, 0.3]], [0.2], [1e-3], ([[0.6, 0.8]], [0.3], [0.1, 0.1]),
+                     "shapes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_QUERIES))
+def test_measure_many_refuses_bad_queries(monkeypatch, gasket, case):
+    # each refusal is one ValueError naming the bad value, raised before any
+    # frontier is built; without the radius and half-width checks a NaN
+    # never converges, and a unit normal is what makes a slab's distances
+    # true distances
+    def no_work(*args, **kwargs):
+        raise AssertionError("a frontier was built")
+
+    monkeypatch.setattr(ifs, "_Frontier", no_work)
+    *query, word = _BAD_QUERIES[case]
+    with pytest.raises(ValueError, match=word):
+        measure_many(gasket, *query)
+
+
+def test_measure_many_uncut_rows_may_carry_any_plane(monkeypatch, cantor):
+    # an uncut row's normal and offset go unused: a zero, long or NaN normal
+    # and a NaN offset give the bits of the plain ball.  A NaN that reached
+    # the projections would decide no cylinder, and the frontier would
+    # double at every depth: the guard fails such a run before it does
+    class Guarded(ifs._Frontier):
+        def expand(self, mask):
+            super().expand(mask)
+            assert self.query.size <= 1000, "the frontier kept growing"
+
+    monkeypatch.setattr(ifs, "_Frontier", Guarded)
+    want = measure_many(cantor, [[0.3]] * 4, [0.2] * 4, [1e-6] * 4)
+    got = measure_many(cantor, [[0.3]] * 4, [0.2] * 4, [1e-6] * 4,
+                       ([[0.0], [5.0], [math.nan], [1.0]], [0.0, 1.0, 0.0, math.nan],
+                        [math.inf] * 4))
+    assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([1, 2]), raw=st.lists(_QUERY, min_size=1, max_size=6),
+       data=st.data())
+def test_inf_width_rows_give_the_plain_ball_bits(d, raw, data):
+    """A query with half-width inf gets the bits of its ball alone: the
+    single-query oracle's, and those of the same ball in a call with no
+    slabs, whether its batch holds cut rows or not."""
+    name = data.draw(st.sampled_from(sorted(n for n, s in ORACLE_SYSTEMS.items()
+                                            if s.dim == d)))
+    sys_ = ORACLE_SYSTEMS[name]
+    made = [_make_query(name, *q) for q in raw]
+    balls = [q if isinstance(q, Ball) else q[0] for q, _ in made]
+    tols = [t for _, t in made]
+    centers, radii, slabs = mass_oracle.as_arrays(balls, d)
+    plain = [mass_oracle.measure_of_ball(sys_, b, t) for b, t in zip(balls, tols)]
+    assert measure_many(sys_, centers, radii, tols) == plain
+    assert measure_many(sys_, centers, radii, tols, slabs) == plain
+    # the same rows among the cut queries of the batch
+    mixed = [q for q, _ in made] + balls
+    got = _measure(sys_, mixed, tols + tols)
+    assert got[len(made):] == plain
 
 
 @settings(max_examples=60, deadline=None)
@@ -645,7 +727,7 @@ def test_measure_many_intervals_are_ordered_and_nested(name, raw, grow, tol_exp)
     # B' = B(c', r') with |c - c'| + r <= r'
     outer = [Ball(b.center + 0.5 * grow * b.radius, b.radius * (1.0 + grow))
              for b in inner]
-    got = measure_many(sys_, inner + outer, [tol] * (2 * len(inner)))
+    got = _measure(sys_, inner + outer, [tol] * (2 * len(inner)))
     for iv in got:
         assert 0.0 <= iv.lo <= iv.hi <= 1.0
         if iv.converged:
@@ -661,10 +743,9 @@ def _preimage(m, query):
                ball.radius / m.ratio)
     if isinstance(query, Ball):
         return pre
-    plane = query[1].plane
-    normal = plane.normal @ m.rotation
-    offset = (plane.offset - float(plane.normal @ m.translation)) / m.ratio
-    return pre, Slab(Hyperplane(normal, offset), query[1].epsilon / m.ratio)
+    normal, offset, eps = query[1]
+    return pre, Slab(normal @ m.rotation,
+                     (offset - float(normal @ m.translation)) / m.ratio, eps / m.ratio)
 
 
 @settings(max_examples=25, deadline=None)
@@ -681,11 +762,11 @@ def test_measure_many_is_self_similar(name, ball, slab):
         angle, offset_shift, log_eps = slab
         normal = (np.array([math.copysign(1.0, math.cos(angle))]) if sys_.dim == 1
                   else np.array([math.cos(angle), math.sin(angle)]))
-        plane = Hyperplane(normal, float(normal @ b.center) + offset_shift * b.radius)
-        query = (b, Slab(plane, b.radius * 10.0**log_eps))
+        query = (b, Slab(normal, float(normal @ b.center) + offset_shift * b.radius,
+                         b.radius * 10.0**log_eps))
     tol = 1e-4
-    direct, *pre = measure_many(sys_, [query] + [_preimage(m, query) for m in sys_.maps],
-                                [tol] * (1 + sys_.k))
+    direct, *pre = _measure(sys_, [query] + [_preimage(m, query) for m in sys_.maps],
+                            [tol] * (1 + sys_.k))
     lo = sum(w * iv.lo for w, iv in zip(sys_.weights, pre))
     hi = sum(w * iv.hi for w, iv in zip(sys_.weights, pre))
     assert lo <= direct.hi + 1e-12 and direct.lo <= hi + 1e-12
@@ -722,7 +803,7 @@ def test_sample_mean_and_cylinder_mass(cantor):
     pts = sample_measure(cantor, 100_000, seed=13)[:, 0]
     assert abs(pts.mean() - 0.5) < 0.01
     emp = float((pts <= 1 / 3).mean())
-    oracle = measure_many(cantor, [Ball([1 / 6], 1 / 6)], [1e-6])[0]
+    oracle = measure_many(cantor, [[1 / 6]], [1 / 6], [1e-6])[0]
     assert abs(emp - oracle.mid) < 0.01
 
 
@@ -732,7 +813,7 @@ def test_sampling_consistency_with_intervals(cantor):
     centers = sample_measure(cantor, 20, seed=37)[:, 0]
     for c in centers:
         r = float(rng.uniform(0.01, 0.3))
-        iv = measure_many(cantor, [Ball([c], r)], [1e-4])[0]
+        iv = measure_many(cantor, [[c]], [r], [1e-4])[0]
         emp = float((np.abs(pool - c) <= r).mean())
         sigma = math.sqrt(max(iv.mid * (1 - iv.mid), 1e-12) / pool.size)
         widened = iv.widen(3 * sigma)

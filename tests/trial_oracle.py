@@ -3,9 +3,9 @@
 This is the slow path that `fracapprox.diagnostics._trial_block` must agree
 with bit for bit: each trial draws its centre's digits with `rng.choice` and
 then its radius with a second `rng.random()` call, every query is a `Ball`
-or a (`Ball`, `Slab`) pair, and every mass comes from the single-query mass
-oracle.  Tests import `_trial_block` as the oracle; nothing in the package
-uses it.
+or a (`Ball`, `mass_oracle.Slab`) pair, and every mass comes from the
+single-query mass oracle.  Tests import `_trial_block` as the oracle;
+nothing in the package uses it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 
-import mass_oracle
 import sample_oracle
 from fracapprox.diagnostics import (
     _REL_TOL,
@@ -24,8 +23,9 @@ from fracapprox.diagnostics import (
     _ball_tol,
     _decay_row,
 )
-from fracapprox.geometry import Ball, Hyperplane, Slab
+from fracapprox.geometry import Ball
 from fracapprox.ifs import _TOL_FLOOR
+from mass_oracle import Slab, measure
 
 
 def _doubling(sys, rng, center, radius, m, alpha) -> tuple:
@@ -36,14 +36,13 @@ def _doubling(sys, rng, center, radius, m, alpha) -> tuple:
 def _decay(sys, rng, center, radius, m, alpha) -> tuple:
     normal = rng.normal(size=sys.dim)
     normal /= np.linalg.norm(normal)
-    plane = Hyperplane(normal, float(normal @ center))
     rel = math.exp(
         math.log(1e-4) + (math.log(0.25) - math.log(1e-4)) * float(rng.random())
     )
     eps = rel * radius
     envelope = rel**alpha
     slab_tol = max(_REL_TOL * envelope * m.lo, _TOL_FLOOR)
-    queries = [((Ball(center, radius), Slab(plane, eps)), slab_tol),
+    queries = [((Ball(center, radius), Slab(normal, float(normal @ center), eps)), slab_tol),
                (Ball(center, eps), _ball_tol(sys, eps))]
     return queries, lambda m_slab, m_small: _decay_row(
         center, radius, eps, envelope, m, m_slab, m_small)
@@ -58,12 +57,6 @@ ROWS = {DoublingCertificate: _doubling, DecayCertificate: _decay,
         RegularityCertificate: _regularity}
 
 
-def _measure(sys, query, tol):
-    if isinstance(query, Ball):
-        return mass_oracle.measure_of_ball(sys, query, tol)
-    return mass_oracle.measure_of_slab_in_ball(sys, *query, tol)
-
-
 def _trial_block(args) -> list:
     """Seeded trials start..stop-1, one at a time; one row tuple per trial,
     or None when mu(B(x, r)) cannot be bounded away from zero."""
@@ -73,10 +66,10 @@ def _trial_block(args) -> list:
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
         center = sample_oracle._fold_digits(sys, sample_oracle._draw_digits(sys, 1, rng))[0]
         radius = r0 * math.exp(-math.log(100.0) * float(rng.random()))
-        m = _measure(sys, Ball(center, radius), _ball_tol(sys, radius))
+        m = measure(sys, Ball(center, radius), _ball_tol(sys, radius))
         if not m.lo > 0.0:
             results.append(None)
             continue
         plans = [ROWS[kind](sys, rng, center, radius, m, alpha) for kind in kinds]
-        results.append(tuple(row(*[_measure(sys, q, t) for q, t in qs]) for qs, row in plans))
+        results.append(tuple(row(*[measure(sys, q, t) for q, t in qs]) for qs, row in plans))
     return results
