@@ -42,11 +42,13 @@ _ONSET_LAST = 60
 #   sweep: 67-110 ns per centre at blocks 9-10 (0.13-0.15 s for 1.6e6),
 #     and 60-130 ns per estimated candidate at blocks 1-2, where the
 #     candidates (2.7e4-4.4e4) outnumber the centres (15-42), 1.6-5.7 ms;
-#   convergent: 17-26 ns per Euclid step, 5.4-16 ms per call at blocks 3-10.
+#   convergent: 16-20 ns per point and Euclid step of the largest block
+#     (10.8-13.6 ms for 40,000 points x 17 steps on decay's blocks 3-10 at
+#     tau 2.5 and dim-report's 5-10 at tau 3, seeds 0 and 11, medians of 21).
 _NS_LOOP_TEST = 12.0
 _NS_SWEEP_CENTRE = 85.0
 _NS_SWEEP_PAIR = 90.0
-_NS_EUCLID_STEP = 21.0
+_NS_EUCLID_STEP = 18.0
 
 
 @dataclass(frozen=True)
@@ -270,10 +272,9 @@ def layer_hit_masks(points: np.ndarray, blocks, psi: PsiFunction) -> np.ndarray:
     floor(r q + 1/2) beyond.  Non-finite points never hit; a non-finite
     radius anywhere in a block makes every point hit it.
 
-    Each block's table (per q: m, r^2 and, in one dimension, the float reach
-    of r) is built once, from one psi call.  Three kernels read it and give
-    the same mask bit for bit; among those whose preconditions hold, the one
-    of least estimated time takes the block, each unit of work weighed by its
+    Each block's radii come from one psi call.  Three kernels give the same
+    mask bit for bit; among those whose preconditions hold, the one of least
+    estimated time takes the block, each unit of work weighed by its
     measured cost (_NS_LOOP_TEST and the others):
 
       the q loop (`_loop_hit_mask`), no precondition, 12 ns per point-q
@@ -286,25 +287,22 @@ def layer_hit_masks(points: np.ndarray, blocks, psi: PsiFunction) -> np.ndarray:
         for d = 1 when psi(2^n) 2^n < 1/2 and every numerator stays below
         2^52.  The sort takes 0.17 ms for 40,000 points passed in ascending
         order, against 1 ms for unsorted ones;
-      the continued-fraction kernel (`_convergent_hit_mask`), 21 ns for
+      the continued-fraction kernel (`_convergent_hit_mask`), 18 ns for
         each of N times ceil(log_phi 2^(n+1)) + 1 Euclid steps; under the
         sweep's numerator bound, the Legendre condition 2 q^2 (reach + ulp)
         < 1 for every q of the block, where ulp is the float spacing at the
         sweep's bound max |x| + max reach + 2, and r^2 non-increasing over
-        the block.  It decides each convergent a/b of a point by one float
-        test at its smallest block multiple: a float hit p/q is then a
-        convergent, each block multiple of a/b has the float of a/b, the
-        smallest has the largest r^2, and the q loop's numerator test never
-        rejects a float hit (rint(fl(x q)) = p and m = 0).
+        the block; its docstring says why its masks are the q loop's.
 
-    The blocks that meet the continued-fraction kernel's preconditions form
-    one group, priced once: the Euclid steps of its largest block against
-    the sum of its members' cheapest other kernels, so a one-block call
-    picks as that block's prices say.  If the group wins, one Euclid run per
-    point decides all of its blocks, since the convergents below 2^(n+1) are
-    a prefix of the run up to the largest block; otherwise each member takes
-    its cheapest other kernel, on a table rebuilt from its radii.  Until
-    then a member keeps only its radii, not its table.
+    The blocks that meet the continued-fraction kernel's preconditions,
+    checked from their radii and the points' range (`_legendre`), form one
+    group; every other block builds its table (`_block_table`) and runs its
+    cheapest kernel.  The group is priced once: the Euclid steps of its
+    largest block against the sum of its members' cheapest other kernels,
+    each priced from its table in ascending block until the sum passes the
+    run, so a one-block call picks as that block's prices say.  A group that
+    wins is decided by one Euclid run per point, from its r^2 alone; in a
+    group that loses each member takes its cheapest other kernel.
 
     All three stay under the 2^n denominator ceiling of _check_denominators.
     """
@@ -317,77 +315,96 @@ def layer_hit_masks(points: np.ndarray, blocks, psi: PsiFunction) -> np.ndarray:
     masks = np.zeros((len(blocks), pts.shape[0]), dtype=bool)
     live = np.flatnonzero(np.isfinite(pts).all(axis=1))  # non-finite points never hit
     fin = pts[live]
-    group = []  # (row, n, radius, estimated ns of its cheapest other kernel)
+    group = []  # (row, n, radius) of each block the continued-fraction kernel may take
     for row, n in enumerate(blocks):
         radius = math.sqrt(d) * psi(np.arange(2**n, 2 ** (n + 1), dtype=float))
         if not np.isfinite(radius).all():
             masks[row] = True
-            continue
-        table, work, legendre = _block_table(fin, n, radius)
-        kernel = min(work, key=work.get)
-        if legendre:
-            group.append((row, n, radius, work[kernel]))
+        elif _legendre(fin, radius):
+            group.append((row, n, radius))
         else:
-            masks[row, live] = _run_kernel(kernel, fin, table)
-        del table  # a member of the group keeps only its radii
+            masks[row, live] = _run_cheapest(fin, n, radius)
     if not group:
         return masks
-    rows, ns, radii, costs = zip(*sorted(group, key=lambda member: member[1]))
+    rows, ns, radii = zip(*sorted(group, key=lambda member: member[1]))
     # denominators of the convergents grow at least like phi^k
     steps = math.ceil((ns[-1] + 1) / math.log2((1 + math.sqrt(5)) / 2)) + 1
-    if _NS_EUCLID_STEP * live.size * steps < sum(costs):
-        r2s = np.concatenate(radii)
-        r2s *= r2s
-        masks[np.array(rows)[:, None], live] = _convergent_hit_mask(fin[:, 0], ns, r2s)
-        return masks
+    euclid, cost = _NS_EUCLID_STEP * live.size * steps, 0.0
+    for n, radius in zip(ns, radii):  # the cheap low blocks first
+        cost += min(_block_table(fin, n, radius)[1].values())
+        if euclid < cost:
+            r2s = np.concatenate(radii)
+            r2s *= r2s
+            masks[np.array(rows)[:, None], live] = _convergent_hit_mask(fin[:, 0], ns, r2s)
+            return masks
     for row, n, radius in zip(rows, ns, radii):
-        table, work, _ = _block_table(fin, n, radius)
-        masks[row, live] = _run_kernel(min(work, key=work.get), fin, table)
+        masks[row, live] = _run_cheapest(fin, n, radius)
     return masks
+
+
+def _sweep_bound(pts: np.ndarray, radius: np.ndarray) -> tuple | None:
+    """Where the sweep may run on the finite points pts and a block's 2^n
+    radii (d = 1, psi(2^n) 2^n < 1/2 and every numerator below 2^52): the
+    points' range lo, hi, the float reach of each radius and the numerator
+    bound top = max |x| + max reach + 2; None elsewhere."""
+    size = radius.size  # 2^n
+    if not (pts.size and pts.shape[1] == 1 and radius[0] * size < 0.5):
+        return None
+    lo, hi, reach = pts[:, 0].min(), pts[:, 0].max(), _reach(radius)
+    top = max(-lo, hi) + reach.max() + 2.0
+    return (lo, hi, reach, top) if top * (2 * size - 1) < 2.0**52 else None
+
+
+def _legendre(pts: np.ndarray, radius: np.ndarray) -> bool:
+    """Whether the continued-fraction kernel's preconditions hold for the
+    finite points pts and a block's finite radii."""
+    bound = _sweep_bound(pts, radius)
+    if bound is None:
+        return False
+    reach, top = bound[2:]
+    # the float centre of a hit p/q lies within reach of its point and within
+    # one spacing at top of p/q: Legendre's condition |x - p/q| < 1/(2 q^2)
+    # holds when 2 q^2 (reach + spacing) < 1, computed in place
+    edge = np.arange(radius.size, 2 * radius.size, dtype=float)
+    edge *= 2.0 * edge
+    edge *= np.add(reach, np.spacing(top), out=reach)
+    if not (edge < 1.0).all():
+        return False
+    r2 = radius * radius  # non-increasing: the smallest block multiple decides
+    return bool((r2[1:] <= r2[:-1]).all())
 
 
 def _block_table(pts: np.ndarray, n: int, radius: np.ndarray) -> tuple:
     """Block n's table from its finite radii sqrt(d) psi(q), for the finite
-    points pts: (q, m, r^2), and in one dimension where the sweep may run also
-    (reach, first, count); the estimated time in ns of the q loop and, where
-    it may run, the sweep; and whether the continued-fraction kernel's
-    preconditions hold."""
+    points pts: (q, m, r^2), and where the sweep may run also (reach, first,
+    count); and the estimated ns of the q loop and, where it may, the sweep."""
     q = np.arange(2**n, 2 ** (n + 1), dtype=float)
     half = radius * q
     m = np.where(half < 0.5, 0.0, np.floor(half + 0.5))
-    r2 = radius * radius
-    table, legendre = (q, m, r2), False
+    table = (q, m, radius * radius)
     # the loop tests each point at every q unless the d = 1 table tells more
     work = {"loop": _NS_LOOP_TEST * pts.shape[0] * q.size}
-    if pts.size and pts.shape[1] == 1 and half[0] < 0.5:
-        # reach: how far past each radius the float test accepts; first and
-        # count: the numerators of the centres p/q it lets touch [lo, hi]
-        lo, hi, reach = pts[:, 0].min(), pts[:, 0].max(), _reach(radius)
-        top = max(-lo, hi) + reach.max() + 2.0
-        if top * q[-1] < 2.0**52:
-            first = np.floor((lo - reach) * q) - 1.0
-            count = np.ceil((hi + reach) * q) + 2.0 - first
-            table = (q, m, r2, reach, first, count)
-            # an evenly spread point lies within reach of 2 q reach centres of
-            # q: the sweep's candidates; the loop tests it until its first hit
-            meet = 2.0 * q * reach
-            stay = np.cumprod(np.maximum(1.0 - meet, 0.0))
-            work["loop"] = _NS_LOOP_TEST * pts.shape[0] * (1.0 + stay[:-1].sum())
-            work["sweep"] = (_NS_SWEEP_CENTRE * count.sum()
-                             + _NS_SWEEP_PAIR * pts.shape[0] * meet.sum())
-            # the float centre of a hit p/q lies within reach of its point
-            # and within one spacing at top of p/q: Legendre's condition
-            # |x - p/q| < 1/(2 q^2) holds when this does; with r^2
-            # non-increasing, a convergent's smallest block multiple decides it
-            legendre = bool((2.0 * q * q * (reach + np.spacing(top)) < 1.0).all()
-                            and (r2[1:] <= r2[:-1]).all())
-    return table, work, legendre
+    bound = _sweep_bound(pts, radius)
+    if bound is not None:
+        lo, hi, reach, _ = bound  # first, count: the centres p/q within reach of [lo, hi]
+        first = np.floor((lo - reach) * q) - 1.0
+        count = np.ceil((hi + reach) * q) + 2.0 - first
+        table += (reach, first, count)
+        # an evenly spread point lies within reach of 2 q reach centres of
+        # q: the sweep's candidates; the loop tests it until its first hit
+        meet = 2.0 * q * reach
+        stay = np.cumprod(np.maximum(1.0 - meet, 0.0))
+        work["loop"] = _NS_LOOP_TEST * pts.shape[0] * (1.0 + stay[:-1].sum())
+        work["sweep"] = (_NS_SWEEP_CENTRE * count.sum()
+                         + _NS_SWEEP_PAIR * pts.shape[0] * meet.sum())
+    return table, work
 
 
-def _run_kernel(kernel: str, pts: np.ndarray, table: tuple) -> np.ndarray:
-    """The mask of the finite points pts under the q loop or, on the points
-    sorted by their one coordinate, the sweep."""
-    if kernel == "loop":
+def _run_cheapest(pts: np.ndarray, n: int, radius: np.ndarray) -> np.ndarray:
+    """Block n's mask of the finite points pts under the q loop or, on the
+    points sorted by their one coordinate, the sweep: the cheaper one."""
+    table, work = _block_table(pts, n, radius)
+    if min(work, key=work.get) == "loop":
         return _loop_hit_mask(pts, table)
     order = np.argsort(pts[:, 0])
     hits = np.empty(order.size, dtype=bool)
@@ -501,8 +518,9 @@ def _sweep_hit_mask(xs: np.ndarray, table: tuple) -> np.ndarray:
     return hits
 
 
-# Largest number of points one continued-fraction expansion step holds.
-_EXPAND_SLICE = 2**13
+# Points per continued-fraction slice; 2^13 left `layers` 1 MB higher in peak
+# memory (a slice's records stay live among the run's temporaries).
+_EXPAND_SLICE = 2**12
 
 
 def _convergent_hit_mask(x: np.ndarray, ns, r2s: np.ndarray) -> np.ndarray:
@@ -511,7 +529,7 @@ def _convergent_hit_mask(x: np.ndarray, ns, r2s: np.ndarray) -> np.ndarray:
     block after another in r2s, under three conditions per block: every
     float hit p/q lies within 1/(2 q^2) of its point (the Legendre
     condition), |x| q < 2^52 (the sweep's bound) and r^2 is non-increasing
-    over the block.  A one-block call is the kernel of that block alone.
+    over the block.
 
     A point hits block n iff, for one of its convergents a/b with b <
     2^(n+1), the float test (a/b - |x|)^2 <= r^2 passes at the smallest
@@ -524,40 +542,39 @@ def _convergent_hit_mask(x: np.ndarray, ns, r2s: np.ndarray) -> np.ndarray:
     p| < 1/(2 q), fl(x q) is within 1/4 of x q, so rint(fl(x q)) = p, and m
     = 0.
 
-    One Euclid run per point, up to 2^(N+1) for the largest block N, decides
-    every block: the convergents below 2^(n+1) are a prefix of it.  |x| = F +
-    M/2^E with F = floor(|x|) and 2^52 <= M < 2^53 is expanded _EXPAND_SLICE
-    points at a time, and every quotient is exact.  When 2^E/M > 2^(N+2) the
-    first quotient puts the next denominator past every block, and F/1 is
-    the only convergent.  Otherwise E <= N + 54: the first remainder is the
-    exact IEEE fmod(2^E, M), the first quotient an integer of at most
-    2^(N+2) that float division gets to far less than 1/2, and the later
-    steps divide int64 values below 2^53.  A quotient of 2^(N+1) stands for
-    the end of the run.
+    It runs, then tests, _EXPAND_SLICE points at a time.  One exact Euclid
+    run per point lists its convergents a/b until the next denominator
+    reaches 2^(N+1), N the largest block, and records (squared gap, b,
+    point) for each whose gap is within the largest first r^2 (cap) of the
+    blocks open at b (b < 2^(n+1)).  One pass over the records then tests
+    each block n at those with b < 2^(n+1), at q0 = ceil(2^n / b) b against
+    its own r^2.  Block n's mask is the OR of its tests at the convergents
+    below 2^(n+1), a prefix of the run: a point that left once every block
+    it could still hit was closed would skip only tests of blocks hit or
+    closed, and the cap drops only gaps no open block takes, so every bit is
+    the one-block kernel's.  Cost: 18 ns per point and Euclid step.
 
-    At each convergent a/b the run first compares the squared gap with the
-    largest r^2 (a block's first) of the open blocks, those with b <
-    2^(n+1); only a point within it is tested against each open block that
-    it has not hit and whose first r^2 the gap meets, at that block's
-    smallest multiple of b, against that block's own r^2.  A point leaves
-    once its next denominator reaches its stop: 2^(n+1) of the largest open
-    block it has not hit, 0 once there is none.  A point that left is
-    parked, a1/b1 = a0/b0 with quotient 0, which the step keeps fixed, and
-    the state columns are compacted only when fewer than half of their rows
-    are live.
+    |x| = F + M/2^E with F = floor(|x|) and 2^52 <= M < 2^53, and every
+    quotient is exact.  When 2^E/M > 2^(N+2) the first quotient puts the
+    next denominator past every block, and F/1 is the only convergent.
+    Otherwise E <= N + 54: the first remainder is the exact IEEE fmod(2^E,
+    M), the first quotient an integer of at most 2^(N+2) that float division
+    gets to far less than 1/2, and the later steps divide int64 values below
+    2^53.  A quotient of 2^(N+1) stands for the end of the run.  A point
+    whose run ended is parked, a1/b1 = a0/b0 with quotient 0, which the step
+    keeps fixed (b1 >= 1), and the state columns are compacted only when
+    fewer than half of their rows are live.
     """
     lims = np.array([2 ** (n + 1) for n in ns], dtype=np.int64)
-    los, lim, every = lims // 2, int(lims[-1]), (1 << len(ns)) - 1
+    los, lim = lims // 2, int(lims[-1])
     # block k's r^2 at q is r2s[q + start[k]]
     start = np.cumsum(los) - 2 * los
-    # cap[k]: the largest r^2 (a block's first) of the blocks k, k + 1, ...,
-    # and -1 past the last
+    # cap[k]: the largest first r^2 of the blocks k, k + 1, ...; -1 past the last
     firsts = r2s[start + los]
     cap = np.append(np.maximum.accumulate(firsts[::-1])[::-1], -1.0)
     hits = np.zeros((len(ns), x.size), dtype=bool)
     for s in range(0, x.size, _EXPAND_SLICE):
         y = np.abs(x[s:s + _EXPAND_SLICE])
-        got = hits[:, s:s + _EXPAND_SLICE]
         whole = np.floor(y)
         frac = y - whole  # exact: whole <= y < 2 whole, or whole = 0
         # a far point's run ends at F/1; for the rest, frac = big / low
@@ -566,42 +583,20 @@ def _convergent_hit_mask(x: np.ndarray, ns, r2s: np.ndarray) -> np.ndarray:
         big, low = np.ldexp(mant, 53), np.ldexp(1.0, 53 - exp)
         rem = np.fmod(low, big)
         quot = np.where(far, lim, np.rint((low - rem) / big))
-        # per point: its index and |x|, the convergent a1/b1 to test, the one
-        # before it a0/b0, the next quotient, the remainder pair (u, v) it
-        # leaves, its stop and the bit set of the blocks it has hit
+        # per point: its index and |x|, the convergent a1/b1, the one before
+        # it a0/b0, the next quotient and the remainder pair (u, v) it leaves
         one = np.ones(y.size, dtype=np.int64)
-        state = [np.arange(y.size), y, whole.astype(np.int64), one, one.copy(),
-                 np.zeros_like(one), *(col.astype(np.int64) for col in (quot, big, rem)),
-                 np.full(y.size, lim), np.zeros_like(one)]
+        state = [np.arange(s, s + y.size), y, whole.astype(np.int64), one, one.copy(),
+                 np.zeros_like(one), *(col.astype(np.int64) for col in (quot, big, rem))]
         live = np.ones(y.size, dtype=bool)
+        found = []  # per step: the squared gap, b and point of each near convergent
         while state[0].size:
-            at, yv, a1, b1, a0, b0, quot, u, v, stop, held = state
+            at, yv, a1, b1, a0, b0, quot, u, v = state
             gap = a1 / b1 - yv
             g2 = gap * gap
-            # the blocks from opened on are open (b1 < 2^(n+1)): the prefilter
-            opened = np.searchsorted(lims, b1, side="right")
-            near = np.flatnonzero(live & (g2 <= cap[opened]))
-            if near.size:
-                b, g, have, lo = b1[near], g2[near], held[near], opened[near]
-                # the open blocks with a cap of at least g2: list those pairs
-                count = np.searchsorted(-cap, -g, side="right") - lo
-                c = np.repeat(np.arange(near.size), count)
-                k = np.arange(c.size) + np.repeat(lo - np.cumsum(count) + count, count)
-                # each pair not yet hit and within its block's largest r^2 is
-                # decided by the float test at the smallest multiple of b1
-                keep = ((have[c] >> k) & 1 == 0) & (g[c] <= firsts[k])
-                c, k = c[keep], k[keep]
-                q0 = -(-los[k] // b[c]) * b[c]
-                hit = g[c] <= r2s[q0 + start[k]]
-                c, k = c[hit], k[hit]
-                got[k, at[near[c]]] = True
-                np.bitwise_or.at(have, c, 1 << k)
-                held[near] = have
-                # stop: 2^(n+1) of the largest block still needed (open and
-                # not hit), 0 if none
-                need = every & ~have & ~((1 << lo) - 1)
-                stop[near] = np.where(need > 0, lims[np.frexp(need)[1] - 1], 0)
-            go = live & (np.minimum(quot, lim) * b1 + b0 < stop)
+            near = np.flatnonzero(live & (g2 <= cap[np.searchsorted(lims, b1, side="right")]))
+            found.append((g2[near], b1[near], at[near]))
+            go = live & (np.minimum(quot, lim) * b1 + b0 < lim)
             if 2 * np.count_nonzero(go) < go.size:
                 state = [col[go] for col in state]
                 live = np.ones(state[0].size, dtype=bool)
@@ -609,11 +604,16 @@ def _convergent_hit_mask(x: np.ndarray, ns, r2s: np.ndarray) -> np.ndarray:
                 left = np.flatnonzero(live & ~go)
                 a0[left], b0[left] = a1[left], b1[left]
                 live = go
-            at, yv, a1, b1, a0, b0, quot, u, v, stop, held = state
+            at, yv, a1, b1, a0, b0, quot, u, v = state
             step = quot * live  # 0 keeps a parked a1/b1
             nxt, rem = np.divmod(u, np.maximum(v, 1))
             state = [at, yv, step * a1 + a0, step * b1 + b0, a1, b1,
-                     np.where(v > 0, nxt, lim), v, rem, stop, held]
+                     np.where(v > 0, nxt, lim), v, rem]
+        g2, b, at = (np.concatenate(col) for col in zip(*found))
+        for k in range(len(ns)):
+            near = np.flatnonzero((b < lims[k]) & (g2 <= firsts[k]))
+            q0 = -(-los[k] // b[near]) * b[near]
+            hits[k, at[near[g2[near] <= r2s[q0 + start[k]]]]] = True
     return hits
 
 

@@ -408,17 +408,6 @@ class MassInterval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-    def widen(self, pad: float) -> "MassInterval":
-        return MassInterval(max(self.lo - pad, 0.0), self.hi + pad,
-                            self.converged, self.depth)
-
 
 class _Frontier:
     """The cylinders of one subdivision, as the maps x -> scale rot x + trans.
@@ -784,9 +773,11 @@ def _fold_digits(sys: IFSystem, digits: np.ndarray) -> np.ndarray:
         scale, rho = rho[0], None
     else:
         scale, rho = np.empty_like(pts), np.repeat(rho[:, None], sys.dim, axis=1)
+    # mode="clip": with out= the default mode="raise" always gathers through
+    # a buffer, and a digit is below k, so clipping changes no index
     for dig in columns:
-        pts *= scale if rho is None else np.take(rho, dig, axis=0, out=scale)
-        pts += np.take(trs, dig, axis=0, out=shift)
+        pts *= scale if rho is None else np.take(rho, dig, axis=0, out=scale, mode="clip")
+        pts += np.take(trs, dig, axis=0, out=shift, mode="clip")
     return pts
 
 

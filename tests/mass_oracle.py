@@ -6,8 +6,8 @@ the one-query frontier of `_Frontier`, and `measure_of_ball` and
 `measure_of_slab_in_ball` classify its cylinders against one region.  A
 query is the oracle's own region: a `Ball`, or a pair of a `Ball` and this
 module's `Slab`; `as_arrays` gives the arrays `measure_many` takes for a
-list of them.  Tests import them as the oracle; nothing in the package uses
-them.
+list of them, and `mid`, `contains` and `widen` read an interval.  Tests
+import them as the oracle; nothing in the package uses them.
 """
 
 from __future__ import annotations
@@ -41,6 +41,21 @@ def as_arrays(queries: list, d: int) -> tuple:
     return (centers, np.array([b.radius for b in balls], dtype=float),
             (normals, np.array([s.offset for s in cuts], dtype=float),
              np.array([s.epsilon for s in cuts], dtype=float)))
+
+
+def mid(iv: MassInterval) -> float:
+    """The midpoint of a mass interval."""
+    return 0.5 * (iv.lo + iv.hi)
+
+
+def contains(iv: MassInterval, x: float) -> bool:
+    """Whether x lies in the closed interval [lo, hi]."""
+    return iv.lo <= x <= iv.hi
+
+
+def widen(iv: MassInterval, pad: float) -> MassInterval:
+    """The interval padded by pad on each side, its low end kept >= 0."""
+    return MassInterval(max(iv.lo - pad, 0.0), iv.hi + pad, iv.converged, iv.depth)
 
 
 def measure(sys: IFSystem, query, tol: float) -> MassInterval:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+import mass_oracle
 from fracapprox.analysis import (
     SumSpec,
     _dn_centres,
@@ -126,8 +127,9 @@ def test_criterion_4_measure_oracle(cantor):
         if not (iv.converged and iv.width <= tol):
             width_ok = False
         emp = float((np.abs(pool - c) <= r).mean())
-        sigma = math.sqrt(max(iv.mid * (1.0 - iv.mid), 1e-12) / pool.size)
-        if iv.widen(3.0 * sigma).contains(emp):
+        m = mass_oracle.mid(iv)
+        sigma = math.sqrt(max(m * (1.0 - m), 1e-12) / pool.size)
+        if mass_oracle.contains(mass_oracle.widen(iv, 3.0 * sigma), emp):
             inside += 1
     ok = width_ok and inside >= 48
     _report(4, "measure oracle: widths <= 1e-4, MC mass inside 3-sigma-widened "

@@ -24,7 +24,8 @@ from fracapprox.geometry import Box
 from fracapprox.ifs import bundled_system, sample_measure
 from cover_oracle import RationalPoint
 from cover_oracle import enumerate_rationals as reference_enumerate
-from layer_oracle import ApproxLayer, layer_membership, reference_hit_mask, sup_norm_scan
+from layer_oracle import (ApproxLayer, convergent_hit_mask, layer_membership,
+                          reference_hit_mask, sup_norm_scan)
 
 
 def layer_hit_mask(points, n, psi):
@@ -721,7 +722,7 @@ def test_layer_hit_mask_d1_cost_rule():
     # spread point first hits, 2 q reach(q) the chance that it hits at q; 85
     # ns per sweep centre plus 90 ns per candidate, N 2 q reach(q) of them
     # summed over q (when psi(2^n) 2^n < 1/2; past that the loop decides
-    # nearly every point at the first q); 21 ns per Euclid step, N
+    # nearly every point at the first q); 18 ns per Euclid step, N
     # (ceil(log_phi 2^(n+1)) + 1) of them (under the Legendre condition and
     # with r^2 non-increasing over the block).
     # All agree with the loop.
@@ -729,8 +730,8 @@ def test_layer_hit_mask_d1_cost_rule():
     rng = np.random.default_rng(4)
     many, few = rng.random(4000), rng.random(3)
     assert _kernel(many, 3, psi) == "sweep"  # 0.17 ms: 132 centres, 1,776 candidates
-    assert _kernel(few, 10, psi) == "convergent"  # 1.1 us: 3 * 17 steps
-    assert _kernel(many, 10, psi) == "convergent"  # 1.4 ms: ~1.6e6 centres, 68,000 steps
+    assert _kernel(few, 10, psi) == "convergent"  # 0.9 us: 3 * 17 steps
+    assert _kernel(many, 10, psi) == "convergent"  # 1.2 ms: ~1.6e6 centres, 68,000 steps
     assert _kernel(few, 2, psi) == "loop"  # outside the Legendre condition
     for n in (0, 3, 10):
         assert _kernel(many, n, fat) == "loop"
@@ -810,15 +811,18 @@ def _rising(tau, q_up):
 
 
 @st.composite
-def _range_case(draw):
-    """A block range within 0..12, a psi of every family (the symbolic three,
-    a table, and a psi that rises inside one block of the range), and points
-    for it: free floats, the special values (NaN, +-inf), negative and far
-    points, and points within 2 ulps of a/b +- psi(q) at several blocks of
-    the range, for q in the block or the smallest block multiple of a small
-    b."""
-    lo = draw(st.integers(0, 12))
-    blocks = range(lo, draw(st.integers(lo, min(lo + 4, 12))) + 1)
+def _range_case(draw, gaps=False):
+    """A block range within 0..12 (with gaps: up to five ascending blocks),
+    a psi of every family (the symbolic three, a table, and a psi that rises
+    inside one block of the range), and points for it: free floats, the
+    special values (NaN, +-inf), negative and far points, and points within
+    2 ulps of a/b +- psi(q) at several blocks of the range, for q in the
+    block or the smallest block multiple of a small b."""
+    if gaps:
+        blocks = sorted(draw(st.sets(st.integers(0, 12), min_size=1, max_size=5)))
+    else:
+        lo = draw(st.integers(0, 12))
+        blocks = range(lo, draw(st.integers(lo, min(lo + 4, 12))) + 1)
     kind = draw(st.sampled_from(["any", "steep", "rising"]))
     if kind == "any":
         psi = draw(_PSIS)
@@ -866,6 +870,30 @@ def test_layer_hit_masks_match_reference_block_by_block(case):
     with _pinned("convergent"):
         assert np.array_equal(layer_hit_masks(pts, blocks, psi), want)
     assert np.array_equal(layer_hit_masks(pts, blocks, psi), want)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning:layer_oracle")
+@settings(max_examples=40, deadline=None)
+@given(case=_range_case(gaps=True), whole=st.lists(st.integers(-_WIDE, _WIDE), max_size=4))
+def test_convergent_kernel_matches_the_parent_kernel(case, whole):
+    # the kernel that runs, then tests, against the parent kernel, which
+    # tested each convergent as the run made it and let a point leave once
+    # every block it could still hit was closed: every bit of every block of
+    # a range with gaps, whether a block meets the kernel's preconditions or
+    # not; on the blocks that meet them, also the q loop's bits
+    blocks, psi, pts = case
+    pts = np.concatenate([pts, np.reshape(whole, (-1, 1)).astype(float)])
+    fin = pts[np.isfinite(pts[:, 0])]
+    radii = {n: psi(np.arange(2**n, 2 ** (n + 1), dtype=float)) for n in blocks}
+    ns = [n for n in blocks if np.isfinite(radii[n]).all()]
+    assume(ns)
+    r2s = np.concatenate([radii[n] for n in ns])
+    r2s *= r2s
+    got = approx._convergent_hit_mask(fin[:, 0], ns, r2s)
+    assert np.array_equal(got, convergent_hit_mask(fin[:, 0], ns, r2s))
+    for row, n in enumerate(ns):
+        if approx._legendre(fin, radii[n]):
+            assert np.array_equal(got[row], reference_hit_mask(fin, n, psi, 1))
 
 
 def test_layer_hit_masks_refuse_the_range_before_any_psi_call():

@@ -445,6 +445,71 @@ def test_generated_flag_values_exit_cleanly(tmp_path_factory, argv):
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
+# a value each flag accepts: --ifs is always given, and dust, whose default
+# alpha is refused (delta - (d-1) = 0), always with --alpha where it is a flag
+_VALID_TEXT = {
+    "ifs_path": st.sampled_from(["cantor", "gasket", "dust", "koch"]),
+    "psi_spec": st.sampled_from(["power:tau=2.5", "powerlog:beta=3", "gpl:tau=2.5,beta=1"]),
+    "blocks": st.sampled_from(["0:0", "1:3", "2:7"]),
+    "taus": st.lists(st.sampled_from(["1.5", "2.5", "3"]), min_size=1, max_size=3).map(
+        ",".join),
+    "kind": st.sampled_from(["lebesgue", "measure_zero", "hausdorff"]),
+    "trials": st.sampled_from(["1", "5"]),
+    "samples": st.sampled_from(["1", "1000"]),
+    "alpha": st.sampled_from(["0.25", "0.5"]),
+    "s": st.sampled_from(["0", "0.5"]),
+}
+
+# the stand-in each subcommand reaches
+_DRIVERS = {"certify": "certify_all", "decay": "layer_decay_experiment",
+            "lemma-audit": "audit_hyperplane_lemma", "dim-report": "dimension_report",
+            "sums": "classify_sum", "cover-cost": "hs_upper_bound", "sample": "_sharded_samples"}
+
+
+@st.composite
+def _valid_command_lines(draw, name):
+    """Subcommand `name` with each of its _FLAGS left out or given a value
+    from _VALID_TEXT."""
+    ifs = draw(_VALID_TEXT["ifs_path"])
+    argv = [name]
+    for param in cli_module.cli.commands[name].params:
+        flag = param.opts[0]
+        field = cli_module._FLAGS[flag][0]
+        if field == "ifs_path":
+            text = ifs
+        elif field == "alpha" and ifs == "dust":
+            text = draw(_VALID_TEXT[field])
+        else:
+            text = draw(st.one_of(st.none(), _VALID_TEXT[field]))
+        argv += [] if text is None else [flag, text]
+    return argv
+
+
+@pytest.mark.parametrize("name", sorted(cli_module.cli.commands))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_valid_flag_values_reach_the_driver(tmp_path_factory, name, data):
+    """The happy path of the generated flag test: with every flag left out
+    or given a value it accepts, the run reaches its stand-in driver and
+    exits 0."""
+    argv = data.draw(_valid_command_lines(name))
+    reached = []
+
+    def recorded(driver, stand_in):
+        def call(*args, **kwargs):
+            reached.append(driver)
+            return stand_in(*args, **kwargs)
+        return call
+
+    out = tmp_path_factory.mktemp("out")
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        for driver, stand_in in _STAND_INS.items():
+            mp.setattr(cli_module, driver, recorded(driver, stand_in))
+        code = run(["--out", out, *argv])
+    assert (code, reached) == (0, [_DRIVERS[name]]), (argv, err.getvalue())
+
+
 def _collinear_system(tmp_path) -> Path:
     """A planar two-map system whose fixed points lie on a line: loading it
     warns (IrreducibilityWarning), and delta - (d - 1) < 0 leaves no default
